@@ -75,6 +75,8 @@ class AuthorityContract:
         if not sign_tac:
             raise ContractRevert(REVERT_TAC_NOT_SIGNED)
         drone_id = len(self.records)
+        self.ledger.touch(self.records, drone_id)
+        self.ledger.touch(self.storage["serial_index"], serial_hash)
         self.records.append(
             DroneRecord(
                 drone_id=drone_id,
@@ -98,17 +100,22 @@ class AuthorityContract:
             raise ContractRevert(REASON_UNKNOWN_DRONE)
         return self.records[drone_id]
 
+    def _writable(self, drone_id: int) -> DroneRecord:
+        rec = self.record(drone_id)
+        self.ledger.touch(self.records, drone_id)
+        return rec
+
     def set_active_plan(self, drone_id: int, flag: bool) -> None:
-        self.record(drone_id).has_active_plan = flag
+        self._writable(drone_id).has_active_plan = flag
 
     def add_reward(self, drone_id: int) -> None:
-        self.record(drone_id).rewards += 1
+        self._writable(drone_id).rewards += 1
 
     def add_penalty(self, drone_id: int) -> None:
-        self.record(drone_id).penalties += 1
+        self._writable(drone_id).penalties += 1
 
     def reset_counters(self, drone_id: int) -> None:
-        rec = self.record(drone_id)
+        rec = self._writable(drone_id)
         rec.rewards = 0
         rec.penalties = 0
 

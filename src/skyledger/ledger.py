@@ -7,6 +7,17 @@ transactions are batched into blocks whose SHA-256 hashes chain back to
 an all-zero genesis parent, so any byte of recorded history can be
 checked after the fact.
 
+State changes are tracked by an undo journal. Before a contract changes
+one slot of its storage (an account, a registry record, one entry of a
+per-drone map, a root scalar, the next index of an append-only list) it
+calls Ledger.touch(container, key), and the first touch in a
+transaction saves a deep copy of the slot's old value. A revert, or any
+other exception out of an operation, restores the touched slots in
+reverse order; a success meters `stateWrites` and `balanceDeltas` from
+the touched slots alone, so the cost of a transaction does not grow with
+the size of the state. View operations open no journal and may not
+touch anything.
+
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
 simulation clock. There is no consensus and no mining: determinism is
@@ -16,11 +27,10 @@ independent oracles.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
-import pickle
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -123,6 +133,34 @@ def diff_count(before: Any, after: Any) -> int:
             return total
         return 1
     return count_leaves(before) + count_leaves(after)
+
+
+_ABSENT = object()  # journal value of a slot that does not exist
+
+# (id(container), key) -> (container, key, value before the transaction)
+_Journal = dict[tuple[int, Any], tuple[Any, Any, Any]]
+
+
+def _read_slot(container: dict | list, key: Any) -> Any:
+    if isinstance(container, list):
+        return container[key] if key < len(container) else _ABSENT
+    return container.get(key, _ABSENT)
+
+
+def _restore_slot(container: dict | list, key: Any, old: Any) -> None:
+    if old is not _ABSENT:
+        container[key] = old
+    elif isinstance(container, list):
+        del container[key:]
+    else:
+        container.pop(key, None)
+
+
+def _slot_writes(old: Any, new: Any) -> int:
+    """diff_count for one slot; a slot that appeared or vanished counts all its leaves."""
+    if old is _ABSENT or new is _ABSENT:
+        return sum(count_leaves(v) for v in (old, new) if v is not _ABSENT)
+    return diff_count(old, new)
 
 
 @dataclass
@@ -235,10 +273,12 @@ class _OpSpec:
 
 
 class Ledger:
-    """Serialized transaction application over accounts and contract state.
+    """Transaction application over accounts and contract state.
 
-    Single-writer: submissions are serialized behind one lock; reads of
-    sealed blocks are safe from any thread.
+    Contracts keep their storage in plain dicts and lists attached with
+    attach_storage(), and call touch() before each write so that
+    submit() can undo or meter it. Outside submit() (setup, restore,
+    tests) touch() is a no-op.
     """
 
     def __init__(self, allow_empty_blocks: bool = False):
@@ -252,7 +292,8 @@ class Ledger:
         self._account_counter = 0
         self._tx_counter = 0
         self._event_buffer: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
+        self._journal: _Journal | None = None  # open only while a state-changing op runs
+        self._view_running = False
 
     # -- accounts ---------------------------------------------------------
 
@@ -283,6 +324,8 @@ class Ledger:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         src_acc, dst_acc = self.account(src), self.account(dst)
+        self.touch(self.accounts, src)
+        self.touch(self.accounts, dst)
         if src_acc.balance < amount:
             raise InsufficientBalance(f"{src} holds {src_acc.balance}, needs {amount}")
         src_acc.balance -= amount
@@ -309,6 +352,22 @@ class Ledger:
         if payable and receiver is None:
             raise ValueError("payable operations need a receiving account")
         self._ops[name] = _OpSpec(fn, view, payable, receiver)
+
+    def touch(self, container: dict | list, key: Any) -> None:
+        """Declare that the running transaction is about to change container[key].
+
+        Call before every write: assignment, deletion, in-place change of
+        the value, or append (key = len(list)). Slots must not nest.
+        """
+        if self._view_running:
+            raise LedgerError("view operation tried to change storage")
+        journal = self._journal
+        if journal is None:
+            return
+        slot = (id(container), key)
+        if slot not in journal:
+            old = _read_slot(container, key)
+            journal[slot] = (container, key, old if old is _ABSENT else copy.deepcopy(old))
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing."""
@@ -344,71 +403,77 @@ class Ledger:
         return rec
 
     def submit(self, caller: AccountId, op: str, args: dict[str, Any] | None = None, value: int = 0) -> TransactionRecord:
+        """Apply one operation atomically and log it as a success or a revert.
+
+        An exception other than a revert rolls the operation back too,
+        hands its tx id back and propagates: it is a harness or invariant
+        error, so nothing is logged.
+        """
         args = dict(args or {})
-        with self._lock:
-            self.account(caller)  # unknown callers are a harness bug, not a revert
-            if value < 0:
-                raise ValueError("value must be non-negative")
-            rec = TransactionRecord(
-                tx_id=self._next_tx_id(),
-                caller=caller,
-                op=op,
-                args=args,
-                value=value,
-                timestamp=self.clock,
-            )
-            # pickle round-trip is the rollback snapshot; it is only
-            # unpickled on revert or for the post-success write count
-            snapshot = pickle.dumps(self._storages, protocol=pickle.HIGHEST_PROTOCOL)
-            balances_before = {a.id: a.balance for a in self.accounts.values()}
+        self.account(caller)  # unknown callers are a harness bug, not a revert
+        if value < 0:
+            raise ValueError("value must be non-negative")
+        rec = TransactionRecord(
+            tx_id=self._next_tx_id(),
+            caller=caller,
+            op=op,
+            args=args,
+            value=value,
+            timestamp=self.clock,
+        )
+        spec = self._ops.get(op)
+        self._view_running = spec is not None and spec.view
+        journal = self._journal = None if self._view_running else {}
+        self._event_buffer = []
+        try:
+            if spec is None:
+                raise ContractRevert(REASON_UNKNOWN_OPERATION)
+            if value > 0:
+                if not spec.payable:
+                    raise ContractRevert(REASON_NOT_PAYABLE)
+                if self.account(caller).balance < value:
+                    raise ContractRevert(REASON_INSUFFICIENT_BALANCE)
+                self.transfer(caller, spec.receiver, value)
+            # ops see the attached value without it entering the logged args
+            rec.payload = spec.fn(caller, {**args, "_value": value})
+        except ContractRevert as exc:
+            self._undo(journal)
+            rec.status, rec.reason, rec.payload = "revert", exc.reason, None
+        except InsufficientBalance:
+            self._undo(journal)
+            rec.status, rec.reason, rec.payload = "revert", REASON_INSUFFICIENT_BALANCE, None
+        except BaseException:
+            self._undo(journal)
+            self._tx_counter -= 1
+            raise
+        else:
+            if journal:
+                self._meter(rec, journal)
+            rec.events = self._event_buffer
+        finally:
+            self._journal, self._view_running = None, False
             self._event_buffer = []
-            try:
-                spec = self._ops.get(op)
-                if spec is None:
-                    raise ContractRevert(REASON_UNKNOWN_OPERATION)
-                if value > 0:
-                    if not spec.payable:
-                        raise ContractRevert(REASON_NOT_PAYABLE)
-                    if self.account(caller).balance < value:
-                        raise ContractRevert(REASON_INSUFFICIENT_BALANCE)
-                    self.transfer(caller, spec.receiver, value)
-                # ops see the attached value without it entering the logged args
-                rec.payload = spec.fn(caller, {**args, "_value": value})
-            except ContractRevert as exc:
-                self._rollback(snapshot)
-                rec.status, rec.reason, rec.payload = "revert", exc.reason, None
-            except InsufficientBalance:
-                self._rollback(snapshot)
-                rec.status, rec.reason, rec.payload = "revert", REASON_INSUFFICIENT_BALANCE, None
-            else:
-                rec.state_writes = diff_count(pickle.loads(snapshot), self._storages)
-                rec.balance_deltas = self._balance_deltas(balances_before, self.accounts)
-                rec.events = self._event_buffer
-            self._event_buffer = []
-            self.pending.append(rec)
-            return rec
+        self.pending.append(rec)
+        return rec
 
     def _next_tx_id(self) -> int:
         tx_id = self._tx_counter
         self._tx_counter += 1
         return tx_id
 
-    def _rollback(self, snapshot: bytes) -> None:
-        # contracts hold references to their root storage dicts, so the
-        # roots are restored in place
-        before = pickle.loads(snapshot)
-        for name, storage in self._storages.items():
-            storage.clear()
-            storage.update(before[name])
-
     @staticmethod
-    def _balance_deltas(before: dict[AccountId, int], after: dict[AccountId, Account]) -> dict[AccountId, int]:
+    def _undo(journal: _Journal | None) -> None:
+        for container, key, old in reversed(journal.values() if journal else ()):
+            _restore_slot(container, key, old)
+
+    def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
         deltas = {}
-        for account_id in sorted(after):
-            delta = after[account_id].balance - before.get(account_id, 0)
-            if delta:
-                deltas[account_id] = delta
-        return deltas
+        for container, key, old in journal.values():
+            new = _read_slot(container, key)
+            rec.state_writes += _slot_writes(old, new)
+            if container is self.accounts:
+                deltas[key] = new.balance - old.balance
+        rec.balance_deltas = {k: deltas[k] for k in sorted(deltas) if deltas[k]}
 
     # -- blocks -----------------------------------------------------------
 

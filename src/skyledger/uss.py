@@ -26,7 +26,7 @@ from typing import Any
 from . import economics, geo
 from .authority import AuthorityContract
 from .economics import FeeParams
-from .ledger import AccountId, ContractRevert, Ledger
+from .ledger import AccountId, ContractRevert, Ledger, LedgerError
 from .rid import compute_rid_vc, decode_rid, MalformedRid, verify_rid_vc
 
 REVERT_NOT_OWNER_SUBSCRIBE = "Not the owner of the registered drone"
@@ -51,6 +51,9 @@ REASON_INVALID_RIDVC = "invalid-ridvc"
 VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 VERDICT_INVALID = "invalid"
+
+# per-drone maps that a plan fills and its settlement empties
+_MISSION_MAPS = ("plans", "nonces", "report_counts", "escrow_by_drone", "forfeited")
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -214,6 +217,11 @@ class UssContract:
     def plans(self) -> dict[int, MissionPlan]:
         return self.storage["plans"]
 
+    def _touch(self, key: Any, *names: str) -> None:
+        """Journal storage[name][key] for each name before changing it."""
+        for name in names:
+            self.ledger.touch(self.storage[name], key)
+
     def reputation_of(self, owner: AccountId) -> economics.ReputationState:
         state = self.storage["reputation"].get(owner)
         if state is None:
@@ -255,6 +263,7 @@ class UssContract:
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
         expiry = self.ledger.clock + self.params.subscription_period_s
+        self._touch(drone_id, "subscriptions")
         self.storage["subscriptions"][drone_id] = Subscription(drone_id, caller, value, expiry)
         return {"droneId": drone_id, "expiry": expiry}
 
@@ -296,6 +305,7 @@ class UssContract:
         route, arrival_s = self.schedule_route(src, dst, depart_s)
 
         nonce = NonceSource(self._nonce_seed, self.storage["nonce_counter"]).next()
+        self.ledger.touch(self.storage, "nonce_counter")
         self.storage["nonce_counter"] += 1
         rid_vc = compute_rid_vc(nonce, caller, source, destination, date, time)
 
@@ -315,6 +325,7 @@ class UssContract:
             route=route,
             rid_vc=rid_vc,
         )
+        self._touch(drone_id, *_MISSION_MAPS)
         self.plans[drone_id] = plan
         self.storage["nonces"][drone_id] = nonce
         self.storage["report_counts"][drone_id] = {}
@@ -361,6 +372,7 @@ class UssContract:
         record = self.authority.record(drone_id)
         if caller == record.owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
+        self._touch(drone_id, "report_counts")
         counts = self.storage["report_counts"].setdefault(drone_id, {})
         if counts.get(caller, 0) >= 1:
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
@@ -397,6 +409,7 @@ class UssContract:
             reporter=caller,
         )
 
+        self._touch(drone_id, "escrow_by_drone", "forfeited")
         if self._sighting_matches_plan(plan, sighting_cell, sighting_time):
             verdict = VERDICT_REWARD
             self.authority.add_reward(drone_id)
@@ -411,7 +424,9 @@ class UssContract:
             self.storage["escrow_by_drone"][drone_id] -= fine
             self.ledger.transfer(self.escrow, self.treasury, fine)
 
-        self.storage["sightings"].append(
+        sightings = self.storage["sightings"]
+        self.ledger.touch(sightings, len(sightings))
+        sightings.append(
             SightingRecord(caller, drone_id, str(args["rid"]), sighting_cell, sighting_time, verdict)
         )
         return {"verdict": verdict, "reporterReward": self.params.reporter_reward}
@@ -438,8 +453,10 @@ class UssContract:
         rewards, penalties = record.rewards, record.penalties
         deposit = self.params.fee.deposit
         payout = max(0, deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
+        self._touch(drone_id, *_MISSION_MAPS)
         held = self.storage["escrow_by_drone"].pop(drone_id)
-        assert held == payout, "escrow drifted from the settlement formula"
+        if held != payout:
+            raise LedgerError(f"escrow for drone {drone_id} holds {held}, settlement formula pays {payout}")
         self.ledger.transfer(self.escrow, caller, payout)
 
         rep_micro = economics.reputation(rewards, penalties)
@@ -447,6 +464,7 @@ class UssContract:
         k_micro = economics.update_k(
             rep_micro, prev.k_micro, self.params.fee.alpha_micro, self.params.fee.k_min_micro
         )
+        self._touch(caller, "reputation")
         self.storage["reputation"][caller] = economics.ReputationState(rep_micro, k_micro)
 
         self.authority.reset_counters(drone_id)

@@ -2,11 +2,14 @@
 
 Everything here recomputes results by a different route than the
 package: exact rationals for the fixed-point economics, second-by-second
-enumeration for route occupancy, and a from-scratch digest chain walk.
+enumeration for route occupancy, a from-scratch digest chain walk, and
+whole-storage copies for per-transaction write metering.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -97,3 +100,71 @@ def brute_force_conflict(
             if abs(lat_a - lat_b) <= cell_buffer and abs(lon_a - lon_b) <= cell_buffer:
                 return True
     return False
+
+
+def _plain(obj):
+    """Storage as nested dicts and lists of scalars; dataclasses become field dicts."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {"__type__": type(obj).__name__, **{f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def _leaves(tree) -> int:
+    if isinstance(tree, dict):
+        return sum(_leaves(v) for k, v in tree.items() if k != "__type__") or 1
+    if isinstance(tree, list):
+        return sum(_leaves(v) for v in tree) or 1
+    return 1
+
+
+def whole_tree_leaf_diff(before, after) -> int:
+    """Leaves changed, added or removed between two plain storage trees.
+
+    A subtree on one side only counts all its leaves; an empty container
+    is one leaf; containers of different kinds count both sides whole.
+    """
+    if isinstance(before, dict) and isinstance(after, dict) and before.get("__type__") == after.get("__type__"):
+        keys = (set(before) | set(after)) - {"__type__"}
+        return sum(
+            whole_tree_leaf_diff(before[k], after[k]) if k in before and k in after
+            else _leaves(before[k] if k in before else after[k])
+            for k in keys
+        )
+    if isinstance(before, list) and isinstance(after, list):
+        common = min(len(before), len(after))
+        paired = sum(whole_tree_leaf_diff(a, b) for a, b in zip(before, after))
+        return paired + sum(_leaves(v) for v in before[common:] + after[common:])
+    if isinstance(before, (dict, list)) or isinstance(after, (dict, list)) or type(before) is not type(after):
+        return _leaves(before) + _leaves(after)
+    return int(before != after)
+
+
+class WholeTreeSubmit:
+    """Wraps Ledger.submit; recomputes each record's metering from full copies.
+
+    Before every call it deep-copies all contract storage and every
+    balance; afterwards it records the whole-tree leaf diff, the nonzero
+    balance changes, and whether a revert left the state digest as it was.
+    """
+
+    def __init__(self, submit):
+        self.submit = submit
+        self.checked = []  # (record, oracle writes, oracle deltas, digest kept)
+
+    def __call__(self, ledger, caller, op, args=None, value=0):
+        before = _plain(copy.deepcopy(ledger._storages))
+        balances = {a.id: a.balance for a in ledger.accounts.values()}
+        digest = ledger.state_digest()
+        rec = self.submit(ledger, caller, op, args, value)
+        after = _plain(ledger._storages)
+        deltas = {
+            a: ledger.accounts[a].balance - balances.get(a, 0)
+            for a in sorted(ledger.accounts)
+            if ledger.accounts[a].balance != balances.get(a, 0)
+        }
+        self.checked.append((rec, whole_tree_leaf_diff(before, after), deltas, ledger.state_digest() == digest))
+        return rec

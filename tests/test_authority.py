@@ -66,6 +66,7 @@ class TestRegistryReads:
         assert rec.status == "success"
         assert rec.payload["droneId"] == drone_id
         assert rec.payload["ownerAccount"] == bench.operator
+        assert (rec.state_writes, rec.balance_deltas) == (0, {})
 
     def test_reads_never_leak_plaintext_identifiers(self, bench):
         drone_id = register(bench, serial="SN-secret")

@@ -31,6 +31,7 @@ class ToyContract:
         ledger.register_op("pay_out", self.op_pay_out)
 
     def op_set(self, caller, args):
+        self.ledger.touch(self.storage["slots"], args["key"])
         self.storage["slots"][args["key"]] = args["value"]
         self.ledger.emit("SlotSet", key=args["key"])
         return {"key": args["key"]}
@@ -39,6 +40,7 @@ class ToyContract:
         return {"value": self.storage["slots"].get(args["key"])}
 
     def op_set_then_fail(self, caller, args):
+        self.ledger.touch(self.storage["slots"], "poisoned")
         self.storage["slots"]["poisoned"] = True
         raise ContractRevert("toy-failure")
 
