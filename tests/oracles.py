@@ -8,7 +8,6 @@ whole-storage copies for per-transaction write metering.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -103,9 +102,10 @@ def brute_force_conflict(
 
 
 def _plain(obj):
-    """Storage as nested dicts and lists of scalars; dataclasses become field dicts."""
+    """A copy of storage as nested dicts and lists of scalars; dataclasses become field dicts."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {"__type__": type(obj).__name__, **{f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
+        fields = {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {"__type__": type(obj).__name__, **fields}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,9 +146,9 @@ def whole_tree_leaf_diff(before, after) -> int:
 class WholeTreeSubmit:
     """Wraps Ledger.submit; recomputes each record's metering from full copies.
 
-    Before every call it deep-copies all contract storage and every
-    balance; afterwards it records the whole-tree leaf diff, the nonzero
-    balance changes, and whether a revert left the state digest as it was.
+    Before every call it copies all contract storage and every balance;
+    afterwards it records the whole-tree leaf diff, the nonzero balance
+    changes, and whether a revert left the state digest as it was.
     """
 
     def __init__(self, submit):
@@ -156,7 +156,7 @@ class WholeTreeSubmit:
         self.checked = []  # (record, oracle writes, oracle deltas, digest kept)
 
     def __call__(self, ledger, caller, op, args=None, value=0):
-        before = _plain(copy.deepcopy(ledger._storages))
+        before = _plain(ledger._storages)
         balances = {a.id: a.balance for a in ledger.accounts.values()}
         digest = ledger.state_digest()
         rec = self.submit(ledger, caller, op, args, value)
