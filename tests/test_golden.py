@@ -1,4 +1,4 @@
-"""Golden gate: chain heads and metrics.json bytes of the canonical runs.
+"""Golden gate: chain heads, metrics.json and snapshot bytes of the canonical runs.
 
 The constants are sha256 values of the outputs of the released protocol.
 A change that moves any of them changes the chain or the metrics schema,
@@ -10,8 +10,8 @@ import hashlib
 import pytest
 
 from conftest import REPO_ROOT, compliant_scenario, deviating_scenario, doas_scenario, lonely_scenario
-from skyledger.persistence import load_scenario, write_metrics
-from skyledger.sim import run
+from skyledger.persistence import load_scenario, snapshot_world, write_metrics
+from skyledger.sim import World, run
 
 GOLDEN = {
     "demo": (
@@ -50,3 +50,33 @@ def test_chain_head_and_metrics_bytes_are_pinned(name, tmp_path):
     write_metrics(path, metrics)
     assert world.ledger.chain_head_hex() == head
     assert hashlib.sha256(path.read_bytes()).hexdigest() == metrics_sha
+
+
+def _stepped_to(scenario, tick):
+    world = World(scenario)
+    while world.tick < tick:
+        world.step()
+    return world
+
+
+# sha256 of snapshot_world bytes
+SNAPSHOT_GOLDEN = {
+    "compliant-end": (
+        lambda: run(compliant_scenario())[1],
+        "20386ca69c6ad654a526a1202efb33e70d415af074d409110034321fc5298202",
+    ),
+    "deviating-end": (
+        lambda: run(deviating_scenario())[1],
+        "1275807a14a79d5cb2372cf0cc59333356035c07965f17356057ff936fb3ac28",
+    ),
+    "compliant-tick15": (
+        lambda: _stepped_to(compliant_scenario(), 15),
+        "52b3874bf1bd7136ff3d514fdb3ee63a1c235cebc2dea81dea6d288f9b5eef2d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_GOLDEN))
+def test_snapshot_bytes_are_pinned(name):
+    make_world, snapshot_sha = SNAPSHOT_GOLDEN[name]
+    assert hashlib.sha256(snapshot_world(make_world())).hexdigest() == snapshot_sha
