@@ -281,12 +281,11 @@ class Ledger:
     tests) touch() is a no-op.
     """
 
-    def __init__(self, allow_empty_blocks: bool = False):
+    def __init__(self):
         self.clock: int = 0
         self.accounts: dict[AccountId, Account] = {}
         self.blocks: list[Block] = []
         self.pending: list[TransactionRecord] = []
-        self.allow_empty_blocks = allow_empty_blocks
         self._storages: dict[str, dict[str, Any]] = {"accounts": self.accounts}
         self._ops: dict[str, _OpSpec] = {}
         self._account_counter = 0
@@ -478,7 +477,7 @@ class Ledger:
     # -- blocks -----------------------------------------------------------
 
     def seal_block(self) -> Block:
-        if not self.pending and not self.allow_empty_blocks:
+        if not self.pending:
             raise LedgerError("no pending transactions to seal")
         index = len(self.blocks)
         prev = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH

@@ -19,16 +19,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import random
 from pathlib import Path
 from typing import Any
 
 from . import geo
-from .authority import AuthorityContract, DroneRecord
+from .authority import DroneRecord
 from .economics import ReputationState
-from .ledger import Account, Block, Ledger, canonical_json, verify_blocks
-from .sim import RunMetrics, Scenario, World, _DroneState, _ReporterState
-from .uss import MissionPlan, SightingRecord, Subscription, UssContract
+from .ledger import Block, canonical_json, verify_blocks
+from .sim import RunMetrics, Scenario, World
+from .uss import MissionPlan, SightingRecord, Subscription
 
 SCHEMA = {"major": 1, "minor": 0}
 
@@ -264,37 +263,30 @@ def restore_world(payload: bytes) -> World:
     _check_header(data, "state")
     try:
         return _rebuild(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
 
 
 def _rebuild(data: dict[str, Any]) -> World:
+    """Build the scenario's world as a live run does, then load the saved state onto it."""
     scenario = Scenario.from_dict(data["scenario"])
-    world = World.__new__(World)
-    world.scenario = scenario
-    world.grid = scenario.grid()
-    world.tick = data["tick"]
-    world.rng = random.Random()
-    rng = data["rng"]
-    world.rng.setstate((rng[0], tuple(rng[1]), rng[2]))
-    world.trace = []
-
-    ledger = Ledger()
-    authority = AuthorityContract(ledger)
-    nonce_seed = hashlib.sha256(b"nonce-seed:" + str(scenario.seed).encode()).digest()
-    uss = UssContract(ledger, authority, scenario.uss_params(), nonce_seed)
-    world.ledger, world.authority, world.uss = ledger, authority, uss
-
+    world = World.deployed(scenario)
+    ledger = world.ledger
+    saved_accounts = sorted((a["id"], a["role"]) for a in data["accounts"])
+    if saved_accounts != sorted((a.id, a.role) for a in ledger.accounts.values()):
+        raise CorruptPayload("snapshot accounts differ from the accounts the scenario creates")
+    for acc in data["accounts"]:
+        ledger.accounts[acc["id"]].balance = int(acc["balance"])
     ledger.clock = data["clock"]
     ledger._tx_counter = data["txCounter"]
-    ledger.accounts.clear()
-    for acc in data["accounts"]:
-        ledger.accounts[acc["id"]] = Account(acc["id"], acc["role"], int(acc["balance"]))
-    ledger._account_counter = len(ledger.accounts)
     ledger.blocks = [Block.from_dict(b) for b in data["chain"]]
+    genesis = ledger.blocks[0].transactions[0]
+    if genesis.op != "genesis" or ledger.total_supply() != genesis.payload["totalSupply"]:
+        raise CorruptPayload("snapshot balances do not sum to the genesis total supply")
 
+    authority, uss = world.authority, world.uss
     authority.storage["records"] = [
         DroneRecord(
             drone_id=r["droneId"],
@@ -339,62 +331,24 @@ def _rebuild(data: dict[str, Any]) -> World:
     uss.storage["forfeited"] = {int(k): int(v) for k, v in u["forfeited"].items()}
     uss.storage["nonce_counter"] = u["nonceCounter"]
 
-    operator_ids = _accounts_in_creation_order(data, "operator")
-    operators: dict[str, str] = {}
-    for spec in scenario.drones:
-        op_name = spec.operator or f"op-{spec.name}"
-        if op_name not in operators:
-            operators[op_name] = operator_ids[len(operators)]
-    world.operator_accounts = operators
+    drones = {d["name"]: d for d in data["agents"]["drones"]}
+    for drone in world.drones:
+        saved = drones[drone.spec.name]
+        drone.drone_id = saved["droneId"]
+        drone.plan = saved["plan"]
+        drone.flight_duration_s = saved["flightDurationS"]
+        drone.completed = saved["completed"]
+    reporters = {r["name"]: r for r in data["agents"]["reporters"]}
+    for rep in world.reporters:
+        saved = reporters[rep.spec.name]
+        rep.cell = tuple(saved["cell"])
+        rep.attempted = set(saved["attempted"])
+        rep.heard = {int(k): (v[0], v[1]) for k, v in saved["heard"].items()}
 
-    world.drones = []
-    agents_by_name = {d["name"]: d for d in data["agents"]["drones"]}
-    for spec in scenario.drones:
-        saved = agents_by_name[spec.name]
-        world.drones.append(
-            _DroneState(
-                spec,
-                operator_account=operators[spec.operator or f"op-{spec.name}"],
-                drone_id=saved["droneId"],
-                plan=saved["plan"],
-                flight_duration_s=saved["flightDurationS"],
-                completed=saved["completed"],
-            )
-        )
-
-    reporters_by_name = {r["name"]: r for r in data["agents"]["reporters"]}
-    world.reporters = []
-    for spec, account in zip(scenario.reporters, _accounts_in_creation_order(data, "reporter")):
-        saved = reporters_by_name[spec.name]
-        world.reporters.append(
-            _ReporterState(
-                spec,
-                account,
-                tuple(saved["cell"]),
-                attempted=set(saved["attempted"]),
-                heard={int(k): (v[0], v[1]) for k, v in saved["heard"].items()},
-            )
-        )
+    world.tick = data["tick"]
+    rng = data["rng"]
+    world.rng.setstate((rng[0], tuple(rng[1]), rng[2]))
     return world
-
-
-def _accounts_in_creation_order(data: dict[str, Any], role: str) -> list[str]:
-    """Account ids of one role, in creation order.
-
-    Ids are a deterministic function of the creation counter, so
-    replaying the counter sequence recovers the order without storing
-    it.
-    """
-    ids = {a["id"] for a in data["accounts"] if a["role"] == role}
-    ordered = []
-    for counter in range(len(data["accounts"])):
-        digest = hashlib.sha256(f"account-{counter}".encode()).digest()
-        candidate = "0x" + digest[:20].hex()
-        if candidate in ids:
-            ordered.append(candidate)
-    if len(ordered) != len(ids):
-        raise CorruptPayload("account ids do not match the deterministic derivation")
-    return ordered
 
 
 def verify_chain_file(path: str | Path) -> tuple[bool, int | None]:

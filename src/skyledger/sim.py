@@ -393,6 +393,18 @@ class World:
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
+        self._deploy(scenario)
+        self.ledger.genesis(note=scenario.name)
+        self._setup()
+
+    @classmethod
+    def deployed(cls, scenario: Scenario) -> "World":
+        """The accounts, contracts and agents World(scenario) creates for a valid scenario, before any transaction."""
+        world = cls.__new__(cls)
+        world._deploy(scenario)
+        return world
+
+    def _deploy(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.grid = scenario.grid()
         self.tick = 0
@@ -416,8 +428,6 @@ class World:
             _ReporterState(spec, self.ledger.create_account("reporter", scenario.reporter_funding), spec.cell)
             for spec in scenario.reporters
         ]
-        self.ledger.genesis(note=scenario.name)
-        self._setup()
 
     # -- protocol setup: register, subscribe, quote, plan -------------------
 

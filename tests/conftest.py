@@ -286,10 +286,12 @@ def doas_scenario(n_drones: int = 100, seed: int = 9) -> Scenario:
         row = (lat * 30) // 100
         reporters.append(ReporterSpec(name=f"r{i}a", cell=(row, 6), sensing_range_m=150))
         reporters.append(ReporterSpec(name=f"r{i}b", cell=(row, 12), sensing_range_m=150))
+    top_row = reporters[-1].cell[0] if reporters else 0
+    # 256 cells for every n <= 120, which keeps the doas_scenario(100) golden pin
     return Scenario(
         name="doas",
         seed=seed,
-        grid_extent_cells=256,
+        grid_extent_cells=max(256, top_row + 4),
         duration_ticks=25,
         drones=tuple(drones),
         reporters=tuple(reporters),

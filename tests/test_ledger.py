@@ -208,14 +208,11 @@ class TestBlocks:
         assert b1.prev_hash == b0.hash
         assert ledger.verify_chain()
 
-    def test_empty_seal_rejected_unless_configured(self, toy):
+    def test_empty_seal_rejected(self, toy):
         ledger, _, _, _ = toy
         ledger.seal_block()
         with pytest.raises(LedgerError):
             ledger.seal_block()
-        relaxed = Ledger(allow_empty_blocks=True)
-        block = relaxed.seal_block()
-        assert block.transactions == []
 
     def test_digests_match_independent_recomputation(self, toy):
         ledger, _, alice, _ = toy

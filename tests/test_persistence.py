@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from conftest import compliant_scenario, deviating_scenario
+from conftest import REPO_ROOT, compliant_scenario, deviating_scenario
 from skyledger import persistence
 from skyledger.ledger import canonical_json
 from skyledger.sim import World, run
@@ -29,12 +31,31 @@ def test_snapshot_restore_after_full_run():
     assert persistence.snapshot_world(restored) == snap
 
 
-def test_checkpoint_resume_equals_straight_through():
-    straight = World(compliant_scenario())
+def _walking_compliant_scenario():
+    scenario = compliant_scenario()
+    walkers = tuple(dataclasses.replace(r, random_walk=True) for r in scenario.reporters)
+    return dataclasses.replace(scenario, name="walking", reporters=walkers)
+
+
+RESUMED_SCENARIOS = {
+    "compliant": compliant_scenario,
+    "demo": lambda: persistence.load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json"),
+    "walking": _walking_compliant_scenario,
+}
+
+
+@pytest.mark.parametrize(
+    "name,tick",
+    [("compliant", 15), ("demo", 3), ("demo", 12), ("demo", 25),
+     ("walking", 3), ("walking", 12), ("walking", 25)],
+)
+def test_checkpoint_resume_equals_straight_through(name, tick):
+    make_scenario = RESUMED_SCENARIOS[name]
+    straight = World(make_scenario())
     straight.run_to_end()
 
-    interrupted = World(compliant_scenario())
-    while interrupted.tick < 15:
+    interrupted = World(make_scenario())
+    while interrupted.tick < tick:
         interrupted.step()
     resumed = persistence.restore_world(persistence.snapshot_world(interrupted))
     resumed.run_to_end()
@@ -42,6 +63,38 @@ def test_checkpoint_resume_equals_straight_through():
     assert resumed.ledger.chain_head_hex() == straight.ledger.chain_head_hex()
     assert resumed.ledger.state_digest() == straight.ledger.state_digest()
     assert canonical_json(resumed.metrics().to_dict()) == canonical_json(straight.metrics().to_dict())
+
+
+def _first_account(data, role):
+    return next(a for a in data["accounts"] if a["role"] == role)
+
+
+def _add_next_derived_account(data):
+    digest = hashlib.sha256(f"account-{len(data['accounts'])}".encode()).digest()
+    data["accounts"].append({"id": "0x" + digest[:20].hex(), "role": "reporter", "balance": "0"})
+
+
+def _inflate_first_operator(data):
+    account = _first_account(data, "operator")
+    account["balance"] = str(int(account["balance"]) + 10**9)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        pytest.param(lambda d: _first_account(d, "reporter").update(role="uss"), id="edited-role"),
+        pytest.param(_add_next_derived_account, id="extra-account"),
+        pytest.param(lambda d: d["accounts"].pop(), id="missing-account"),
+        pytest.param(_inflate_first_operator, id="inflated-balance"),
+        pytest.param(lambda d: d.update(chain=[]), id="empty-chain"),
+    ],
+)
+def test_forged_snapshot_is_corrupt(forge):
+    _, world = run(compliant_scenario())
+    data = json.loads(persistence.snapshot_world(world))
+    forge(data)
+    with pytest.raises(persistence.CorruptPayload):
+        persistence.restore_world(canonical_json(data))
 
 
 def test_snapshot_refuses_unsealed_state():

@@ -274,6 +274,10 @@ class TestDoasPressure:
         assert all(b > a for a, b in zip(fees, fees[1:]))
         assert world.ledger.verify_chain()
 
+    def test_fixture_grid_holds_every_row(self):
+        doas_scenario(n_drones=2000).validate()
+        assert doas_scenario(n_drones=120).grid_extent_cells == 256
+
 
 class TestScenarioValidation:
     def test_round_trips_through_dict(self):
