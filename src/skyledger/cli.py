@@ -171,24 +171,27 @@ def _cmd_inspect(state_path: str, query: str) -> int:
         return _fail(EXIT_CONFIG, "not a readable state snapshot")
 
     result: Any
-    if query == "accounts":
-        result = data["accounts"]
-    elif query.startswith("account:"):
-        wanted = query.split(":", 1)[1]
-        matches = [a for a in data["accounts"] if a["id"] == wanted]
-        if not matches:
-            return _fail(EXIT_CONFIG, f"no such account: {wanted}")
-        result = matches[0]
-    elif query == "drones":
-        result = data["authority"]["records"]
-    elif query == "plans":
-        result = data["uss"]["plans"]
-    elif query == "supply":
-        result = {"total": str(sum(int(a["balance"]) for a in data["accounts"]))}
-    elif query == "reputation":
-        result = data["uss"]["reputation"]
-    else:
-        return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
+    try:
+        if query == "accounts":
+            result = data["accounts"]
+        elif query.startswith("account:"):
+            wanted = query.split(":", 1)[1]
+            matches = [a for a in data["accounts"] if a["id"] == wanted]
+            if not matches:
+                return _fail(EXIT_CONFIG, f"no such account: {wanted}")
+            result = matches[0]
+        elif query == "drones":
+            result = data["authority"]["records"]
+        elif query == "plans":
+            result = data["uss"]["plans"]
+        elif query == "supply":
+            result = {"total": str(sum(int(a["balance"]) for a in data["accounts"]))}
+        elif query == "reputation":
+            result = data["uss"]["reputation"]
+        else:
+            return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail(EXIT_CONFIG, f"malformed state snapshot ({type(exc).__name__}: {exc})")
     print(canonical_json(result).decode())
     return EXIT_OK
 

@@ -159,6 +159,8 @@ def _plan_to_dict(plan: MissionPlan) -> dict[str, Any]:
 
 
 def _plan_from_dict(d: dict[str, Any]) -> MissionPlan:
+    if not d["route"]:
+        raise CorruptPayload(f"plan for drone {d['droneId']} has no route")  # deconfliction reads its end cells
     return MissionPlan(
         drone_id=d["droneId"],
         owner_account=d["ownerAccount"],

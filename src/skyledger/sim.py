@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from . import geo
@@ -378,6 +379,12 @@ class _DroneState:
     flight_duration_s: int | None = None
     completed: bool = False
 
+    @cached_property
+    def waypoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Mission source and destination in arcseconds, parsed on first use."""
+        mission = self.spec.mission
+        return geo.parse_dms_pair(mission.source), geo.parse_dms_pair(mission.destination)
+
 
 @dataclass
 class _ReporterState:
@@ -428,6 +435,7 @@ class World:
             _ReporterState(spec, self.ledger.create_account("reporter", scenario.reporter_funding), spec.cell)
             for spec in scenario.reporters
         ]
+        self.replayers = [rep for rep in self.reporters if rep.spec.honesty == "replayer"]
 
     # -- protocol setup: register, subscribe, quote, plan -------------------
 
@@ -469,9 +477,7 @@ class World:
             if plan.status == "success":
                 drone.plan = plan.payload
                 speed = spec.speed_mps or self.scenario.cruise_speed_mps
-                src = geo.parse_dms_pair(spec.mission.source)
-                dst = geo.parse_dms_pair(spec.mission.destination)
-                drone.flight_duration_s = geo.flight_duration_s(self.grid, src, dst, speed)
+                drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, speed)
         self.ledger.seal_block()
 
     # -- per-tick agent phases ----------------------------------------------
@@ -511,8 +517,7 @@ class World:
         arrival = depart + drone.flight_duration_s
         if not depart <= now <= arrival:
             return None
-        src = geo.parse_dms_pair(drone.spec.mission.source)
-        dst = geo.parse_dms_pair(drone.spec.mission.destination)
+        src, dst = drone.waypoints
         lat, lon = geo.interpolate_position(src, dst, now - depart, drone.flight_duration_s)
         if drone.spec.behavior == "deviating" and self.tick >= drone.spec.deviate_start_tick:
             offset_m = drone.spec.offset_cells * self.scenario.cell_size_m
@@ -528,7 +533,7 @@ class World:
             vc = bytes.fromhex(drone.plan["ridVc"])
             if drone.spec.behavior == "forger":
                 vc = bytes([vc[0] ^ 0x01]) + vc[1:]
-            src = geo.parse_dms_pair(drone.spec.mission.source)
+            src = drone.waypoints[0]
             speed = drone.spec.speed_mps or self.scenario.cruise_speed_mps
             wire = encode_rid(
                 RidMessage(
@@ -556,33 +561,47 @@ class World:
 
     def _report_phase(self, broadcasts, now: int) -> None:
         loss = self.scenario.loss_probability_micro
-        for rep in self.reporters:
-            rep_pos = self._reporter_arcsec(rep)
-            for drone, pos, wire in broadcasts:
-                if not geo.within_range(self.grid, rep_pos, pos, rep.spec.sensing_range_m):
-                    continue
-                if loss and self.rng.randrange(MICRO) < loss:
-                    continue
-                if rep.spec.honesty == "honest":
-                    if drone.drone_id in rep.attempted:
-                        continue
-                    rep.attempted.add(drone.drone_id)
-                    self.ledger.submit(
-                        rep.account,
-                        "report_drone",
-                        {
-                            "droneId": drone.drone_id,
-                            "rid": wire.hex(),
-                            "sightingLocation": geo.format_dms_pair(*pos),
-                            "sightingTime": now,
-                        },
-                    )
-                elif drone.drone_id not in rep.heard:
-                    rep.heard[drone.drone_id] = (wire.hex(), self.tick)
-        # replayers fire after a delay, from a false position and time
-        for rep in self.reporters:
-            if rep.spec.honesty != "replayer":
+        grid = self.grid
+        # Bucket reporters on a grid no finer than the widest sensing range: a
+        # reporter that can hear a broadcast is in one of the 3x3 buckets around it.
+        side = max([self.scenario.cell_size_m] + [rep.spec.sensing_range_m for rep in self.reporters])
+        positions = [self._reporter_arcsec(rep) for rep in self.reporters]
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for i, (lat, lon) in enumerate(positions):
+            buckets.setdefault((grid.meters(lat) // side, grid.meters(lon) // side), []).append(i)
+        candidates = []
+        for j, (_, (lat, lon), _) in enumerate(broadcasts):
+            blat, blon = grid.meters(lat) // side, grid.meters(lon) // side
+            for dlat in (-1, 0, 1):
+                for dlon in (-1, 0, 1):
+                    candidates.extend((i, j) for i in buckets.get((blat + dlat, blon + dlon), ()))
+        # (reporter, broadcast) order is the all-pairs visiting order, so the
+        # loss draws and the submits come out exactly as a full scan makes them
+        for i, j in sorted(candidates):
+            rep = self.reporters[i]
+            drone, pos, wire = broadcasts[j]
+            if not geo.within_range(grid, positions[i], pos, rep.spec.sensing_range_m):
                 continue
+            if loss and self.rng.randrange(MICRO) < loss:
+                continue
+            if rep.spec.honesty == "honest":
+                if drone.drone_id in rep.attempted:
+                    continue
+                rep.attempted.add(drone.drone_id)
+                self.ledger.submit(
+                    rep.account,
+                    "report_drone",
+                    {
+                        "droneId": drone.drone_id,
+                        "rid": wire.hex(),
+                        "sightingLocation": geo.format_dms_pair(*pos),
+                        "sightingTime": now,
+                    },
+                )
+            elif drone.drone_id not in rep.heard:
+                rep.heard[drone.drone_id] = (wire.hex(), self.tick)
+        # replayers fire after a delay, from a false position and time
+        for rep in self.replayers:
             for drone_id in sorted(rep.heard):
                 rid_hex, heard_tick = rep.heard[drone_id]
                 if drone_id in rep.attempted or self.tick - heard_tick < rep.spec.replay_delay_ticks:
@@ -601,6 +620,7 @@ class World:
                 )
 
     def _completion_phase(self, now: int) -> None:
+        settled = set()
         for drone in self.drones:
             if drone.plan is None or drone.completed:
                 continue
@@ -613,9 +633,12 @@ class World:
             )
             if result.status == "success":
                 drone.completed = True
-                for rep in self.reporters:
-                    rep.attempted.discard(drone.drone_id)
-                    rep.heard.pop(drone.drone_id, None)
+                settled.add(drone.drone_id)
+        if settled:
+            for rep in self.reporters:
+                rep.attempted.difference_update(settled)
+                for drone_id in rep.heard.keys() & settled:
+                    del rep.heard[drone_id]
 
     def run_to_end(self) -> None:
         while self.tick < self.scenario.duration_ticks:

@@ -88,6 +88,13 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
     return (day - epoch_day) * 86400 + hour * 3600 + minute * 60
 
 
+def _end_cell_box(route: list[geo.CellWindow]) -> tuple[int, int, int, int]:
+    """(lat_lo, lat_hi, lon_lo, lon_hi) of a straight route's cells, from its end cells."""
+    lats = sorted((route[0].lat_idx, route[-1].lat_idx))
+    lons = sorted((route[0].lon_idx, route[-1].lon_idx))
+    return (*lats, *lons)
+
+
 class NonceSource:
     """Counter-mode SHA-256 nonce stream; whole state is one integer."""
 
@@ -353,12 +360,19 @@ class UssContract:
         duration = geo.flight_duration_s(grid, src, dst, self.params.cruise_speed_mps)
         alt_band = self.params.altitude_m // self.params.altitude_band_m
         route = geo.route_occupancy(grid, src, dst, depart_s, duration, alt_band)
-        occupied: dict[tuple[int, int], list[geo.CellWindow]] = {}
-        for plan in self.plans.values():
-            for window in plan.route:
-                occupied.setdefault((window.lat_idx, window.lon_idx), []).append(window)
         buf_cells = self.params.deconfliction_cell_buffer
         buf_s = self.params.deconfliction_time_buffer_s
+        lat_lo, lat_hi, lon_lo, lon_hi = _end_cell_box(route)
+        occupied: dict[tuple[int, int], list[geo.CellWindow]] = {}
+        for plan in self.plans.values():
+            if plan.arrival_epoch < depart_s - buf_s or plan.departure_epoch > depart_s + duration + buf_s:
+                continue
+            p_lat_lo, p_lat_hi, p_lon_lo, p_lon_hi = _end_cell_box(plan.route)
+            if p_lat_hi < lat_lo - buf_cells or p_lat_lo > lat_hi + buf_cells \
+                    or p_lon_hi < lon_lo - buf_cells or p_lon_lo > lon_hi + buf_cells:
+                continue
+            for window in plan.route:
+                occupied.setdefault((window.lat_idx, window.lon_idx), []).append(window)
         for window in route:
             for dlat in range(-buf_cells, buf_cells + 1):
                 for dlon in range(-buf_cells, buf_cells + 1):

@@ -2,8 +2,9 @@
 
 Everything here recomputes results by a different route than the
 package: exact rationals for the fixed-point economics, second-by-second
-enumeration for route occupancy, a from-scratch digest chain walk, and
-whole-storage copies for per-transaction write metering.
+enumeration for route occupancy, a from-scratch digest chain walk,
+whole-storage copies for per-transaction write metering, and an
+every-reporter-against-every-broadcast scan for crowd sensing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+
+from skyledger import geo
 
 MICRO = 10**6
 
@@ -168,3 +171,72 @@ class WholeTreeSubmit:
         }
         self.checked.append((rec, whole_tree_leaf_diff(before, after), deltas, ledger.state_digest() == digest))
         return rec
+
+
+def all_pairs_report_phase(world, broadcasts, now):
+    """World._report_phase as a full scan: every reporter against every broadcast.
+
+    Install it as `_report_phase` of a World subclass to run the tick
+    without spatial bucketing.
+    """
+    loss = world.scenario.loss_probability_micro
+    for rep in world.reporters:
+        rep_pos = world._reporter_arcsec(rep)
+        for drone, pos, wire in broadcasts:
+            if not geo.within_range(world.grid, rep_pos, pos, rep.spec.sensing_range_m):
+                continue
+            if loss and world.rng.randrange(MICRO) < loss:
+                continue
+            if rep.spec.honesty == "honest":
+                if drone.drone_id in rep.attempted:
+                    continue
+                rep.attempted.add(drone.drone_id)
+                world.ledger.submit(
+                    rep.account,
+                    "report_drone",
+                    {
+                        "droneId": drone.drone_id,
+                        "rid": wire.hex(),
+                        "sightingLocation": geo.format_dms_pair(*pos),
+                        "sightingTime": now,
+                    },
+                )
+            elif drone.drone_id not in rep.heard:
+                rep.heard[drone.drone_id] = (wire.hex(), world.tick)
+    for rep in world.reporters:
+        if rep.spec.honesty != "replayer":
+            continue
+        for drone_id in sorted(rep.heard):
+            rid_hex, heard_tick = rep.heard[drone_id]
+            if drone_id in rep.attempted or world.tick - heard_tick < rep.spec.replay_delay_ticks:
+                continue
+            rep.attempted.add(drone_id)
+            world.ledger.submit(
+                rep.account,
+                "report_drone",
+                {
+                    "droneId": drone_id,
+                    "rid": rid_hex,
+                    "sightingLocation": geo.format_dms_pair(*world._reporter_arcsec(rep)),
+                    "sightingTime": now,
+                },
+            )
+
+
+def per_settlement_completion_phase(world, now):
+    """World._completion_phase clearing every reporter after each single settlement."""
+    for drone in world.drones:
+        if drone.plan is None or drone.completed:
+            continue
+        if now <= drone.plan["departureEpoch"] + drone.flight_duration_s:
+            continue
+        result = world.ledger.submit(
+            drone.operator_account,
+            "report_completion",
+            {"droneId": drone.drone_id, "ridVc": drone.plan["ridVc"]},
+        )
+        if result.status == "success":
+            drone.completed = True
+            for rep in world.reporters:
+                rep.attempted.discard(drone.drone_id)
+                rep.heard.pop(drone.drone_id, None)

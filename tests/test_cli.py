@@ -121,6 +121,14 @@ class TestInspect:
         other.write_text("{}")
         assert run_cli("inspect", str(other), "accounts") == 2
 
+    @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
+    def test_header_without_body_exits_2(self, tmp_path, capsys, query):
+        bare = tmp_path / "bare.state.json"
+        bare.write_text('{"schema":{"major":1,"minor":0},"kind":"state"}')
+        assert run_cli("inspect", str(bare), query) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("malformed state snapshot") and err.count("\n") == 1
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", ["register", "subscribe", "quote", "plan", "report", "complete"])

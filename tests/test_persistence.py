@@ -97,6 +97,13 @@ def test_forged_snapshot_is_corrupt(forge):
         persistence.restore_world(canonical_json(data))
 
 
+def test_plan_without_route_is_corrupt():
+    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
+    next(iter(data["uss"]["plans"].values()))["route"] = []
+    with pytest.raises(persistence.CorruptPayload, match="no route"):
+        persistence.restore_world(canonical_json(data))
+
+
 def test_snapshot_refuses_unsealed_state():
     world = World(compliant_scenario())
     world.ledger.clock = 0

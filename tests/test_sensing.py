@@ -1,0 +1,131 @@
+"""Crowd sensing: bucketed candidate search against the all-pairs scan."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from conftest import dms, doas_scenario
+from skyledger import geo
+from skyledger.fixedmath import MICRO
+from skyledger.ledger import canonical_json
+from skyledger.sim import BEHAVIOR_KINDS, DroneSpec, MissionSpec, ReporterSpec, Scenario, World
+
+
+class AllPairsWorld(World):
+    _report_phase = oracles.all_pairs_report_phase
+    _completion_phase = oracles.per_settlement_completion_phase
+
+
+@st.composite
+def sensing_scenarios(draw):
+    extent = draw(st.integers(3, 10))
+    cell = draw(st.sampled_from([30, 50, 100]))
+    per_arcsec = draw(st.sampled_from([10, 30]))
+    top = extent * cell // per_arcsec - 1  # last arcsec still inside the grid
+    point = st.tuples(st.integers(0, top), st.integers(0, top))
+    drones = []
+    for i in range(draw(st.integers(1, 5))):
+        src = draw(point)
+        # several drones from one source put more than one drone in a cell
+        src = drones[0].mission.source if drones and draw(st.booleans()) else dms(*src)
+        drones.append(
+            DroneSpec(
+                name=f"d{i}",
+                serial=f"SN-{i}",
+                owner_national_id=f"NID-{i}",
+                mission=MissionSpec(src, dms(*draw(point)), "01012025", draw(st.sampled_from(["0000", "0001"]))),
+                behavior=draw(st.sampled_from(BEHAVIOR_KINDS)),
+                offset_cells=draw(st.integers(-2, 2)),
+                deviate_start_tick=draw(st.integers(0, 5)),
+                speed_mps=draw(st.sampled_from([None, 5, 20])),
+            )
+        )
+    edge = st.sampled_from([0, extent - 1])
+    coord = st.one_of(edge, st.integers(0, extent - 1))
+    sensing = st.one_of(st.sampled_from([0, cell, 2 * cell, cell * 3 + 1]), st.integers(0, 4 * cell))
+    reporters = tuple(
+        ReporterSpec(
+            name=f"r{i}",
+            cell=(draw(coord), draw(coord)),
+            sensing_range_m=draw(sensing),
+            honesty=draw(st.sampled_from(["honest", "honest", "replayer"])),
+            random_walk=draw(st.booleans()),
+            replay_delay_ticks=draw(st.integers(0, 4)),
+        )
+        for i in range(draw(st.integers(1, 14)))
+    )
+    return Scenario(
+        name="sensing",
+        seed=draw(st.integers(0, 2**16)),
+        grid_extent_cells=extent,
+        cell_size_m=cell,
+        meters_per_arcsec=per_arcsec,
+        duration_ticks=draw(st.integers(8, 24)),
+        deconfliction_cell_buffer=0,
+        deconfliction_time_buffer_s=0,
+        loss_probability_micro=draw(st.sampled_from([0, 1, MICRO // 4, MICRO // 2, MICRO - 1])),
+        drones=tuple(drones),
+        reporters=reporters,
+    )
+
+
+def _outcome(world):
+    world.run_to_end()
+    return (
+        world.ledger.blocks[-1].hash,
+        world.ledger.state_digest(),
+        [(r.tick, r.drone_id, r.cell, r.broadcast_hex) for r in world.trace],
+        [(sorted(r.attempted), sorted(r.heard.items()), r.cell) for r in world.reporters],
+        canonical_json(world.metrics().to_dict()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(sensing_scenarios())
+def test_bucketed_tick_equals_all_pairs_scan(scenario):
+    scenario.validate()
+    assert _outcome(World(scenario)) == _outcome(AllPairsWorld(scenario))
+
+
+def test_generated_scenarios_do_report():
+    """The generator reaches the sensing path: some scenario files reports."""
+    reports = []
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(sensing_scenarios())
+    def collect(scenario):
+        world = World(scenario)
+        world.run_to_end()
+        reports.append(world.metrics().op_counts.get("report_drone", {}).get("calls", 0))
+
+    collect()
+    assert sum(1 for n in reports if n) >= len(reports) // 4
+
+
+def _within_range_calls_per_tick(monkeypatch, scenario):
+    calls = [0]
+    exact = geo.within_range
+
+    def counted(*args):
+        calls[0] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(geo, "within_range", counted)
+    world = World(scenario)
+    per_tick = []
+    while world.tick < scenario.duration_ticks:
+        before = calls[0]
+        world.step()
+        per_tick.append(calls[0] - before)
+    return world, per_tick
+
+
+def test_sensing_work_is_linear_in_reporters(monkeypatch):
+    for n in (50, 200):
+        world, per_tick = _within_range_calls_per_tick(monkeypatch, doas_scenario(n))
+        reporters = len(world.reporters)
+        broadcasting = max(len({row.drone_id for row in world.trace if row.tick == t}) for t in range(world.tick))
+        assert broadcasting == n  # every drone is airborne at once, so all-pairs would be 2n * n
+        assert max(per_tick) <= 2 * reporters
+        assert sum(per_tick) <= 2 * reporters * len(per_tick)

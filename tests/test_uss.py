@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
 import oracles
 from conftest import (
     DATE,
@@ -19,7 +22,9 @@ from conftest import (
 )
 from skyledger import geo
 from skyledger.economics import FeeParams
+from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
+from skyledger.uss import MissionPlan
 
 
 def small_fee_bench(**kwargs):
@@ -272,6 +277,107 @@ class TestScheduleRoute:
         rec = plan(bench, other, caller=bench.second_operator, source=src, destination=dst)
         assert rec.status == "success"
         assert not self._oracle_conflict(bench, bench.uss.plans[drone_id].route, src, dst, TIME)
+
+    @staticmethod
+    def _as_dicts(route):
+        return [
+            {"latIdx": w.lat_idx, "lonIdx": w.lon_idx, "altBand": w.alt_band, "enterS": w.enter_s, "exitS": w.exit_s}
+            for w in route
+        ]
+
+    @staticmethod
+    def _install_plan(bench, drone_id, src, dst, depart):
+        """An active plan put straight into storage, routed as request_plan routes it."""
+        uss = bench.uss
+        grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
+        duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
+        uss.plans[drone_id] = MissionPlan(
+            drone_id, bench.operator, dms(*src), dms(*dst), DATE, TIME, depart, depart + duration,
+            src, dst, uss.params.altitude_m, band,
+            geo.route_occupancy(grid, src, dst, depart, duration, band), b"\0" * 32,
+        )
+        return uss.plans[drone_id]
+
+    @staticmethod
+    def _conflicts(uss, src, dst, depart):
+        try:
+            uss.schedule_route(src, dst, depart)
+        except ContractRevert as exc:
+            assert exc.reason == "schedule-conflict"
+            return True
+        return False
+
+    @pytest.mark.parametrize("buf_cells", [0, 1, 2])
+    @pytest.mark.parametrize("shift", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_parallel_leg_at_the_cell_buffer_edge(self, buf_cells, shift):
+        bench = make_bench(deconfliction_cell_buffer=buf_cells)
+        center = bench.uss.params.grid.cell_center_arcsec
+        along_lon = shift[0] != 0  # a row for a lat shift, a column for a lon shift
+
+        def leg(offset):
+            a, b = (center(10 + offset), center(2)), (center(10 + offset), center(8))
+            return (a, b) if along_lon else (a[::-1], b[::-1])
+
+        self._install_plan(bench, 0, *leg(0), 100)
+        sign = shift[0] + shift[1]
+        assert self._conflicts(bench.uss, *leg(sign * buf_cells), 100)
+        assert not self._conflicts(bench.uss, *leg(sign * (buf_cells + 1)), 100)
+
+    @pytest.mark.parametrize("buf_s", [0, 60])
+    def test_flight_at_the_time_buffer_edge(self, buf_s):
+        bench = make_bench(deconfliction_time_buffer_s=buf_s)
+        src, dst = (10, 10), (20, 40)  # diagonal
+        other = self._install_plan(bench, 0, src, dst, 500)
+        duration = other.arrival_epoch - other.departure_epoch
+        assert self._conflicts(bench.uss, dst, src, other.arrival_epoch + buf_s)
+        assert not self._conflicts(bench.uss, dst, src, other.arrival_epoch + buf_s + 1)
+        assert self._conflicts(bench.uss, dst, src, other.departure_epoch - buf_s - duration)
+        assert not self._conflicts(bench.uss, dst, src, other.departure_epoch - buf_s - duration - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_conflict_iff_brute_force_finds_one(self, data):
+        draw = data.draw
+        buf_cells, buf_s = draw(st.integers(0, 2)), draw(st.integers(0, 90))
+        bench = make_bench(deconfliction_cell_buffer=buf_cells, deconfliction_time_buffer_s=buf_s)
+        uss = bench.uss
+        grid, speed = uss.params.grid, uss.params.cruise_speed_mps
+        band = uss.params.altitude_m // uss.params.altitude_band_m
+        point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
+        for drone_id in range(draw(st.integers(0, 4))):
+            src, dst = draw(point), draw(point)
+            # rows and columns as well as diagonals, so that a shifted copy can clear the cell box
+            dst = draw(st.sampled_from([dst, (src[0], dst[1]), (dst[0], src[1])]))
+            self._install_plan(bench, drone_id, src, dst, draw(st.integers(0, 400)))
+        # place the new flight at the edges of one plan: right after it (from its destination),
+        # right before it (into its source), or beside it, a few cells off its track
+        mode = draw(st.sampled_from(["free", "after", "before", "beside"] if uss.plans else ["free"]))
+        other = uss.plans[draw(st.sampled_from(sorted(uss.plans)))] if uss.plans else None
+        src, dst = draw(point), draw(point)
+        if mode == "after":
+            src = other.dst_arcsec
+        elif mode == "before":
+            dst = other.src_arcsec
+        elif mode == "beside":
+            shift = draw(st.integers(-10, 10))
+            dlat, dlon = draw(st.sampled_from([(shift, 0), (0, shift), (shift, shift)]))
+            src = (other.src_arcsec[0] + dlat, other.src_arcsec[1] + dlon)
+            dst = (other.dst_arcsec[0] + dlat, other.dst_arcsec[1] + dlon)
+        duration = geo.flight_duration_s(grid, src, dst, speed)
+        nudge = draw(st.sampled_from([-1, 0, 1]))
+        depart = {
+            "free": lambda: draw(st.integers(0, 400)),
+            "after": lambda: other.arrival_epoch + buf_s + nudge,  # touches the time buffer at nudge 0
+            "before": lambda: other.departure_epoch - buf_s - duration + nudge,
+            "beside": lambda: other.departure_epoch + draw(st.integers(-buf_s - 30, buf_s + 30)),
+        }[mode]()
+        candidate = self._as_dicts(geo.route_occupancy(grid, src, dst, depart, duration, band))
+        expected = any(
+            oracles.brute_force_conflict(self._as_dicts(p.route), candidate, buf_cells, buf_s)
+            for p in uss.plans.values()
+        )
+        event(f"{mode} conflict={expected}")
+        assert self._conflicts(uss, src, dst, depart) == expected
 
 
 class TestReportDrone:
