@@ -185,12 +185,14 @@ def _cmd_inspect(state_path: str, query: str) -> int:
         elif query == "plans":
             result = data["uss"]["plans"]
         elif query == "supply":
-            result = {"total": str(sum(int(a["balance"]) for a in data["accounts"]))}
+            result = {"total": str(persistence.snapshot_supply(data))}
         elif query == "reputation":
             result = data["uss"]["reputation"]
         else:
             return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
-    except (KeyError, TypeError, ValueError) as exc:
+    except persistence.CorruptPayload as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         return _fail(EXIT_CONFIG, f"malformed state snapshot ({type(exc).__name__}: {exc})")
     print(canonical_json(result).decode())
     return EXIT_OK

@@ -11,12 +11,14 @@ State changes are tracked by an undo journal. Before a contract changes
 one slot of its storage (an account, a registry record, one entry of a
 per-drone map, a root scalar, the next index of an append-only list) it
 calls Ledger.touch(container, key), and the first touch in a
-transaction saves a deep copy of the slot's old value. A revert, or any
-other exception out of an operation, restores the touched slots in
+transaction saves a one-level copy of the slot's old value. A revert, or
+any other exception out of an operation, restores the touched slots in
 reverse order; a success meters `stateWrites` and `balanceDeltas` from
 the touched slots alone, so the cost of a transaction does not grow with
-the size of the state. View operations open no journal and may not
-touch anything.
+the size of the state. Because the copy is one level deep, a write may
+change only the slot value's own fields or keys in place; an object
+nested below them must be replaced, never mutated. View operations open
+no journal and may not touch anything.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -27,8 +29,8 @@ independent oracles.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -70,11 +72,23 @@ def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
 
+_SCALARS = (int, str, bytes, float, type(None))
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type, None for any other type."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
 def flatten_state(obj: Any, prefix: str = "") -> dict[str, Any]:
     """Flatten nested dicts/lists/dataclasses to leaf paths, for digests."""
     out: dict[str, Any] = {}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        obj = {name: getattr(obj, name) for name in names}
     if isinstance(obj, dict):
         for k in obj:
             out.update(flatten_state(obj[k], f"{prefix}/{k}"))
@@ -93,46 +107,71 @@ def flatten_state(obj: Any, prefix: str = "") -> dict[str, Any]:
 
 
 def count_leaves(obj: Any) -> int:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return sum(count_leaves(getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    if isinstance(obj, dict):
-        return sum(count_leaves(v) for v in obj.values()) if obj else 1
-    if isinstance(obj, (list, tuple)):
-        return sum(count_leaves(v) for v in obj) if obj else 1
-    return 1
+    if isinstance(obj, _SCALARS):
+        return 1
+    names = _field_names(type(obj))
+    if names is not None:
+        values = [getattr(obj, name) for name in names]
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            return 1  # an empty container is one leaf
+        values = obj.values() if isinstance(obj, dict) else obj
+    else:
+        return 1
+    total = 0
+    for v in values:
+        total += 1 if isinstance(v, _SCALARS) else count_leaves(v)
+    return total
 
 
 def diff_count(before: Any, after: Any) -> int:
     """Number of leaf values that changed, appeared, or disappeared.
 
-    Equal subtrees short-circuit through ==, so the walk only descends
-    into parts of the state a transaction actually touched.
+    Fields and entries that are the same object, or equal and of the
+    same type, are skipped, so the walk only descends into the parts of
+    a slot a transaction actually changed.
     """
-    if type(before) is type(after):
-        if before == after:
-            return 0
-        if dataclasses.is_dataclass(before) and not isinstance(before, type):
-            return sum(
-                diff_count(getattr(before, f.name), getattr(after, f.name))
-                for f in dataclasses.fields(before)
-            )
-        if isinstance(before, dict):
-            total = 0
-            for key in before.keys() | after.keys():
-                if key not in before:
-                    total += count_leaves(after[key])
-                elif key not in after:
-                    total += count_leaves(before[key])
-                else:
-                    total += diff_count(before[key], after[key])
-            return total
-        if isinstance(before, (list, tuple)):
-            total = sum(diff_count(a, b) for a, b in zip(before, after))
-            longer, shorter = (before, after) if len(before) > len(after) else (after, before)
-            total += sum(count_leaves(v) for v in longer[len(shorter):])
-            return total
-        return 1
-    return count_leaves(before) + count_leaves(after)
+    if type(before) is not type(after):
+        return count_leaves(before) + count_leaves(after)
+    if isinstance(before, _SCALARS):
+        return 0 if before == after else 1
+    names = _field_names(type(before))
+    if names is not None:
+        total = 0
+        pairs = [(getattr(before, name), getattr(after, name)) for name in names]
+    elif isinstance(before, dict):
+        # an entry on one side only counts whole
+        one_sided = before.keys() ^ after.keys()
+        total = sum(count_leaves(before[k] if k in before else after[k]) for k in one_sided)
+        pairs = [(before[k], after[k]) for k in before.keys() & after.keys()]
+    elif isinstance(before, (list, tuple)):
+        longer, shorter = (before, after) if len(before) > len(after) else (after, before)
+        total = sum(count_leaves(v) for v in longer[len(shorter):])
+        pairs = zip(before, after)
+    else:
+        return 0 if before == after else 1
+    for old, new in pairs:
+        if old is new:
+            continue
+        if type(old) is not type(new):
+            total += count_leaves(old) + count_leaves(new)
+        elif old != new:
+            total += 1 if isinstance(old, _SCALARS) else diff_count(old, new)
+    return total
+
+
+def _copy_slot(value: Any) -> Any:
+    """One level deep: a fresh dict, list or dataclass instance; anything else as it is."""
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, list):
+        return list(value)
+    cls = type(value)
+    if _field_names(cls) is not None:
+        fresh = object.__new__(cls)
+        fresh.__dict__.update(value.__dict__)
+        return fresh
+    return value
 
 
 _ABSENT = object()  # journal value of a slot that does not exist
@@ -158,8 +197,10 @@ def _restore_slot(container: dict | list, key: Any, old: Any) -> None:
 
 def _slot_writes(old: Any, new: Any) -> int:
     """diff_count for one slot; a slot that appeared or vanished counts all its leaves."""
-    if old is _ABSENT or new is _ABSENT:
-        return sum(count_leaves(v) for v in (old, new) if v is not _ABSENT)
+    if old is _ABSENT:
+        return 0 if new is _ABSENT else count_leaves(new)
+    if new is _ABSENT:
+        return count_leaves(old)
     return diff_count(old, new)
 
 
@@ -357,6 +398,15 @@ class Ledger:
 
         Call before every write: assignment, deletion, in-place change of
         the value, or append (key = len(list)). Slots must not nest.
+
+        The journal keeps a one-level copy of the old value: a dict or
+        list is copied, a dataclass instance becomes a fresh instance
+        holding the same field values, and an immutable value is kept
+        as it is. So a write may change only the value's own fields or
+        keys in place (`account.balance -= x`, `counts[caller] = 1`) or
+        replace or delete the whole value; an object nested below the
+        value (a plan's route, a list inside a dict entry) must be
+        replaced, never mutated, or a revert would not undo it.
         """
         if self._view_running:
             raise LedgerError("view operation tried to change storage")
@@ -366,7 +416,7 @@ class Ledger:
         slot = (id(container), key)
         if slot not in journal:
             old = _read_slot(container, key)
-            journal[slot] = (container, key, old if old is _ABSENT else copy.deepcopy(old))
+            journal[slot] = (container, key, old if old is _ABSENT else _copy_slot(old))
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing."""

@@ -271,6 +271,15 @@ def restore_world(payload: bytes) -> World:
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
 
 
+def snapshot_supply(data: dict[str, Any]) -> int:
+    """Sum of a parsed snapshot's balances; CorruptPayload unless it is the genesis total supply."""
+    total = sum(int(a["balance"]) for a in data["accounts"])
+    genesis = data["chain"][0]["transactions"][0]
+    if genesis["op"] != "genesis" or total != genesis["payload"]["totalSupply"]:
+        raise CorruptPayload("snapshot balances do not sum to the genesis total supply")
+    return total
+
+
 def _rebuild(data: dict[str, Any]) -> World:
     """Build the scenario's world as a live run does, then load the saved state onto it."""
     scenario = Scenario.from_dict(data["scenario"])
@@ -284,9 +293,7 @@ def _rebuild(data: dict[str, Any]) -> World:
     ledger.clock = data["clock"]
     ledger._tx_counter = data["txCounter"]
     ledger.blocks = [Block.from_dict(b) for b in data["chain"]]
-    genesis = ledger.blocks[0].transactions[0]
-    if genesis.op != "genesis" or ledger.total_supply() != genesis.payload["totalSupply"]:
-        raise CorruptPayload("snapshot balances do not sum to the genesis total supply")
+    snapshot_supply(data)
 
     authority, uss = world.authority, world.uss
     authority.storage["records"] = [

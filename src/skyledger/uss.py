@@ -386,8 +386,13 @@ class UssContract:
         record = self.authority.record(drone_id)
         if caller == record.owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
-        self._touch(drone_id, "report_counts")
-        counts = self.storage["report_counts"].setdefault(drone_id, {})
+        counts = self.storage["report_counts"].get(drone_id)
+        if counts is None:
+            self._touch(drone_id, "report_counts")
+            counts = self.storage["report_counts"][drone_id] = {}
+        else:
+            # journal this reporter's entry alone, so the cost does not grow with the crowd
+            self.ledger.touch(counts, caller)
         if counts.get(caller, 0) >= 1:
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
         counts[caller] = counts.get(caller, 0) + 1

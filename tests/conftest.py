@@ -166,15 +166,10 @@ def broadcast_hex(
     return encode_rid(msg).hex()
 
 
-def report(
-    bench: Bench,
-    drone_id: int,
-    at_s: int,
-    reporter: str | None = None,
-    rid_hex: str | None = None,
-    lat_offset_arcsec: int = 0,
-):
-    """File a sighting; defaults describe an honest on-plan observation."""
+def report_args(
+    bench: Bench, drone_id: int, at_s: int, rid_hex: str | None = None, lat_offset_arcsec: int = 0
+) -> dict:
+    """report_drone args; defaults describe an honest on-plan observation."""
     p = bench.uss.plans.get(drone_id)
     if rid_hex is None:
         rid_hex = broadcast_hex(bench, drone_id, at_s)
@@ -185,12 +180,21 @@ def report(
         location = dms(lat + lat_offset_arcsec, lon)
     else:
         location = SRC
+    return {"droneId": drone_id, "rid": rid_hex, "sightingLocation": location, "sightingTime": at_s}
+
+
+def report(
+    bench: Bench,
+    drone_id: int,
+    at_s: int,
+    reporter: str | None = None,
+    rid_hex: str | None = None,
+    lat_offset_arcsec: int = 0,
+):
+    """File a sighting; defaults describe an honest on-plan observation."""
+    args = report_args(bench, drone_id, at_s, rid_hex, lat_offset_arcsec)
     bench.ledger.clock = at_s
-    return bench.ledger.submit(
-        reporter or bench.reporter,
-        "report_drone",
-        {"droneId": drone_id, "rid": rid_hex, "sightingLocation": location, "sightingTime": at_s},
-    )
+    return bench.ledger.submit(reporter or bench.reporter, "report_drone", args)
 
 
 def complete(bench: Bench, drone_id: int, caller: str | None = None, vc_hex: str | None = None):

@@ -105,6 +105,19 @@ class TestInspect:
         supply = json.loads(capsys.readouterr().out)
         assert supply == {"total": "1400000"}  # treasury + 4 operators funded at genesis
 
+    @pytest.mark.parametrize("forge", ["inflated-balance", "empty-chain"])
+    def test_supply_refuses_a_forged_snapshot(self, state_path, capsys, forge):
+        data = json.loads(state_path.read_bytes())
+        if forge == "inflated-balance":
+            account = data["accounts"][0]
+            account["balance"] = str(int(account["balance"]) + 10**9)
+        else:
+            data["chain"] = []
+        state_path.write_text(json.dumps(data))
+        assert run_cli("inspect", str(state_path), "supply") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     def test_single_account_lookup(self, state_path, capsys):
         run_cli("inspect", str(state_path), "accounts")
         accounts = json.loads(capsys.readouterr().out)

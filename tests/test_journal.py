@@ -1,9 +1,15 @@
 """The ledger's undo journal: exact write metering, atomic rollback, read-only views."""
 
+import copy
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import (
+    DATE,
+    DST,
     REPO_ROOT,
     SRC,
     broadcast_hex,
@@ -13,10 +19,13 @@ from conftest import (
     make_bench,
     planned_drone,
     report,
+    report_args,
 )
-from skyledger.ledger import Ledger, LedgerError
+from skyledger import ledger as ledger_module
+from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
-from skyledger.sim import run
+from skyledger.sim import ReporterSpec, run
+from skyledger.uss import parse_departure_epoch
 
 
 @pytest.fixture
@@ -120,3 +129,178 @@ def test_view_that_writes_is_refused(write):
     assert ledger.state_digest() == digest
     assert ledger.pending == logged
     assert ledger.balance(alice) == 10
+
+
+# -- fuzzing every registered op against the whole-storage oracle -------------
+
+OPS = (
+    "register_drone", "get_drone", "subscribe", "request_quote", "request_plan", "report_drone", "report_completion",
+)
+CALLERS = ("operator", "second_operator", "reporter", "second_reporter", "uss_reader")
+DEPARTURES = ("0001", "0003", "0010")
+SHAPES = ("valid", "valid", "valid", "missing", "noon", "-1")  # the last three malform one field
+VALUES = ("args", "args", 0, 10**9)  # "args": the value the op asks for
+
+
+def _well_formed(bench, op, caller, drone_id, variant):
+    """Args and attached value of one call; well-formed, though the call may still revert."""
+    uss = bench.uss
+    if op == "register_drone":
+        serial = f"SN-{variant}"
+        return {"serial": serial, "ownerNationalId": f"NID-{serial}", "signTAC": True}, 0
+    if op == "subscribe":
+        return {"droneId": drone_id}, uss.params.subscription_fee
+    if op == "request_plan":
+        time = DEPARTURES[variant]
+        args = {
+            "droneId": drone_id, "source": SRC, "destination": DST, "departureDate": DATE, "departureTime": time,
+        }
+        return args, uss.quote_fee(caller, parse_departure_epoch(DATE, time, uss.params.epoch_date))[0]
+    if op == "report_drone":
+        # variant 0: on plan, 1: off plan, 2: forged commitment
+        if drone_id not in uss.plans:
+            return report_args(bench, drone_id, 100, rid_hex="00" * 8), 0
+        vc = b"\x13" * 32 if variant == 2 else None
+        rid = broadcast_hex(bench, drone_id, 100, vc=vc)
+        return report_args(bench, drone_id, 100, rid, lat_offset_arcsec=10 * (variant == 1)), 0
+    if op == "report_completion":
+        plan = uss.plans.get(drone_id)
+        return {"droneId": drone_id, "ridVc": plan.rid_vc.hex() if plan else "00" * 32}, 0
+    return {"droneId": drone_id}, 0  # get_drone, request_quote
+
+
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(OPS + ("report_drone",) * 2),  # reports dominate real traffic
+        st.sampled_from(CALLERS),
+        st.sampled_from((0, 0, 0, 1, 2)),  # drone id; 0 has a live plan
+        st.integers(0, 2),        # variant
+        st.sampled_from(SHAPES),
+        st.integers(0, 4),        # which field a malformed shape spoils
+        st.sampled_from(VALUES),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+# a drone with a live plan, so that reports and settlement are reachable
+PLANNED_PREFIX = [
+    ("register_drone", "operator", 0, 0, "valid", 0, "args"),
+    ("subscribe", "operator", 0, 0, "valid", 0, "args"),
+    ("request_plan", "operator", 0, 0, "valid", 0, "args"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=steps)
+def test_random_op_sequences_match_whole_tree_oracle(steps):
+    """Valid, duplicate and malformed calls of all seven ops, each metered and rolled back exactly.
+
+    The journal copies a slot one level deep, so a write that mutates an
+    object nested below a slot would leave a revert or an escaping error
+    with a changed digest here, or meter differently from the oracle.
+    """
+    bench = make_bench()
+    ledger = bench.ledger
+    submit = oracles.WholeTreeSubmit(Ledger.submit)
+    for op, who, drone_id, variant, shape, field, value in PLANNED_PREFIX + steps:
+        caller = getattr(bench, who)
+        args, wanted = _well_formed(bench, op, caller, drone_id, variant)
+        if shape != "valid":
+            key = sorted(args)[field % len(args)]
+            if shape == "missing":
+                del args[key]
+            else:
+                args[key] = shape
+        ledger.clock = 100
+        digest, logged = ledger.state_digest(), list(ledger.pending)
+        try:
+            rec = submit(ledger, caller, op, args, wanted if value == "args" else value)
+        except (ValueError, KeyError):
+            assert ledger.state_digest() == digest
+            assert ledger.pending == logged
+            continue
+        assert rec.tx_id == logged[-1].tx_id + 1
+        checked, writes, deltas, digest_kept = submit.checked[-1]
+        assert checked is rec
+        assert (rec.state_writes, rec.balance_deltas) == (writes, deltas), rec.to_dict()
+        if rec.status == "revert":
+            assert digest_kept, rec.to_dict()
+
+
+@dataclasses.dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+# no booleans: diff_count, like the ledger always has, takes False == 0 inside an
+# equal container as unchanged, where the oracle counts a type change
+_leaf = st.one_of(st.integers(-2, 2), st.sampled_from(["", "a", "b"]), st.none())
+_trees = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from("xyz"), inner, max_size=3),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(before=_trees, after=_trees)
+def test_diff_count_equals_whole_tree_leaf_diff(before, after):
+    expected = oracles.whole_tree_leaf_diff(oracles._plain(before), oracles._plain(after))
+    assert diff_count(before, after) == expected
+
+
+# -- per-transaction bookkeeping does not grow with the crowd ---------------------
+
+def _crowd_scenario(bystanders):
+    """The compliant mission watched by many honest bystanders along its route."""
+    cols = range(5, 18)
+    return dataclasses.replace(
+        compliant_scenario(),
+        name="crowd",
+        reporters=tuple(
+            ReporterSpec(name=f"b{i}", cell=(3, cols[i % len(cols)]), sensing_range_m=200)
+            for i in range(bystanders)
+        ),
+    )
+
+
+def test_report_bookkeeping_does_not_grow_with_the_crowd(monkeypatch):
+    calls = [0]
+    for name in ("diff_count", "count_leaves"):
+        def counted(*args, _inner=getattr(ledger_module, name)):
+            calls[0] += 1
+            return _inner(*args)
+        monkeypatch.setattr(ledger_module, name, counted)
+    per_report = []
+    submit = Ledger.submit
+
+    def counting_submit(ledger, *args, **kwargs):
+        calls[0] = 0
+        rec = submit(ledger, *args, **kwargs)
+        if rec.op == "report_drone" and rec.status == "success":
+            per_report.append(calls[0])
+        return rec
+
+    monkeypatch.setattr(Ledger, "submit", counting_submit)
+    counts = {}
+    for bystanders in (30, 120):
+        per_report.clear()
+        run(_crowd_scenario(bystanders))
+        counts[bystanders] = list(per_report)
+    assert len(counts[120]) > 3 * len(counts[30]) > 0
+    assert set(counts[30]) == set(counts[120])
+
+
+def test_journal_never_deep_copies(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy.deepcopy called")
+
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    metrics, world = run(compliant_scenario())
+    assert metrics.transactions > 1 and world.ledger.verify_chain()
