@@ -9,6 +9,7 @@ as SHA-256 hashes at rest; exports never contain the plaintext.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,25 +55,24 @@ class AuthorityContract:
     """Registration plus role-gated registry reads."""
 
     def __init__(self, ledger: Ledger):
-        self.ledger = ledger
+        self.ledger = weakref.proxy(ledger)  # the ledger holds our ops; a strong reference back would be a cycle
         self.account = ledger.create_account("authority")
         self.storage: dict[str, Any] = {"records": [], "serial_index": {}}
         ledger.attach_storage("authority", self.storage)
-        ledger.register_op("register_drone", self.op_register_drone)
-        ledger.register_op("get_drone", self.op_get_drone, view=True)
+        ledger.register_op(
+            "register_drone", self.op_register_drone, args={"serial": str, "ownerNationalId": str, "signTAC": bool}
+        )
+        ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int}, view=True)
 
     @property
     def records(self) -> list[DroneRecord]:
         return self.storage["records"]
 
     def op_register_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        serial = str(args["serial"])
-        owner_national_id = str(args["ownerNationalId"])
-        sign_tac = bool(args["signTAC"])
-        serial_hash = _hashed(serial)
+        serial_hash = _hashed(args["serial"])
         if serial_hash in self.storage["serial_index"]:
             raise ContractRevert(REVERT_ALREADY_REGISTERED)
-        if not sign_tac:
+        if not args["signTAC"]:
             raise ContractRevert(REVERT_TAC_NOT_SIGNED)
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
@@ -81,7 +81,7 @@ class AuthorityContract:
             DroneRecord(
                 drone_id=drone_id,
                 serial_hash=serial_hash,
-                owner_national_id_hash=_hashed(owner_national_id),
+                owner_national_id_hash=_hashed(args["ownerNationalId"]),
                 owner_account=caller,
             )
         )
@@ -91,7 +91,7 @@ class AuthorityContract:
     def op_get_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         if self.ledger.account(caller).role not in _REGISTRY_READER_ROLES:
             raise ContractRevert(REASON_ACCESS_DENIED)
-        return self.record(int(args["droneId"])).to_public_dict()
+        return self.record(args["droneId"]).to_public_dict()
 
     # -- shared-registry API for certified service suppliers ---------------
 

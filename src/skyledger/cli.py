@@ -12,7 +12,6 @@ failure, 4 broken chain.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -101,14 +100,16 @@ def _fail(code: int, message: str) -> int:
 def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) -> int:
     try:
         scenario = persistence.load_scenario(scenario_path)
-    except FileNotFoundError:
-        return _fail(EXIT_CONFIG, f"scenario not found: {scenario_path}")
+        if seed is not None:
+            scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot read scenario {scenario_path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         return _fail(EXIT_CONFIG, f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        return _fail(EXIT_CONFIG, f"scenario is not UTF-8 text: {exc}")
     except ScenarioError as exc:
         return _fail(EXIT_CONFIG, f"invalid scenario: {exc}")
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,8 +150,8 @@ def _print_summary(metrics) -> None:
 def _cmd_verify(chain_path: str) -> int:
     try:
         ok, bad_index = persistence.verify_chain_file(chain_path)
-    except FileNotFoundError:
-        return _fail(EXIT_CONFIG, f"chain log not found: {chain_path}")
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot read chain log {chain_path}: {exc.strerror}")
     except (persistence.CorruptPayload, persistence.SchemaMismatch) as exc:
         return _fail(EXIT_CONFIG, f"cannot parse chain log: {exc}")
     if not ok:
@@ -162,13 +163,13 @@ def _cmd_verify(chain_path: str) -> int:
 def _cmd_inspect(state_path: str, query: str) -> int:
     try:
         data = json.loads(Path(state_path).read_bytes())
-    except FileNotFoundError:
-        return _fail(EXIT_CONFIG, f"state snapshot not found: {state_path}")
+        persistence._check_header(data, "state")
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot read state snapshot {state_path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         return _fail(EXIT_CONFIG, f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict) or data.get("kind") != "state" \
-            or data.get("schema", {}).get("major") != persistence.SCHEMA["major"]:
-        return _fail(EXIT_CONFIG, "not a readable state snapshot")
+    except (UnicodeDecodeError, persistence.CorruptPayload, persistence.SchemaMismatch) as exc:
+        return _fail(EXIT_CONFIG, f"not a readable state snapshot: {exc}")
 
     result: Any
     try:

@@ -23,7 +23,7 @@ All functions are pure. k, R and alpha are micro fixed-point integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fixedmath import MICRO, div_round_half_up
 
@@ -43,13 +43,16 @@ class FeeParams:
         mission.
     alpha_micro: smoothing weight of the k update, in (0, 1).
     k_min_micro: floor for k, in (0, 1].
+
+    Each field's metadata names its key in the scenario file's
+    `economics` object.
     """
 
-    base_cost: int = 10
-    deposit: int = 1000
-    surcharge_per_mission: int = 2
-    alpha_micro: int = DEFAULT_ALPHA_MICRO
-    k_min_micro: int = DEFAULT_K_MIN_MICRO
+    base_cost: int = field(default=10, metadata={"key": "baseMissionCost"})
+    deposit: int = field(default=1000, metadata={"key": "rcd"})
+    surcharge_per_mission: int = field(default=2, metadata={"key": "surchargePerMission"})
+    alpha_micro: int = field(default=DEFAULT_ALPHA_MICRO, metadata={"key": "alphaMicro"})
+    k_min_micro: int = field(default=DEFAULT_K_MIN_MICRO, metadata={"key": "kMinMicro"})
 
     def __post_init__(self) -> None:
         if self.base_cost < 0 or self.deposit < 0 or self.surcharge_per_mission < 0:

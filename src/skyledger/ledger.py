@@ -45,6 +45,7 @@ GENESIS_CALLER = "0x" + "00" * 20
 REASON_UNKNOWN_OPERATION = "unknown-operation"
 REASON_INSUFFICIENT_BALANCE = "insufficient-balance"
 REASON_NOT_PAYABLE = "not-payable"
+REASON_INVALID_ARG = "invalid-arg"  # logged as "invalid-arg:<field>"
 
 
 class LedgerError(Exception):
@@ -308,6 +309,7 @@ def verify_blocks(blocks: list[Block]) -> tuple[bool, int | None]:
 @dataclass
 class _OpSpec:
     fn: Callable[[AccountId, dict[str, Any]], Any]
+    args: dict[str, type]
     view: bool
     payable: bool
     receiver: AccountId | None
@@ -383,15 +385,21 @@ class Ledger:
         name: str,
         fn: Callable[[AccountId, dict[str, Any]], Any],
         *,
+        args: dict[str, type] | None = None,
         view: bool = False,
         payable: bool = False,
         receiver: AccountId | None = None,
     ) -> None:
+        """Register `fn` as operation `name`; `args` declares its arguments, name -> int, str or bool.
+
+        submit() reverts a call whose declared argument is missing or not exactly
+        of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
+        """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
         if payable and receiver is None:
             raise ValueError("payable operations need a receiving account")
-        self._ops[name] = _OpSpec(fn, view, payable, receiver)
+        self._ops[name] = _OpSpec(fn, args or {}, view, payable, receiver)
 
     def touch(self, container: dict | list, key: Any) -> None:
         """Declare that the running transaction is about to change container[key].
@@ -477,6 +485,9 @@ class Ledger:
         try:
             if spec is None:
                 raise ContractRevert(REASON_UNKNOWN_OPERATION)
+            for name, kind in spec.args.items():
+                if type(args.get(name)) is not kind:
+                    raise ContractRevert(f"{REASON_INVALID_ARG}:{name}")
             if value > 0:
                 if not spec.payable:
                     raise ContractRevert(REASON_NOT_PAYABLE)

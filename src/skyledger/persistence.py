@@ -41,7 +41,7 @@ class CorruptPayload(ValueError):
 
 
 def _check_header(data: dict[str, Any], kind: str) -> None:
-    if not isinstance(data, dict) or "schema" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("schema"), dict):
         raise CorruptPayload(f"missing schema header in {kind} payload")
     if data["schema"].get("major") != SCHEMA["major"]:
         raise SchemaMismatch(f"unsupported major version {data['schema']!r}")
@@ -76,14 +76,14 @@ def read_chain_jsonl(path: str | Path) -> list[Block]:
         raise CorruptPayload("empty chain log")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptPayload(f"bad chain header: {exc}") from None
     _check_header(header, "chain")
     blocks = []
     for ln in lines[1:]:
         try:
             blocks.append(Block.from_dict(json.loads(ln)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptPayload(f"bad block line: {exc}") from None
     return blocks
 

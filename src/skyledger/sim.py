@@ -23,11 +23,13 @@ Agent behaviors map to the threat model under test:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import random
+import typing
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from . import geo
 from .authority import AuthorityContract
@@ -44,322 +46,266 @@ HONESTY_KINDS = ("honest", "replayer")
 
 
 class ScenarioError(ValueError):
-    """Scenario config is structurally or semantically invalid."""
+    """Scenario config is structurally or semantically invalid; the message starts with the key path."""
+
+
+# A scenario file is declared by the dataclasses below: each field's metadata
+# holds its JSON key path (dotted inside a nested object) and an optional lower
+# bound, its annotation is its type, and its default, or the lack of one, says
+# whether the key may be left out. from_dict, to_dict and the per-key checks
+# all read that declaration.
+
+def _key(path: str, default: Any = dataclasses.MISSING, *, lo: int | None = None) -> Any:
+    """A field stored under the scenario-file key `path`; an integer must be at least `lo`."""
+    return field(default=default, metadata={"key": path, "min": lo})
 
 
 @dataclass(frozen=True)
 class MissionSpec:
-    source: str
-    destination: str
-    departure_date: str
-    departure_time: str
+    source: str = _key("source")
+    destination: str = _key("destination")
+    departure_date: str = _key("departureDate")
+    departure_time: str = _key("departureTime")
 
 
 @dataclass(frozen=True)
 class DroneSpec:
-    name: str
-    serial: str
-    owner_national_id: str
-    mission: MissionSpec
-    behavior: str = "compliant"
-    offset_cells: int = 0
-    deviate_start_tick: int = 0
-    speed_mps: int | None = None
-    operator: str | None = None    # drones naming the same operator share reputation
+    name: str = _key("name")
+    serial: str = _key("serial")
+    owner_national_id: str = _key("ownerNationalId")
+    mission: MissionSpec = _key("mission")
+    behavior: str = _key("behavior.kind", "compliant")
+    offset_cells: int = _key("behavior.offsetCells", 0)
+    deviate_start_tick: int = _key("behavior.startTick", 0)
+    speed_mps: int | None = _key("speedMps", None, lo=1)
+    operator: str | None = _key("operator", None)    # drones naming the same operator share reputation
 
 
 @dataclass(frozen=True)
 class ReporterSpec:
-    name: str
-    cell: tuple[int, int]
-    sensing_range_m: int = 200
-    honesty: str = "honest"
-    random_walk: bool = False
-    replay_delay_ticks: int = 3
+    name: str = _key("name")
+    cell: tuple[int, int] = _key("cell")
+    sensing_range_m: int = _key("sensingRangeM", 200, lo=0)
+    honesty: str = _key("honesty", "honest")
+    random_walk: bool = _key("randomWalk", False)
+    replay_delay_ticks: int = _key("replayDelayTicks", 3)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str = "scenario"
-    seed: int = 0
-    grid_extent_cells: int = 64
-    cell_size_m: int = 100
-    meters_per_arcsec: int = 30
-    tick_seconds: int = 10
-    duration_ticks: int = 60
-    epoch_date: str = "01012025"
-    fee_params: FeeParams = field(default_factory=FeeParams)
-    subscription_fee: int = 100
-    reporter_reward: int = 20
-    fine_unit: int = 100
-    bonus_unit: int = 100
-    cruise_speed_mps: int = 10
-    altitude_m: int = 60
-    altitude_band_m: int = 30
-    match_window_s: int = 120
-    deconfliction_cell_buffer: int = 1
-    deconfliction_time_buffer_s: int = 60
-    operator_funding: int = 100_000
-    reporter_funding: int = 0
-    treasury_funding: int = 1_000_000
-    loss_probability_micro: int = 0
-    drones: tuple[DroneSpec, ...] = ()
-    reporters: tuple[ReporterSpec, ...] = ()
+    name: str = _key("name", "scenario")
+    seed: int = _key("seed", 0, lo=0)
+    grid_extent_cells: int = _key("grid.extentCells", 64, lo=1)
+    cell_size_m: int = _key("grid.cellSizeM", geo.GridConfig.cell_size_m, lo=1)
+    meters_per_arcsec: int = _key("grid.metersPerArcsec", geo.GridConfig.meters_per_arcsec, lo=1)
+    tick_seconds: int = _key("clock.tickSeconds", 10, lo=1)
+    duration_ticks: int = _key("clock.durationTicks", 60, lo=1)
+    epoch_date: str = _key("clock.epochDate", UssParams.epoch_date)
+    fee_params: FeeParams = field(default_factory=FeeParams, metadata={"key": "economics"})
+    subscription_fee: int = _key("fees.subscriptionFee", UssParams.subscription_fee, lo=0)
+    reporter_reward: int = _key("fees.reporterReward", UssParams.reporter_reward, lo=0)
+    fine_unit: int = _key("fees.fineUnit", UssParams.fine_unit, lo=0)
+    bonus_unit: int = _key("fees.bonusUnit", UssParams.bonus_unit, lo=0)
+    cruise_speed_mps: int = _key("uss.cruiseSpeedMps", UssParams.cruise_speed_mps, lo=1)
+    altitude_m: int = _key("uss.altitudeM", UssParams.altitude_m)
+    altitude_band_m: int = _key("uss.altitudeBandM", UssParams.altitude_band_m, lo=1)
+    match_window_s: int = _key("uss.matchWindowS", UssParams.match_window_s, lo=0)
+    deconfliction_cell_buffer: int = _key("uss.deconflictionCellBuffer", UssParams.deconfliction_cell_buffer, lo=0)
+    deconfliction_time_buffer_s: int = _key(
+        "uss.deconflictionTimeBufferS", UssParams.deconfliction_time_buffer_s, lo=0
+    )
+    operator_funding: int = _key("funding.operator", 100_000, lo=0)
+    reporter_funding: int = _key("funding.reporter", 0, lo=0)
+    treasury_funding: int = _key("funding.treasury", 1_000_000, lo=0)
+    loss_probability_micro: int = _key("lossProbabilityMicro", 0)
+    drones: tuple[DroneSpec, ...] = _key("drones", ())
+    reporters: tuple[ReporterSpec, ...] = _key("reporters", ())
 
     def grid(self) -> geo.GridConfig:
         return geo.GridConfig(self.cell_size_m, self.meters_per_arcsec)
 
     def uss_params(self) -> UssParams:
-        return UssParams(
-            fee=self.fee_params,
-            subscription_fee=self.subscription_fee,
-            reporter_reward=self.reporter_reward,
-            fine_unit=self.fine_unit,
-            bonus_unit=self.bonus_unit,
-            cruise_speed_mps=self.cruise_speed_mps,
-            altitude_m=self.altitude_m,
-            altitude_band_m=self.altitude_band_m,
-            match_window_s=self.match_window_s,
-            deconfliction_cell_buffer=self.deconfliction_cell_buffer,
-            deconfliction_time_buffer_s=self.deconfliction_time_buffer_s,
-            epoch_date=self.epoch_date,
-            grid=self.grid(),
-        )
+        """Contract parameters: the fee block, the grid, and each UssParams field this scenario names alike."""
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(UssParams) if f.name in own}
+        return UssParams(fee=self.fee_params, grid=self.grid(), **shared)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": dict(SCHEMA),
-            "kind": "scenario",
-            "name": self.name,
-            "seed": self.seed,
-            "grid": {
-                "extentCells": self.grid_extent_cells,
-                "cellSizeM": self.cell_size_m,
-                "metersPerArcsec": self.meters_per_arcsec,
-            },
-            "clock": {
-                "tickSeconds": self.tick_seconds,
-                "durationTicks": self.duration_ticks,
-                "epochDate": self.epoch_date,
-            },
-            "economics": {
-                "baseMissionCost": self.fee_params.base_cost,
-                "rcd": self.fee_params.deposit,
-                "surchargePerMission": self.fee_params.surcharge_per_mission,
-                "alphaMicro": self.fee_params.alpha_micro,
-                "kMinMicro": self.fee_params.k_min_micro,
-            },
-            "fees": {
-                "subscriptionFee": self.subscription_fee,
-                "reporterReward": self.reporter_reward,
-                "fineUnit": self.fine_unit,
-                "bonusUnit": self.bonus_unit,
-            },
-            "uss": {
-                "cruiseSpeedMps": self.cruise_speed_mps,
-                "altitudeM": self.altitude_m,
-                "altitudeBandM": self.altitude_band_m,
-                "matchWindowS": self.match_window_s,
-                "deconflictionCellBuffer": self.deconfliction_cell_buffer,
-                "deconflictionTimeBufferS": self.deconfliction_time_buffer_s,
-            },
-            "funding": {
-                "operator": self.operator_funding,
-                "reporter": self.reporter_funding,
-                "treasury": self.treasury_funding,
-            },
-            "lossProbabilityMicro": self.loss_probability_micro,
-            "drones": [
-                {
-                    "name": d.name,
-                    "serial": d.serial,
-                    "ownerNationalId": d.owner_national_id,
-                    "behavior": {
-                        "kind": d.behavior,
-                        "offsetCells": d.offset_cells,
-                        "startTick": d.deviate_start_tick,
-                    },
-                    "mission": {
-                        "source": d.mission.source,
-                        "destination": d.mission.destination,
-                        "departureDate": d.mission.departure_date,
-                        "departureTime": d.mission.departure_time,
-                    },
-                    "speedMps": d.speed_mps,
-                    "operator": d.operator,
-                }
-                for d in self.drones
-            ],
-            "reporters": [
-                {
-                    "name": r.name,
-                    "cell": [r.cell[0], r.cell[1]],
-                    "sensingRangeM": r.sensing_range_m,
-                    "honesty": r.honesty,
-                    "randomWalk": r.random_walk,
-                    "replayDelayTicks": r.replay_delay_ticks,
-                }
-                for r in self.reporters
-            ],
-        }
+        return {"schema": dict(SCHEMA), "kind": "scenario", **_dump(self)}
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Scenario":
+    def from_dict(cls, data: Any) -> "Scenario":
+        """Read a scenario file's JSON value; a ScenarioError names the first bad key path."""
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        schema = data.get("schema", {})
-        if schema.get("major") != SCHEMA["major"]:
-            raise ScenarioError(f"unsupported schema version {schema!r}")
-        if data.get("kind", "scenario") != "scenario":
-            raise ScenarioError("file is not a scenario")
-        grid = data.get("grid", {})
-        clock = data.get("clock", {})
-        econ = data.get("economics", {})
-        fees = data.get("fees", {})
-        uss = data.get("uss", {})
-        funding = data.get("funding", {})
-        try:
-            fee_params = FeeParams(
-                base_cost=int(econ.get("baseMissionCost", 10)),
-                deposit=int(econ.get("rcd", 1000)),
-                surcharge_per_mission=int(econ.get("surchargePerMission", 2)),
-                alpha_micro=int(econ.get("alphaMicro", 300_000)),
-                k_min_micro=int(econ.get("kMinMicro", 50_000)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bad economics block: {exc}") from None
-        drones = []
-        for i, d in enumerate(data.get("drones", [])):
-            behavior = d.get("behavior", {"kind": "compliant"})
-            if isinstance(behavior, str):
-                behavior = {"kind": behavior}
-            mission = d.get("mission")
-            if mission is None:
-                raise ScenarioError(f"drone #{i} has no mission")
-            drones.append(
-                DroneSpec(
-                    name=str(d.get("name", f"drone{i}")),
-                    serial=str(d.get("serial", f"SN-{i:04d}")),
-                    owner_national_id=str(d.get("ownerNationalId", f"NID-{i:04d}")),
-                    mission=MissionSpec(
-                        source=str(mission["source"]),
-                        destination=str(mission["destination"]),
-                        departure_date=str(mission["departureDate"]),
-                        departure_time=str(mission["departureTime"]),
-                    ),
-                    behavior=str(behavior.get("kind", "compliant")),
-                    offset_cells=int(behavior.get("offsetCells", 0)),
-                    deviate_start_tick=int(behavior.get("startTick", 0)),
-                    speed_mps=None if d.get("speedMps") is None else int(d["speedMps"]),
-                    operator=d.get("operator"),
-                )
-            )
-        reporters = []
-        for i, r in enumerate(data.get("reporters", [])):
-            cell = r.get("cell", [0, 0])
-            reporters.append(
-                ReporterSpec(
-                    name=str(r.get("name", f"reporter{i}")),
-                    cell=(int(cell[0]), int(cell[1])),
-                    sensing_range_m=int(r.get("sensingRangeM", 200)),
-                    honesty=str(r.get("honesty", "honest")),
-                    random_walk=bool(r.get("randomWalk", False)),
-                    replay_delay_ticks=int(r.get("replayDelayTicks", 3)),
-                )
-            )
-        scenario = cls(
-            name=str(data.get("name", "scenario")),
-            seed=int(data.get("seed", 0)),
-            grid_extent_cells=int(grid.get("extentCells", 64)),
-            cell_size_m=int(grid.get("cellSizeM", 100)),
-            meters_per_arcsec=int(grid.get("metersPerArcsec", 30)),
-            tick_seconds=int(clock.get("tickSeconds", 10)),
-            duration_ticks=int(clock.get("durationTicks", 60)),
-            epoch_date=str(clock.get("epochDate", "01012025")),
-            fee_params=fee_params,
-            subscription_fee=int(fees.get("subscriptionFee", 100)),
-            reporter_reward=int(fees.get("reporterReward", 20)),
-            fine_unit=int(fees.get("fineUnit", 100)),
-            bonus_unit=int(fees.get("bonusUnit", 100)),
-            cruise_speed_mps=int(uss.get("cruiseSpeedMps", 10)),
-            altitude_m=int(uss.get("altitudeM", 60)),
-            altitude_band_m=int(uss.get("altitudeBandM", 30)),
-            match_window_s=int(uss.get("matchWindowS", 120)),
-            deconfliction_cell_buffer=int(uss.get("deconflictionCellBuffer", 1)),
-            deconfliction_time_buffer_s=int(uss.get("deconflictionTimeBufferS", 60)),
-            operator_funding=int(funding.get("operator", 100_000)),
-            reporter_funding=int(funding.get("reporter", 0)),
-            treasury_funding=int(funding.get("treasury", 1_000_000)),
-            loss_probability_micro=int(data.get("lossProbabilityMicro", 0)),
-            drones=tuple(drones),
-            reporters=tuple(reporters),
-        )
+        body = dict(data)
+        schema = body.pop("schema", None)
+        if not isinstance(schema, dict) or schema.get("major") != SCHEMA["major"]:
+            raise ScenarioError(f"schema: unsupported version {schema!r}")
+        if body.pop("kind", "scenario") != "scenario":
+            raise ScenarioError("kind: file is not a scenario")
+        scenario = _load(cls, body, "")
         scenario.validate()
         return scenario
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ScenarioError("seed must be non-negative")
-        for name, value in (
-            ("grid.extentCells", self.grid_extent_cells),
-            ("grid.cellSizeM", self.cell_size_m),
-            ("grid.metersPerArcsec", self.meters_per_arcsec),
-            ("clock.tickSeconds", self.tick_seconds),
-            ("clock.durationTicks", self.duration_ticks),
-            ("uss.cruiseSpeedMps", self.cruise_speed_mps),
-        ):
-            if value < 1:
-                raise ScenarioError(f"{name} must be at least 1")
-        for name, value in (
-            ("fees.subscriptionFee", self.subscription_fee),
-            ("fees.reporterReward", self.reporter_reward),
-            ("fees.fineUnit", self.fine_unit),
-            ("fees.bonusUnit", self.bonus_unit),
-            ("funding.operator", self.operator_funding),
-            ("funding.reporter", self.reporter_funding),
-            ("funding.treasury", self.treasury_funding),
-        ):
-            if value < 0:
-                raise ScenarioError(f"{name} must be non-negative")
+        """The checks that span fields; from_dict has checked each key's type and bound."""
         if not 0 <= self.loss_probability_micro <= MICRO:
             raise ScenarioError("lossProbabilityMicro must be within [0, 1e6]")
         grid = self.grid()
         seen_names: set[str] = set()
         seen_serials: set[str] = set()
-        for d in self.drones:
+        for i, d in enumerate(self.drones):
             if d.name in seen_names:
-                raise ScenarioError(f"duplicate drone name {d.name!r}")
+                raise ScenarioError(f"drones[{i}].name: duplicate drone name {d.name!r}")
             seen_names.add(d.name)
             if d.serial in seen_serials:
-                raise ScenarioError(f"duplicate drone serial {d.serial!r}")
+                raise ScenarioError(f"drones[{i}].serial: duplicate drone serial {d.serial!r}")
             seen_serials.add(d.serial)
             if d.behavior not in BEHAVIOR_KINDS:
-                raise ScenarioError(f"drone {d.name!r}: unknown behavior {d.behavior!r}")
-            if d.speed_mps is not None and d.speed_mps < 1:
-                raise ScenarioError(f"drone {d.name!r}: speed must be positive")
+                raise ScenarioError(f"drones[{i}].behavior.kind: unknown behavior {d.behavior!r}")
             try:
                 src = geo.parse_dms_pair(d.mission.source)
                 dst = geo.parse_dms_pair(d.mission.destination)
             except geo.DmsError as exc:
-                raise ScenarioError(f"drone {d.name!r}: {exc}") from None
+                raise ScenarioError(f"drones[{i}].mission: {exc}") from None
             for pos in (src, dst):
                 cell = grid.cell_of(*pos)
                 if not self._cell_in_grid(cell):
-                    raise ScenarioError(f"drone {d.name!r}: waypoint cell {cell} outside grid")
+                    raise ScenarioError(f"drones[{i}].mission: waypoint cell {cell} outside grid")
         reporter_names: set[str] = set()
-        for r in self.reporters:
+        for i, r in enumerate(self.reporters):
             if r.name in reporter_names:
-                raise ScenarioError(f"duplicate reporter name {r.name!r}")
+                raise ScenarioError(f"reporters[{i}].name: duplicate reporter name {r.name!r}")
             reporter_names.add(r.name)
             if r.honesty not in HONESTY_KINDS:
-                raise ScenarioError(f"reporter {r.name!r}: unknown honesty {r.honesty!r}")
-            if r.sensing_range_m < 0:
-                raise ScenarioError(f"reporter {r.name!r}: sensing range must be non-negative")
+                raise ScenarioError(f"reporters[{i}].honesty: unknown honesty {r.honesty!r}")
             if not self._cell_in_grid(r.cell):
-                raise ScenarioError(f"reporter {r.name!r}: cell {r.cell} outside grid")
+                raise ScenarioError(f"reporters[{i}].cell: {r.cell} outside grid")
 
     def _cell_in_grid(self, cell: tuple[int, int]) -> bool:
         return 0 <= cell[0] < self.grid_extent_cells and 0 <= cell[1] < self.grid_extent_cells
+
+
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean"}
+_ABSENT = object()
+
+
+class _Field(typing.NamedTuple):
+    attr: str
+    path: str                   # key path within the object
+    group: str                  # key of the nested object holding the key, "" for none
+    key: str
+    scalars: tuple[type, ...]   # exact types taken as they are; () for an object or an array
+    lo: int | None
+    required: bool
+    read: Callable[[Any, str], Any]  # value, key path -> the field's value, or ScenarioError
+
+
+class _Layout(typing.NamedTuple):
+    names: frozenset[str]               # keys of the object itself
+    groups: dict[str, frozenset[str]]   # nested object key -> its keys
+    fields: tuple[_Field, ...]
+
+
+@functools.cache
+def _declared(cls: type) -> _Layout:
+    """The JSON layout of a declared dataclass, read from its fields' metadata and annotations."""
+    hints = typing.get_type_hints(cls)
+    fields, groups = [], {}
+    for f in dataclasses.fields(cls):
+        group, _, key = f.metadata["key"].rpartition(".")
+        if group:
+            groups[group] = groups.get(group, frozenset()) | {key}
+        kind, lo = hints[f.name], f.metadata.get("min")
+        origin = typing.get_origin(kind)
+        members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
+        scalars = tuple(t for t in members if t in _JSON_TYPES or t is type(None))
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        fields.append(_Field(f.name, f.metadata["key"], group, key, scalars, lo, required, _reader(kind, lo)))
+    return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
+
+
+def _reader(kind: Any, lo: int | None) -> Callable[[Any, str], Any]:
+    """A function reading a JSON value as the declared type `kind`: a scalar, an array, an optional or an object."""
+    options = typing.get_args(kind)
+    if kind in _JSON_TYPES:
+        def scalar(value: Any, at: str) -> Any:
+            if type(value) is not kind:
+                raise ScenarioError(f"{at} must be {_JSON_TYPES[kind]}")
+            if lo is not None and value < lo:
+                raise ScenarioError(f"{at} must be at least {lo}")
+            return value
+        return scalar
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...], or a fixed tuple[X, Y]
+        readers = [_reader(item, lo) for item in options if item is not Ellipsis]
+
+        def array(value: Any, at: str) -> tuple:
+            if not isinstance(value, list):
+                raise ScenarioError(f"{at} must be a JSON array")
+            items = readers * len(value) if options[-1] is Ellipsis else readers
+            if len(items) != len(value):
+                raise ScenarioError(f"{at} must hold {len(items)} items")
+            return tuple(read(v, f"{at}[{i}]") for i, (read, v) in enumerate(zip(items, value)))
+        return array
+    if type(None) in options:  # `X | None`: null or an X
+        inner = _reader(options[0], lo)
+        return lambda value, at: None if value is None else inner(value, at)
+    return lambda value, at: _load(kind, value, at)
+
+
+def _path(at: str, key: str) -> str:
+    """Key path of `key` inside the object at key path `at`; "scenario" is the whole file."""
+    return f"{at}.{key}" if at and key else at or key or "scenario"
+
+
+def _check_object(obj: Any, names: frozenset[str], at: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{_path(at, '')} must be a JSON object")
+    if not names.issuperset(obj):
+        raise ScenarioError(f"{_path(at, min(obj.keys() - names))} is not a known key")
+
+
+def _load(cls: type, data: Any, at: str) -> Any:
+    """An instance of the declared dataclass `cls` from `data`, the JSON value at key path `at`."""
+    layout = _declared(cls)
+    _check_object(data, layout.names, at)
+    scopes = {"": data}
+    for group, names in layout.groups.items():
+        scopes[group] = group_data = data.get(group, {})
+        _check_object(group_data, names, _path(at, group))
+    values = {}
+    for attr, path, group, key, scalars, lo, required, read in layout.fields:
+        value = scopes[group].get(key, _ABSENT)
+        if value is _ABSENT:
+            if required:
+                raise ScenarioError(f"{_path(at, path)} is missing")
+        elif type(value) in scalars and (lo is None or value is None or value >= lo):
+            values[attr] = value  # the common case, checked inline
+        else:
+            values[attr] = read(value, _path(at, path))
+    try:
+        return cls(**values)
+    except ValueError as exc:  # FeeParams checks its own ranges
+        raise ScenarioError(f"bad {at} block: {exc}") from None
+
+
+def _dump(obj: Any) -> dict[str, Any]:
+    """The JSON object of a declared dataclass instance."""
+    layout = _declared(type(obj))
+    out: dict[str, Any] = {}
+    scopes = {"": out}
+    for group in layout.groups:
+        scopes[group] = out[group] = {}
+    for attr, _, group, key, scalars, _, _, _ in layout.fields:
+        value = getattr(obj, attr)
+        if not scalars:  # an array or an object
+            if isinstance(value, tuple):
+                value = [v if type(v) in _JSON_TYPES else _dump(v) for v in value]
+            else:
+                value = _dump(value)
+        scopes[group][key] = value
+    return out
 
 
 @dataclass
@@ -379,7 +325,7 @@ class _DroneState:
     flight_duration_s: int | None = None
     completed: bool = False
 
-    @cached_property
+    @functools.cached_property
     def waypoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Mission source and destination in arcseconds, parsed on first use."""
         mission = self.spec.mission

@@ -20,6 +20,7 @@ the eventual payout, and drains to zero once every mission settles.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -194,7 +195,7 @@ class SightingRecord:
 
 class UssContract:
     def __init__(self, ledger: Ledger, authority: AuthorityContract, params: UssParams, nonce_seed: bytes):
-        self.ledger = ledger
+        self.ledger = weakref.proxy(ledger)  # the ledger holds our ops; a strong reference back would be a cycle
         self.authority = authority
         self.params = params
         self.treasury = ledger.create_account("uss")
@@ -212,11 +213,14 @@ class UssContract:
         }
         self._nonce_seed = nonce_seed
         ledger.attach_storage("uss", self.storage)
-        ledger.register_op("subscribe", self.op_subscribe, payable=True, receiver=self.treasury)
-        ledger.register_op("request_quote", self.op_request_quote, view=True)
-        ledger.register_op("request_plan", self.op_request_plan, payable=True, receiver=self.treasury)
-        ledger.register_op("report_drone", self.op_report_drone)
-        ledger.register_op("report_completion", self.op_report_completion)
+        drone = {"droneId": int}
+        plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
+        sighting = {**drone, "rid": str, "sightingLocation": str, "sightingTime": int}
+        ledger.register_op("subscribe", self.op_subscribe, args=drone, payable=True, receiver=self.treasury)
+        ledger.register_op("request_quote", self.op_request_quote, args=drone, view=True)
+        ledger.register_op("request_plan", self.op_request_plan, args=plan, payable=True, receiver=self.treasury)
+        ledger.register_op("report_drone", self.op_report_drone, args=sighting)
+        ledger.register_op("report_completion", self.op_report_completion, args={**drone, "ridVc": str})
 
     # -- helpers -----------------------------------------------------------
 
@@ -260,8 +264,7 @@ class UssContract:
     # -- operations ---------------------------------------------------------
 
     def op_subscribe(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = int(args["droneId"])
-        value = int(args["_value"])
+        drone_id, value = args["droneId"], args["_value"]
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_SUBSCRIBE)
@@ -275,7 +278,7 @@ class UssContract:
         return {"droneId": drone_id, "expiry": expiry}
 
     def op_request_quote(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = int(args["droneId"])
+        drone_id = args["droneId"]
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_QUOTE)
@@ -285,16 +288,15 @@ class UssContract:
         return {"fee": fee, "congestion": congestion}
 
     def op_request_plan(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = int(args["droneId"])
-        value = int(args["_value"])
+        drone_id, value = args["droneId"], args["_value"]
         if not self._subscription_valid(drone_id, caller):
             raise ContractRevert(REVERT_NOT_SUBSCRIBED_PLAN)
         record = self.authority.record(drone_id)
         if record.has_active_plan:
             raise ContractRevert(REVERT_ACTIVE_PLAN_EXISTS)
 
-        source, destination = str(args["source"]), str(args["destination"])
-        date, time = str(args["departureDate"]), str(args["departureTime"])
+        source, destination = args["source"], args["destination"]
+        date, time = args["departureDate"], args["departureTime"]
         try:
             src = geo.parse_dms_pair(source)
             dst = geo.parse_dms_pair(destination)
@@ -382,7 +384,7 @@ class UssContract:
         return route, depart_s + duration
 
     def op_report_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = int(args["droneId"])
+        drone_id = args["droneId"]
         record = self.authority.record(drone_id)
         if caller == record.owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
@@ -398,14 +400,14 @@ class UssContract:
         counts[caller] = counts.get(caller, 0) + 1
 
         try:
-            message = decode_rid(bytes.fromhex(str(args["rid"])))
+            message = decode_rid(bytes.fromhex(args["rid"]))
         except (MalformedRid, ValueError):
             raise ContractRevert(REASON_MALFORMED_RID) from None
         try:
-            sighting_cell = self.params.grid.cell_of(*geo.parse_dms_pair(str(args["sightingLocation"])))
+            sighting_cell = self.params.grid.cell_of(*geo.parse_dms_pair(args["sightingLocation"]))
         except geo.DmsError:
             raise ContractRevert(REASON_INVALID_DMS) from None
-        sighting_time = int(args["sightingTime"])
+        sighting_time = args["sightingTime"]
 
         plan = self.plans.get(drone_id)
         nonce = self.storage["nonces"].get(drone_id)
@@ -424,7 +426,7 @@ class UssContract:
         self.ledger.emit(
             "DroneSighted",
             droneId=drone_id,
-            sightingLocation=str(args["sightingLocation"]),
+            sightingLocation=args["sightingLocation"],
             reporter=caller,
         )
 
@@ -446,7 +448,7 @@ class UssContract:
         sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
         sightings.append(
-            SightingRecord(caller, drone_id, str(args["rid"]), sighting_cell, sighting_time, verdict)
+            SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict)
         )
         return {"verdict": verdict, "reporterReward": self.params.reporter_reward}
 
@@ -459,14 +461,18 @@ class UssContract:
         return False
 
     def op_report_completion(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = int(args["droneId"])
+        drone_id = args["droneId"]
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_COMPLETE)
         if not record.has_active_plan:
             raise ContractRevert(REVERT_NO_ACTIVE_PLAN)
         plan = self.plans[drone_id]
-        if bytes.fromhex(str(args["ridVc"])) != plan.rid_vc:
+        try:
+            matches = bytes.fromhex(args["ridVc"]) == plan.rid_vc
+        except ValueError:  # not hex
+            matches = False
+        if not matches:
             raise ContractRevert(REASON_INVALID_RIDVC)
 
         rewards, penalties = record.rewards, record.penalties

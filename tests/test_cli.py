@@ -57,6 +57,29 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("case", ["not-utf8", "directory", "negative-seed", "string-seed", "unknown-key"])
+    def test_unreadable_input_exits_2_with_one_line(self, tmp_path, demo_scenario_path, capsys, case):
+        scenario, extra = demo_scenario_path, []
+        text = demo_scenario_path.read_text(encoding="utf-8")
+        if case == "not-utf8":
+            scenario = tmp_path / "latin1.scenario.json"
+            scenario.write_bytes(text.encode("latin-1", "replace"))  # the DMS degree sign becomes byte 0xb0
+        elif case == "directory":
+            scenario = tmp_path
+        elif case == "negative-seed":
+            extra = ["--seed", "-1"]
+        else:
+            data = json.loads(text)
+            if case == "string-seed":
+                data["seed"] = "3"
+            else:
+                data["reporters"][0]["sensingRange"] = 150
+            scenario = tmp_path / "edited.scenario.json"
+            scenario.write_text(json.dumps(data), encoding="utf-8")
+        assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--quiet", *extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+
 
 class TestVerify:
     @pytest.fixture
@@ -87,6 +110,21 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("verify", str(tmp_path / "ghost.jsonl")) == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"schema":[1],"kind":"chain"}\n', b'{"schema":{"major":1},"kind":"chain"}\n[1]\n',
+         b'{"schema":{"major":1},"kind":"chain"}\n{"index":0,"prevHash":5,"hash":"00","transactions":[]}\n',
+         b'\xb0{}\n', None],
+        ids=["schema-list", "block-list", "hash-int", "not-utf8", "directory"],
+    )
+    def test_unreadable_log_exits_2_with_one_line(self, tmp_path, capsys, body):
+        path = tmp_path
+        if body is not None:
+            path = tmp_path / "x.chain.jsonl"
+            path.write_bytes(body)
+        assert run_cli("verify", str(path)) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestInspect:
@@ -133,6 +171,16 @@ class TestInspect:
         other = tmp_path / "x.json"
         other.write_text("{}")
         assert run_cli("inspect", str(other), "accounts") == 2
+
+    @pytest.mark.parametrize("body", [b'{"schema":[1],"kind":"state"}', b"\xb0{}", None],
+                             ids=["schema-list", "not-utf8", "directory"])
+    def test_unreadable_snapshot_exits_2_with_one_line(self, tmp_path, capsys, body):
+        path = tmp_path
+        if body is not None:
+            path = tmp_path / "x.state.json"
+            path.write_bytes(body)
+        assert run_cli("inspect", str(path), "supply") == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
     def test_header_without_body_exits_2(self, tmp_path, capsys, query):

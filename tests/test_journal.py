@@ -85,14 +85,25 @@ def test_unparseable_argument_rolls_back_and_keeps_tx_ids_dense(bench):
     drone_id = planned_drone(bench)
     ledger = bench.ledger
     digest, logged = ledger.state_digest(), list(ledger.pending)
-    with pytest.raises(ValueError):
-        _noon_report(bench, drone_id)
+    noon = _noon_report(bench, drone_id)
+    assert (noon.status, noon.reason, noon.state_writes) == ("revert", "invalid-arg:sightingTime", 0)
+    assert noon.args["sightingTime"] == "noon"  # logged as sent
     assert ledger.state_digest() == digest
-    assert ledger.pending == logged
+    assert ledger.pending == logged + [noon]
     # the reporter is not locked out, and no tx id went missing
     rec = report(bench, drone_id, at_s=100)
     assert rec.status == "success"
-    assert rec.tx_id == logged[-1].tx_id + 1
+    assert rec.tx_id == noon.tx_id + 1 == logged[-1].tx_id + 2
+
+
+@pytest.mark.parametrize("sign_tac", ["no", 0, None])
+def test_terms_must_be_accepted_with_a_boolean(bench, sign_tac):
+    args = {"serial": "SN-TAC", "ownerNationalId": "NID-TAC", "signTAC": sign_tac}
+    digest = bench.ledger.state_digest()
+    rec = bench.ledger.submit(bench.operator, "register_drone", args)
+    assert (rec.status, rec.reason) == ("revert", "invalid-arg:signTAC")
+    assert bench.ledger.state_digest() == digest
+    assert not bench.authority.records
 
 
 def test_escrow_drift_is_refused_and_rolled_back(bench):
@@ -138,7 +149,7 @@ OPS = (
 )
 CALLERS = ("operator", "second_operator", "reporter", "second_reporter", "uss_reader")
 DEPARTURES = ("0001", "0003", "0010")
-SHAPES = ("valid", "valid", "valid", "missing", "noon", "-1")  # the last three malform one field
+SHAPES = ("valid", "valid", "valid", "missing", "noon", "-1", True)  # the last four malform one field
 VALUES = ("args", "args", 0, 10**9)  # "args": the value the op asks for
 
 
@@ -194,7 +205,7 @@ PLANNED_PREFIX = [
 @settings(max_examples=150, deadline=None)
 @given(steps=steps)
 def test_random_op_sequences_match_whole_tree_oracle(steps):
-    """Valid, duplicate and malformed calls of all seven ops, each metered and rolled back exactly.
+    """Valid, duplicate and malformed calls of all seven ops, each logged, metered and rolled back exactly.
 
     The journal copies a slot one level deep, so a write that mutates an
     object nested below a slot would leave a revert or an escaping error
@@ -213,13 +224,9 @@ def test_random_op_sequences_match_whole_tree_oracle(steps):
             else:
                 args[key] = shape
         ledger.clock = 100
-        digest, logged = ledger.state_digest(), list(ledger.pending)
-        try:
-            rec = submit(ledger, caller, op, args, wanted if value == "args" else value)
-        except (ValueError, KeyError):
-            assert ledger.state_digest() == digest
-            assert ledger.pending == logged
-            continue
+        logged = list(ledger.pending)
+        rec = submit(ledger, caller, op, args, wanted if value == "args" else value)
+        assert ledger.pending == logged + [rec]
         assert rec.tx_id == logged[-1].tx_id + 1
         checked, writes, deltas, digest_kept = submit.checked[-1]
         assert checked is rec

@@ -28,7 +28,7 @@ class ToyContract:
         ledger.register_op("set_slot", self.op_set, payable=True, receiver=self.vault)
         ledger.register_op("peek", self.op_peek, view=True)
         ledger.register_op("set_then_fail", self.op_set_then_fail)
-        ledger.register_op("pay_out", self.op_pay_out)
+        ledger.register_op("pay_out", self.op_pay_out, args={"amount": int})
 
     def op_set(self, caller, args):
         self.ledger.touch(self.storage["slots"], args["key"])
@@ -169,6 +169,15 @@ class TestSubmit:
         rec = ledger.submit(alice, "pay_out", {"amount": 10**9})
         assert (rec.status, rec.reason) == ("revert", "insufficient-balance")
         assert ledger.state_digest() == digest
+
+    @pytest.mark.parametrize("args", [{}, {"amount": "5"}, {"amount": 5.0}, {"amount": True}, {"amount": None}])
+    def test_undeclared_arg_type_reverts_before_the_body(self, toy, args):
+        ledger, _, alice, _ = toy
+        digest = ledger.state_digest()
+        rec = ledger.submit(alice, "pay_out", args)
+        assert (rec.status, rec.reason, rec.args) == ("revert", "invalid-arg:amount", args)
+        assert ledger.state_digest() == digest
+        assert ledger.submit(alice, "pay_out", {"amount": 0}).status == "success"
 
     def test_events_recorded_on_success(self, toy):
         ledger, _, alice, _ = toy

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -29,6 +31,21 @@ def test_snapshot_restore_after_full_run():
     assert restored.ledger.state_digest() == world.ledger.state_digest()
     assert restored.ledger.chain_head_hex() == world.ledger.chain_head_hex()
     assert persistence.snapshot_world(restored) == snap
+
+
+@pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+def test_dropped_world_is_freed_without_the_cycle_collector(restored):
+    world = World(compliant_scenario())
+    world.run_to_end()
+    if restored:
+        world = persistence.restore_world(persistence.snapshot_world(world))
+    ledger = weakref.ref(world.ledger)
+    gc.disable()
+    try:
+        del world
+        assert ledger() is None
+    finally:
+        gc.enable()
 
 
 def _walking_compliant_scenario():

@@ -1,11 +1,14 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import (
     DATE,
     DST,
+    REPO_ROOT,
     SRC,
     TIME,
     compliant_scenario,
@@ -15,6 +18,7 @@ from conftest import (
     lonely_scenario,
 )
 from skyledger.ledger import canonical_json
+from skyledger.persistence import load_scenario
 from skyledger.sim import (
     DroneSpec,
     MissionSpec,
@@ -295,13 +299,65 @@ class TestScenarioValidation:
             (lambda d: d["clock"].update(tickSeconds=0), "at least 1"),
             (lambda d: d["economics"].update(alphaMicro=0), "bad economics"),
             (lambda d: d.update(lossProbabilityMicro=2 * 10**6), "lossProbabilityMicro"),
+            # each key's declared type: JSON integers only, no coercion
+            pytest.param(lambda d: d["reporters"][0].update(cell="ab"), "reporters[0].cell must be a JSON array",
+                         id="cell-string"),
+            pytest.param(lambda d: d.update(drones={"d": 1}), "drones must be a JSON array", id="drones-object"),
+            pytest.param(lambda d: d["drones"][0]["mission"].pop("source"), "drones[0].mission.source is missing",
+                         id="no-source"),
+            pytest.param(lambda d: d.update(seed=[1]), "seed must be an integer", id="seed-list"),
+            pytest.param(lambda d: d.update(grid=[1]), "grid must be a JSON object", id="grid-list"),
+            pytest.param(lambda d: d["drones"][0].update(speedMps="fast"), "drones[0].speedMps must be an integer",
+                         id="speed-string"),
+            pytest.param(lambda d: d["reporters"].__setitem__(0, "x"), "reporters[0] must be a JSON object",
+                         id="reporter-string"),
+            pytest.param(lambda d: d.update(seed=True), "seed must be an integer", id="seed-true"),
+            pytest.param(lambda d: d.update(seed=1.9), "seed must be an integer", id="seed-float"),
+            pytest.param(lambda d: d.update(seed="3"), "seed must be an integer", id="seed-string"),
+            pytest.param(lambda d: d["reporters"][0].update(randomWalk="no"),
+                         "reporters[0].randomWalk must be a boolean", id="walk-string"),
+            pytest.param(lambda d: d["reporters"][0].update(sensingRange=150),
+                         "reporters[0].sensingRange is not a known key", id="unknown-key"),
+            pytest.param(lambda d: d["drones"][0].update(behavior="silent"), "drones[0].behavior must be a JSON object",
+                         id="behavior-string"),
+            pytest.param(lambda d: d["uss"].update(altitudeBandM=0), "uss.altitudeBandM must be at least 1",
+                         id="zero-band"),
+            pytest.param(lambda d: d.update(seed=-1), "seed must be at least 0", id="seed-negative"),
+            pytest.param(lambda d: d["uss"].update(deconflictionCellBuffer=-1),
+                         "uss.deconflictionCellBuffer must be at least 0", id="negative-buffer"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):
         data = compliant_scenario().to_dict()
         mutate(data)
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             Scenario.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_single_edit_parses_or_names_its_key_path(self, data):
+        """Drop a key, retype a value or add an unknown key anywhere: a Scenario, or a ScenarioError naming the path."""
+        scenario = data.draw(st.sampled_from([compliant_scenario(), _demo_scenario()]))
+        tree = scenario.to_dict()
+        paths = list(_json_paths(tree))
+        path = data.draw(st.sampled_from(paths))
+        *parents, last = path
+        node = tree
+        for step in parents:
+            node = node[step]
+        edit = data.draw(st.sampled_from(["drop", "retype", "add"]))
+        if edit == "add" and isinstance(node[last], dict):
+            node[last]["sensingRange"] = data.draw(_json_values)
+            path = path + ("sensingRange",)
+        elif edit == "drop" and isinstance(node, dict):
+            del node[last]
+        else:
+            node[last] = data.draw(_json_values.filter(lambda v: type(v) is not type(node[last])))
+        try:
+            Scenario.from_dict(tree)
+        except ScenarioError as exc:
+            named = path[:1] if path[0] == "schema" else path  # the header is checked whole
+            assert str(exc).startswith(_key_path(named)), (path, str(exc))
 
     def test_rejects_wrong_schema_major(self):
         data = compliant_scenario().to_dict()
@@ -314,3 +370,25 @@ class TestScenarioValidation:
         data["drones"][0]["mission"]["destination"] = dms(10, 100_000)
         with pytest.raises(ScenarioError, match="outside grid"):
             Scenario.from_dict(data)
+
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1),
+)
+
+
+def _demo_scenario():
+    return load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json")
+
+
+def _json_paths(tree, prefix=()):
+    """Every key and index path of a JSON tree, outer ones first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _key_path(path):
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path).lstrip(".")
