@@ -52,12 +52,16 @@ class ScenarioError(ValueError):
 # A scenario file is declared by the dataclasses below: each field's metadata
 # holds its JSON key path (dotted inside a nested object) and an optional lower
 # bound, its annotation is its type, and its default, or the lack of one, says
-# whether the key may be left out. from_dict, to_dict and the per-key checks
-# all read that declaration.
+# whether the key may be left out. from_dict, to_dict and the bound checks of
+# validate all read that declaration.
 
-def _key(path: str, default: Any = dataclasses.MISSING, *, lo: int | None = None) -> Any:
-    """A field stored under the scenario-file key `path`; an integer must be at least `lo`."""
-    return field(default=default, metadata={"key": path, "min": lo})
+def _key(path: str, default: Any = dataclasses.MISSING, *, lo: int | None = None, numbered: str | None = None) -> Any:
+    """A field stored under the scenario-file key `path`; an integer must be at least `lo`.
+
+    `numbered`, a str.format template of the array index, is the file's default
+    for a key of an array item that the dataclass itself requires.
+    """
+    return field(default=default, metadata={"key": path, "min": lo, "numbered": numbered})
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,9 @@ class MissionSpec:
 
 @dataclass(frozen=True)
 class DroneSpec:
-    name: str = _key("name")
-    serial: str = _key("serial")
-    owner_national_id: str = _key("ownerNationalId")
+    name: str = _key("name", numbered="drone{}")
+    serial: str = _key("serial", numbered="SN-{:04d}")
+    owner_national_id: str = _key("ownerNationalId", numbered="NID-{:04d}")
     mission: MissionSpec = _key("mission")
     behavior: str = _key("behavior.kind", "compliant")
     offset_cells: int = _key("behavior.offsetCells", 0)
@@ -83,8 +87,8 @@ class DroneSpec:
 
 @dataclass(frozen=True)
 class ReporterSpec:
-    name: str = _key("name")
-    cell: tuple[int, int] = _key("cell")
+    name: str = _key("name", numbered="reporter{}")
+    cell: tuple[int, int] = _key("cell", (0, 0))
     sensing_range_m: int = _key("sensingRangeM", 200, lo=0)
     honesty: str = _key("honesty", "honest")
     random_walk: bool = _key("randomWalk", False)
@@ -125,10 +129,21 @@ class Scenario:
         return geo.GridConfig(self.cell_size_m, self.meters_per_arcsec)
 
     def uss_params(self) -> UssParams:
-        """Contract parameters: the fee block, the grid, and each UssParams field this scenario names alike."""
-        own = {f.name for f in dataclasses.fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(UssParams) if f.name in own}
-        return UssParams(fee=self.fee_params, grid=self.grid(), **shared)
+        return UssParams(
+            fee=self.fee_params,
+            subscription_fee=self.subscription_fee,
+            reporter_reward=self.reporter_reward,
+            fine_unit=self.fine_unit,
+            bonus_unit=self.bonus_unit,
+            cruise_speed_mps=self.cruise_speed_mps,
+            altitude_m=self.altitude_m,
+            altitude_band_m=self.altitude_band_m,
+            match_window_s=self.match_window_s,
+            deconfliction_cell_buffer=self.deconfliction_cell_buffer,
+            deconfliction_time_buffer_s=self.deconfliction_time_buffer_s,
+            epoch_date=self.epoch_date,
+            grid=self.grid(),
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {"schema": dict(SCHEMA), "kind": "scenario", **_dump(self)}
@@ -144,18 +159,20 @@ class Scenario:
             raise ScenarioError(f"schema: unsupported version {schema!r}")
         if body.pop("kind", "scenario") != "scenario":
             raise ScenarioError("kind: file is not a scenario")
-        scenario = _load(cls, body, "")
+        scenario = _load(cls, body, "", "")
         scenario.validate()
         return scenario
 
     def validate(self) -> None:
-        """The checks that span fields; from_dict has checked each key's type and bound."""
+        """Each key's declared lower bound, then the checks that span fields; from_dict has checked the types."""
+        _check_bounds(self, "")
         if not 0 <= self.loss_probability_micro <= MICRO:
             raise ScenarioError("lossProbabilityMicro must be within [0, 1e6]")
         grid = self.grid()
         seen_names: set[str] = set()
         seen_serials: set[str] = set()
         for i, d in enumerate(self.drones):
+            _check_bounds(d, f"drones[{i}]")
             if d.name in seen_names:
                 raise ScenarioError(f"drones[{i}].name: duplicate drone name {d.name!r}")
             seen_names.add(d.name)
@@ -175,6 +192,7 @@ class Scenario:
                     raise ScenarioError(f"drones[{i}].mission: waypoint cell {cell} outside grid")
         reporter_names: set[str] = set()
         for i, r in enumerate(self.reporters):
+            _check_bounds(r, f"reporters[{i}]")
             if r.name in reporter_names:
                 raise ScenarioError(f"reporters[{i}].name: duplicate reporter name {r.name!r}")
             reporter_names.add(r.name)
@@ -189,6 +207,7 @@ class Scenario:
 
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean"}
 _ABSENT = object()
+_Key = str | int  # an object key, or an array index
 
 
 class _Field(typing.NamedTuple):
@@ -196,10 +215,11 @@ class _Field(typing.NamedTuple):
     path: str                   # key path within the object
     group: str                  # key of the nested object holding the key, "" for none
     key: str
-    scalars: tuple[type, ...]   # exact types taken as they are; () for an object or an array
-    lo: int | None
+    nested: bool                # an array or an object
+    lo: int | None              # lower bound, checked by validate()
     required: bool
-    read: Callable[[Any, str], Any]  # value, key path -> the field's value, or ScenarioError
+    numbered: str | None        # default template of the item index, see _key
+    read: Callable[[Any, str, _Key], Any]  # value, and its key path as (at, key) -> the field's value, or ScenarioError
 
 
 class _Layout(typing.NamedTuple):
@@ -217,57 +237,59 @@ def _declared(cls: type) -> _Layout:
         group, _, key = f.metadata["key"].rpartition(".")
         if group:
             groups[group] = groups.get(group, frozenset()) | {key}
-        kind, lo = hints[f.name], f.metadata.get("min")
+        kind, numbered = hints[f.name], f.metadata.get("numbered")
         origin = typing.get_origin(kind)
         members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
-        scalars = tuple(t for t in members if t in _JSON_TYPES or t is type(None))
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        fields.append(_Field(f.name, f.metadata["key"], group, key, scalars, lo, required, _reader(kind, lo)))
+        nested = not any(t in _JSON_TYPES for t in members)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and not numbered
+        fields.append(_Field(
+            f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), required, numbered, _reader(kind)
+        ))
     return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
 
 
-def _reader(kind: Any, lo: int | None) -> Callable[[Any, str], Any]:
+def _reader(kind: Any) -> Callable[[Any, str, _Key], Any]:
     """A function reading a JSON value as the declared type `kind`: a scalar, an array, an optional or an object."""
     options = typing.get_args(kind)
     if kind in _JSON_TYPES:
-        def scalar(value: Any, at: str) -> Any:
+        def scalar(value: Any, at: str, key: _Key) -> Any:
             if type(value) is not kind:
-                raise ScenarioError(f"{at} must be {_JSON_TYPES[kind]}")
-            if lo is not None and value < lo:
-                raise ScenarioError(f"{at} must be at least {lo}")
+                raise ScenarioError(f"{_path(at, key)} must be {_JSON_TYPES[kind]}")
             return value
         return scalar
     if typing.get_origin(kind) is tuple:  # tuple[X, ...], or a fixed tuple[X, Y]
-        readers = [_reader(item, lo) for item in options if item is not Ellipsis]
+        readers = [_reader(item) for item in options if item is not Ellipsis]
 
-        def array(value: Any, at: str) -> tuple:
+        def array(value: Any, at: str, key: _Key) -> tuple:
+            at = _path(at, key)
             if not isinstance(value, list):
                 raise ScenarioError(f"{at} must be a JSON array")
             items = readers * len(value) if options[-1] is Ellipsis else readers
             if len(items) != len(value):
                 raise ScenarioError(f"{at} must hold {len(items)} items")
-            return tuple(read(v, f"{at}[{i}]") for i, (read, v) in enumerate(zip(items, value)))
+            return tuple(read(v, at, i) for i, (read, v) in enumerate(zip(items, value)))
         return array
     if type(None) in options:  # `X | None`: null or an X
-        inner = _reader(options[0], lo)
-        return lambda value, at: None if value is None else inner(value, at)
-    return lambda value, at: _load(kind, value, at)
+        inner = _reader(options[0])
+        return lambda value, at, key: None if value is None else inner(value, at, key)
+    return lambda value, at, key: _load(kind, value, at, key)
 
 
-def _path(at: str, key: str) -> str:
-    """Key path of `key` inside the object at key path `at`; "scenario" is the whole file."""
-    return f"{at}.{key}" if at and key else at or key or "scenario"
+def _path(at: str, key: _Key) -> str:
+    """Key path of `key`, an object key or an array index, inside the value at key path `at`; "" is the whole file."""
+    return f"{at}[{key}]" if type(key) is int else f"{at}.{key}" if at and key else at or key
 
 
 def _check_object(obj: Any, names: frozenset[str], at: str) -> None:
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{_path(at, '')} must be a JSON object")
+        raise ScenarioError(f"{at or 'scenario'} must be a JSON object")
     if not names.issuperset(obj):
         raise ScenarioError(f"{_path(at, min(obj.keys() - names))} is not a known key")
 
 
-def _load(cls: type, data: Any, at: str) -> Any:
-    """An instance of the declared dataclass `cls` from `data`, the JSON value at key path `at`."""
+def _load(cls: type, data: Any, at: str, key: _Key) -> Any:
+    """An instance of the declared dataclass `cls` from `data`, the JSON value of `key` inside key path `at`."""
+    at = _path(at, key)
     layout = _declared(cls)
     _check_object(data, layout.names, at)
     scopes = {"": data}
@@ -275,19 +297,25 @@ def _load(cls: type, data: Any, at: str) -> Any:
         scopes[group] = group_data = data.get(group, {})
         _check_object(group_data, names, _path(at, group))
     values = {}
-    for attr, path, group, key, scalars, lo, required, read in layout.fields:
-        value = scopes[group].get(key, _ABSENT)
-        if value is _ABSENT:
-            if required:
-                raise ScenarioError(f"{_path(at, path)} is missing")
-        elif type(value) in scalars and (lo is None or value is None or value >= lo):
-            values[attr] = value  # the common case, checked inline
-        else:
-            values[attr] = read(value, _path(at, path))
+    for attr, path, group, name, _, _, required, numbered, read in layout.fields:
+        value = scopes[group].get(name, _ABSENT)
+        if value is not _ABSENT:
+            values[attr] = read(value, at, path)
+        elif numbered:
+            values[attr] = numbered.format(key)
+        elif required:
+            raise ScenarioError(f"{_path(at, path)} is missing")
     try:
         return cls(**values)
     except ValueError as exc:  # FeeParams checks its own ranges
-        raise ScenarioError(f"bad {at} block: {exc}") from None
+        raise ScenarioError(f"{at}: bad {at} block: {exc}") from None
+
+
+def _check_bounds(obj: Any, at: str) -> None:
+    """Each declared lower bound of a dataclass instance, the object at key path `at`."""
+    for f in _declared(type(obj)).fields:
+        if f.lo is not None and (value := getattr(obj, f.attr)) is not None and value < f.lo:
+            raise ScenarioError(f"{_path(at, f.path)} must be at least {f.lo}")
 
 
 def _dump(obj: Any) -> dict[str, Any]:
@@ -297,14 +325,14 @@ def _dump(obj: Any) -> dict[str, Any]:
     scopes = {"": out}
     for group in layout.groups:
         scopes[group] = out[group] = {}
-    for attr, _, group, key, scalars, _, _, _ in layout.fields:
-        value = getattr(obj, attr)
-        if not scalars:  # an array or an object
+    for f in layout.fields:
+        value = getattr(obj, f.attr)
+        if f.nested:
             if isinstance(value, tuple):
                 value = [v if type(v) in _JSON_TYPES else _dump(v) for v in value]
             else:
                 value = _dump(value)
-        scopes[group][key] = value
+        scopes[f.group][f.key] = value
     return out
 
 

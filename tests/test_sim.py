@@ -325,6 +325,10 @@ class TestScenarioValidation:
             pytest.param(lambda d: d.update(seed=-1), "seed must be at least 0", id="seed-negative"),
             pytest.param(lambda d: d["uss"].update(deconflictionCellBuffer=-1),
                          "uss.deconflictionCellBuffer must be at least 0", id="negative-buffer"),
+            pytest.param(lambda d: d["economics"].update(alphaMicro=0), "economics: bad economics block",
+                         id="alpha-zero"),
+            pytest.param(lambda d: d["reporters"][2].update(sensingRangeM=-1),
+                         "reporters[2].sensingRangeM must be at least 0", id="negative-range"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):
@@ -370,6 +374,38 @@ class TestScenarioValidation:
         data["drones"][0]["mission"]["destination"] = dms(10, 100_000)
         with pytest.raises(ScenarioError, match="outside grid"):
             Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda s: dataclasses.replace(s, tick_seconds=0), "clock.tickSeconds must be at least 1"),
+            (lambda s: dataclasses.replace(s, seed=-1), "seed must be at least 0"),
+            (lambda s: dataclasses.replace(s, treasury_funding=-5), "funding.treasury must be at least 0"),
+            (lambda s: dataclasses.replace(s, drones=(dataclasses.replace(s.drones[0], speed_mps=0),)),
+             "drones[0].speedMps must be at least 1"),
+            (lambda s: dataclasses.replace(s, reporters=(dataclasses.replace(s.reporters[0], sensing_range_m=-1),)),
+             "reporters[0].sensingRangeM must be at least 0"),
+        ],
+        ids=["zero-tick", "negative-seed", "negative-funding", "zero-speed", "negative-range"],
+    )
+    def test_world_refuses_out_of_range_scenario_built_in_code(self, edit, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            World(edit(compliant_scenario()))
+
+    def test_left_out_names_serials_and_cells_take_their_numbered_defaults(self):
+        data = compliant_scenario(n_reporters=2).to_dict()
+        data["drones"].append(dict(data["drones"][0]))
+        for drone in data["drones"]:
+            for key in ("name", "serial", "ownerNationalId"):
+                del drone[key]
+        for reporter in data["reporters"]:
+            del reporter["name"], reporter["cell"]
+        scenario = Scenario.from_dict(data)
+        assert [(d.name, d.serial, d.owner_national_id) for d in scenario.drones] == [
+            ("drone0", "SN-0000", "NID-0000"),
+            ("drone1", "SN-0001", "NID-0001"),
+        ]
+        assert [(r.name, r.cell) for r in scenario.reporters] == [("reporter0", (0, 0)), ("reporter1", (0, 0))]
 
 
 _json_values = st.one_of(
