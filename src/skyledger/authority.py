@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from .ledger import AccountId, ContractRevert, Ledger
+from .ledger import AccountId, ContractRevert, Ledger, TransactionRecord
 
 REVERT_ALREADY_REGISTERED = "Drone already registered"
 REVERT_TAC_NOT_SIGNED = "Please accept terms and conditions"
@@ -118,6 +119,20 @@ class AuthorityContract:
         rec = self._writable(drone_id)
         rec.rewards = 0
         rec.penalties = 0
+
+    def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
+        """Register each drone of the logged successes, in log order, as register_drone did."""
+        for tx in successes:
+            if tx.op != "register_drone":
+                continue
+            drone_id = tx.payload["droneId"]
+            if drone_id != len(self.records):
+                raise ValueError(f"logged drone id {drone_id} is not the next registry index")
+            serial_hash = _hashed(tx.args["serial"])
+            self.records.append(
+                DroneRecord(drone_id, serial_hash, _hashed(tx.args["ownerNationalId"]), tx.caller)
+            )
+            self.storage["serial_index"][serial_hash] = drone_id
 
     def export_registry(self) -> list[dict[str, Any]]:
         return [r.to_public_dict() for r in self.records]

@@ -162,39 +162,33 @@ def _cmd_verify(chain_path: str) -> int:
 
 def _cmd_inspect(state_path: str, query: str) -> int:
     try:
-        data = json.loads(Path(state_path).read_bytes())
-        persistence._check_header(data, "state")
+        world = persistence.restore_world(Path(state_path).read_bytes())
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot read state snapshot {state_path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_CONFIG, f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (UnicodeDecodeError, persistence.CorruptPayload, persistence.SchemaMismatch) as exc:
+    except persistence.SchemaMismatch as exc:
         return _fail(EXIT_CONFIG, f"not a readable state snapshot: {exc}")
+    except persistence.CorruptPayload as exc:
+        return _fail(EXIT_CONFIG, f"malformed state snapshot: {exc}")
 
     result: Any
-    try:
-        if query == "accounts":
-            result = data["accounts"]
-        elif query.startswith("account:"):
-            wanted = query.split(":", 1)[1]
-            matches = [a for a in data["accounts"] if a["id"] == wanted]
-            if not matches:
-                return _fail(EXIT_CONFIG, f"no such account: {wanted}")
-            result = matches[0]
-        elif query == "drones":
-            result = data["authority"]["records"]
-        elif query == "plans":
-            result = data["uss"]["plans"]
-        elif query == "supply":
-            result = {"total": str(persistence.snapshot_supply(data))}
-        elif query == "reputation":
-            result = data["uss"]["reputation"]
-        else:
-            return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
-    except persistence.CorruptPayload as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"malformed state snapshot ({type(exc).__name__}: {exc})")
+    if query == "accounts":
+        result = persistence.account_table(world.ledger)
+    elif query.startswith("account:"):
+        wanted = query.split(":", 1)[1]
+        matches = [a for a in persistence.account_table(world.ledger) if a["id"] == wanted]
+        if not matches:
+            return _fail(EXIT_CONFIG, f"no such account: {wanted}")
+        result = matches[0]
+    elif query == "drones":
+        result = world.authority.export_registry()
+    elif query == "plans":
+        result = world.uss.export_active_plans()
+    elif query == "supply":
+        result = {"total": str(world.ledger.total_supply())}
+    elif query == "reputation":
+        result = world.uss.export_reputation()
+    else:
+        return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
     print(canonical_json(result).decode())
     return EXIT_OK
 

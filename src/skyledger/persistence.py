@@ -8,28 +8,29 @@ File kinds and extensions:
     *.metrics.json    run metrics
 
 Snapshots are canonical: the same state always produces the same bytes
-(sorted keys, currency as decimal strings, digests as hex). Mission
-nonces are the one secret in the system, so they are XOR-encrypted at
-rest with an SHA-256 keystream derived from a scenario-level key;
-shareable exports (plan tables, registry) exclude them entirely.
+(sorted keys, currency as decimal strings, digests as hex). A state
+snapshot holds only what the chain cannot give: the scenario, the clock,
+the agents, the RNG and the chain itself, plus the account balances as a
+cross-check. Restore folds contract storage and balances from the
+chain's successful records, so a snapshot cannot disagree with its log.
+Mission nonces, the one secret in the system, follow from the scenario
+seed and are in no file; shareable exports (plan tables, registry)
+exclude them too.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from . import geo
-from .authority import DroneRecord
-from .economics import ReputationState
-from .ledger import Block, canonical_json, verify_blocks
+from .ledger import Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
 from .sim import RunMetrics, Scenario, World
-from .uss import MissionPlan, SightingRecord, Subscription
 
-SCHEMA = {"major": 1, "minor": 0}
+SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
+STATE_SCHEMA = {"major": 2, "minor": 0}  # 2.0 saves no contract storage: restore folds it from the chain
 
 
 class SchemaMismatch(ValueError):
@@ -40,10 +41,10 @@ class CorruptPayload(ValueError):
     """File bytes do not decode to the declared structure."""
 
 
-def _check_header(data: dict[str, Any], kind: str) -> None:
+def _check_header(data: dict[str, Any], kind: str, schema: dict[str, int] = SCHEMA) -> None:
     if not isinstance(data, dict) or not isinstance(data.get("schema"), dict):
         raise CorruptPayload(f"missing schema header in {kind} payload")
-    if data["schema"].get("major") != SCHEMA["major"]:
+    if data["schema"].get("major") != schema["major"]:
         raise SchemaMismatch(f"unsupported major version {data['schema']!r}")
     if data.get("kind") != kind:
         raise CorruptPayload(f"expected kind {kind!r}, found {data.get('kind')!r}")
@@ -140,47 +141,12 @@ def write_congestion_fee_csv(path: str | Path, scenario: Scenario, max_missions:
 
 # -- state snapshots -----------------------------------------------------------
 
-def _nonce_keystream(seed: int, drone_id: int) -> bytes:
-    key = hashlib.sha256(b"snapshot-key:" + str(seed).encode()).digest()
-    return hashlib.sha256(key + drone_id.to_bytes(8, "big") + b"nonce").digest()[:16]
-
-
-def _xor(data: bytes, stream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, stream))
-
-
-def _plan_to_dict(plan: MissionPlan) -> dict[str, Any]:
-    d = plan.to_public_dict()
-    d["ownerAccount"] = plan.owner_account
-    d["srcArcsec"] = list(plan.src_arcsec)
-    d["dstArcsec"] = list(plan.dst_arcsec)
-    d["altBand"] = plan.alt_band
-    return d
-
-
-def _plan_from_dict(d: dict[str, Any]) -> MissionPlan:
-    if not d["route"]:
-        raise CorruptPayload(f"plan for drone {d['droneId']} has no route")  # deconfliction reads its end cells
-    return MissionPlan(
-        drone_id=d["droneId"],
-        owner_account=d["ownerAccount"],
-        source=d["source"],
-        destination=d["destination"],
-        departure_date=d["departureDate"],
-        departure_time=d["departureTime"],
-        departure_epoch=d["departureEpoch"],
-        arrival_epoch=d["arrivalEpoch"],
-        src_arcsec=tuple(d["srcArcsec"]),
-        dst_arcsec=tuple(d["dstArcsec"]),
-        altitude_m=d["altitudeM"],
-        alt_band=d["altBand"],
-        route=[
-            geo.CellWindow(w["latIdx"], w["lonIdx"], w["altBand"], w["enterS"], w["exitS"])
-            for w in d["route"]
-        ],
-        rid_vc=bytes.fromhex(d["ridVc"]),
-        active=d["active"],
-    )
+def account_table(ledger: Ledger) -> list[dict[str, str]]:
+    """Every account's id, role and balance (a decimal string), sorted by id."""
+    return [
+        {"id": a.id, "role": a.role, "balance": str(a.balance)}
+        for a in sorted(ledger.accounts.values(), key=lambda a: a.id)
+    ]
 
 
 def snapshot_world(world: World) -> bytes:
@@ -188,54 +154,19 @@ def snapshot_world(world: World) -> bytes:
     if world.ledger.pending:
         raise ValueError("seal pending transactions before snapshotting")
     ledger = world.ledger
-    uss = world.uss.storage
-    seed = world.scenario.seed
     rng_state = world.rng.getstate()
     data = {
-        "schema": dict(SCHEMA),
+        "schema": dict(STATE_SCHEMA),
         "kind": "state",
         "scenario": world.scenario.to_dict(),
         "tick": world.tick,
         "clock": ledger.clock,
-        "txCounter": ledger._tx_counter,
-        "accounts": [
-            {"id": a.id, "role": a.role, "balance": str(a.balance)}
-            for a in sorted(ledger.accounts.values(), key=lambda a: a.id)
-        ],
-        "authority": {"records": [r.to_public_dict() for r in world.authority.records]},
-        "uss": {
-            "subscriptions": {
-                str(k): {"droneId": s.drone_id, "subscriber": s.subscriber,
-                         "paidFee": str(s.paid_fee), "expiry": s.expiry}
-                for k, s in uss["subscriptions"].items()
-            },
-            "plans": {str(k): _plan_to_dict(p) for k, p in uss["plans"].items()},
-            "noncesEnc": {
-                str(k): _xor(v, _nonce_keystream(seed, k)).hex()
-                for k, v in uss["nonces"].items()
-            },
-            "reportCounts": {
-                str(k): dict(sorted(v.items())) for k, v in uss["report_counts"].items()
-            },
-            "sightings": [
-                {"reporter": s.reporter, "droneId": s.drone_id, "rid": s.rid_hex,
-                 "cell": list(s.cell), "sightingTime": s.sighting_time, "verdict": s.verdict}
-                for s in uss["sightings"]
-            ],
-            "reputation": {
-                owner: {"reputationMicro": st.reputation_micro, "kMicro": st.k_micro}
-                for owner, st in uss["reputation"].items()
-            },
-            "escrowByDrone": {str(k): str(v) for k, v in uss["escrow_by_drone"].items()},
-            "forfeited": {str(k): str(v) for k, v in uss["forfeited"].items()},
-            "nonceCounter": uss["nonce_counter"],
-        },
+        "accounts": account_table(ledger),
         "agents": {
             "drones": [
                 {
                     "name": d.spec.name,
                     "droneId": d.drone_id,
-                    "plan": d.plan,
                     "flightDurationS": d.flight_duration_s,
                     "completed": d.completed,
                 }
@@ -260,91 +191,58 @@ def snapshot_world(world: World) -> bytes:
 def restore_world(payload: bytes) -> World:
     try:
         data = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptPayload(f"snapshot does not parse: {exc}") from None
-    _check_header(data, "state")
+    _check_header(data, "state", STATE_SCHEMA)
     try:
         return _rebuild(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
 
 
-def snapshot_supply(data: dict[str, Any]) -> int:
-    """Sum of a parsed snapshot's balances; CorruptPayload unless it is the genesis total supply."""
-    total = sum(int(a["balance"]) for a in data["accounts"])
-    genesis = data["chain"][0]["transactions"][0]
-    if genesis["op"] != "genesis" or total != genesis["payload"]["totalSupply"]:
-        raise CorruptPayload("snapshot balances do not sum to the genesis total supply")
-    return total
+def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[TransactionRecord]) -> None:
+    """Apply the logged successes to a freshly deployed ledger and its contracts; nothing is re-executed.
+
+    Each balance moves by the records' balanceDeltas, and each contract's
+    apply_log rebuilds its storage from the records' args and payloads.
+    """
+    successes = [tx for tx in records if tx.status == "success" and tx.op != "genesis"]
+    for tx in successes:
+        for account, delta in tx.balance_deltas.items():
+            ledger.accounts[account].balance += delta
+    for contract in contracts:
+        contract.apply_log(successes)
 
 
 def _rebuild(data: dict[str, Any]) -> World:
-    """Build the scenario's world as a live run does, then load the saved state onto it."""
+    """Build the scenario's world as a live run does, fold its chain into it, then load the agents."""
     scenario = Scenario.from_dict(data["scenario"])
     world = World.deployed(scenario)
     ledger = world.ledger
     saved_accounts = sorted((a["id"], a["role"]) for a in data["accounts"])
     if saved_accounts != sorted((a.id, a.role) for a in ledger.accounts.values()):
         raise CorruptPayload("snapshot accounts differ from the accounts the scenario creates")
-    for acc in data["accounts"]:
-        ledger.accounts[acc["id"]].balance = int(acc["balance"])
-    ledger.clock = data["clock"]
-    ledger._tx_counter = data["txCounter"]
     ledger.blocks = [Block.from_dict(b) for b in data["chain"]]
-    snapshot_supply(data)
+    records = [tx for block in ledger.blocks for tx in block.transactions]
+    if not records or records[0].op != "genesis" or records[0].payload != {"totalSupply": ledger.total_supply()}:
+        raise CorruptPayload("snapshot chain does not open with the scenario's genesis")
+    if any(tx.tx_id != i for i, tx in enumerate(records)):
+        raise CorruptPayload("snapshot chain tx ids are not dense")
+    ledger._tx_counter = len(records)
+    fold_log(ledger, (world.authority, world.uss), records)
+    for acc in data["accounts"]:
+        if int(acc["balance"]) != ledger.accounts[acc["id"]].balance:
+            raise CorruptPayload(f"balance of {acc['id']} differs from the one its chain gives")
+    ledger.clock = data["clock"]
 
-    authority, uss = world.authority, world.uss
-    authority.storage["records"] = [
-        DroneRecord(
-            drone_id=r["droneId"],
-            serial_hash=r["serialHash"],
-            owner_national_id_hash=r["ownerNationalIdHash"],
-            owner_account=r["ownerAccount"],
-            rewards=r["rewards"],
-            penalties=r["penalties"],
-            has_active_plan=r["hasActivePlan"],
-            sign_tac=r["signTAC"],
-        )
-        for r in data["authority"]["records"]
-    ]
-    authority.storage["serial_index"] = {
-        r.serial_hash: r.drone_id for r in authority.storage["records"]
-    }
-
-    u = data["uss"]
-    seed = scenario.seed
-    uss.storage["subscriptions"] = {
-        int(k): Subscription(v["droneId"], v["subscriber"], int(v["paidFee"]), v["expiry"])
-        for k, v in u["subscriptions"].items()
-    }
-    uss.storage["plans"] = {int(k): _plan_from_dict(v) for k, v in u["plans"].items()}
-    uss.storage["nonces"] = {
-        int(k): _xor(bytes.fromhex(v), _nonce_keystream(seed, int(k)))
-        for k, v in u["noncesEnc"].items()
-    }
-    uss.storage["report_counts"] = {
-        int(k): dict(v) for k, v in u["reportCounts"].items()
-    }
-    uss.storage["sightings"] = [
-        SightingRecord(s["reporter"], s["droneId"], s["rid"], tuple(s["cell"]),
-                       s["sightingTime"], s["verdict"])
-        for s in u["sightings"]
-    ]
-    uss.storage["reputation"] = {
-        owner: ReputationState(v["reputationMicro"], v["kMicro"])
-        for owner, v in u["reputation"].items()
-    }
-    uss.storage["escrow_by_drone"] = {int(k): int(v) for k, v in u["escrowByDrone"].items()}
-    uss.storage["forfeited"] = {int(k): int(v) for k, v in u["forfeited"].items()}
-    uss.storage["nonce_counter"] = u["nonceCounter"]
-
+    plans = {tx.payload["droneId"]: tx.payload for tx in records if tx.op == "request_plan" and tx.status == "success"}
     drones = {d["name"]: d for d in data["agents"]["drones"]}
     for drone in world.drones:
         saved = drones[drone.spec.name]
         drone.drone_id = saved["droneId"]
-        drone.plan = saved["plan"]
+        drone.plan = plans.get(drone.drone_id)
         drone.flight_duration_s = saved["flightDurationS"]
         drone.completed = saved["completed"]
     reporters = {r["name"]: r for r in data["agents"]["reporters"]}

@@ -19,15 +19,17 @@ the eventual payout, and drains to zero once every mission settles.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import economics, geo
 from .authority import AuthorityContract
 from .economics import FeeParams
-from .ledger import AccountId, ContractRevert, Ledger, LedgerError
+from .ledger import AccountId, ContractRevert, Ledger, LedgerError, TransactionRecord
 from .rid import compute_rid_vc, decode_rid, MalformedRid, verify_rid_vc
 
 REVERT_NOT_OWNER_SUBSCRIBE = "Not the owner of the registered drone"
@@ -174,13 +176,6 @@ class MissionPlan:
             "ridVc": self.rid_vc.hex(),
             "active": self.active,
         }
-
-    def planned_cell_at(self, at_s: int, grid: geo.GridConfig) -> tuple[int, int]:
-        elapsed = min(max(at_s - self.departure_epoch, 0), self.arrival_epoch - self.departure_epoch)
-        pos = geo.interpolate_position(
-            self.src_arcsec, self.dst_arcsec, elapsed, self.arrival_epoch - self.departure_epoch
-        )
-        return grid.cell_of(*pos)
 
 
 @dataclass
@@ -508,6 +503,83 @@ class UssContract:
             "reputationMicro": rep_micro,
             "kMicro": k_micro,
         }
+
+    def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
+        """Apply logged successes, in log order, to storage and to the registry's counters, as their ops did.
+
+        Reads only each record's args, payload, value and balanceDeltas; no
+        fee, schedule, sensing result or RID check is recomputed. The escrow
+        account's delta is what the mission's escrow gained or lost, and the
+        k-th successful plan holds the k-th nonce of the stream. A plan that
+        a later settlement removes is never built, and each distinct DMS
+        string is parsed once, so the cost follows the live plans and the
+        sightings rather than the plan history.
+        """
+        storage = self.storage
+        point = functools.cache(geo.parse_dms_pair)
+        planned: dict[int, TransactionRecord] = {}  # drone id -> its plan's record, while the plan is active
+        for tx in successes:
+            op, args, payload = tx.op, tx.args, tx.payload
+            if op not in ("subscribe", "request_plan", "report_drone", "report_completion"):
+                continue
+            drone_id = args["droneId"]
+            escrowed = tx.balance_deltas.get(self.escrow, 0)
+            if op == "subscribe":
+                storage["subscriptions"][drone_id] = Subscription(drone_id, tx.caller, tx.value, payload["expiry"])
+            elif op == "request_plan":
+                if not payload["route"]:
+                    raise ValueError(f"plan for drone {drone_id} has no route")  # deconfliction reads its end cells
+                planned[drone_id] = tx
+                storage["nonces"][drone_id] = NonceSource(self._nonce_seed, storage["nonce_counter"]).next()
+                storage["nonce_counter"] += 1
+                storage["report_counts"][drone_id] = {}
+                storage["escrow_by_drone"][drone_id] = escrowed
+                storage["forfeited"][drone_id] = 0
+                self.authority.set_active_plan(drone_id, True)
+            elif op == "report_drone":
+                counts = storage["report_counts"][drone_id]
+                counts[tx.caller] = counts.get(tx.caller, 0) + 1
+                storage["escrow_by_drone"][drone_id] += escrowed
+                if payload["verdict"] == VERDICT_REWARD:
+                    self.authority.add_reward(drone_id)
+                else:
+                    self.authority.add_penalty(drone_id)
+                    storage["forfeited"][drone_id] -= escrowed
+                cell = self.params.grid.cell_of(*point(args["sightingLocation"]))
+                storage["sightings"].append(
+                    SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], payload["verdict"])
+                )
+            else:
+                planned.pop(drone_id, None)
+                for name in _MISSION_MAPS:
+                    storage[name].pop(drone_id, None)
+                storage["reputation"][tx.caller] = economics.ReputationState(
+                    payload["reputationMicro"], payload["kMicro"]
+                )
+                self.authority.reset_counters(drone_id)
+                self.authority.set_active_plan(drone_id, False)
+        for drone_id, tx in planned.items():
+            plan = tx.payload
+            self.plans[drone_id] = MissionPlan(
+                drone_id=drone_id,
+                owner_account=tx.caller,
+                source=plan["source"],
+                destination=plan["destination"],
+                departure_date=plan["departureDate"],
+                departure_time=plan["departureTime"],
+                departure_epoch=plan["departureEpoch"],
+                arrival_epoch=plan["arrivalEpoch"],
+                src_arcsec=point(plan["source"]),
+                dst_arcsec=point(plan["destination"]),
+                altitude_m=plan["altitudeM"],
+                alt_band=self.params.altitude_m // self.params.altitude_band_m,
+                route=[
+                    geo.CellWindow(w["latIdx"], w["lonIdx"], w["altBand"], w["enterS"], w["exitS"])
+                    for w in plan["route"]
+                ],
+                rid_vc=bytes.fromhex(plan["ridVc"]),
+                active=plan["active"],
+            )
 
     def export_active_plans(self) -> list[dict[str, Any]]:
         return [self.plans[d].to_public_dict() for d in sorted(self.plans)]

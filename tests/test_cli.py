@@ -3,7 +3,10 @@ import re
 
 import pytest
 
-from skyledger.cli import main
+from skyledger import persistence
+from skyledger.cli import builtin_demo_scenario, main
+from skyledger.ledger import canonical_json
+from skyledger.sim import World
 
 
 def run_cli(*argv):
@@ -156,6 +159,35 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
+    def test_every_query_refuses_a_moved_balance(self, state_path, capsys, query):
+        data = json.loads(state_path.read_bytes())
+        for account, delta in zip(data["accounts"][:2], (-500, 500)):
+            account["balance"] = str(int(account["balance"]) + delta)
+        state_path.write_text(json.dumps(data))
+        assert run_cli("inspect", str(state_path), query) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_version_1_snapshot_exits_2(self, state_path, capsys):
+        data = json.loads(state_path.read_bytes())
+        data["schema"] = {"major": 1, "minor": 0}
+        state_path.write_text(json.dumps(data))
+        assert run_cli("inspect", str(state_path), "accounts") == 2
+        err = capsys.readouterr().err
+        assert "unsupported major version" in err and err.count("\n") == 1
+
+    def test_plans_are_the_public_plan_list(self, tmp_path, capsys):
+        world = World(builtin_demo_scenario())
+        while world.tick < 5:
+            world.step()
+        path = tmp_path / "mid.state.json"
+        path.write_bytes(persistence.snapshot_world(world))
+        assert run_cli("inspect", str(path), "plans") == 0
+        plans = json.loads(capsys.readouterr().out)
+        assert plans == json.loads(canonical_json(world.uss.export_active_plans()))
+        assert [p["droneId"] for p in plans] == [0] and "nonce" not in json.dumps(plans)
+
     def test_single_account_lookup(self, state_path, capsys):
         run_cli("inspect", str(state_path), "accounts")
         accounts = json.loads(capsys.readouterr().out)
@@ -185,7 +217,7 @@ class TestInspect:
     @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
     def test_header_without_body_exits_2(self, tmp_path, capsys, query):
         bare = tmp_path / "bare.state.json"
-        bare.write_text('{"schema":{"major":1,"minor":0},"kind":"state"}')
+        bare.write_text('{"schema":{"major":2,"minor":0},"kind":"state"}')
         assert run_cli("inspect", str(bare), query) == 2
         err = capsys.readouterr().err
         assert err.startswith("malformed state snapshot") and err.count("\n") == 1

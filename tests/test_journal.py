@@ -4,7 +4,7 @@ import copy
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import (
@@ -21,7 +21,7 @@ from conftest import (
     report,
     report_args,
 )
-from skyledger import ledger as ledger_module
+from skyledger import ledger as ledger_module, persistence
 from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, run
@@ -202,6 +202,21 @@ PLANNED_PREFIX = [
 ]
 
 
+def _generated_calls(bench, steps):
+    """(caller, op, args, value) of each step after the planned prefix, built against the state the earlier calls left."""
+    for op, who, drone_id, variant, shape, field, value in PLANNED_PREFIX + steps:
+        caller = getattr(bench, who)
+        args, wanted = _well_formed(bench, op, caller, drone_id, variant)
+        if shape != "valid":
+            key = sorted(args)[field % len(args)]
+            if shape == "missing":
+                del args[key]
+            else:
+                args[key] = shape
+        bench.ledger.clock = 100
+        yield caller, op, args, wanted if value == "args" else value
+
+
 @settings(max_examples=150, deadline=None)
 @given(steps=steps)
 def test_random_op_sequences_match_whole_tree_oracle(steps):
@@ -214,18 +229,9 @@ def test_random_op_sequences_match_whole_tree_oracle(steps):
     bench = make_bench()
     ledger = bench.ledger
     submit = oracles.WholeTreeSubmit(Ledger.submit)
-    for op, who, drone_id, variant, shape, field, value in PLANNED_PREFIX + steps:
-        caller = getattr(bench, who)
-        args, wanted = _well_formed(bench, op, caller, drone_id, variant)
-        if shape != "valid":
-            key = sorted(args)[field % len(args)]
-            if shape == "missing":
-                del args[key]
-            else:
-                args[key] = shape
-        ledger.clock = 100
+    for caller, op, args, value in _generated_calls(bench, steps):
         logged = list(ledger.pending)
-        rec = submit(ledger, caller, op, args, wanted if value == "args" else value)
+        rec = submit(ledger, caller, op, args, value)
         assert ledger.pending == logged + [rec]
         assert rec.tx_id == logged[-1].tx_id + 1
         checked, writes, deltas, digest_kept = submit.checked[-1]
@@ -233,6 +239,37 @@ def test_random_op_sequences_match_whole_tree_oracle(steps):
         assert (rec.state_writes, rec.balance_deltas) == (writes, deltas), rec.to_dict()
         if rec.status == "revert":
             assert digest_kept, rec.to_dict()
+
+
+# a reward, a supplier account's penalty, settlement, then a second plan and report for the same drone
+SETTLE_AND_REPLAN = [
+    ("report_drone", "reporter", 0, 0, "valid", 0, "args"),
+    ("report_drone", "uss_reader", 0, 1, "valid", 0, "args"),
+    ("report_completion", "operator", 0, 0, "valid", 0, "args"),
+    ("request_plan", "operator", 0, 1, "valid", 0, "args"),
+    ("report_drone", "reporter", 0, 0, "valid", 0, "args"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=steps)
+@example(steps=SETTLE_AND_REPLAN)
+def test_folding_the_log_gives_the_live_state(steps):
+    """Contract storage and balances are a fold of the logged successes, with nothing re-executed.
+
+    The sequences reach records a simulated run never logs, such as
+    reports filed by a supplier account and a second plan for a drone
+    after its settlement.
+    """
+    live = make_bench()
+    for caller, op, args, value in _generated_calls(live, steps):
+        live.ledger.submit(caller, op, args, value)
+    folded = make_bench()
+    persistence.fold_log(folded.ledger, (folded.authority, folded.uss), live.ledger.pending)
+    assert folded.ledger.state_digest() == live.ledger.state_digest()
+    assert {a: acc.balance for a, acc in folded.ledger.accounts.items()} == {
+        a: acc.balance for a, acc in live.ledger.accounts.items()
+    }
 
 
 @dataclasses.dataclass

@@ -96,6 +96,13 @@ def _inflate_first_operator(data):
     account["balance"] = str(int(account["balance"]) + 10**9)
 
 
+def _move_balance(data):
+    """500 units from the treasury to the first operator: the sum still equals the genesis supply."""
+    for role, delta in (("uss", -500), ("operator", 500)):
+        account = _first_account(data, role)
+        account["balance"] = str(int(account["balance"]) + delta)
+
+
 @pytest.mark.parametrize(
     "forge",
     [
@@ -103,6 +110,7 @@ def _inflate_first_operator(data):
         pytest.param(_add_next_derived_account, id="extra-account"),
         pytest.param(lambda d: d["accounts"].pop(), id="missing-account"),
         pytest.param(_inflate_first_operator, id="inflated-balance"),
+        pytest.param(_move_balance, id="moved-balance"),
         pytest.param(lambda d: d.update(chain=[]), id="empty-chain"),
     ],
 )
@@ -114,9 +122,15 @@ def test_forged_snapshot_is_corrupt(forge):
         persistence.restore_world(canonical_json(data))
 
 
+def _logged(data, op):
+    return next(
+        tx for block in data["chain"] for tx in block["transactions"] if tx["op"] == op and tx["status"] == "success"
+    )
+
+
 def test_plan_without_route_is_corrupt():
     data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
-    next(iter(data["uss"]["plans"].values()))["route"] = []
+    _logged(data, "request_plan")["payload"]["route"] = []
     with pytest.raises(persistence.CorruptPayload, match="no route"):
         persistence.restore_world(canonical_json(data))
 
@@ -140,7 +154,7 @@ def test_garbage_snapshot_is_corrupt():
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(b"not even json")
     with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(b'{"schema": {"major": 1}, "kind": "state"}')
+        persistence.restore_world(b'{"schema": {"major": 2}, "kind": "state"}')
 
 
 def test_unknown_major_version_rejected():
@@ -149,6 +163,20 @@ def test_unknown_major_version_rejected():
     data["schema"]["major"] = 99
     with pytest.raises(persistence.SchemaMismatch):
         persistence.restore_world(canonical_json(data))
+
+
+def test_version_1_snapshot_is_refused():
+    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
+    data["schema"] = {"major": 1, "minor": 0}
+    with pytest.raises(persistence.SchemaMismatch):
+        persistence.restore_world(canonical_json(data))
+
+
+def test_snapshot_holds_no_contract_storage():
+    data = json.loads(persistence.snapshot_world(run(compliant_scenario())[1]))
+    assert data["schema"] == {"major": 2, "minor": 0}
+    assert sorted(data) == ["accounts", "agents", "chain", "clock", "kind", "rng", "scenario", "schema", "tick"]
+    assert all("plan" not in d for d in data["agents"]["drones"])
 
 
 def test_nonces_survive_a_round_trip_but_never_in_the_clear():
