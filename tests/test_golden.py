@@ -59,8 +59,7 @@ def _stepped_to(scenario, tick):
     return world
 
 
-# sha256 of snapshot_world bytes; state schema 2.0 dropped the contract storage sections, so these
-# changed while the chain, scenario, accounts, reporter, RNG, clock and tick sections kept their bytes
+# sha256 of snapshot_world bytes (state schema 2.0)
 SNAPSHOT_GOLDEN = {
     "compliant-end": (
         lambda: run(compliant_scenario())[1],
