@@ -7,8 +7,6 @@ values (reputation, cost-scaling factor, smoothing weight) live on a
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 MICRO = 10**6
 
 
@@ -21,17 +19,3 @@ def div_round_half_up(numer: int, denom: int) -> int:
         raise ValueError("denominator must be positive")
     return (2 * numer + denom) // (2 * denom)
 
-
-def to_micro(value: int | float | str | Fraction) -> int:
-    """Convert a human-readable number to micro units, exactly.
-
-    Floats are routed through their repr so 0.3 becomes 300000, not
-    299999.
-    """
-    if isinstance(value, int):
-        return value * MICRO
-    frac = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
-    scaled = frac * MICRO
-    if scaled.denominator != 1:
-        raise ValueError(f"{value!r} is not representable on the 1e-6 grid")
-    return int(scaled)

@@ -128,9 +128,10 @@ def count_leaves(obj: Any) -> int:
 def diff_count(before: Any, after: Any) -> int:
     """Number of leaf values that changed, appeared, or disappeared.
 
-    Fields and entries that are the same object, or equal and of the
-    same type, are skipped, so the walk only descends into the parts of
-    a slot a transaction actually changed.
+    Fields and entries that are the same object are skipped, so the walk
+    only descends into the parts of a slot a transaction replaced. Only
+    scalars are compared with `!=`: an equal container may still hold a
+    leaf of another type (`False` where `0` was).
     """
     if type(before) is not type(after):
         return count_leaves(before) + count_leaves(after)
@@ -156,8 +157,10 @@ def diff_count(before: Any, after: Any) -> int:
             continue
         if type(old) is not type(new):
             total += count_leaves(old) + count_leaves(new)
-        elif old != new:
-            total += 1 if isinstance(old, _SCALARS) else diff_count(old, new)
+        elif isinstance(old, _SCALARS):
+            total += old != new
+        else:
+            total += diff_count(old, new)
     return total
 
 

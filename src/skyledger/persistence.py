@@ -9,10 +9,12 @@ File kinds and extensions:
 
 Snapshots are canonical: the same state always produces the same bytes
 (sorted keys, currency as decimal strings, digests as hex). A state
-snapshot holds only what the chain cannot give: the scenario, the clock,
-the agents, the RNG and the chain itself, plus the account balances as a
-cross-check. Restore folds contract storage and balances from the
-chain's successful records, so a snapshot cannot disagree with its log.
+snapshot holds only what the chain cannot give: the scenario, the tick
+and clock, each reporter's cell and replay memory, the RNG and the chain
+itself, plus the account balances as a cross-check. Restore folds
+contract storage and balances from the chain's successful records and
+has the agents learn the rest of their memory from it (World.learn), so
+a snapshot cannot disagree with its log.
 Mission nonces, the one secret in the system, follow from the scenario
 seed and are in no file; shareable exports (plan tables, registry)
 exclude them too.
@@ -30,7 +32,7 @@ from .ledger import Block, ContractRevert, Ledger, TransactionRecord, canonical_
 from .sim import RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
-STATE_SCHEMA = {"major": 2, "minor": 0}  # 2.0 saves no contract storage: restore folds it from the chain
+STATE_SCHEMA = {"major": 3, "minor": 0}  # 3.0 saves no contract storage and no agent memory the chain gives
 
 
 class SchemaMismatch(ValueError):
@@ -162,26 +164,10 @@ def snapshot_world(world: World) -> bytes:
         "tick": world.tick,
         "clock": ledger.clock,
         "accounts": account_table(ledger),
-        "agents": {
-            "drones": [
-                {
-                    "name": d.spec.name,
-                    "droneId": d.drone_id,
-                    "flightDurationS": d.flight_duration_s,
-                    "completed": d.completed,
-                }
-                for d in world.drones
-            ],
-            "reporters": [
-                {
-                    "name": r.spec.name,
-                    "cell": list(r.cell),
-                    "attempted": sorted(r.attempted),
-                    "heard": {str(k): [v[0], v[1]] for k, v in r.heard.items()},
-                }
-                for r in world.reporters
-            ],
-        },
+        "reporters": [
+            {"name": r.spec.name, "cell": list(r.cell), "heard": {str(k): [v[0], v[1]] for k, v in r.heard.items()}}
+            for r in world.reporters
+        ],
         "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
         "chain": [b.to_dict() for b in ledger.blocks],
     }
@@ -196,7 +182,7 @@ def restore_world(payload: bytes) -> World:
     _check_header(data, "state", STATE_SCHEMA)
     try:
         return _rebuild(data)
-    except (KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
@@ -217,7 +203,7 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
 
 
 def _rebuild(data: dict[str, Any]) -> World:
-    """Build the scenario's world as a live run does, fold its chain into it, then load the agents."""
+    """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
     scenario = Scenario.from_dict(data["scenario"])
     world = World.deployed(scenario)
     ledger = world.ledger
@@ -236,20 +222,12 @@ def _rebuild(data: dict[str, Any]) -> World:
         if int(acc["balance"]) != ledger.accounts[acc["id"]].balance:
             raise CorruptPayload(f"balance of {acc['id']} differs from the one its chain gives")
     ledger.clock = data["clock"]
-
-    plans = {tx.payload["droneId"]: tx.payload for tx in records if tx.op == "request_plan" and tx.status == "success"}
-    drones = {d["name"]: d for d in data["agents"]["drones"]}
-    for drone in world.drones:
-        saved = drones[drone.spec.name]
-        drone.drone_id = saved["droneId"]
-        drone.plan = plans.get(drone.drone_id)
-        drone.flight_duration_s = saved["flightDurationS"]
-        drone.completed = saved["completed"]
-    reporters = {r["name"]: r for r in data["agents"]["reporters"]}
+    for block in ledger.blocks:
+        world.learn(block.transactions)
+    reporters = {r["name"]: r for r in data["reporters"]}
     for rep in world.reporters:
         saved = reporters[rep.spec.name]
         rep.cell = tuple(saved["cell"])
-        rep.attempted = set(saved["attempted"])
         rep.heard = {int(k): (v[0], v[1]) for k, v in saved["heard"].items()}
 
     world.tick = data["tick"]

@@ -29,13 +29,13 @@ import hashlib
 import random
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import geo
 from .authority import AuthorityContract
 from .economics import FeeParams
 from .fixedmath import MICRO
-from .ledger import Block, Ledger
+from .ledger import Block, Ledger, TransactionRecord
 from .rid import RidFaa, RidMessage, encode_rid
 from .uss import UssContract, UssParams
 
@@ -43,6 +43,7 @@ SCHEMA = {"major": 1, "minor": 0}
 
 BEHAVIOR_KINDS = ("compliant", "deviating", "silent", "forger")
 HONESTY_KINDS = ("honest", "replayer")
+_LEARNED_OPS = frozenset({"register_drone", "request_plan", "report_completion", "report_drone"})
 
 
 class ScenarioError(ValueError):
@@ -410,6 +411,53 @@ class World:
             for spec in scenario.reporters
         ]
         self.replayers = [rep for rep in self.reporters if rep.spec.honesty == "replayer"]
+        self._drone_by_serial = {d.spec.serial: d for d in self.drones}
+        self._drone_by_id: dict[int, _DroneState] = {}
+        self._reporter_by_account = {rep.account: rep for rep in self.reporters}
+
+    def learn(self, records: Iterable[TransactionRecord]) -> None:
+        """Write the agent memory that the log determines, from the records of one sealed block.
+
+        Successes give a drone its id (register_drone, matched by serial), its
+        plan and its flight time at its own speed (request_plan) and its
+        settlement (report_completion). Any report_drone, success or revert,
+        marks the drone as attempted by the reporter that filed it. Drones
+        settled here then leave every reporter's memory.
+        """
+        settled = set()
+        for tx in records:
+            if tx.op not in _LEARNED_OPS:
+                continue
+            drone_id = tx.args.get("droneId")
+            if tx.op == "report_drone":
+                rep = self._reporter_by_account.get(tx.caller)
+                if rep is not None and type(drone_id) is int:
+                    rep.attempted.add(drone_id)
+            elif tx.status != "success":
+                continue
+            elif tx.op == "register_drone":
+                drone = self._drone_by_serial.get(tx.args["serial"])
+                if drone is not None:
+                    drone.drone_id = tx.payload["droneId"]
+                    self._drone_by_id[drone.drone_id] = drone
+            elif (drone := self._drone_by_id.get(drone_id)) is None:
+                continue
+            elif tx.op == "request_plan":
+                drone.plan = plan = tx.payload
+                if drone.spec.speed_mps is None:  # flies at the cruise speed the USS timed the plan with
+                    drone.flight_duration_s = plan["arrivalEpoch"] - plan["departureEpoch"]
+                else:
+                    drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, drone.spec.speed_mps)
+            else:  # report_completion
+                drone.completed = True
+                settled.add(drone_id)
+        if settled:
+            for rep in self.reporters:
+                if rep.attempted:
+                    rep.attempted -= settled
+                if rep.heard:
+                    for drone_id in rep.heard.keys() & settled:
+                        del rep.heard[drone_id]
 
     # -- protocol setup: register, subscribe, quote, plan -------------------
 
@@ -424,23 +472,21 @@ class World:
             )
             if reg.status != "success":
                 continue
-            drone.drone_id = reg.payload["droneId"]
+            drone_id = reg.payload["droneId"]
             self.ledger.submit(
                 drone.operator_account,
                 "subscribe",
-                {"droneId": drone.drone_id},
+                {"droneId": drone_id},
                 value=self.scenario.subscription_fee,
             )
-            quote = self.ledger.submit(
-                drone.operator_account, "request_quote", {"droneId": drone.drone_id}
-            )
+            quote = self.ledger.submit(drone.operator_account, "request_quote", {"droneId": drone_id})
             if quote.status != "success":
                 continue
-            plan = self.ledger.submit(
+            self.ledger.submit(
                 drone.operator_account,
                 "request_plan",
                 {
-                    "droneId": drone.drone_id,
+                    "droneId": drone_id,
                     "source": spec.mission.source,
                     "destination": spec.mission.destination,
                     "departureDate": spec.mission.departure_date,
@@ -448,11 +494,7 @@ class World:
                 },
                 value=quote.payload["fee"],
             )
-            if plan.status == "success":
-                drone.plan = plan.payload
-                speed = spec.speed_mps or self.scenario.cruise_speed_mps
-                drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, speed)
-        self.ledger.seal_block()
+        self.learn(self.ledger.seal_block().transactions)
 
     # -- per-tick agent phases ----------------------------------------------
 
@@ -460,7 +502,7 @@ class World:
         return self.tick * self.scenario.tick_seconds
 
     def step(self) -> None:
-        """Advance one tick: move, broadcast, sense/report, complete, seal."""
+        """Advance one tick: move, broadcast, sense/report, complete, seal and learn."""
         now = self.now()
         self.ledger.clock = now
         self._walk_reporters()
@@ -468,7 +510,7 @@ class World:
         self._report_phase(broadcasts, now)
         self._completion_phase(now)
         if self.ledger.pending:
-            self.ledger.seal_block()
+            self.learn(self.ledger.seal_block().transactions)
         self.tick += 1
 
     def _walk_reporters(self) -> None:
@@ -561,7 +603,6 @@ class World:
             if rep.spec.honesty == "honest":
                 if drone.drone_id in rep.attempted:
                     continue
-                rep.attempted.add(drone.drone_id)
                 self.ledger.submit(
                     rep.account,
                     "report_drone",
@@ -580,7 +621,6 @@ class World:
                 rid_hex, heard_tick = rep.heard[drone_id]
                 if drone_id in rep.attempted or self.tick - heard_tick < rep.spec.replay_delay_ticks:
                     continue
-                rep.attempted.add(drone_id)
                 false_pos = self._reporter_arcsec(rep)
                 self.ledger.submit(
                     rep.account,
@@ -594,25 +634,16 @@ class World:
                 )
 
     def _completion_phase(self, now: int) -> None:
-        settled = set()
         for drone in self.drones:
             if drone.plan is None or drone.completed:
                 continue
             if now <= drone.plan["departureEpoch"] + drone.flight_duration_s:
                 continue
-            result = self.ledger.submit(
+            self.ledger.submit(
                 drone.operator_account,
                 "report_completion",
                 {"droneId": drone.drone_id, "ridVc": drone.plan["ridVc"]},
             )
-            if result.status == "success":
-                drone.completed = True
-                settled.add(drone.drone_id)
-        if settled:
-            for rep in self.reporters:
-                rep.attempted.difference_update(settled)
-                for drone_id in rep.heard.keys() & settled:
-                    del rep.heard[drone_id]
 
     def run_to_end(self) -> None:
         while self.tick < self.scenario.duration_ticks:

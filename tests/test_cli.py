@@ -177,6 +177,14 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "unsupported major version" in err and err.count("\n") == 1
 
+    def test_version_2_snapshot_exits_2(self, state_path, capsys):
+        data = json.loads(state_path.read_bytes())
+        data["schema"] = {"major": 2, "minor": 0}
+        state_path.write_text(json.dumps(data))
+        assert run_cli("inspect", str(state_path), "drones") == 2
+        err = capsys.readouterr().err
+        assert "unsupported major version" in err and err.count("\n") == 1
+
     def test_plans_are_the_public_plan_list(self, tmp_path, capsys):
         world = World(builtin_demo_scenario())
         while world.tick < 5:
@@ -217,7 +225,7 @@ class TestInspect:
     @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
     def test_header_without_body_exits_2(self, tmp_path, capsys, query):
         bare = tmp_path / "bare.state.json"
-        bare.write_text('{"schema":{"major":2,"minor":0},"kind":"state"}')
+        bare.write_text('{"schema":{"major":3,"minor":0},"kind":"state"}')
         assert run_cli("inspect", str(bare), query) == 2
         err = capsys.readouterr().err
         assert err.startswith("malformed state snapshot") and err.count("\n") == 1

@@ -12,7 +12,7 @@ from skyledger.economics import (
     reputation_surface,
     update_k,
 )
-from skyledger.fixedmath import MICRO, div_round_half_up, to_micro
+from skyledger.fixedmath import MICRO, div_round_half_up
 
 
 def test_div_round_half_up():
@@ -22,14 +22,6 @@ def test_div_round_half_up():
     assert div_round_half_up(-3, 2) == -1
     with pytest.raises(ValueError):
         div_round_half_up(1, 0)
-
-
-def test_to_micro_exact():
-    assert to_micro(0.3) == 300_000
-    assert to_micro(1) == MICRO
-    assert to_micro("0.05") == 50_000
-    with pytest.raises(ValueError):
-        to_micro("0.0000001")
 
 
 class TestDynamicFee:

@@ -59,19 +59,19 @@ def _stepped_to(scenario, tick):
     return world
 
 
-# sha256 of snapshot_world bytes (state schema 2.0)
+# sha256 of snapshot_world bytes (state schema 3.0)
 SNAPSHOT_GOLDEN = {
     "compliant-end": (
         lambda: run(compliant_scenario())[1],
-        "e917ea1cd900b4cb26d5cf64cafd657d520d8da3b23628a469fdc25efc9fbbcb",
+        "35e2ddf6f797aeb137e9c53395437e7e5ea330f9c3cbb1c4dfecb8e75a39e307",
     ),
     "deviating-end": (
         lambda: run(deviating_scenario())[1],
-        "7481b17cdc2a6fa0ebeb01929a02c81137c7afea44eac175824dd62a50718039",
+        "f48239bae6452d60cf719b1710b086c9f6f810553ff1af7d6d5353e6109b61aa",
     ),
     "compliant-tick15": (
         lambda: _stepped_to(compliant_scenario(), 15),
-        "e3e34262ee8a45ea677a14ce57d174290a737a5e6af45350778c76f1c2a25ff4",
+        "3fdbe58d46ce5ef90e5f0335dc670f43d9eeb9652ba2a16734dcaa51289c88cb",
     ),
 }
 

@@ -278,9 +278,7 @@ class _Pair:
     right: object
 
 
-# no booleans: diff_count, like the ledger always has, takes False == 0 inside an
-# equal container as unchanged, where the oracle counts a type change
-_leaf = st.one_of(st.integers(-2, 2), st.sampled_from(["", "a", "b"]), st.none())
+_leaf = st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from(["", "a", "b"]), st.none())
 _trees = st.recursive(
     _leaf,
     lambda inner: st.one_of(
@@ -294,6 +292,7 @@ _trees = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(before=_trees, after=_trees)
+@example(before=_Pair(_Pair(0, 0), None), after=_Pair(_Pair(0, False), []))
 def test_diff_count_equals_whole_tree_leaf_diff(before, after):
     expected = oracles.whole_tree_leaf_diff(oracles._plain(before), oracles._plain(after))
     assert diff_count(before, after) == expected

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -6,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import REPO_ROOT, compliant_scenario, deviating_scenario
+from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario
 from skyledger import persistence
 from skyledger.ledger import canonical_json
 from skyledger.sim import World, run
@@ -82,6 +83,49 @@ def test_checkpoint_resume_equals_straight_through(name, tick):
     assert canonical_json(resumed.metrics().to_dict()) == canonical_json(straight.metrics().to_dict())
 
 
+def _agent_memory(world):
+    """Per drone its id, plan, flight time and settlement; per reporter its cell, reports and replay memory."""
+    drones = [(d.drone_id, d.plan, d.flight_duration_s, d.completed) for d in world.drones]
+    reporters = [(r.cell, r.attempted, r.heard) for r in world.reporters]
+    return drones, reporters
+
+
+@pytest.mark.parametrize(
+    "name,tick",
+    [(name, tick) for name in sorted(RESUMED_SCENARIOS) for tick in (3, 12, 25)] + [("compliant", 15), ("demo", 15)],
+)
+def test_restored_agents_remember_what_the_live_ones_do(name, tick):
+    live = World(RESUMED_SCENARIOS[name]())
+    while live.tick < tick:
+        live.step()
+    restored = persistence.restore_world(persistence.snapshot_world(live))
+    assert _agent_memory(restored) == _agent_memory(live)
+
+
+def test_report_with_a_malformed_drone_id_teaches_no_agent():
+    world = World(compliant_scenario())
+    before = copy.deepcopy(_agent_memory(world))
+    reporter = world.reporters[0].account
+    for drone_id in ("0", True, [0], None):
+        args = {"droneId": drone_id, "rid": "00", "sightingLocation": SRC, "sightingTime": 0}
+        world.ledger.submit(reporter, "report_drone", args)
+    block = world.ledger.seal_block()
+    assert {tx.reason for tx in block.transactions} == {"invalid-arg:droneId"}
+    world.learn(block.transactions)
+    assert _agent_memory(world) == before
+    assert _agent_memory(persistence.restore_world(persistence.snapshot_world(world))) == before
+
+
+def test_reverted_report_whose_args_are_not_an_object_is_corrupt():
+    world = World(compliant_scenario())
+    world.ledger.submit(world.reporters[0].account, "report_drone", {"droneId": 0})
+    world.ledger.seal_block()
+    data = json.loads(persistence.snapshot_world(world))
+    data["chain"][-1]["transactions"][-1]["args"] = []
+    with pytest.raises(persistence.CorruptPayload):
+        persistence.restore_world(canonical_json(data))
+
+
 def _first_account(data, role):
     return next(a for a in data["accounts"] if a["role"] == role)
 
@@ -154,7 +198,7 @@ def test_garbage_snapshot_is_corrupt():
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(b"not even json")
     with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(b'{"schema": {"major": 2}, "kind": "state"}')
+        persistence.restore_world(b'{"schema": {"major": 3}, "kind": "state"}')
 
 
 def test_unknown_major_version_rejected():
@@ -165,18 +209,19 @@ def test_unknown_major_version_rejected():
         persistence.restore_world(canonical_json(data))
 
 
-def test_version_1_snapshot_is_refused():
+@pytest.mark.parametrize("major", [1, 2])
+def test_older_major_snapshot_is_refused(major):
     data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
-    data["schema"] = {"major": 1, "minor": 0}
+    data["schema"] = {"major": major, "minor": 0}
     with pytest.raises(persistence.SchemaMismatch):
         persistence.restore_world(canonical_json(data))
 
 
 def test_snapshot_holds_no_contract_storage():
     data = json.loads(persistence.snapshot_world(run(compliant_scenario())[1]))
-    assert data["schema"] == {"major": 2, "minor": 0}
-    assert sorted(data) == ["accounts", "agents", "chain", "clock", "kind", "rng", "scenario", "schema", "tick"]
-    assert all("plan" not in d for d in data["agents"]["drones"])
+    assert data["schema"] == {"major": 3, "minor": 0}
+    assert sorted(data) == ["accounts", "chain", "clock", "kind", "reporters", "rng", "scenario", "schema", "tick"]
+    assert all(sorted(r) == ["cell", "heard", "name"] for r in data["reporters"])
 
 
 def test_nonces_survive_a_round_trip_but_never_in_the_clear():
