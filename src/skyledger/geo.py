@@ -140,6 +140,15 @@ class CellWindow:
     exit_s: int
 
 
+def _cell_changes(grid: GridConfig, src: int, dst: int, duration_s: int) -> list[int]:
+    """Seconds of flight at which one axis, at (2*src*D + 2*delta*u + D) // (2*D) after u s, enters a new cell."""
+    delta, d2, base = dst - src, 2 * duration_s, 2 * src * duration_s + duration_s
+    first, last, cs, mpa = grid.cell_index(src), grid.cell_index(dst), grid.cell_size_m, grid.meters_per_arcsec
+    if delta > 0:  # cell k starts at arcsecond ceil(k*cs/mpa)
+        return [-((base - d2 * -(-k * cs // mpa)) // (2 * delta)) for k in range(first + 1, last + 1)]
+    return [(d2 * -(-(k + 1) * cs // mpa) - base) // (2 * delta) + 1 for k in range(first - 1, last - 1, -1)]
+
+
 def route_occupancy(
     grid: GridConfig,
     src: tuple[int, int],
@@ -150,21 +159,16 @@ def route_occupancy(
 ) -> list[CellWindow]:
     """Cells crossed by the straight src->dst flight, with time windows.
 
-    Sampled once per second of flight and coalesced, which makes the
-    windows exactly consistent with interpolate_position at integer
-    times.
+    A window starts at each second where either axis enters a new cell,
+    and its cell is read with interpolate_position there, so the windows
+    are exactly those of sampling each second of flight.
     """
-    windows: list[CellWindow] = []
-    current: tuple[int, int] | None = None
-    start = 0
-    for u in range(duration_s + 1):
-        cell = grid.cell_of(*interpolate_position(src, dst, u, duration_s))
-        if cell != current:
-            if current is not None:
-                windows.append(CellWindow(current[0], current[1], alt_band, depart_s + start, depart_s + u - 1))
-            current, start = cell, u
-    assert current is not None
-    windows.append(CellWindow(current[0], current[1], alt_band, depart_s + start, depart_s + duration_s))
+    changes = sorted({*_cell_changes(grid, src[0], dst[0], duration_s),
+                      *_cell_changes(grid, src[1], dst[1], duration_s)}) if duration_s > 0 else []
+    windows = []
+    for start, end in zip([0, *changes], [*(u - 1 for u in changes), duration_s]):
+        cell = grid.cell_of(*interpolate_position(src, dst, start, duration_s))
+        windows.append(CellWindow(cell[0], cell[1], alt_band, depart_s + start, depart_s + end))
     return windows
 
 

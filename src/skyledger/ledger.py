@@ -339,6 +339,7 @@ class Ledger:
         self._event_buffer: list[dict[str, Any]] = []
         self._journal: _Journal | None = None  # open only while a state-changing op runs
         self._view_running = False
+        self._commit_queue: list[Callable[[], None]] = []  # on_commit callbacks of the running op
 
     # -- accounts ---------------------------------------------------------
 
@@ -429,6 +430,13 @@ class Ledger:
             old = _read_slot(container, key)
             journal[slot] = (container, key, old if old is _ABSENT else _copy_slot(old))
 
+    def on_commit(self, fn: Callable[[], None]) -> None:
+        """Run fn once the running transaction succeeds and is metered (outside submit(), now); a failure drops it."""
+        if self._journal is None:
+            fn()
+        else:
+            self._commit_queue.append(fn)
+
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing."""
         self._event_buffer.append({"name": name, "args": args})
@@ -513,9 +521,11 @@ class Ledger:
             if journal:
                 self._meter(rec, journal)
             rec.events = self._event_buffer
+            for fn in self._commit_queue:
+                fn()
         finally:
             self._journal, self._view_running = None, False
-            self._event_buffer = []
+            self._event_buffer, self._commit_queue = [], []
         self.pending.append(rec)
         return rec
 

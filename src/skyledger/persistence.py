@@ -229,6 +229,9 @@ def _rebuild(data: dict[str, Any]) -> World:
         saved = reporters[rep.spec.name]
         rep.cell = tuple(saved["cell"])
         rep.heard = {int(k): (v[0], v[1]) for k, v in saved["heard"].items()}
+        ints = {type(x) for x in (*rep.cell, *(tick for _, tick in rep.heard.values()))}
+        if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell):
+            raise CorruptPayload(f"reporter {rep.spec.name!r}: cell {saved['cell']} off the grid, or a tick not an int")
 
     world.tick = data["tick"]
     rng = data["rng"]

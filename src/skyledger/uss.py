@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import weakref
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -89,13 +90,6 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
     day = _days_from_civil(int(date_ddmmyyyy[:2]), int(date_ddmmyyyy[2:4]), int(date_ddmmyyyy[4:]))
     epoch_day = _days_from_civil(int(epoch_date_ddmmyyyy[:2]), int(epoch_date_ddmmyyyy[2:4]), int(epoch_date_ddmmyyyy[4:]))
     return (day - epoch_day) * 86400 + hour * 3600 + minute * 60
-
-
-def _end_cell_box(route: list[geo.CellWindow]) -> tuple[int, int, int, int]:
-    """(lat_lo, lat_hi, lon_lo, lon_hi) of a straight route's cells, from its end cells."""
-    lats = sorted((route[0].lat_idx, route[-1].lat_idx))
-    lons = sorted((route[0].lon_idx, route[-1].lon_idx))
-    return (*lats, *lons)
 
 
 class NonceSource:
@@ -207,6 +201,8 @@ class UssContract:
             "nonce_counter": 0,
         }
         self._nonce_seed = nonce_seed
+        self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = {}  # cell -> {drone id: window}
+        self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
         ledger.attach_storage("uss", self.storage)
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
@@ -238,14 +234,27 @@ class UssContract:
         sub = self.storage["subscriptions"].get(drone_id)
         return sub is not None and sub.subscriber == caller and self.ledger.clock <= sub.expiry
 
+    def index_plan(self, plan: MissionPlan) -> None:
+        """Add an active plan to the airspace index, which lives outside storage and changes only at commit."""
+        buf = self.params.deconfliction_time_buffer_s
+        for w in plan.route:
+            self._cells.setdefault((w.lat_idx, w.lon_idx), {})[plan.drone_id] = w
+        insort(self._opens, plan.departure_epoch - buf)
+        insort(self._closes, plan.arrival_epoch + buf)
+
+    def _unindex_plan(self, plan: MissionPlan) -> None:
+        buf = self.params.deconfliction_time_buffer_s
+        for w in plan.route:  # a straight route enters each cell once
+            plans = self._cells[w.lat_idx, w.lon_idx]
+            del plans[plan.drone_id]
+            if not plans:
+                del self._cells[w.lat_idx, w.lon_idx]
+        del self._opens[bisect_left(self._opens, plan.departure_epoch - buf)]
+        del self._closes[bisect_left(self._closes, plan.arrival_epoch + buf)]
+
     def congestion_count(self, at_s: int) -> int:
         """Active plans whose buffered time window contains the instant."""
-        buf = self.params.deconfliction_time_buffer_s
-        return sum(
-            1
-            for p in self.plans.values()
-            if p.departure_epoch - buf <= at_s <= p.arrival_epoch + buf
-        )
+        return bisect_right(self._opens, at_s) - bisect_left(self._closes, at_s)
 
     def quote_fee(self, owner: AccountId, at_s: int) -> tuple[int, int]:
         fee_params = self.params.fee
@@ -339,6 +348,7 @@ class UssContract:
         self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.storage["escrow_by_drone"][drone_id] = deposit
         self.storage["forfeited"][drone_id] = 0
+        self.ledger.on_commit(functools.partial(self.index_plan, plan))
 
         payload = plan.to_public_dict()
         payload.update({"fee": fee, "congestion": congestion})
@@ -359,21 +369,10 @@ class UssContract:
         route = geo.route_occupancy(grid, src, dst, depart_s, duration, alt_band)
         buf_cells = self.params.deconfliction_cell_buffer
         buf_s = self.params.deconfliction_time_buffer_s
-        lat_lo, lat_hi, lon_lo, lon_hi = _end_cell_box(route)
-        occupied: dict[tuple[int, int], list[geo.CellWindow]] = {}
-        for plan in self.plans.values():
-            if plan.arrival_epoch < depart_s - buf_s or plan.departure_epoch > depart_s + duration + buf_s:
-                continue
-            p_lat_lo, p_lat_hi, p_lon_lo, p_lon_hi = _end_cell_box(plan.route)
-            if p_lat_hi < lat_lo - buf_cells or p_lat_lo > lat_hi + buf_cells \
-                    or p_lon_hi < lon_lo - buf_cells or p_lon_lo > lon_hi + buf_cells:
-                continue
-            for window in plan.route:
-                occupied.setdefault((window.lat_idx, window.lon_idx), []).append(window)
         for window in route:
             for dlat in range(-buf_cells, buf_cells + 1):
                 for dlon in range(-buf_cells, buf_cells + 1):
-                    for other in occupied.get((window.lat_idx + dlat, window.lon_idx + dlon), ()):
+                    for other in self._cells.get((window.lat_idx + dlat, window.lon_idx + dlon), {}).values():
                         if geo.windows_conflict(window, other, buf_cells, buf_s):
                             raise ContractRevert(REASON_SCHEDULE_CONFLICT)
         return route, depart_s + duration
@@ -493,6 +492,7 @@ class UssContract:
         del self.storage["nonces"][drone_id]
         del self.storage["forfeited"][drone_id]
         self.storage["report_counts"].pop(drone_id, None)
+        self.ledger.on_commit(functools.partial(self._unindex_plan, plan))
         self.ledger.emit("missionComplete", ridVc=plan.rid_vc.hex(), droneId=drone_id)
 
         return {
@@ -513,7 +513,8 @@ class UssContract:
         k-th successful plan holds the k-th nonce of the stream. A plan that
         a later settlement removes is never built, and each distinct DMS
         string is parsed once, so the cost follows the live plans and the
-        sightings rather than the plan history.
+        sightings rather than the plan history. Each plan built joins the
+        airspace index.
         """
         storage = self.storage
         point = functools.cache(geo.parse_dms_pair)
@@ -527,8 +528,9 @@ class UssContract:
             if op == "subscribe":
                 storage["subscriptions"][drone_id] = Subscription(drone_id, tx.caller, tx.value, payload["expiry"])
             elif op == "request_plan":
-                if not payload["route"]:
-                    raise ValueError(f"plan for drone {drone_id} has no route")  # deconfliction reads its end cells
+                cells = {(w["latIdx"], w["lonIdx"]) for w in payload["route"]}
+                if not cells or len(cells) < len(payload["route"]) or payload["arrivalEpoch"] < payload["departureEpoch"]:
+                    raise ValueError(f"plan for drone {drone_id} has no route, revisits a cell or lands before it departs")
                 planned[drone_id] = tx
                 storage["nonces"][drone_id] = NonceSource(self._nonce_seed, storage["nonce_counter"]).next()
                 storage["nonce_counter"] += 1
@@ -580,6 +582,7 @@ class UssContract:
                 rid_vc=bytes.fromhex(plan["ridVc"]),
                 active=plan["active"],
             )
+            self.index_plan(self.plans[drone_id])
 
     def export_active_plans(self) -> list[dict[str, Any]]:
         return [self.plans[d].to_public_dict() for d in sorted(self.plans)]

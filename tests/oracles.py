@@ -81,6 +81,29 @@ def interpolated_cell(
     return out[0], out[1]
 
 
+def per_second_route_occupancy(
+    grid: geo.GridConfig,
+    src: tuple[int, int],
+    dst: tuple[int, int],
+    depart_s: int,
+    duration_s: int,
+    alt_band: int,
+) -> list[geo.CellWindow]:
+    """geo.route_occupancy by sampling interpolate_position once per second of flight and coalescing."""
+    windows: list[geo.CellWindow] = []
+    current: tuple[int, int] | None = None
+    start = 0
+    for u in range(duration_s + 1):
+        cell = grid.cell_of(*geo.interpolate_position(src, dst, u, duration_s))
+        if cell != current:
+            if current is not None:
+                windows.append(geo.CellWindow(current[0], current[1], alt_band, depart_s + start, depart_s + u - 1))
+            current, start = cell, u
+    assert current is not None
+    windows.append(geo.CellWindow(current[0], current[1], alt_band, depart_s + start, depart_s + duration_s))
+    return windows
+
+
 def expand_route(route: list[dict]) -> dict[int, tuple[int, int, int]]:
     """Window list to a per-second map of (latIdx, lonIdx, altBand)."""
     cells = {}

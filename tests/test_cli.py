@@ -169,6 +169,14 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    def test_reporter_off_the_grid_exits_2(self, state_path, capsys):
+        data = json.loads(state_path.read_bytes())
+        data["reporters"][0]["cell"] = [9999, 9999]
+        state_path.write_text(json.dumps(data))
+        assert run_cli("inspect", str(state_path), "supply") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and "off the grid" in captured.err
+
     def test_version_1_snapshot_exits_2(self, state_path, capsys):
         data = json.loads(state_path.read_bytes())
         data["schema"] = {"major": 1, "minor": 0}

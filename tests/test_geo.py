@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from skyledger import geo
@@ -102,6 +103,35 @@ def test_flight_duration_ceils():
         geo.flight_duration_s(grid, (0, 0), (1, 1), 0)
 
 
+@st.composite
+def _legs(draw):
+    """(grid, src, dst, duration): diagonals, rows, columns, single-cell and zero-length legs of either sign,
+    and legs that end on the first arcsecond of a cell."""
+    grid = geo.GridConfig(draw(st.integers(1, 333)), draw(st.integers(1, 31)))
+    coord = st.integers(-3000, 3000)
+    src = (draw(coord), draw(coord))
+
+    def first_arcsec(cell):
+        return -(-cell * grid.cell_size_m // grid.meters_per_arcsec)
+
+    def in_cell(a):  # an arcsecond in the cell of a
+        cell = grid.cell_index(a)
+        return draw(st.integers(first_arcsec(cell), first_arcsec(cell + 1) - 1))
+
+    def on_boundary(a):  # the first arcsecond of a cell near a's
+        return first_arcsec(grid.cell_index(a) + draw(st.integers(-20, 20)))
+
+    dst = draw(st.sampled_from([
+        lambda: (draw(coord), draw(coord)),
+        lambda: (src[0], draw(coord)),
+        lambda: (draw(coord), src[1]),
+        lambda: (in_cell(src[0]), in_cell(src[1])),
+        lambda: (on_boundary(src[0]), on_boundary(src[1])),
+        lambda: src,
+    ]))()
+    return grid, src, dst, draw(st.integers(0, 400))
+
+
 class TestRouteOccupancy:
     def test_windows_tile_the_flight(self):
         grid = geo.GridConfig()
@@ -125,6 +155,29 @@ class TestRouteOccupancy:
         for t in range(depart, depart + duration + 1):
             pos = geo.interpolate_position(src, dst, t - depart, duration)
             assert by_second[t][:2] == grid.cell_of(*pos)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg=_legs())
+    @example(leg=(geo.GridConfig(), (10, 10), (10, 60), 0))         # D = 0: one window at dst's cell
+    @example(leg=(geo.GridConfig(), (10, 10), (10, 60), 1))         # D = 1: src's cell, then dst's
+    @example(leg=(geo.GridConfig(7, 3), (-40, 17), (-40, 17), 90))  # zero-length leg
+    def test_equals_per_second_sampling(self, leg):
+        grid, src, dst, duration = leg
+        route = geo.route_occupancy(grid, src, dst, 500, duration, alt_band=2)
+        assert route == oracles.per_second_route_occupancy(grid, src, dst, 500, duration, 2)
+        by_second = oracles.expand_route([
+            {"latIdx": w.lat_idx, "lonIdx": w.lon_idx, "altBand": w.alt_band, "enterS": w.enter_s, "exitS": w.exit_s}
+            for w in route
+        ])
+        assert sorted(by_second) == list(range(500, 501 + duration))
+        if duration == 0:  # a leg of no duration is at its destination (the oracle puts it at its source)
+            assert by_second == {500: (*grid.cell_of(*dst), 2)}
+            return
+        for t, cell in by_second.items():
+            expected = oracles.interpolated_cell(
+                src, dst, 500, 500 + duration, t, grid.cell_size_m, grid.meters_per_arcsec
+            )
+            assert cell[:2] == expected
 
     def test_conflict_buffers(self):
         a = geo.CellWindow(3, 5, 1, 100, 120)

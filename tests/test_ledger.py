@@ -29,6 +29,8 @@ class ToyContract:
         ledger.register_op("peek", self.op_peek, view=True)
         ledger.register_op("set_then_fail", self.op_set_then_fail)
         ledger.register_op("pay_out", self.op_pay_out, args={"amount": int})
+        ledger.register_op("set_on_commit", self.op_set_on_commit, args={"key": str, "then": str})
+        self.committed = []  # keys whose on_commit callback ran, in order
 
     def op_set(self, caller, args):
         self.ledger.touch(self.storage["slots"], args["key"])
@@ -46,6 +48,20 @@ class ToyContract:
 
     def op_pay_out(self, caller, args):
         self.ledger.transfer(self.vault, caller, args["amount"])
+        return {}
+
+    def op_set_on_commit(self, caller, args):
+        """Set a slot and queue a callback, then end as args["then"] says."""
+        key = args["key"]
+        self.ledger.on_commit(lambda: self.committed.append((key, self.storage["slots"][key])))
+        self.ledger.touch(self.storage["slots"], key)
+        self.storage["slots"][key] = "set"
+        if args["then"] == "revert":
+            raise ContractRevert("toy-failure")
+        if args["then"] == "overdraw":
+            self.ledger.transfer(self.vault, caller, 10**9)
+        if args["then"] == "raise":
+            raise RuntimeError("toy bug")
         return {}
 
 
@@ -200,6 +216,34 @@ class TestSubmit:
         ledger, _, alice, _ = toy
         ids = [ledger.submit(alice, "peek", {"key": "a"}).tx_id for _ in range(5)]
         assert ids == sorted(ids) and len(set(ids)) == 5
+
+
+class TestOnCommit:
+    def test_success_runs_the_callback_on_the_committed_state(self, toy):
+        ledger, contract, alice, _ = toy
+        rec = ledger.submit(alice, "set_on_commit", {"key": "a", "then": "succeed"})
+        assert rec.status == "success" and rec.state_writes == 1
+        assert contract.committed == [("a", "set")]
+        assert ledger._commit_queue == []
+
+    @pytest.mark.parametrize("then", ["revert", "overdraw", "raise"])
+    def test_failure_runs_no_callback_and_leaves_none_queued(self, toy, then):
+        ledger, contract, alice, _ = toy
+        if then == "raise":
+            with pytest.raises(RuntimeError):
+                ledger.submit(alice, "set_on_commit", {"key": "a", "then": then})
+        else:
+            assert ledger.submit(alice, "set_on_commit", {"key": "a", "then": then}).status == "revert"
+        assert contract.committed == []
+        assert ledger._commit_queue == []
+        ledger.submit(alice, "set_on_commit", {"key": "b", "then": "succeed"})
+        assert contract.committed == [("b", "set")]  # the dropped callback does not run later
+
+    def test_outside_submit_the_callback_runs_at_once(self, toy):
+        ledger, _, _, _ = toy
+        ran = []
+        ledger.on_commit(lambda: ran.append(1))
+        assert ran == [1] and ledger._commit_queue == []
 
 
 class TestBlocks:

@@ -156,12 +156,30 @@ def _move_balance(data):
         pytest.param(_inflate_first_operator, id="inflated-balance"),
         pytest.param(_move_balance, id="moved-balance"),
         pytest.param(lambda d: d.update(chain=[]), id="empty-chain"),
+        pytest.param(lambda d: d["reporters"][0].update(cell=["x", "y"]), id="reporter-cell-of-strings"),
+        pytest.param(lambda d: d["reporters"][0].update(cell=[9999, 9999]), id="reporter-cell-off-grid"),
+        pytest.param(lambda d: d["reporters"][0].update(cell=[1.5, 2]), id="reporter-cell-fractional"),
+        pytest.param(lambda d: d["reporters"][0].update(cell=[True, 2]), id="reporter-cell-boolean"),
+        pytest.param(lambda d: d["reporters"][0].update(cell=[1, 2, 3]), id="reporter-cell-three-long"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
     _, world = run(compliant_scenario())
     data = json.loads(persistence.snapshot_world(world))
     forge(data)
+    with pytest.raises(persistence.CorruptPayload):
+        persistence.restore_world(canonical_json(data))
+
+
+@pytest.mark.parametrize("tick", ["13", 13.0, None, True])
+def test_replay_memory_with_a_tick_that_is_not_an_int_is_corrupt(demo_scenario_path, tick):
+    world = World(persistence.load_scenario(demo_scenario_path))
+    while not any(r.heard for r in world.reporters):
+        world.step()
+    data = json.loads(persistence.snapshot_world(world))
+    heard = next(r["heard"] for r in data["reporters"] if r["heard"])
+    for entry in heard.values():
+        entry[1] = tick
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(canonical_json(data))
 
@@ -176,6 +194,21 @@ def test_plan_without_route_is_corrupt():
     data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
     _logged(data, "request_plan")["payload"]["route"] = []
     with pytest.raises(persistence.CorruptPayload, match="no route"):
+        persistence.restore_world(canonical_json(data))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        pytest.param(lambda plan: plan.update(arrivalEpoch=plan["departureEpoch"] - 1), id="lands-before-departure"),
+        pytest.param(lambda plan: plan["route"].append(dict(plan["route"][0])), id="revisits-a-cell"),
+    ],
+)
+def test_plan_no_straight_flight_makes_is_corrupt(forge):
+    """The airspace index holds one window per cell of a plan and counts it from departure to arrival."""
+    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
+    forge(_logged(data, "request_plan")["payload"])
+    with pytest.raises(persistence.CorruptPayload, match="plan for drone 0"):
         persistence.restore_world(canonical_json(data))
 
 

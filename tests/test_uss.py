@@ -20,10 +20,11 @@ from conftest import (
     report,
     subscribe,
 )
-from skyledger import geo
+from skyledger import geo, persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
+from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
 from skyledger.uss import MissionPlan
 
 
@@ -287,7 +288,7 @@ class TestScheduleRoute:
 
     @staticmethod
     def _install_plan(bench, drone_id, src, dst, depart):
-        """An active plan put straight into storage, routed as request_plan routes it."""
+        """An active plan put straight into storage and the airspace index, routed as request_plan routes it."""
         uss = bench.uss
         grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
         duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
@@ -296,6 +297,7 @@ class TestScheduleRoute:
             src, dst, uss.params.altitude_m, band,
             geo.route_occupancy(grid, src, dst, depart, duration, band), b"\0" * 32,
         )
+        uss.index_plan(uss.plans[drone_id])
         return uss.plans[drone_id]
 
     @staticmethod
@@ -346,7 +348,7 @@ class TestScheduleRoute:
         point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
         for drone_id in range(draw(st.integers(0, 4))):
             src, dst = draw(point), draw(point)
-            # rows and columns as well as diagonals, so that a shifted copy can clear the cell box
+            # rows and columns as well as diagonals
             dst = draw(st.sampled_from([dst, (src[0], dst[1]), (dst[0], src[1])]))
             self._install_plan(bench, drone_id, src, dst, draw(st.integers(0, 400)))
         # place the new flight at the edges of one plan: right after it (from its destination),
@@ -378,6 +380,85 @@ class TestScheduleRoute:
         )
         event(f"{mode} conflict={expected}")
         assert self._conflicts(uss, src, dst, depart) == expected
+
+
+class TestAirspaceIndex:
+    """The index applied at commit against full scans of the active plans, through reverts and a restore."""
+
+    @staticmethod
+    def _index(uss):
+        return uss._cells, uss._opens, uss._closes
+
+    @staticmethod
+    def _rebuilt(uss):
+        """The index built afresh from the active plans."""
+        buf = uss.params.deconfliction_time_buffer_s
+        cells = {}
+        for p in uss.plans.values():
+            for w in p.route:
+                cells.setdefault((w.lat_idx, w.lon_idx), {})[p.drone_id] = w
+        opens = sorted(p.departure_epoch - buf for p in uss.plans.values())
+        return cells, opens, sorted(p.arrival_epoch + buf for p in uss.plans.values())
+
+    @staticmethod
+    def _scan(uss, at_s):
+        buf = uss.params.deconfliction_time_buffer_s
+        return sum(p.departure_epoch - buf <= at_s <= p.arrival_epoch + buf for p in uss.plans.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_index_equals_full_scans(self, data):
+        draw = data.draw
+        buf_cells, buf_s = draw(st.integers(0, 2)), draw(st.integers(0, 90))
+        point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
+        minute = st.integers(0, 5)
+        missions = [MissionSpec(dms(*draw(point)), dms(*draw(point)), DATE, f"00{draw(minute):02d}") for _ in range(4)]
+        drones = tuple(DroneSpec(f"d{i}", f"SN-{i}", f"NID-{i}", m) for i, m in enumerate(missions))
+        world = World(Scenario(name="index", duration_ticks=1, deconfliction_cell_buffer=buf_cells,
+                               deconfliction_time_buffer_s=buf_s, drones=drones))
+        steps = draw(st.integers(1, 16))
+        restore_at = draw(st.integers(0, steps - 1))
+        for step in range(steps):
+            if step == restore_at:
+                if world.ledger.pending:
+                    world.ledger.seal_block()
+                restored = persistence.restore_world(persistence.snapshot_world(world))
+                assert self._index(restored.uss) == self._index(world.uss)
+                world = restored
+            uss, ledger = world.uss, world.ledger
+            ledger.clock += draw(st.integers(0, 60))
+            op = draw(st.sampled_from(["quote", "plan", "plan", "complete"]))
+            # mostly a drone the op can succeed for: an idle one plans, a flying one completes
+            fits = [d for d in world.drones if (d.drone_id in uss.plans) == (op == "complete")]
+            drone = draw(st.sampled_from(fits if fits and draw(st.integers(0, 4)) else world.drones))
+            owner, drone_id = drone.operator_account, drone.drone_id
+            if op == "quote":
+                rec = ledger.submit(owner, "request_quote", {"droneId": drone_id})
+                assert rec.payload["congestion"] == self._scan(uss, ledger.clock)
+            elif op == "plan":
+                src, dst, depart = draw(point), draw(point), 60 * draw(minute)
+                short = draw(st.sampled_from([0, 0, 0, 1]))
+                active = [TestScheduleRoute._as_dicts(p.route) for p in uss.plans.values()]
+                args = {"droneId": drone_id, "source": dms(*src), "destination": dms(*dst),
+                        "departureDate": DATE, "departureTime": f"00{depart // 60:02d}"}
+                rec = ledger.submit(owner, "request_plan", args, value=uss.quote_fee(owner, depart)[0] - short)
+                event(f"plan {rec.reason or rec.status}")
+                if rec.status == "success" or rec.reason == "schedule-conflict":
+                    grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
+                    duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
+                    route = oracles.per_second_route_occupancy(grid, src, dst, depart, duration, band)
+                    candidate = TestScheduleRoute._as_dicts(route)
+                    expected = any(oracles.brute_force_conflict(r, candidate, buf_cells, buf_s) for r in active)
+                    assert (rec.reason == "schedule-conflict") == expected
+            else:
+                plan = uss.plans.get(drone_id)
+                vc = plan.rid_vc.hex() if plan is not None and draw(st.integers(0, 3)) else "00" * 32
+                rec = ledger.submit(owner, "report_completion", {"droneId": drone_id, "ridVc": vc})
+                event(f"complete {rec.reason or rec.status}")
+            assert self._index(uss) == self._rebuilt(uss)
+            ends = [t for p in uss.plans.values() for t in (p.departure_epoch - buf_s, p.arrival_epoch + buf_s)]
+            for t in {ledger.clock, *(t + d for t in ends for d in (-1, 0, 1))}:
+                assert uss.congestion_count(t) == self._scan(uss, t)
 
 
 class TestReportDrone:
