@@ -431,7 +431,7 @@ class Ledger:
             journal[slot] = (container, key, old if old is _ABSENT else _copy_slot(old))
 
     def on_commit(self, fn: Callable[[], None]) -> None:
-        """Run fn once the running transaction succeeds and is metered (outside submit(), now); a failure drops it."""
+        """Run fn once the op body succeeds (outside submit(), now); a revert drops it; fn raising undoes storage, not what fns did."""
         if self._journal is None:
             fn()
         else:
@@ -507,6 +507,8 @@ class Ledger:
                 self.transfer(caller, spec.receiver, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
+            for fn in self._commit_queue:
+                fn()
         except ContractRevert as exc:
             self._undo(journal)
             rec.status, rec.reason, rec.payload = "revert", exc.reason, None
@@ -521,8 +523,6 @@ class Ledger:
             if journal:
                 self._meter(rec, journal)
             rec.events = self._event_buffer
-            for fn in self._commit_queue:
-                fn()
         finally:
             self._journal, self._view_running = None, False
             self._event_buffer, self._commit_queue = [], []

@@ -368,6 +368,8 @@ class _ReporterState:
     cell: tuple[int, int]
     attempted: set[int] = field(default_factory=set)       # drone ids, reset per mission
     heard: dict[int, tuple[str, int]] = field(default_factory=dict)  # replayer memory
+    position: tuple[int, int] | None = None  # arcsec of the cell centre, kept by World._place
+    bucket: tuple[int, int] | None = None    # sensing bucket of position
 
 
 class World:
@@ -411,6 +413,10 @@ class World:
             for spec in scenario.reporters
         ]
         self.replayers = [rep for rep in self.reporters if rep.spec.honesty == "replayer"]
+        self.walkers = [i for i, rep in enumerate(self.reporters) if rep.spec.random_walk]
+        # a reporter that can hear a broadcast is in one of the 3x3 buckets around it
+        self._bucket_side = max([scenario.cell_size_m] + [spec.sensing_range_m for spec in scenario.reporters])
+        self._buckets: dict[tuple[int, int], list[int]] = {}  # bucket -> reporter indices, filled on the first tick
         self._drone_by_serial = {d.spec.serial: d for d in self.drones}
         self._drone_by_id: dict[int, _DroneState] = {}
         self._reporter_by_account = {rep.account: rep for rep in self.reporters}
@@ -515,15 +521,25 @@ class World:
 
     def _walk_reporters(self) -> None:
         extent = self.scenario.grid_extent_cells
-        for rep in self.reporters:
-            if not rep.spec.random_walk:
-                continue
+        for i in self.walkers:
+            rep = self.reporters[i]
             dlat = self.rng.choice((-1, 0, 1))
             dlon = self.rng.choice((-1, 0, 1))
             rep.cell = (
                 min(max(rep.cell[0] + dlat, 0), extent - 1),
                 min(max(rep.cell[1] + dlon, 0), extent - 1),
             )
+
+    def _place(self, i: int) -> None:
+        """Bring reporter i's position, sensing bucket and bucket-map entry up to date with its cell."""
+        rep, grid, side = self.reporters[i], self.grid, self._bucket_side
+        rep.position = lat, lon = grid.cell_center_arcsec(rep.cell[0]), grid.cell_center_arcsec(rep.cell[1])
+        bucket = (grid.meters(lat) // side, grid.meters(lon) // side)
+        if bucket != rep.bucket:
+            if rep.bucket is not None:
+                self._buckets[rep.bucket].remove(i)
+            self._buckets.setdefault(bucket, []).append(i)
+            rep.bucket = bucket
 
     def _drone_position(self, drone: _DroneState, now: int) -> tuple[int, int] | None:
         plan = drone.plan
@@ -569,22 +585,12 @@ class World:
             self.trace.append(TraceRow(self.tick, drone.drone_id, self.grid.cell_of(*pos), wire.hex()))
         return broadcasts
 
-    def _reporter_arcsec(self, rep: _ReporterState) -> tuple[int, int]:
-        return (
-            self.grid.cell_center_arcsec(rep.cell[0]),
-            self.grid.cell_center_arcsec(rep.cell[1]),
-        )
-
     def _report_phase(self, broadcasts, now: int) -> None:
         loss = self.scenario.loss_probability_micro
-        grid = self.grid
-        # Bucket reporters on a grid no finer than the widest sensing range: a
-        # reporter that can hear a broadcast is in one of the 3x3 buckets around it.
-        side = max([self.scenario.cell_size_m] + [rep.spec.sensing_range_m for rep in self.reporters])
-        positions = [self._reporter_arcsec(rep) for rep in self.reporters]
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i, (lat, lon) in enumerate(positions):
-            buckets.setdefault((grid.meters(lat) // side, grid.meters(lon) // side), []).append(i)
+        # an empty map has placed nobody yet (the first tick, also after a restore); later only walkers move
+        for i in self.walkers if self._buckets else range(len(self.reporters)):
+            self._place(i)
+        grid, side, buckets = self.grid, self._bucket_side, self._buckets
         candidates = []
         for j, (_, (lat, lon), _) in enumerate(broadcasts):
             blat, blon = grid.meters(lat) // side, grid.meters(lon) // side
@@ -596,7 +602,7 @@ class World:
         for i, j in sorted(candidates):
             rep = self.reporters[i]
             drone, pos, wire = broadcasts[j]
-            if not geo.within_range(grid, positions[i], pos, rep.spec.sensing_range_m):
+            if not geo.within_range(grid, rep.position, pos, rep.spec.sensing_range_m):
                 continue
             if loss and self.rng.randrange(MICRO) < loss:
                 continue
@@ -621,14 +627,13 @@ class World:
                 rid_hex, heard_tick = rep.heard[drone_id]
                 if drone_id in rep.attempted or self.tick - heard_tick < rep.spec.replay_delay_ticks:
                     continue
-                false_pos = self._reporter_arcsec(rep)
                 self.ledger.submit(
                     rep.account,
                     "report_drone",
                     {
                         "droneId": drone_id,
                         "rid": rid_hex,
-                        "sightingLocation": geo.format_dms_pair(*false_pos),
+                        "sightingLocation": geo.format_dms_pair(*rep.position),
                         "sightingTime": now,
                     },
                 )

@@ -243,12 +243,16 @@ class UssContract:
         insort(self._closes, plan.arrival_epoch + buf)
 
     def _unindex_plan(self, plan: MissionPlan) -> None:
+        """Take a settled plan out of the airspace index; one missing from any of its cells raises KeyError and changes nothing."""
         buf = self.params.deconfliction_time_buffer_s
-        for w in plan.route:  # a straight route enters each cell once
-            plans = self._cells[w.lat_idx, w.lon_idx]
+        cells = [(w.lat_idx, w.lon_idx) for w in plan.route]  # a straight route enters each cell once
+        if not all(plan.drone_id in self._cells.get(cell, ()) for cell in cells):
+            raise KeyError(plan.drone_id)
+        for cell in cells:
+            plans = self._cells[cell]
             del plans[plan.drone_id]
             if not plans:
-                del self._cells[w.lat_idx, w.lon_idx]
+                del self._cells[cell]
         del self._opens[bisect_left(self._opens, plan.departure_epoch - buf)]
         del self._closes[bisect_left(self._closes, plan.arrival_epoch + buf)]
 

@@ -196,15 +196,43 @@ class WholeTreeSubmit:
         return rec
 
 
+def reporter_arcsec(world, rep):
+    """The centre of the reporter's cell in arcseconds, computed afresh."""
+    return world.grid.cell_center_arcsec(rep.cell[0]), world.grid.cell_center_arcsec(rep.cell[1])
+
+
+def fresh_reporter_placement(world):
+    """Each reporter's (position, sensing bucket) and the bucket -> sorted reporter indices map, from the cells alone.
+
+    The bucket side is the larger of the cell size and the widest sensing
+    range, so a reporter that hears a broadcast is in one of its 3x3 buckets.
+    """
+    grid = world.grid
+    side = max([world.scenario.cell_size_m] + [spec.sensing_range_m for spec in world.scenario.reporters])
+    placed, buckets = [], {}
+    for i, rep in enumerate(world.reporters):
+        lat, lon = reporter_arcsec(world, rep)
+        bucket = (grid.meters(lat) // side, grid.meters(lon) // side)
+        placed.append(((lat, lon), bucket))
+        buckets.setdefault(bucket, []).append(i)
+    return placed, buckets
+
+
+def cached_reporter_placement(world):
+    """The placement World keeps across ticks, in the shape of fresh_reporter_placement (empty buckets left out)."""
+    placed = [(rep.position, rep.bucket) for rep in world.reporters]
+    return placed, {bucket: sorted(ids) for bucket, ids in world._buckets.items() if ids}
+
+
 def all_pairs_report_phase(world, broadcasts, now):
     """World._report_phase as a full scan: every reporter against every broadcast.
 
     Install it as `_report_phase` of a World subclass to run the tick
-    without spatial bucketing.
+    without spatial bucketing or kept reporter positions.
     """
     loss = world.scenario.loss_probability_micro
     for rep in world.reporters:
-        rep_pos = world._reporter_arcsec(rep)
+        rep_pos = reporter_arcsec(world, rep)
         for drone, pos, wire in broadcasts:
             if not geo.within_range(world.grid, rep_pos, pos, rep.spec.sensing_range_m):
                 continue
@@ -240,7 +268,7 @@ def all_pairs_report_phase(world, broadcasts, now):
                 {
                     "droneId": drone_id,
                     "rid": rid_hex,
-                    "sightingLocation": geo.format_dms_pair(*world._reporter_arcsec(rep)),
+                    "sightingLocation": geo.format_dms_pair(*reporter_arcsec(world, rep)),
                     "sightingTime": now,
                 },
             )

@@ -62,7 +62,13 @@ class ToyContract:
             self.ledger.transfer(self.vault, caller, 10**9)
         if args["then"] == "raise":
             raise RuntimeError("toy bug")
+        if args["then"] == "raise-on-commit":
+            self.ledger.on_commit(self.raise_toy_bug)
         return {}
+
+    @staticmethod
+    def raise_toy_bug():
+        raise RuntimeError("toy bug in a callback")
 
 
 @pytest.fixture
@@ -238,6 +244,16 @@ class TestOnCommit:
         assert ledger._commit_queue == []
         ledger.submit(alice, "set_on_commit", {"key": "b", "then": "succeed"})
         assert contract.committed == [("b", "set")]  # the dropped callback does not run later
+
+    def test_a_raising_callback_rolls_the_op_back_and_returns_its_tx_id(self, toy):
+        ledger, contract, alice, _ = toy
+        before = (ledger.state_digest(), list(ledger.pending), ledger._tx_counter)
+        with pytest.raises(RuntimeError, match="callback"):
+            ledger.submit(alice, "set_on_commit", {"key": "a", "then": "raise-on-commit"})
+        assert (ledger.state_digest(), ledger.pending, ledger._tx_counter) == before
+        assert contract.committed == [("a", "set")]  # a callback that ran before the raising one is not undone
+        assert ledger._commit_queue == [] and ledger._journal is None
+        assert ledger.submit(alice, "set_on_commit", {"key": "a", "then": "succeed"}).tx_id == before[2]
 
     def test_outside_submit_the_callback_runs_at_once(self, toy):
         ledger, _, _, _ = toy

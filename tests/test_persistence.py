@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import oracles
 from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario
 from skyledger import persistence
 from skyledger.ledger import canonical_json
@@ -81,6 +82,19 @@ def test_checkpoint_resume_equals_straight_through(name, tick):
     assert resumed.ledger.chain_head_hex() == straight.ledger.chain_head_hex()
     assert resumed.ledger.state_digest() == straight.ledger.state_digest()
     assert canonical_json(resumed.metrics().to_dict()) == canonical_json(straight.metrics().to_dict())
+
+
+@pytest.mark.parametrize("tick", [3, 12, 25])
+def test_resumed_walkers_keep_their_placement_fresh(tick):
+    live = World(_walking_compliant_scenario())
+    while live.tick < tick:
+        live.step()
+    resumed = persistence.restore_world(persistence.snapshot_world(live))
+    while resumed.tick < resumed.scenario.duration_ticks:
+        live.step()
+        resumed.step()
+        assert oracles.cached_reporter_placement(resumed) == oracles.fresh_reporter_placement(resumed)
+        assert oracles.cached_reporter_placement(resumed) == oracles.cached_reporter_placement(live)
 
 
 def _agent_memory(world):

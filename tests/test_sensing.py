@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import dataclasses
+
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from conftest import dms, doas_scenario
@@ -24,18 +26,19 @@ def sensing_scenarios(draw):
     per_arcsec = draw(st.sampled_from([10, 30]))
     top = extent * cell // per_arcsec - 1  # last arcsec still inside the grid
     point = st.tuples(st.integers(0, top), st.integers(0, top))
-    drones = []
+    drones, sources = [], []  # sources in arcsec
     for i in range(draw(st.integers(1, 5))):
         src = draw(point)
         # several drones from one source put more than one drone in a cell
-        src = drones[0].mission.source if drones and draw(st.booleans()) else dms(*src)
+        sources.append(sources[0] if sources and draw(st.booleans()) else src)
         drones.append(
             DroneSpec(
                 name=f"d{i}",
                 serial=f"SN-{i}",
                 owner_national_id=f"NID-{i}",
-                mission=MissionSpec(src, dms(*draw(point)), "01012025", draw(st.sampled_from(["0000", "0001"]))),
-                behavior=draw(st.sampled_from(BEHAVIOR_KINDS)),
+                mission=MissionSpec(dms(*sources[-1]), dms(*draw(point)), "01012025", draw(st.sampled_from(["0000", "0001"]))),
+                # the first drone broadcasts, so that not every drone can be silent
+                behavior=draw(st.sampled_from([b for b in BEHAVIOR_KINDS if i or b != "silent"])),
                 offset_cells=draw(st.integers(-2, 2)),
                 deviate_start_tick=draw(st.integers(0, 5)),
                 speed_mps=draw(st.sampled_from([None, 5, 20])),
@@ -47,10 +50,11 @@ def sensing_scenarios(draw):
     reporters = tuple(
         ReporterSpec(
             name=f"r{i}",
-            cell=(draw(coord), draw(coord)),
-            sensing_range_m=draw(sensing),
+            # r0 stays where d0 takes off and hears it there, so that most scenarios reach the sensing path
+            cell=tuple(a * per_arcsec // cell for a in sources[0]) if i == 0 else (draw(coord), draw(coord)),
+            sensing_range_m=draw(st.integers(cell, 4 * cell) if i == 0 else sensing),
             honesty=draw(st.sampled_from(["honest", "honest", "replayer"])),
-            random_walk=draw(st.booleans()),
+            random_walk=i > 0 and draw(st.booleans()),
             replay_delay_ticks=draw(st.integers(0, 4)),
         )
         for i in range(draw(st.integers(1, 14)))
@@ -64,7 +68,8 @@ def sensing_scenarios(draw):
         duration_ticks=draw(st.integers(8, 24)),
         deconfliction_cell_buffer=0,
         deconfliction_time_buffer_s=0,
-        loss_probability_micro=draw(st.sampled_from([0, 1, MICRO // 4, MICRO // 2, MICRO - 1])),
+        # no loss in half the draws: at MICRO - 1 nobody ever reports
+        loss_probability_micro=draw(st.one_of(st.just(0), st.sampled_from([1, MICRO // 4, MICRO // 2, MICRO - 1]))),
         drones=tuple(drones),
         reporters=reporters,
     )
@@ -86,6 +91,17 @@ def _outcome(world):
 def test_bucketed_tick_equals_all_pairs_scan(scenario):
     scenario.validate()
     assert _outcome(World(scenario)) == _outcome(AllPairsWorld(scenario))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensing_scenarios())
+def test_kept_placement_equals_a_fresh_one_after_every_tick(scenario):
+    """Positions, buckets and the bucket map World keeps across ticks match a rebuild from the cells."""
+    assume(any(r.random_walk for r in scenario.reporters))
+    world = World(scenario)
+    while world.tick < scenario.duration_ticks:
+        world.step()
+        assert oracles.cached_reporter_placement(world) == oracles.fresh_reporter_placement(world)
 
 
 def test_generated_scenarios_do_report():
@@ -129,3 +145,26 @@ def test_sensing_work_is_linear_in_reporters(monkeypatch):
         assert broadcasting == n  # every drone is airborne at once, so all-pairs would be 2n * n
         assert max(per_tick) <= 2 * reporters
         assert sum(per_tick) <= 2 * reporters * len(per_tick)
+
+
+def test_placement_work_per_tick_is_bounded_by_walkers(monkeypatch):
+    calls = [0]
+    exact = geo.GridConfig.cell_center_arcsec
+
+    def counted(grid, cell_index):
+        calls[0] += 1
+        return exact(grid, cell_index)
+
+    monkeypatch.setattr(geo.GridConfig, "cell_center_arcsec", counted)
+    base = doas_scenario(50)
+    reporters = tuple(dataclasses.replace(r, random_walk=i % 5 == 0) for i, r in enumerate(base.reporters))
+    world = World(dataclasses.replace(base, reporters=reporters))
+    assert calls[0] == 0  # setup places nobody
+    walkers = sum(r.random_walk for r in reporters)
+    per_tick = []
+    while world.tick < world.scenario.duration_ticks:
+        before = calls[0]
+        world.step()
+        per_tick.append(calls[0] - before)
+    assert per_tick[0] == 2 * len(reporters)  # the first tick places every reporter once
+    assert 0 < max(per_tick[1:]) <= 2 * walkers  # later, only walkers whose cell changed

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -459,6 +460,19 @@ class TestAirspaceIndex:
             ends = [t for p in uss.plans.values() for t in (p.departure_epoch - buf_s, p.arrival_epoch + buf_s)]
             for t in {ledger.clock, *(t + d for t in ends for d in (-1, 0, 1))}:
                 assert uss.congestion_count(t) == self._scan(uss, t)
+
+    def test_a_settlement_whose_unindex_fails_changes_nothing(self, bench):
+        """A plan missing from one of its route cells: report_completion raises with storage and index as they were."""
+        drone_id = planned_drone(bench)
+        uss, ledger = bench.uss, bench.ledger
+        route = uss.plans[drone_id].route
+        assert len(route) > 2
+        del uss._cells[route[-2].lat_idx, route[-2].lon_idx]  # the plan is the only one in its cells
+        before = (copy.deepcopy(self._index(uss)), ledger.state_digest(), list(ledger.pending), ledger._tx_counter)
+        ledger.clock = 1000
+        with pytest.raises(KeyError):
+            complete(bench, drone_id)
+        assert (self._index(uss), ledger.state_digest(), ledger.pending, ledger._tx_counter) == before
 
 
 class TestReportDrone:
