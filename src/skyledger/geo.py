@@ -83,12 +83,6 @@ class GridConfig:
         return arcsec * self.meters_per_arcsec
 
 
-def distance_m(grid: GridConfig, a: tuple[int, int], b: tuple[int, int]) -> float:
-    dy = grid.meters(a[0] - b[0])
-    dx = grid.meters(a[1] - b[1])
-    return math.sqrt(dy * dy + dx * dx)
-
-
 def within_range(grid: GridConfig, a: tuple[int, int], b: tuple[int, int], range_m: int) -> bool:
     # squared-integer compare, no floats
     dy = grid.meters(a[0] - b[0])

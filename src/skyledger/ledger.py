@@ -5,7 +5,8 @@ transaction. Operations either succeed or revert; a revert rolls back
 all state and value changes and is still recorded in the log. Pending
 transactions are batched into blocks whose SHA-256 hashes chain back to
 an all-zero genesis parent, so any byte of recorded history can be
-checked after the fact.
+checked after the fact. A block's transactions are JSON-encoded once,
+at seal (Block.body); the hash covers those bytes, and files store them.
 
 State changes are tracked by an undo journal. Before a contract changes
 one slot of its storage (an account, a registry record, one entry of a
@@ -33,6 +34,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -250,60 +252,51 @@ class TransactionRecord:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TransactionRecord":
-        return cls(
-            tx_id=d["txId"],
-            caller=d["caller"],
-            op=d["op"],
-            args=d["args"],
-            value=d["value"],
-            timestamp=d["timestamp"],
-            status=d["status"],
-            payload=d["payload"],
-            reason=d["reason"],
-            state_writes=d["stateWrites"],
-            balance_deltas=d["balanceDeltas"],
-            events=d["events"],
-            signature=d["signature"],
-        )
+        return cls(d["txId"], d["caller"], d["op"], d["args"], d["value"], d["timestamp"], d["status"], d["payload"],
+                   d["reason"], d["stateWrites"], d["balanceDeltas"], d["events"], d["signature"])
+
+
+# a block line (Block.line) is this prefix, then the body, then "}"
+_LINE_PREFIX = re.compile(rb'\{"hash":"([0-9a-f]{64})","index":(0|[1-9][0-9]*),"prevHash":"([0-9a-f]{64})","transactions":')
 
 
 @dataclass
 class Block:
     index: int
     prev_hash: bytes
-    transactions: list[TransactionRecord]
+    transactions: list[TransactionRecord]  # the decoded view of body
     hash: bytes
+    body: bytes  # canonical JSON of the transactions, encoded once at seal; the hash covers these bytes
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "prevHash": self.prev_hash.hex(),
-            "hash": self.hash.hex(),
-            "transactions": [t.to_dict() for t in self.transactions],
-        }
+    def line(self) -> bytes:
+        """The block as one chain-log line: its canonical JSON, built around the body."""
+        return b'{"hash":"%b","index":%d,"prevHash":"%b","transactions":%b}' % (
+            self.hash.hex().encode(), self.index, self.prev_hash.hex().encode(), self.body)
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Block":
-        return cls(
-            index=d["index"],
-            prev_hash=bytes.fromhex(d["prevHash"]),
-            transactions=[TransactionRecord.from_dict(t) for t in d["transactions"]],
-            hash=bytes.fromhex(d["hash"]),
-        )
+    def from_line(cls, line: bytes) -> "Block":
+        """Read a line in exactly the layout line() writes, JSON-decoding only the body slice."""
+        m = _LINE_PREFIX.match(line)
+        if m is None or not line.endswith(b"}"):
+            raise ValueError("block line is not in the sealed layout")
+        body = line[m.end():-1]
+        transactions = [TransactionRecord.from_dict(t) for t in json.loads(body)]
+        return cls(int(m[2]), bytes.fromhex(m[3].decode()), transactions, bytes.fromhex(m[1].decode()), body)
 
 
-def block_digest(index: int, prev_hash: bytes, transactions: list[TransactionRecord]) -> bytes:
-    body = canonical_json([t.to_dict() for t in transactions])
-    return hashlib.sha256(index.to_bytes(8, "big") + prev_hash + body).digest()
+def block_digest(index: int, prev_hash: bytes, body: bytes) -> bytes:
+    digest = hashlib.sha256(index.to_bytes(8, "big") + prev_hash)
+    digest.update(body)
+    return digest.digest()
 
 
 def verify_blocks(blocks: list[Block]) -> tuple[bool, int | None]:
-    """Recompute every digest and link; returns (ok, first bad index)."""
+    """Hash every body and check every link; returns (ok, first bad index)."""
     prev = GENESIS_PREV_HASH
     for i, blk in enumerate(blocks):
         if blk.index != i or blk.prev_hash != prev:
             return False, i
-        if block_digest(blk.index, blk.prev_hash, blk.transactions) != blk.hash:
+        if block_digest(blk.index, blk.prev_hash, blk.body) != blk.hash:
             return False, i
         prev = blk.hash
     return True, None
@@ -555,7 +548,8 @@ class Ledger:
             raise LedgerError("no pending transactions to seal")
         index = len(self.blocks)
         prev = self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
-        block = Block(index, prev, self.pending, block_digest(index, prev, self.pending))
+        body = canonical_json([t.to_dict() for t in self.pending])
+        block = Block(index, prev, self.pending, block_digest(index, prev, body), body)
         self.blocks.append(block)
         self.pending = []
         return block

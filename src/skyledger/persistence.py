@@ -4,17 +4,22 @@ File kinds and extensions:
 
     *.scenario.json   run configuration
     *.chain.jsonl     block log, header line then one block per line
-    *.state.json      full state snapshot (checkpoint/resume)
+    *.state.json      full state snapshot (checkpoint/resume), header line
+                      then the same block lines
     *.metrics.json    run metrics
+
+Both files store each block's hashed bytes as they are (Block.line) and
+read them back through one reader (Block.from_line).
 
 Snapshots are canonical: the same state always produces the same bytes
 (sorted keys, currency as decimal strings, digests as hex). A state
 snapshot holds only what the chain cannot give: the scenario, the tick
 and clock, each reporter's cell and replay memory, the RNG and the chain
-itself, plus the account balances as a cross-check. Restore folds
-contract storage and balances from the chain's successful records and
-has the agents learn the rest of their memory from it (World.learn), so
-a snapshot cannot disagree with its log.
+itself, plus the account balances as a cross-check and the chain's head
+hash. Restore checks every hash and link and the head, folds contract
+storage and balances from the chain's successful records and has the
+agents learn the rest of their memory from it (World.learn), so a
+snapshot cannot disagree with its log.
 Mission nonces, the one secret in the system, follow from the scenario
 seed and are in no file; shareable exports (plan tables, registry)
 exclude them too.
@@ -28,11 +33,11 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from .ledger import Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
+from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
 from .sim import RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
-STATE_SCHEMA = {"major": 3, "minor": 0}  # 3.0 saves no contract storage and no agent memory the chain gives
+STATE_SCHEMA = {"major": 4, "minor": 0}  # 4.0: a header line, then the chain's block lines
 
 
 class SchemaMismatch(ValueError):
@@ -66,29 +71,32 @@ def save_scenario(path: str | Path, scenario: Scenario) -> None:
 
 # -- chain log ---------------------------------------------------------------
 
-def write_chain_jsonl(path: str | Path, blocks: list[Block]) -> None:
-    lines = [canonical_json({"schema": dict(SCHEMA), "kind": "chain"})]
-    lines.extend(canonical_json(b.to_dict()) for b in blocks)
-    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
+    return b"\n".join([canonical_json(header), *(b.line() for b in blocks)]) + b"\n"
 
 
-def read_chain_jsonl(path: str | Path) -> list[Block]:
-    raw = Path(path).read_bytes()
+def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict[str, Any], list[Block]]:
+    """The header of a chain log or state snapshot, and its blocks, each line read by Block.from_line."""
     lines = [ln for ln in raw.split(b"\n") if ln.strip()]
     if not lines:
-        raise CorruptPayload("empty chain log")
+        raise CorruptPayload(f"empty {kind} file")
     try:
         header = json.loads(lines[0])
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise CorruptPayload(f"bad chain header: {exc}") from None
-    _check_header(header, "chain")
-    blocks = []
-    for ln in lines[1:]:
-        try:
-            blocks.append(Block.from_dict(json.loads(ln)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptPayload(f"bad block line: {exc}") from None
-    return blocks
+        raise CorruptPayload(f"bad {kind} header: {exc}") from None
+    _check_header(header, kind, schema)
+    try:
+        return header, [Block.from_line(ln) for ln in lines[1:]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptPayload(f"bad block line: {exc}") from None
+
+
+def write_chain_jsonl(path: str | Path, blocks: list[Block]) -> None:
+    Path(path).write_bytes(_block_log({"schema": dict(SCHEMA), "kind": "chain"}, blocks))
+
+
+def read_chain_jsonl(path: str | Path) -> list[Block]:
+    return _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)[1]
 
 
 def write_events_jsonl(path: str | Path, blocks: list[Block]) -> None:
@@ -152,12 +160,12 @@ def account_table(ledger: Ledger) -> list[dict[str, str]]:
 
 
 def snapshot_world(world: World) -> bytes:
-    """Canonical bytes for a sealed world; requires no pending txs."""
+    """Canonical bytes for a sealed world, a header line then its block lines; requires no pending txs."""
     if world.ledger.pending:
         raise ValueError("seal pending transactions before snapshotting")
     ledger = world.ledger
     rng_state = world.rng.getstate()
-    data = {
+    header = {
         "schema": dict(STATE_SCHEMA),
         "kind": "state",
         "scenario": world.scenario.to_dict(),
@@ -169,19 +177,21 @@ def snapshot_world(world: World) -> bytes:
             for r in world.reporters
         ],
         "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-        "chain": [b.to_dict() for b in ledger.blocks],
+        "head": ledger.chain_head_hex(),
     }
-    return canonical_json(data) + b"\n"
+    return _block_log(header, ledger.blocks)
 
 
 def restore_world(payload: bytes) -> World:
+    """Rebuild a world from snapshot bytes; refuses a chain whose hashes, links or head do not check."""
+    header, blocks = _read_block_log(payload, "state", STATE_SCHEMA)
+    ok, bad_index = verify_blocks(blocks)
+    if not ok:
+        raise CorruptPayload(f"snapshot chain broken at block {bad_index}")
+    if header.get("head") != (blocks[-1].hash if blocks else GENESIS_PREV_HASH).hex():
+        raise CorruptPayload("snapshot chain does not end at the header's head")
     try:
-        data = json.loads(payload)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CorruptPayload(f"snapshot does not parse: {exc}") from None
-    _check_header(data, "state", STATE_SCHEMA)
-    try:
-        return _rebuild(data)
+        return _rebuild(header, blocks)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
@@ -202,7 +212,7 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
         contract.apply_log(successes)
 
 
-def _rebuild(data: dict[str, Any]) -> World:
+def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
     scenario = Scenario.from_dict(data["scenario"])
     world = World.deployed(scenario)
@@ -210,7 +220,7 @@ def _rebuild(data: dict[str, Any]) -> World:
     saved_accounts = sorted((a["id"], a["role"]) for a in data["accounts"])
     if saved_accounts != sorted((a.id, a.role) for a in ledger.accounts.values()):
         raise CorruptPayload("snapshot accounts differ from the accounts the scenario creates")
-    ledger.blocks = [Block.from_dict(b) for b in data["chain"]]
+    ledger.blocks = blocks
     records = [tx for block in ledger.blocks for tx in block.transactions]
     if not records or records[0].op != "genesis" or records[0].payload != {"totalSupply": ledger.total_supply()}:
         raise CorruptPayload("snapshot chain does not open with the scenario's genesis")

@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+import oracles
+from conftest import UNSEALED_SNAPSHOT_EDITS
 from skyledger import persistence
 from skyledger.cli import builtin_demo_scenario, main
 from skyledger.ledger import canonical_json
@@ -106,6 +108,27 @@ class TestVerify:
         assert run_cli("verify", str(chain_path)) == 4
         assert f"block {target - 1}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["inserted-space", "reordered-prefix", "duplicate-key"])
+    def test_line_out_of_the_sealed_layout_exits_2(self, chain_path, capsys, edit):
+        """The hashed body is left as it is, so a reader that decodes the line and encodes it again verifies it."""
+        lines = chain_path.read_bytes().split(b"\n")
+        line = lines[1]
+        if edit == "inserted-space":
+            edited = b"{ " + line[1:]
+        elif edit == "reordered-prefix":
+            block = json.loads(line)
+            keys = ("index", "hash", "prevHash", "transactions")
+            edited = json.dumps({k: block[k] for k in keys}, separators=(",", ":")).encode()
+        else:
+            edited = line[: line.index(b",") + 1] + line[1:]
+        body_at = b'"transactions":'
+        assert edited != line and edited[edited.index(body_at):] == line[line.index(body_at):]
+        lines[1] = edited
+        chain_path.write_bytes(b"\n".join(lines))
+        assert run_cli("verify", str(chain_path)) == 2
+        err = capsys.readouterr().err
+        assert "not in the sealed layout" in err and err.count("\n") == 1
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         empty = tmp_path / "empty.chain.jsonl"
         empty.write_bytes(b"")
@@ -148,47 +171,54 @@ class TestInspect:
 
     @pytest.mark.parametrize("forge", ["inflated-balance", "empty-chain"])
     def test_supply_refuses_a_forged_snapshot(self, state_path, capsys, forge):
-        data = json.loads(state_path.read_bytes())
-        if forge == "inflated-balance":
-            account = data["accounts"][0]
-            account["balance"] = str(int(account["balance"]) + 10**9)
-        else:
-            data["chain"] = []
-        state_path.write_text(json.dumps(data))
+        def edit(data):
+            if forge == "inflated-balance":
+                account = data["accounts"][0]
+                account["balance"] = str(int(account["balance"]) + 10**9)
+            else:
+                data["chain"] = []
+
+        state_path.write_bytes(oracles.forge_snapshot(state_path.read_bytes(), edit))
         assert run_cli("inspect", str(state_path), "supply") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
     def test_every_query_refuses_a_moved_balance(self, state_path, capsys, query):
-        data = json.loads(state_path.read_bytes())
-        for account, delta in zip(data["accounts"][:2], (-500, 500)):
-            account["balance"] = str(int(account["balance"]) + delta)
-        state_path.write_text(json.dumps(data))
+        def move(data):
+            for account, delta in zip(data["accounts"][:2], (-500, 500)):
+                account["balance"] = str(int(account["balance"]) + delta)
+
+        state_path.write_bytes(oracles.forge_snapshot(state_path.read_bytes(), move))
         assert run_cli("inspect", str(state_path), query) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit", sorted(UNSEALED_SNAPSHOT_EDITS))
+    def test_chain_edited_without_its_hashes_exits_2(self, state_path, capsys, edit):
+        state_path.write_bytes(UNSEALED_SNAPSHOT_EDITS[edit](state_path.read_bytes()))
+        assert run_cli("inspect", str(state_path), "supply") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("malformed state snapshot")
+        assert captured.err.count("\n") == 1
+
     def test_reporter_off_the_grid_exits_2(self, state_path, capsys):
-        data = json.loads(state_path.read_bytes())
-        data["reporters"][0]["cell"] = [9999, 9999]
-        state_path.write_text(json.dumps(data))
+        forged = oracles.forge_snapshot(state_path.read_bytes(), lambda d: d["reporters"][0].update(cell=[9999, 9999]))
+        state_path.write_bytes(forged)
         assert run_cli("inspect", str(state_path), "supply") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1 and "off the grid" in captured.err
 
     def test_version_1_snapshot_exits_2(self, state_path, capsys):
-        data = json.loads(state_path.read_bytes())
-        data["schema"] = {"major": 1, "minor": 0}
-        state_path.write_text(json.dumps(data))
+        forged = oracles.forge_snapshot(state_path.read_bytes(), lambda d: d.update(schema={"major": 1, "minor": 0}))
+        state_path.write_bytes(forged)
         assert run_cli("inspect", str(state_path), "accounts") == 2
         err = capsys.readouterr().err
         assert "unsupported major version" in err and err.count("\n") == 1
 
     def test_version_2_snapshot_exits_2(self, state_path, capsys):
-        data = json.loads(state_path.read_bytes())
-        data["schema"] = {"major": 2, "minor": 0}
-        state_path.write_text(json.dumps(data))
+        forged = oracles.forge_snapshot(state_path.read_bytes(), lambda d: d.update(schema={"major": 2, "minor": 0}))
+        state_path.write_bytes(forged)
         assert run_cli("inspect", str(state_path), "drones") == 2
         err = capsys.readouterr().err
         assert "unsupported major version" in err and err.count("\n") == 1
@@ -233,7 +263,7 @@ class TestInspect:
     @pytest.mark.parametrize("query", ["accounts", "account:x", "drones", "plans", "supply", "reputation"])
     def test_header_without_body_exits_2(self, tmp_path, capsys, query):
         bare = tmp_path / "bare.state.json"
-        bare.write_text('{"schema":{"major":3,"minor":0},"kind":"state"}')
+        bare.write_text('{"schema":{"major":4,"minor":0},"kind":"state"}')
         assert run_cli("inspect", str(bare), query) == 2
         err = capsys.readouterr().err
         assert err.startswith("malformed state snapshot") and err.count("\n") == 1

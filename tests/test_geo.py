@@ -69,7 +69,7 @@ class TestGrid:
             a = (rng.randrange(0, 500), rng.randrange(0, 500))
             b = (rng.randrange(0, 500), rng.randrange(0, 500))
             r = rng.randrange(0, 2000)
-            assert geo.within_range(grid, a, b, r) == (geo.distance_m(grid, a, b) <= r)
+            assert geo.within_range(grid, a, b, r) == (oracles.float_distance_m(grid, a, b) <= r)
 
 
 class TestInterpolation:

@@ -6,11 +6,14 @@ and must say so and re-pin them on purpose.
 """
 
 import hashlib
+import json
 
 import pytest
 
+import oracles
 from conftest import REPO_ROOT, compliant_scenario, deviating_scenario, doas_scenario, lonely_scenario
-from skyledger.persistence import load_scenario, snapshot_world, write_metrics
+from skyledger.ledger import Block, canonical_json
+from skyledger.persistence import load_scenario, snapshot_world, write_chain_jsonl, write_metrics
 from skyledger.sim import World, run
 
 GOLDEN = {
@@ -52,6 +55,22 @@ def test_chain_head_and_metrics_bytes_are_pinned(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == metrics_sha
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_block_lines_are_the_sealed_bytes(name, tmp_path):
+    """Each written line is canonical JSON around the body the block was sealed with, and reads back as the block."""
+    _, world = run(GOLDEN[name][0]())
+    blocks = world.ledger.blocks
+    path = tmp_path / "chain.jsonl"
+    write_chain_jsonl(path, blocks)
+    lines = path.read_bytes().splitlines()[1:]
+    assert len(lines) == len(blocks)
+    for block, line in zip(blocks, lines):
+        assert line == block.line() == canonical_json(json.loads(line))
+        assert Block.from_line(line) == block
+        assert canonical_json([t.to_dict() for t in block.transactions]) == block.body
+    assert oracles.independent_chain_check([json.loads(line) for line in lines])
+
+
 def _stepped_to(scenario, tick):
     world = World(scenario)
     while world.tick < tick:
@@ -59,19 +78,19 @@ def _stepped_to(scenario, tick):
     return world
 
 
-# sha256 of snapshot_world bytes (state schema 3.0)
+# sha256 of snapshot_world bytes (state schema 4.0: a header line, then the chain.jsonl block lines)
 SNAPSHOT_GOLDEN = {
     "compliant-end": (
         lambda: run(compliant_scenario())[1],
-        "35e2ddf6f797aeb137e9c53395437e7e5ea330f9c3cbb1c4dfecb8e75a39e307",
+        "901deff8f82dc25adb0ac96b751a59e9df02025d589cc64db929214feb72371b",
     ),
     "deviating-end": (
         lambda: run(deviating_scenario())[1],
-        "f48239bae6452d60cf719b1710b086c9f6f810553ff1af7d6d5353e6109b61aa",
+        "379d4430c956e58dd93dd3ff7fba1c6598c95cd89c93814a5495deab3706126c",
     ),
     "compliant-tick15": (
         lambda: _stepped_to(compliant_scenario(), 15),
-        "3fdbe58d46ce5ef90e5f0335dc670f43d9eeb9652ba2a16734dcaa51289c88cb",
+        "b04a25c3f0b99fd3166dd6a309760c8fa999bc14cb4e35f2c73f744b30afb3b8",
     ),
 }
 

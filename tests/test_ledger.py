@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -288,7 +289,7 @@ class TestBlocks:
         for i in range(3):
             ledger.submit(alice, "set_slot", {"key": f"k{i}", "value": i})
             ledger.seal_block()
-        dicts = [b.to_dict() for b in ledger.blocks]
+        dicts = [json.loads(b.line()) for b in ledger.blocks]
         assert oracles.independent_chain_check(dicts)
         for blk in dicts:
             assert oracles.independent_block_digest(blk) == blk["hash"]
@@ -298,9 +299,12 @@ class TestBlocks:
         ledger.submit(alice, "set_slot", {"key": "a", "value": 1})
         ledger.seal_block()
         assert ledger.verify_chain()
-        ledger.blocks[0].transactions[-1].args["value"] = 2
-        assert not ledger.verify_chain()
-        assert not oracles.independent_chain_check([b.to_dict() for b in ledger.blocks])
+        line = ledger.blocks[0].line()
+        assert line.count(b'"value":1') == 1
+        tampered = Block.from_line(line.replace(b'"value":1', b'"value":2'))
+        assert tampered.transactions[-1].args["value"] == 2
+        assert verify_blocks([tampered]) == (False, 0)
+        assert not oracles.independent_chain_check([json.loads(tampered.line())])
 
     def test_swapped_blocks_detected(self, toy):
         ledger, _, alice, _ = toy
@@ -310,7 +314,7 @@ class TestBlocks:
         swapped = [ledger.blocks[0], ledger.blocks[2], ledger.blocks[1]]
         ok, bad = verify_blocks(swapped)
         assert not ok and bad == 1
-        assert not oracles.independent_chain_check([b.to_dict() for b in swapped])
+        assert not oracles.independent_chain_check([json.loads(b.line()) for b in swapped])
 
     def test_genesis_must_come_first(self):
         ledger = Ledger()
@@ -328,7 +332,7 @@ def test_record_round_trips_through_dict(toy):
     again = TransactionRecord.from_dict(rec.to_dict())
     assert again == rec
     block = ledger.seal_block()
-    assert Block.from_dict(block.to_dict()) == block
+    assert Block.from_line(block.line()) == block
 
 
 def test_replay_determinism(toy):

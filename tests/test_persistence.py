@@ -8,9 +8,9 @@ import weakref
 import pytest
 
 import oracles
-from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario
+from conftest import REPO_ROOT, SRC, UNSEALED_SNAPSHOT_EDITS, compliant_scenario, deviating_scenario
 from skyledger import persistence
-from skyledger.ledger import canonical_json
+from skyledger.ledger import Block, canonical_json, verify_blocks
 from skyledger.sim import World, run
 
 
@@ -134,10 +134,11 @@ def test_reverted_report_whose_args_are_not_an_object_is_corrupt():
     world = World(compliant_scenario())
     world.ledger.submit(world.reporters[0].account, "report_drone", {"droneId": 0})
     world.ledger.seal_block()
-    data = json.loads(persistence.snapshot_world(world))
-    data["chain"][-1]["transactions"][-1]["args"] = []
-    with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(canonical_json(data))
+    forged = oracles.forge_snapshot(
+        persistence.snapshot_world(world), lambda d: d["chain"][-1]["transactions"][-1].update(args=[])
+    )
+    with pytest.raises(persistence.CorruptPayload, match="snapshot structure invalid"):
+        persistence.restore_world(forged)
 
 
 def _first_account(data, role):
@@ -179,10 +180,8 @@ def _move_balance(data):
 )
 def test_forged_snapshot_is_corrupt(forge):
     _, world = run(compliant_scenario())
-    data = json.loads(persistence.snapshot_world(world))
-    forge(data)
     with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
 @pytest.mark.parametrize("tick", ["13", 13.0, None, True])
@@ -190,12 +189,14 @@ def test_replay_memory_with_a_tick_that_is_not_an_int_is_corrupt(demo_scenario_p
     world = World(persistence.load_scenario(demo_scenario_path))
     while not any(r.heard for r in world.reporters):
         world.step()
-    data = json.loads(persistence.snapshot_world(world))
-    heard = next(r["heard"] for r in data["reporters"] if r["heard"])
-    for entry in heard.values():
-        entry[1] = tick
+
+    def forge(data):
+        heard = next(r["heard"] for r in data["reporters"] if r["heard"])
+        for entry in heard.values():
+            entry[1] = tick
+
     with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
 def _logged(data, op):
@@ -205,10 +206,10 @@ def _logged(data, op):
 
 
 def test_plan_without_route_is_corrupt():
-    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
-    _logged(data, "request_plan")["payload"]["route"] = []
+    snap = persistence.snapshot_world(World(compliant_scenario()))
+    forged = oracles.forge_snapshot(snap, lambda d: _logged(d, "request_plan")["payload"].update(route=[]))
     with pytest.raises(persistence.CorruptPayload, match="no route"):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(forged)
 
 
 @pytest.mark.parametrize(
@@ -220,10 +221,10 @@ def test_plan_without_route_is_corrupt():
 )
 def test_plan_no_straight_flight_makes_is_corrupt(forge):
     """The airspace index holds one window per cell of a plan and counts it from departure to arrival."""
-    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
-    forge(_logged(data, "request_plan")["payload"])
+    snap = persistence.snapshot_world(World(compliant_scenario()))
+    forged = oracles.forge_snapshot(snap, lambda d: forge(_logged(d, "request_plan")["payload"]))
     with pytest.raises(persistence.CorruptPayload, match="plan for drone 0"):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(forged)
 
 
 def test_snapshot_refuses_unsealed_state():
@@ -241,34 +242,62 @@ def test_truncated_snapshot_is_corrupt():
         persistence.restore_world(snap[: len(snap) // 2])
 
 
+@pytest.mark.parametrize(
+    "edit,error",
+    [("probe", "broken at block 0"), ("broken-link", "broken at block 1"),
+     ("line-truncation", "header's head"), ("head-mismatch", "header's head")],
+)
+def test_restore_refuses_a_chain_edited_without_its_hashes(edit, error):
+    snap = persistence.snapshot_world(run(compliant_scenario())[1])
+    with pytest.raises(persistence.CorruptPayload, match=error):
+        persistence.restore_world(UNSEALED_SNAPSHOT_EDITS[edit](snap))
+
+
+def test_snapshot_cut_at_any_line_boundary_is_corrupt():
+    lines = persistence.snapshot_world(run(compliant_scenario())[1]).splitlines(keepends=True)
+    for end in range(1, len(lines)):
+        with pytest.raises(persistence.CorruptPayload, match="header's head"):
+            persistence.restore_world(b"".join(lines[:end]))
+
+
 def test_garbage_snapshot_is_corrupt():
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(b"not even json")
     with pytest.raises(persistence.CorruptPayload):
-        persistence.restore_world(b'{"schema": {"major": 3}, "kind": "state"}')
+        persistence.restore_world(b'{"schema": {"major": 4}, "kind": "state"}')
 
 
 def test_unknown_major_version_rejected():
     world = World(compliant_scenario())
-    data = json.loads(persistence.snapshot_world(world))
-    data["schema"]["major"] = 99
+    forged = oracles.forge_snapshot(persistence.snapshot_world(world), lambda d: d["schema"].update(major=99))
     with pytest.raises(persistence.SchemaMismatch):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(forged)
 
 
 @pytest.mark.parametrize("major", [1, 2])
 def test_older_major_snapshot_is_refused(major):
-    data = json.loads(persistence.snapshot_world(World(compliant_scenario())))
-    data["schema"] = {"major": major, "minor": 0}
+    snap = persistence.snapshot_world(World(compliant_scenario()))
+    forged = oracles.forge_snapshot(snap, lambda d: d.update(schema={"major": major, "minor": 0}))
     with pytest.raises(persistence.SchemaMismatch):
-        persistence.restore_world(canonical_json(data))
+        persistence.restore_world(forged)
+
+
+def test_schema_3_snapshot_is_refused():
+    """A 3.0 snapshot is one JSON document holding the chain; its one line reads as a header of major 3."""
+    snap = persistence.snapshot_world(World(compliant_scenario()))
+    header, *lines = snap.splitlines()
+    data = json.loads(header)
+    del data["head"]
+    data.update(schema={"major": 3, "minor": 0}, chain=[json.loads(line) for line in lines])
+    with pytest.raises(persistence.SchemaMismatch):
+        persistence.restore_world(canonical_json(data) + b"\n")
 
 
 def test_snapshot_holds_no_contract_storage():
-    data = json.loads(persistence.snapshot_world(run(compliant_scenario())[1]))
-    assert data["schema"] == {"major": 3, "minor": 0}
-    assert sorted(data) == ["accounts", "chain", "clock", "kind", "reporters", "rng", "scenario", "schema", "tick"]
-    assert all(sorted(r) == ["cell", "heard", "name"] for r in data["reporters"])
+    header = json.loads(persistence.snapshot_world(run(compliant_scenario())[1]).splitlines()[0])
+    assert header["schema"] == {"major": 4, "minor": 0}
+    assert sorted(header) == ["accounts", "clock", "head", "kind", "reporters", "rng", "scenario", "schema", "tick"]
+    assert all(sorted(r) == ["cell", "heard", "name"] for r in header["reporters"])
 
 
 def test_nonces_survive_a_round_trip_but_never_in_the_clear():
@@ -313,6 +342,20 @@ class TestChainFiles:
         path.write_bytes(b'{"schema":{"major":9,"minor":0},"kind":"chain"}\n')
         with pytest.raises(persistence.SchemaMismatch):
             persistence.read_chain_jsonl(path)
+
+    def test_a_space_anywhere_in_a_line_is_refused_or_breaks_the_chain(self):
+        blocks = run(compliant_scenario())[1].ledger.blocks
+        index = min(range(len(blocks)), key=lambda i: len(blocks[i].line()))
+        line = blocks[index].line()
+        refused = 0
+        for pos in range(len(line) + 1):
+            try:
+                block = Block.from_line(line[:pos] + b" " + line[pos:])
+            except (KeyError, TypeError, ValueError):
+                refused += 1
+                continue
+            assert verify_blocks(blocks[:index] + [block] + blocks[index + 1:])[0] is False
+        assert 0 < refused < len(line) + 1
 
     def test_mangled_block_line(self, tmp_path):
         path = tmp_path / "mangled.chain.jsonl"
