@@ -70,9 +70,12 @@ class ContractRevert(Exception):
         self.reason = reason
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj: Any) -> bytes:
-    """The one serialization used for hashing: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+    """The one serialization used for hashing: sorted keys, no spaces (one encoder, not one per call)."""
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 _SCALARS = (int, str, bytes, float, type(None))

@@ -27,7 +27,6 @@ exclude them too.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections.abc import Iterable
 from pathlib import Path
@@ -76,10 +75,17 @@ def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
 
 
 def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict[str, Any], list[Block]]:
-    """The header of a chain log or state snapshot, and its blocks, each line read by Block.from_line."""
-    lines = [ln for ln in raw.split(b"\n") if ln.strip()]
+    """The header of a chain log or state snapshot, and its blocks, each line read by Block.from_line.
+
+    Only the final newline may end an empty line; any other blank or whitespace-only line is refused.
+    """
+    lines = raw.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
     if not lines:
         raise CorruptPayload(f"empty {kind} file")
+    if blank := next((i for i, ln in enumerate(lines, 1) if not ln.strip()), None):
+        raise CorruptPayload(f"blank line {blank} in {kind} file")
     try:
         header = json.loads(lines[0])
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -114,39 +120,35 @@ def write_metrics(path: str | Path, metrics: RunMetrics) -> None:
     Path(path).write_bytes(canonical_json(metrics.to_dict()) + b"\n")
 
 
-def write_trace_csv(path: str | Path, world: World) -> None:
+def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
+    """Write formatted rows with csv.writer's CRLF line ends, streamed so no copy of the whole file is held.
+
+    Every field is an int or lowercase hex, which csv.writer never quotes, so a row is its fields joined by commas.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick", "droneId", "cellLat", "cellLon", "broadcast"])
-        for row in world.trace:
-            writer.writerow([row.tick, row.drone_id, row.cell[0], row.cell[1], row.broadcast_hex])
+        fh.write(header + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
+
+
+def write_trace_csv(path: str | Path, world: World) -> None:
+    rows = (f"{tick},{drone_id},{lat},{lon},{broadcast}" for tick, drone_id, lat, lon, broadcast in world.trace)
+    _write_csv(path, "tick,droneId,cellLat,cellLon,broadcast", rows)
 
 
 def write_reputation_surface_csv(path: str | Path, max_rewards: int = 50, max_penalties: int = 50) -> None:
     from .economics import reputation_surface
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rewards", "penalties", "reputationMicro"])
-        for r, p, rep in reputation_surface(max_rewards, max_penalties):
-            writer.writerow([r, p, rep])
+    rows = (f"{r},{p},{rep}" for r, p, rep in reputation_surface(max_rewards, max_penalties))
+    _write_csv(path, "rewards,penalties,reputationMicro", rows)
 
 
 def write_congestion_fee_csv(path: str | Path, scenario: Scenario, max_missions: int = 50) -> None:
     from .economics import congestion_surcharge, dynamic_fee, INITIAL_K_MICRO
 
-    fee_params = scenario.fee_params
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["activeMissions", "fee"])
-        for count in range(max_missions + 1):
-            fee = dynamic_fee(
-                INITIAL_K_MICRO,
-                fee_params.base_cost,
-                fee_params.deposit,
-                congestion_surcharge(count, fee_params.surcharge_per_mission),
-            )
-            writer.writerow([count, fee])
+    fp = scenario.fee_params
+    surcharges = (congestion_surcharge(n, fp.surcharge_per_mission) for n in range(max_missions + 1))
+    rows = (f"{n},{dynamic_fee(INITIAL_K_MICRO, fp.base_cost, fp.deposit, s)}" for n, s in enumerate(surcharges))
+    _write_csv(path, "activeMissions,fee", rows)
 
 
 # -- state snapshots -----------------------------------------------------------

@@ -338,14 +338,6 @@ def _dump(obj: Any) -> dict[str, Any]:
 
 
 @dataclass
-class TraceRow:
-    tick: int
-    drone_id: int
-    cell: tuple[int, int]
-    broadcast_hex: str
-
-
-@dataclass
 class _DroneState:
     spec: DroneSpec
     operator_account: str
@@ -393,7 +385,7 @@ class World:
         self.grid = scenario.grid()
         self.tick = 0
         self.rng = random.Random(scenario.seed)
-        self.trace: list[TraceRow] = []
+        self.trace: list[tuple[int, int, int, int, str]] = []  # (tick, drone id, cell lat, cell lon, broadcast hex)
         self.ledger = Ledger()
         self.authority = AuthorityContract(self.ledger)
         nonce_seed = hashlib.sha256(b"nonce-seed:" + str(scenario.seed).encode()).digest()
@@ -582,7 +574,7 @@ class World:
                 )
             )
             broadcasts.append((drone, pos, wire))
-            self.trace.append(TraceRow(self.tick, drone.drone_id, self.grid.cell_of(*pos), wire.hex()))
+            self.trace.append((self.tick, drone.drone_id, *self.grid.cell_of(*pos), wire.hex()))
         return broadcasts
 
     def _report_phase(self, broadcasts, now: int) -> None:

@@ -4,19 +4,21 @@ Everything here recomputes results by a different route than the
 package: exact rationals for the fixed-point economics, second-by-second
 enumeration for route occupancy, a from-scratch digest chain walk,
 whole-storage copies for per-transaction write metering, an
-every-reporter-against-every-broadcast scan for crowd sensing, and a
-float distance for the integer range check.
+every-reporter-against-every-broadcast scan for crowd sensing, a
+float distance for the integer range check, and csv.writer for the
+CSV exports.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
 import math
 from fractions import Fraction
 
-from skyledger import geo
+from skyledger import economics, geo
 
 MICRO = 10**6
 
@@ -336,3 +338,30 @@ def per_settlement_completion_phase(world, now):
             for rep in world.reporters:
                 rep.attempted.discard(drone.drone_id)
                 rep.heard.pop(drone.drone_id, None)
+
+
+def csv_writer_trace(path, world) -> None:
+    """The CSV writers as they were before they formatted rows themselves: csv.writer, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tick", "droneId", "cellLat", "cellLon", "broadcast"])
+        for tick, drone_id, lat, lon, broadcast_hex in world.trace:
+            writer.writerow([tick, drone_id, lat, lon, broadcast_hex])
+
+
+def csv_writer_reputation_surface(path, max_rewards: int, max_penalties: int) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rewards", "penalties", "reputationMicro"])
+        for r, p, rep in economics.reputation_surface(max_rewards, max_penalties):
+            writer.writerow([r, p, rep])
+
+
+def csv_writer_congestion_fee(path, scenario, max_missions: int) -> None:
+    fp = scenario.fee_params
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["activeMissions", "fee"])
+        for count in range(max_missions + 1):
+            surcharge = economics.congestion_surcharge(count, fp.surcharge_per_mission)
+            writer.writerow([count, economics.dynamic_fee(economics.INITIAL_K_MICRO, fp.base_cost, fp.deposit, surcharge)])

@@ -129,6 +129,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "not in the sealed layout" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("blank", [b"", b" \t "], ids=["empty", "spaces-and-tab"])
+    def test_blank_line_between_blocks_exits_2(self, chain_path, capsys, blank):
+        lines = chain_path.read_bytes().split(b"\n")
+        lines.insert(2, blank)
+        chain_path.write_bytes(b"\n".join(lines))
+        assert run_cli("verify", str(chain_path)) == 2
+        err = capsys.readouterr().err
+        assert "blank line 3" in err and err.count("\n") == 1
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         empty = tmp_path / "empty.chain.jsonl"
         empty.write_bytes(b"")

@@ -1,4 +1,4 @@
-"""Golden gate: chain heads, metrics.json and snapshot bytes of the canonical runs.
+"""Golden gate: chain heads, metrics.json, snapshot and export bytes of the canonical runs.
 
 The constants are sha256 values of the outputs of the released protocol.
 A change that moves any of them changes the chain or the metrics schema,
@@ -13,7 +13,16 @@ import pytest
 import oracles
 from conftest import REPO_ROOT, compliant_scenario, deviating_scenario, doas_scenario, lonely_scenario
 from skyledger.ledger import Block, canonical_json
-from skyledger.persistence import load_scenario, snapshot_world, write_chain_jsonl, write_metrics
+from skyledger.persistence import (
+    load_scenario,
+    snapshot_world,
+    write_chain_jsonl,
+    write_congestion_fee_csv,
+    write_events_jsonl,
+    write_metrics,
+    write_reputation_surface_csv,
+    write_trace_csv,
+)
 from skyledger.sim import World, run
 
 GOLDEN = {
@@ -99,3 +108,48 @@ SNAPSHOT_GOLDEN = {
 def test_snapshot_bytes_are_pinned(name):
     make_world, snapshot_sha = SNAPSHOT_GOLDEN[name]
     assert hashlib.sha256(snapshot_world(make_world())).hexdigest() == snapshot_sha
+
+
+# sha256 of the other files `skyledger run` writes: (trace.csv, events.jsonl) per run; the two
+# plot CSVs read only the fee parameters, which all five runs share
+EXPORT_GOLDEN = {
+    "compliant": (
+        "e5f725608881c5af11b5492bb6083434d7f01dbef8fed2cf9d92a81e31f67217",
+        "79c044f22c7a3572f4af5ae10aab3e6d162cb7f23db530818627039a11ee2c7a",
+    ),
+    "demo": (
+        "3cd0b56c9439959ab1bda3a7506ee6e7b7bbc7ef22c25152014c444cbf01fca9",
+        "add1c1ea2ddc196c1089f581c1f58bab37211e9857260cccf1c707f975bead11",
+    ),
+    "deviating": (
+        "3ecf30daa5c070a6767d42408c7031a70ff7c9a5725327dca5c99f8f6ad4267f",
+        "0fe9e2ef566b78089a0597b4c4a1d3e6816761480175409bc9e3e2b70072b712",
+    ),
+    "doas100": (
+        "410af09e85099c280f2c19ed47dfb934bace08ed0a1487fdafc28d3ffcefaf54",
+        "0d6ebe8a1fc5f1353e8fa6fdb50401bf87dd4626cd984d00261a589d3e2e9309",
+    ),
+    "lonely": (
+        "7a8326049aae91ccaf7e11998772b078bea3b80bdf4715e8071a1251a972bfec",
+        "391b8631c87c9ede0e34c1ed0a3610dece7946fabf062f5976744b714f67caa9",
+    ),
+}
+REPUTATION_SURFACE_SHA = "cd9541bd37176e635085ccbace9bd7ef68d237fbbe9ab595842a48e0dead48b2"
+CONGESTION_FEE_SHA = "0ceb2847693e52a01e6997b347b4b5ba74330ad094ce595781933967873baf01"
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
+def test_export_bytes_are_pinned(name, tmp_path):
+    scenario = GOLDEN[name][0]()
+    _, world = run(scenario)
+    write_trace_csv(tmp_path / "trace.csv", world)
+    write_events_jsonl(tmp_path / "events.jsonl", world.ledger.blocks)
+    write_reputation_surface_csv(tmp_path / "reputation_surface.csv")
+    write_congestion_fee_csv(tmp_path / "congestion_fee.csv", scenario)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == {
+        "congestion_fee.csv": CONGESTION_FEE_SHA,
+        "events.jsonl": EXPORT_GOLDEN[name][1],
+        "reputation_surface.csv": REPUTATION_SURFACE_SHA,
+        "trace.csv": EXPORT_GOLDEN[name][0],
+    }

@@ -6,12 +6,15 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import REPO_ROOT, SRC, UNSEALED_SNAPSHOT_EDITS, compliant_scenario, deviating_scenario
 from skyledger import persistence
+from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
 from skyledger.sim import World, run
+from test_sensing import sensing_scenarios
 
 
 def test_snapshot_is_canonical():
@@ -260,6 +263,16 @@ def test_snapshot_cut_at_any_line_boundary_is_corrupt():
             persistence.restore_world(b"".join(lines[:end]))
 
 
+@pytest.mark.parametrize("blank", [b"", b" \t "], ids=["empty", "spaces-and-tab"])
+@pytest.mark.parametrize("at", [1, 2, -1], ids=["after-header", "after-block-0", "at-the-end"])
+def test_snapshot_with_a_blank_line_is_corrupt(blank, at):
+    """Only the final newline may end an empty line; a blank line anywhere else is refused, not skipped."""
+    lines = persistence.snapshot_world(run(compliant_scenario())[1]).split(b"\n")
+    lines.insert(at, blank)
+    with pytest.raises(persistence.CorruptPayload, match="blank line"):
+        persistence.restore_world(b"\n".join(lines))
+
+
 def test_garbage_snapshot_is_corrupt():
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(b"not even json")
@@ -337,6 +350,21 @@ class TestChainFiles:
         with pytest.raises(persistence.CorruptPayload):
             persistence.read_chain_jsonl(path)
 
+    @pytest.mark.parametrize("raw", [b"\n", b"H\n\nB\n", b"H\nB\n\n", b"H\n \t \nB", b"\r\nH\n"],
+                             ids=["only-newline", "empty-line", "two-final-newlines", "whitespace-line", "cr-line"])
+    def test_blank_line_is_refused(self, tmp_path, raw):
+        path = tmp_path / "blank.chain.jsonl"
+        path.write_bytes(raw.replace(b"H", b'{"kind":"chain","schema":{"major":1,"minor":0}}').replace(b"B", b"x"))
+        with pytest.raises(persistence.CorruptPayload, match="blank line"):
+            persistence.read_chain_jsonl(path)
+
+    def test_final_newline_is_optional(self, tmp_path):
+        _, world = run(compliant_scenario())
+        path = tmp_path / "x.chain.jsonl"
+        persistence.write_chain_jsonl(path, world.ledger.blocks)
+        path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+        assert persistence.read_chain_jsonl(path) == world.ledger.blocks
+
     def test_bad_header_major(self, tmp_path):
         path = tmp_path / "bad.chain.jsonl"
         path.write_bytes(b'{"schema":{"major":9,"minor":0},"kind":"chain"}\n')
@@ -408,6 +436,30 @@ class TestCsvOutputs:
         assert lines[0] == "activeMissions,fee"
         fees = [int(line.split(",")[1]) for line in lines[1:]]
         assert fees == sorted(fees) and len(fees) == 11
+
+    @settings(max_examples=30, deadline=None)
+    @given(sensing_scenarios())
+    def test_trace_bytes_equal_csv_writer(self, tmp_path_factory, scenario):
+        """Rows formatted directly give csv.writer's bytes: no field is None or needs quoting."""
+        world = World(scenario)
+        world.run_to_end()
+        path = tmp_path_factory.mktemp("trace")
+        persistence.write_trace_csv(path / "new.csv", world)
+        oracles.csv_writer_trace(path / "old.csv", world)
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 300),
+           st.builds(FeeParams, st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**6)))
+    def test_surface_and_fee_bytes_equal_csv_writer(self, tmp_path_factory, rewards, penalties, missions, fee_params):
+        scenario = dataclasses.replace(compliant_scenario(), fee_params=fee_params)
+        path = tmp_path_factory.mktemp("plots")
+        persistence.write_reputation_surface_csv(path / "surface.csv", rewards, penalties)
+        oracles.csv_writer_reputation_surface(path / "surface.old.csv", rewards, penalties)
+        persistence.write_congestion_fee_csv(path / "fee.csv", scenario, missions)
+        oracles.csv_writer_congestion_fee(path / "fee.old.csv", scenario, missions)
+        assert (path / "surface.csv").read_bytes() == (path / "surface.old.csv").read_bytes()
+        assert (path / "fee.csv").read_bytes() == (path / "fee.old.csv").read_bytes()
 
     def test_events_stream(self, tmp_path):
         _, world = run(compliant_scenario())

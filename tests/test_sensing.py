@@ -80,7 +80,7 @@ def _outcome(world):
     return (
         world.ledger.blocks[-1].hash,
         world.ledger.state_digest(),
-        [(r.tick, r.drone_id, r.cell, r.broadcast_hex) for r in world.trace],
+        world.trace,
         [(sorted(r.attempted), sorted(r.heard.items()), r.cell) for r in world.reporters],
         canonical_json(world.metrics().to_dict()),
     )
@@ -141,7 +141,7 @@ def test_sensing_work_is_linear_in_reporters(monkeypatch):
     for n in (50, 200):
         world, per_tick = _within_range_calls_per_tick(monkeypatch, doas_scenario(n))
         reporters = len(world.reporters)
-        broadcasting = max(len({row.drone_id for row in world.trace if row.tick == t}) for t in range(world.tick))
+        broadcasting = max(len({drone_id for tick, drone_id, *_ in world.trace if tick == t}) for t in range(world.tick))
         assert broadcasting == n  # every drone is airborne at once, so all-pairs would be 2n * n
         assert max(per_tick) <= 2 * reporters
         assert sum(per_tick) <= 2 * reporters * len(per_tick)
