@@ -75,19 +75,16 @@ class AuthorityContract:
             raise ContractRevert(REVERT_ALREADY_REGISTERED)
         if not args["signTAC"]:
             raise ContractRevert(REVERT_TAC_NOT_SIGNED)
+        return {"droneId": self._register(serial_hash, args["ownerNationalId"], caller)}
+
+    def _register(self, serial_hash: str, owner_national_id: str, owner: AccountId) -> int:
+        """The one writer of the registry's records and serial index, for register_drone and apply_log."""
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
         self.ledger.touch(self.storage["serial_index"], serial_hash)
-        self.records.append(
-            DroneRecord(
-                drone_id=drone_id,
-                serial_hash=serial_hash,
-                owner_national_id_hash=_hashed(args["ownerNationalId"]),
-                owner_account=caller,
-            )
-        )
+        self.records.append(DroneRecord(drone_id, serial_hash, _hashed(owner_national_id), owner))
         self.storage["serial_index"][serial_hash] = drone_id
-        return {"droneId": drone_id}
+        return drone_id
 
     def op_get_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         if self.ledger.account(caller).role not in _REGISTRY_READER_ROLES:
@@ -121,18 +118,13 @@ class AuthorityContract:
         rec.penalties = 0
 
     def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
-        """Register each drone of the logged successes, in log order, as register_drone did."""
+        """Register each drone of the logged successes, in log order, through register_drone's writer."""
         for tx in successes:
             if tx.op != "register_drone":
                 continue
-            drone_id = tx.payload["droneId"]
-            if drone_id != len(self.records):
-                raise ValueError(f"logged drone id {drone_id} is not the next registry index")
-            serial_hash = _hashed(tx.args["serial"])
-            self.records.append(
-                DroneRecord(drone_id, serial_hash, _hashed(tx.args["ownerNationalId"]), tx.caller)
-            )
-            self.storage["serial_index"][serial_hash] = drone_id
+            drone_id = self._register(_hashed(tx.args["serial"]), tx.args["ownerNationalId"], tx.caller)
+            if tx.payload["droneId"] != drone_id:
+                raise ValueError(f"logged drone id {tx.payload['droneId']} is not the next registry index")
 
     def export_registry(self) -> list[dict[str, Any]]:
         return [r.to_public_dict() for r in self.records]

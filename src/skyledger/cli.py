@@ -112,7 +112,10 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         return _fail(EXIT_CONFIG, f"invalid scenario: {exc}")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot create output directory {out_dir}: {exc.strerror}")
     try:
         world = World(scenario)
         world.run_to_end()

@@ -71,7 +71,8 @@ def save_scenario(path: str | Path, scenario: Scenario) -> None:
 # -- chain log ---------------------------------------------------------------
 
 def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
-    return b"\n".join([canonical_json(header), *(b.line() for b in blocks)]) + b"\n"
+    # the empty last part ends the log with a newline inside the one join, not in a second full-size copy
+    return b"\n".join([canonical_json(header), *(b.line() for b in blocks), b""])
 
 
 def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict[str, Any], list[Block]]:
@@ -217,6 +218,9 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
 def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
     scenario = Scenario.from_dict(data["scenario"])
+    tick, clock = data["tick"], data["clock"]
+    if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
+        raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
     world = World.deployed(scenario)
     ledger = world.ledger
     saved_accounts = sorted((a["id"], a["role"]) for a in data["accounts"])
@@ -233,7 +237,7 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     for acc in data["accounts"]:
         if int(acc["balance"]) != ledger.accounts[acc["id"]].balance:
             raise CorruptPayload(f"balance of {acc['id']} differs from the one its chain gives")
-    ledger.clock = data["clock"]
+    ledger.clock = clock
     for block in ledger.blocks:
         world.learn(block.transactions)
     reporters = {r["name"]: r for r in data["reporters"]}
@@ -245,7 +249,7 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
         if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell):
             raise CorruptPayload(f"reporter {rep.spec.name!r}: cell {saved['cell']} off the grid, or a tick not an int")
 
-    world.tick = data["tick"]
+    world.tick = tick
     rng = data["rng"]
     world.rng.setstate((rng[0], tuple(rng[1]), rng[2]))
     return world

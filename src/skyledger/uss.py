@@ -269,6 +269,52 @@ class UssContract:
         )
         return fee, congestion
 
+    # -- storage writers, called by the ops and by apply_log ---------------
+
+    def _subscribe(self, sub: Subscription) -> None:
+        self._touch(sub.drone_id, "subscriptions")
+        self.storage["subscriptions"][sub.drone_id] = sub
+
+    def _open_mission(self, drone_id: int, escrow: int) -> bytes:
+        """Draw the mission's nonce and open every mission map but the plan, which the caller stores."""
+        storage = self.storage
+        nonce = NonceSource(self._nonce_seed, storage["nonce_counter"]).next()
+        self.ledger.touch(storage, "nonce_counter")
+        storage["nonce_counter"] += 1
+        self._touch(drone_id, *_MISSION_MAPS)
+        storage["nonces"][drone_id] = nonce
+        storage["report_counts"][drone_id] = {}
+        storage["escrow_by_drone"][drone_id] = escrow
+        storage["forfeited"][drone_id] = 0
+        self.authority.set_active_plan(drone_id, True)
+        return nonce
+
+    def _record_sighting(self, sighting: SightingRecord, escrowed: int) -> None:
+        """Count a valid report and move the mission's escrow by what it gained (a fine is negative)."""
+        storage, drone_id, reporter = self.storage, sighting.drone_id, sighting.reporter
+        counts = storage["report_counts"][drone_id]
+        self.ledger.touch(counts, reporter)  # this reporter's entry alone, so the cost does not grow with the crowd
+        counts[reporter] = counts.get(reporter, 0) + 1
+        self._touch(drone_id, "escrow_by_drone", "forfeited")
+        storage["escrow_by_drone"][drone_id] += escrowed
+        if sighting.verdict == VERDICT_REWARD:
+            self.authority.add_reward(drone_id)
+        else:
+            self.authority.add_penalty(drone_id)
+            storage["forfeited"][drone_id] -= escrowed
+        sightings = storage["sightings"]
+        self.ledger.touch(sightings, len(sightings))
+        sightings.append(sighting)
+
+    def _close_mission(self, drone_id: int, owner: AccountId, reputation: economics.ReputationState) -> None:
+        self._touch(drone_id, *_MISSION_MAPS)
+        for name in _MISSION_MAPS:
+            self.storage[name].pop(drone_id, None)
+        self._touch(owner, "reputation")
+        self.storage["reputation"][owner] = reputation
+        self.authority.reset_counters(drone_id)
+        self.authority.set_active_plan(drone_id, False)
+
     # -- operations ---------------------------------------------------------
 
     def op_subscribe(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
@@ -281,8 +327,7 @@ class UssContract:
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
         expiry = self.ledger.clock + self.params.subscription_period_s
-        self._touch(drone_id, "subscriptions")
-        self.storage["subscriptions"][drone_id] = Subscription(drone_id, caller, value, expiry)
+        self._subscribe(Subscription(drone_id, caller, value, expiry))
         return {"droneId": drone_id, "expiry": expiry}
 
     def op_request_quote(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
@@ -321,9 +366,8 @@ class UssContract:
 
         route, arrival_s = self.schedule_route(src, dst, depart_s)
 
-        nonce = NonceSource(self._nonce_seed, self.storage["nonce_counter"]).next()
-        self.ledger.touch(self.storage, "nonce_counter")
-        self.storage["nonce_counter"] += 1
+        deposit = self.params.fee.deposit
+        nonce = self._open_mission(drone_id, deposit)
         rid_vc = compute_rid_vc(nonce, caller, source, destination, date, time)
 
         plan = MissionPlan(
@@ -342,16 +386,8 @@ class UssContract:
             route=route,
             rid_vc=rid_vc,
         )
-        self._touch(drone_id, *_MISSION_MAPS)
         self.plans[drone_id] = plan
-        self.storage["nonces"][drone_id] = nonce
-        self.storage["report_counts"][drone_id] = {}
-        self.authority.set_active_plan(drone_id, True)
-
-        deposit = self.params.fee.deposit
         self.ledger.transfer(self.treasury, self.escrow, deposit)
-        self.storage["escrow_by_drone"][drone_id] = deposit
-        self.storage["forfeited"][drone_id] = 0
         self.ledger.on_commit(functools.partial(self.index_plan, plan))
 
         payload = plan.to_public_dict()
@@ -386,16 +422,8 @@ class UssContract:
         record = self.authority.record(drone_id)
         if caller == record.owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
-        counts = self.storage["report_counts"].get(drone_id)
-        if counts is None:
-            self._touch(drone_id, "report_counts")
-            counts = self.storage["report_counts"][drone_id] = {}
-        else:
-            # journal this reporter's entry alone, so the cost does not grow with the crowd
-            self.ledger.touch(counts, caller)
-        if counts.get(caller, 0) >= 1:
+        if caller in self.storage["report_counts"].get(drone_id, ()):  # a count is stored only once it is 1
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
-        counts[caller] = counts.get(caller, 0) + 1
 
         try:
             message = decode_rid(bytes.fromhex(args["rid"]))
@@ -428,25 +456,15 @@ class UssContract:
             reporter=caller,
         )
 
-        self._touch(drone_id, "escrow_by_drone", "forfeited")
         if self._sighting_matches_plan(plan, sighting_cell, sighting_time):
-            verdict = VERDICT_REWARD
-            self.authority.add_reward(drone_id)
-            self.ledger.transfer(self.treasury, self.escrow, self.params.bonus_unit)
-            self.storage["escrow_by_drone"][drone_id] += self.params.bonus_unit
+            verdict, escrowed = VERDICT_REWARD, self.params.bonus_unit
+            self.ledger.transfer(self.treasury, self.escrow, escrowed)
         else:
-            verdict = VERDICT_PENALTY
-            self.authority.add_penalty(drone_id)
             remaining = self.params.fee.deposit - self.storage["forfeited"][drone_id]
-            fine = min(self.params.fine_unit, remaining)
-            self.storage["forfeited"][drone_id] += fine
-            self.storage["escrow_by_drone"][drone_id] -= fine
-            self.ledger.transfer(self.escrow, self.treasury, fine)
-
-        sightings = self.storage["sightings"]
-        self.ledger.touch(sightings, len(sightings))
-        sightings.append(
-            SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict)
+            verdict, escrowed = VERDICT_PENALTY, -min(self.params.fine_unit, remaining)
+            self.ledger.transfer(self.escrow, self.treasury, -escrowed)
+        self._record_sighting(
+            SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict), escrowed
         )
         return {"verdict": verdict, "reporterReward": self.params.reporter_reward}
 
@@ -476,8 +494,7 @@ class UssContract:
         rewards, penalties = record.rewards, record.penalties
         deposit = self.params.fee.deposit
         payout = max(0, deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
-        self._touch(drone_id, *_MISSION_MAPS)
-        held = self.storage["escrow_by_drone"].pop(drone_id)
+        held = self.storage["escrow_by_drone"][drone_id]
         if held != payout:
             raise LedgerError(f"escrow for drone {drone_id} holds {held}, settlement formula pays {payout}")
         self.ledger.transfer(self.escrow, caller, payout)
@@ -487,15 +504,7 @@ class UssContract:
         k_micro = economics.update_k(
             rep_micro, prev.k_micro, self.params.fee.alpha_micro, self.params.fee.k_min_micro
         )
-        self._touch(caller, "reputation")
-        self.storage["reputation"][caller] = economics.ReputationState(rep_micro, k_micro)
-
-        self.authority.reset_counters(drone_id)
-        self.authority.set_active_plan(drone_id, False)
-        del self.plans[drone_id]
-        del self.storage["nonces"][drone_id]
-        del self.storage["forfeited"][drone_id]
-        self.storage["report_counts"].pop(drone_id, None)
+        self._close_mission(drone_id, caller, economics.ReputationState(rep_micro, k_micro))
         self.ledger.on_commit(functools.partial(self._unindex_plan, plan))
         self.ledger.emit("missionComplete", ridVc=plan.rid_vc.hex(), droneId=drone_id)
 
@@ -509,18 +518,16 @@ class UssContract:
         }
 
     def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
-        """Apply logged successes, in log order, to storage and to the registry's counters, as their ops did.
+        """Apply logged successes, in log order, through the writers their ops call.
 
         Reads only each record's args, payload, value and balanceDeltas; no
         fee, schedule, sensing result or RID check is recomputed. The escrow
-        account's delta is what the mission's escrow gained or lost, and the
-        k-th successful plan holds the k-th nonce of the stream. A plan that
-        a later settlement removes is never built, and each distinct DMS
+        account's delta is what the mission's escrow gained or lost. A plan
+        that a later settlement removes is never built, and each distinct DMS
         string is parsed once, so the cost follows the live plans and the
         sightings rather than the plan history. Each plan built joins the
         airspace index.
         """
-        storage = self.storage
         point = functools.cache(geo.parse_dms_pair)
         planned: dict[int, TransactionRecord] = {}  # drone id -> its plan's record, while the plan is active
         for tx in successes:
@@ -530,40 +537,24 @@ class UssContract:
             drone_id = args["droneId"]
             escrowed = tx.balance_deltas.get(self.escrow, 0)
             if op == "subscribe":
-                storage["subscriptions"][drone_id] = Subscription(drone_id, tx.caller, tx.value, payload["expiry"])
+                self._subscribe(Subscription(drone_id, tx.caller, tx.value, payload["expiry"]))
             elif op == "request_plan":
                 cells = {(w["latIdx"], w["lonIdx"]) for w in payload["route"]}
                 if not cells or len(cells) < len(payload["route"]) or payload["arrivalEpoch"] < payload["departureEpoch"]:
                     raise ValueError(f"plan for drone {drone_id} has no route, revisits a cell or lands before it departs")
                 planned[drone_id] = tx
-                storage["nonces"][drone_id] = NonceSource(self._nonce_seed, storage["nonce_counter"]).next()
-                storage["nonce_counter"] += 1
-                storage["report_counts"][drone_id] = {}
-                storage["escrow_by_drone"][drone_id] = escrowed
-                storage["forfeited"][drone_id] = 0
-                self.authority.set_active_plan(drone_id, True)
+                self._open_mission(drone_id, escrowed)
             elif op == "report_drone":
-                counts = storage["report_counts"][drone_id]
-                counts[tx.caller] = counts.get(tx.caller, 0) + 1
-                storage["escrow_by_drone"][drone_id] += escrowed
-                if payload["verdict"] == VERDICT_REWARD:
-                    self.authority.add_reward(drone_id)
-                else:
-                    self.authority.add_penalty(drone_id)
-                    storage["forfeited"][drone_id] -= escrowed
                 cell = self.params.grid.cell_of(*point(args["sightingLocation"]))
-                storage["sightings"].append(
-                    SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], payload["verdict"])
+                self._record_sighting(
+                    SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], payload["verdict"]),
+                    escrowed,
                 )
             else:
                 planned.pop(drone_id, None)
-                for name in _MISSION_MAPS:
-                    storage[name].pop(drone_id, None)
-                storage["reputation"][tx.caller] = economics.ReputationState(
-                    payload["reputationMicro"], payload["kMicro"]
+                self._close_mission(
+                    drone_id, tx.caller, economics.ReputationState(payload["reputationMicro"], payload["kMicro"])
                 )
-                self.authority.reset_counters(drone_id)
-                self.authority.set_active_plan(drone_id, False)
         for drone_id, tx in planned.items():
             plan = tx.payload
             self.plans[drone_id] = MissionPlan(

@@ -85,6 +85,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["is-a-file", "under-a-file"])
+    def test_output_path_through_a_file_exits_2_with_one_line(self, tmp_path, demo_scenario_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(taken / under), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory") and err.count("\n") == 1, err
+        assert taken.read_text() == "not a directory"
+
 
 class TestVerify:
     @pytest.fixture

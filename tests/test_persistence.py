@@ -202,6 +202,21 @@ def test_replay_memory_with_a_tick_that_is_not_an_int_is_corrupt(demo_scenario_p
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("tick", "3"), ("tick", -5), ("tick", 10**9), ("tick", True), ("tick", 2.0), ("tick", None),
+     ("clock", "x"), ("clock", -1), ("clock", 1.5), ("clock", False)],
+)
+def test_tick_or_clock_out_of_range_is_corrupt(key, value):
+    """The header's tick is an int in [0, duration_ticks] and its clock a non-negative int."""
+    world = World(compliant_scenario())
+    for _ in range(3):
+        world.step()
+    snap = oracles.edit_snapshot(persistence.snapshot_world(world), lambda header, blocks: header.update({key: value}))
+    with pytest.raises(persistence.CorruptPayload, match="tick .* clock"):
+        persistence.restore_world(snap)
+
+
 def _logged(data, op):
     return next(
         tx for block in data["chain"] for tx in block["transactions"] if tx["op"] == op and tx["status"] == "success"
