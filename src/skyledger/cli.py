@@ -128,6 +128,8 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         (out / f"{name}.state.json").write_bytes(persistence.snapshot_world(world))
         persistence.write_reputation_surface_csv(out / "reputation_surface.csv")
         persistence.write_congestion_fee_csv(out / "congestion_fee.csv", scenario)
+    except OSError as exc:  # from a writer (the run itself opens no file); the files written before it stay
+        return _fail(EXIT_CONFIG, f"cannot write {exc.filename or out}: {exc.strerror}")
     except Exception as exc:  # noqa: BLE001 -- CLI boundary maps failures to exit 3
         return _fail(EXIT_RUNTIME, f"scenario failed: {exc}")
 

@@ -16,10 +16,12 @@ transaction saves a one-level copy of the slot's old value. A revert, or
 any other exception out of an operation, restores the touched slots in
 reverse order; a success meters `stateWrites` and `balanceDeltas` from
 the touched slots alone, so the cost of a transaction does not grow with
-the size of the state. Because the copy is one level deep, a write may
-change only the slot value's own fields or keys in place; an object
-nested below them must be replaced, never mutated. View operations open
-no journal and may not touch anything.
+the size of the state. The meter counts a dataclass by its declared
+fields only, read by name; any other attribute stored on the instance
+(a cached_property value) is not state. Because the copy is one level
+deep, a write may change only the slot value's own fields or keys in
+place; an object nested below them must be replaced, never mutated.
+View operations open no journal and may not touch anything.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -34,6 +36,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -79,6 +82,8 @@ def canonical_json(obj: Any) -> bytes:
 
 
 _SCALARS = (int, str, bytes, float, type(None))
+# the exact scalar types, tested first; isinstance(v, _SCALARS) still catches their subclasses
+_SCALAR_TYPES = frozenset(_SCALARS + (bool,))
 
 
 @functools.cache
@@ -87,6 +92,18 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
     if dataclasses.is_dataclass(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
     return None
+
+
+@functools.cache
+def _field_values(cls: type) -> Callable[[Any], tuple] | None:
+    """For a dataclass type, instance -> its declared field values as a tuple; None for any other type.
+
+    Read by name: reading obj.__dict__ would make CPython build and keep a dict on each instance.
+    """
+    names = _field_names(cls)
+    if names is None:
+        return None
+    return operator.attrgetter(*names) if len(names) > 1 else lambda obj: tuple(getattr(obj, n) for n in names)
 
 
 def flatten_state(obj: Any, prefix: str = "") -> dict[str, Any]:
@@ -113,11 +130,11 @@ def flatten_state(obj: Any, prefix: str = "") -> dict[str, Any]:
 
 
 def count_leaves(obj: Any) -> int:
-    if isinstance(obj, _SCALARS):
+    if type(obj) in _SCALAR_TYPES or isinstance(obj, _SCALARS):
         return 1
-    names = _field_names(type(obj))
-    if names is not None:
-        values = [getattr(obj, name) for name in names]
+    fields_of = _field_values(type(obj))
+    if fields_of is not None:
+        values = fields_of(obj)
     elif isinstance(obj, (dict, list, tuple)):
         if not obj:
             return 1  # an empty container is one leaf
@@ -126,7 +143,7 @@ def count_leaves(obj: Any) -> int:
         return 1
     total = 0
     for v in values:
-        total += 1 if isinstance(v, _SCALARS) else count_leaves(v)
+        total += 1 if type(v) in _SCALAR_TYPES else count_leaves(v)
     return total
 
 
@@ -140,12 +157,12 @@ def diff_count(before: Any, after: Any) -> int:
     """
     if type(before) is not type(after):
         return count_leaves(before) + count_leaves(after)
-    if isinstance(before, _SCALARS):
+    if type(before) in _SCALAR_TYPES or isinstance(before, _SCALARS):
         return 0 if before == after else 1
-    names = _field_names(type(before))
-    if names is not None:
+    fields_of = _field_values(type(before))
+    if fields_of is not None:
         total = 0
-        pairs = [(getattr(before, name), getattr(after, name)) for name in names]
+        pairs = zip(fields_of(before), fields_of(after))
     elif isinstance(before, dict):
         # an entry on one side only counts whole
         one_sided = before.keys() ^ after.keys()
@@ -162,7 +179,7 @@ def diff_count(before: Any, after: Any) -> int:
             continue
         if type(old) is not type(new):
             total += count_leaves(old) + count_leaves(new)
-        elif isinstance(old, _SCALARS):
+        elif type(old) in _SCALAR_TYPES:
             total += old != new
         else:
             total += diff_count(old, new)
@@ -536,12 +553,19 @@ class Ledger:
             _restore_slot(container, key, old)
 
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
-        deltas = {}
+        deltas, writes, accounts = {}, 0, self.accounts
         for container, key, old in journal.values():
-            new = _read_slot(container, key)
-            rec.state_writes += _slot_writes(old, new)
-            if container is self.accounts:
+            if isinstance(container, list):  # _read_slot and, for two scalars, diff_count inlined
+                new = container[key] if key < len(container) else _ABSENT
+            else:
+                new = container.get(key, _ABSENT)
+            if type(old) is type(new) and type(old) in _SCALAR_TYPES:
+                writes += old != new
+            else:
+                writes += _slot_writes(old, new)
+            if container is accounts:
                 deltas[key] = new.balance - old.balance
+        rec.state_writes += writes
         rec.balance_deltas = {k: deltas[k] for k in sorted(deltas) if deltas[k]}
 
     # -- blocks -----------------------------------------------------------

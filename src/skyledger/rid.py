@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _WIRE = struct.Struct(">QiiiiII32s")
 RID_WIRE_LEN = _WIRE.size  # 64
@@ -34,9 +34,8 @@ class MalformedRid(ValueError):
     """Raised when bytes do not decode to a valid broadcast."""
 
 
-@dataclass(frozen=True)
-class RidFaa:
-    """The mandated broadcast fields: when, where, how high, how fast."""
+class RidFaa(NamedTuple):
+    """The mandated broadcast fields: when, where, how high, how fast (an immutable tuple, equal by value)."""
 
     timestamp_s: int
     drone_lat_arcsec: int
@@ -47,8 +46,7 @@ class RidFaa:
     velocity_cm_s: int
 
 
-@dataclass(frozen=True)
-class RidMessage:
+class RidMessage(NamedTuple):
     faa: RidFaa
     rid_vc: bytes
 
@@ -89,34 +87,21 @@ def verify_rid_vc(
     return hmac.compare_digest(candidate, expected)
 
 
-def _check_ranges(faa: RidFaa) -> None:
-    if not 0 <= faa.timestamp_s < 2**64:
+def encode_rid(msg: RidMessage) -> bytes:
+    faa, vc = msg
+    ts, dlat, dlon, clat, clon, alt, vel = faa
+    if not 0 <= ts < 2**64:
         raise ValueError("timestamp out of range")
-    for name in ("drone_lat_arcsec", "drone_lon_arcsec", "cs_lat_arcsec", "cs_lon_arcsec"):
-        v = getattr(faa, name)
+    for name, v in (("drone_lat_arcsec", dlat), ("drone_lon_arcsec", dlon), ("cs_lat_arcsec", clat), ("cs_lon_arcsec", clon)):
         if not _I32_MIN <= v <= _I32_MAX:
             raise ValueError(f"{name} out of range")
-    if not 0 <= faa.altitude_cm < 2**32:
+    if not 0 <= alt < 2**32:
         raise ValueError("altitude must be a non-negative u32")
-    if not 0 <= faa.velocity_cm_s < 2**32:
+    if not 0 <= vel < 2**32:
         raise ValueError("velocity must be a non-negative u32")
-
-
-def encode_rid(msg: RidMessage) -> bytes:
-    _check_ranges(msg.faa)
-    if len(msg.rid_vc) != 32:
+    if len(vc) != 32:
         raise ValueError("verification code must be 32 bytes")
-    f = msg.faa
-    return _WIRE.pack(
-        f.timestamp_s,
-        f.drone_lat_arcsec,
-        f.drone_lon_arcsec,
-        f.cs_lat_arcsec,
-        f.cs_lon_arcsec,
-        f.altitude_cm,
-        f.velocity_cm_s,
-        msg.rid_vc,
-    )
+    return _WIRE.pack(ts, dlat, dlon, clat, clon, alt, vel, vc)
 
 
 def decode_rid(data: bytes) -> RidMessage:

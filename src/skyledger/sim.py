@@ -44,6 +44,7 @@ SCHEMA = {"major": 1, "minor": 0}
 BEHAVIOR_KINDS = ("compliant", "deviating", "silent", "forger")
 HONESTY_KINDS = ("honest", "replayer")
 _LEARNED_OPS = frozenset({"register_drone", "request_plan", "report_completion", "report_drone"})
+_NEIGHBOURS = tuple((dlat, dlon) for dlat in (-1, 0, 1) for dlon in (-1, 0, 1))  # the 3x3 sensing buckets around one
 
 
 class ScenarioError(ValueError):
@@ -550,31 +551,22 @@ class World:
 
     def _broadcast_phase(self, now: int) -> list[tuple[_DroneState, tuple[int, int], bytes]]:
         broadcasts = []
+        altitude_cm, cell_of = self.scenario.altitude_m * 100, self.grid.cell_of
         for drone in self.drones:
+            if drone.spec.behavior == "silent":
+                continue
             pos = self._drone_position(drone, now)
-            if pos is None or drone.spec.behavior == "silent":
+            if pos is None:
                 continue
             vc = bytes.fromhex(drone.plan["ridVc"])
             if drone.spec.behavior == "forger":
                 vc = bytes([vc[0] ^ 0x01]) + vc[1:]
             src = drone.waypoints[0]
             speed = drone.spec.speed_mps or self.scenario.cruise_speed_mps
-            wire = encode_rid(
-                RidMessage(
-                    RidFaa(
-                        timestamp_s=now,
-                        drone_lat_arcsec=pos[0],
-                        drone_lon_arcsec=pos[1],
-                        cs_lat_arcsec=src[0],
-                        cs_lon_arcsec=src[1],
-                        altitude_cm=self.scenario.altitude_m * 100,
-                        velocity_cm_s=speed * 100,
-                    ),
-                    vc,
-                )
-            )
+            # timestamp, drone lat/lon, control station (the mission source) lat/lon, altitude, velocity
+            wire = encode_rid(RidMessage(RidFaa(now, pos[0], pos[1], src[0], src[1], altitude_cm, speed * 100), vc))
             broadcasts.append((drone, pos, wire))
-            self.trace.append((self.tick, drone.drone_id, *self.grid.cell_of(*pos), wire.hex()))
+            self.trace.append((self.tick, drone.drone_id, *cell_of(*pos), wire.hex()))
         return broadcasts
 
     def _report_phase(self, broadcasts, now: int) -> None:
@@ -582,13 +574,16 @@ class World:
         # an empty map has placed nobody yet (the first tick, also after a restore); later only walkers move
         for i in self.walkers if self._buckets else range(len(self.reporters)):
             self._place(i)
-        grid, side, buckets = self.grid, self._bucket_side, self._buckets
-        candidates = []
+        grid, side, bucket_of = self.grid, self._bucket_side, self._buckets.get
+        candidates: list[tuple[int, int]] = []
+        add = candidates.append
         for j, (_, (lat, lon), _) in enumerate(broadcasts):
             blat, blon = grid.meters(lat) // side, grid.meters(lon) // side
-            for dlat in (-1, 0, 1):
-                for dlon in (-1, 0, 1):
-                    candidates.extend((i, j) for i in buckets.get((blat + dlat, blon + dlon), ()))
+            for dlat, dlon in _NEIGHBOURS:
+                ids = bucket_of((blat + dlat, blon + dlon))
+                if ids:  # one probe per bucket; most are empty
+                    for i in ids:
+                        add((i, j))
         # (reporter, broadcast) order is the all-pairs visiting order, so the
         # loss draws and the submits come out exactly as a full scan makes them
         for i, j in sorted(candidates):

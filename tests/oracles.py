@@ -175,13 +175,20 @@ def brute_force_conflict(
 
 
 def _plain(obj):
-    """A copy of storage as nested dicts and lists of scalars; dataclasses become field dicts."""
+    """A copy of storage as nested dicts and lists of scalars.
+
+    Dataclasses become dicts of their declared fields and tuples dicts of
+    their items by index, each tagged with its type, so that a list and a
+    tuple of the same items differ as the ledger's meter sees them.
+    """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
         return {"__type__": type(obj).__name__, **fields}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, tuple):
+        return {"__type__": "tuple", **{i: _plain(v) for i, v in enumerate(obj)}}
+    if isinstance(obj, list):
         return [_plain(v) for v in obj]
     return obj
 

@@ -94,6 +94,20 @@ class TestRun:
         assert err.startswith("cannot create output directory") and err.count("\n") == 1, err
         assert taken.read_text() == "not a directory"
 
+    @pytest.mark.parametrize(
+        "taken",
+        ["demo.metrics.json", "demo.chain.jsonl", "demo.trace.csv", "demo.events.jsonl", "demo.state.json",
+         "reputation_surface.csv", "congestion_fee.csv"],
+    )
+    def test_unwritable_output_file_exits_2_naming_it(self, tmp_path, demo_scenario_path, capsys, taken):
+        (tmp_path / taken).mkdir()  # a directory where the file goes
+        assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {tmp_path / taken}: ") and err.count("\n") == 1, err
+        assert "scenario failed" not in err
+        if taken == "demo.state.json":  # the files written before it stay on disk
+            assert all((tmp_path / f"demo.{s}").is_file() for s in ("metrics.json", "chain.jsonl", "trace.csv"))
+
 
 class TestVerify:
     @pytest.fixture

@@ -3,6 +3,8 @@
 import collections
 import copy
 import dataclasses
+import functools
+import sys
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -28,6 +30,9 @@ from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, run
 from skyledger.uss import parse_departure_epoch
 
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402 -- the benchmark's scenario generators, used read-only
+
 
 @pytest.fixture
 def whole_tree(monkeypatch):
@@ -51,8 +56,10 @@ def assert_matches_oracle(checked):
         compliant_scenario,
         deviating_scenario,
         lambda: load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json"),
+        lambda: workloads.doas_scenario(1, 12),
+        lambda: workloads.crowd_scenario(1, 4, 24),  # forgers' reverts, a deviating flight's penalties
     ],
-    ids=["compliant", "deviating", "demo"],
+    ids=["compliant", "deviating", "demo", "bench-doas", "bench-crowd"],
 )
 def test_scenario_metering_matches_whole_tree_oracle(make_scenario, whole_tree):
     run(make_scenario())
@@ -313,13 +320,47 @@ class _Pair:
     right: object
 
 
+@dataclasses.dataclass(frozen=True)
+class _FrozenPair:
+    left: object
+    right: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _One:
+    value: object
+
+
+@dataclasses.dataclass
+class _Cached:
+    """A dataclass that stores a non-field attribute in its __dict__ once `derived` is read."""
+
+    left: object
+    right: object
+
+    @functools.cached_property
+    def derived(self):
+        return [self.left, self.right, "x"]
+
+
+def _cached(left, right, read):
+    value = _Cached(left, right)
+    if read:
+        value.derived
+    return value
+
+
 _leaf = st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from(["", "a", "b"]), st.none())
 _trees = st.recursive(
     _leaf,
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(st.sampled_from("xyz"), inner, max_size=3),
         st.builds(_Pair, inner, inner),
+        st.builds(_FrozenPair, inner, inner),
+        st.builds(_One, inner),
+        st.builds(_cached, inner, inner, st.booleans()),
     ),
     max_leaves=8,
 )
@@ -328,9 +369,53 @@ _trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(before=_trees, after=_trees)
 @example(before=_Pair(_Pair(0, 0), None), after=_Pair(_Pair(0, False), []))
+@example(before=[0, (1,)], after=[0, [1]])
+@example(before=_cached(0, "a", True), after=_cached(0, "a", False))
 def test_diff_count_equals_whole_tree_leaf_diff(before, after):
     expected = oracles.whole_tree_leaf_diff(oracles._plain(before), oracles._plain(after))
     assert diff_count(before, after) == expected
+
+
+def _one_op_ledger(storage, body):
+    """A ledger with `storage` attached and one op, "write", that runs body(ledger)."""
+    ledger = Ledger()
+    caller = ledger.create_account("operator")
+    ledger.attach_storage("test", storage)
+    ledger.register_op("write", lambda _caller, _args: body(ledger))
+    return ledger, caller
+
+
+@pytest.mark.parametrize("when", ["before", "during", "both"])
+def test_meter_counts_a_dataclass_by_its_declared_fields_only(when):
+    storage = {"slot": _Cached(1, "a")}
+    if when != "during":
+        storage["slot"].derived  # a cached_property value in the old slot's __dict__
+
+    def body(ledger):
+        ledger.touch(storage, "slot")
+        storage["slot"] = _cached(2, "a", read=when != "before")  # one field changes
+
+    ledger, caller = _one_op_ledger(storage, body)
+    rec = ledger.submit(caller, "write")
+    assert ("derived" in vars(storage["slot"])) == (when != "before")
+    assert rec.status == "success" and rec.state_writes == 1
+    assert ledger_module.count_leaves(storage["slot"]) == 2
+
+
+@pytest.mark.parametrize("old,new", [(0, False), (False, 0), (1, True), (True, 1)])
+def test_meter_counts_a_bool_int_swap_on_both_sides(old, new):
+    storage = {"root": old, "pair": _Pair(old, "a"), "list": [old]}
+
+    def body(ledger):
+        for key in storage:
+            ledger.touch(storage, key)
+        storage["root"], storage["pair"], storage["list"] = new, _Pair(new, "a"), [new]
+
+    ledger, caller = _one_op_ledger(storage, body)
+    oracle = oracles.WholeTreeSubmit(Ledger.submit)
+    rec = oracle(ledger, caller, "write")
+    assert rec.status == "success" and rec.state_writes == 3 * 2
+    assert_matches_oracle(oracle.checked)
 
 
 # -- per-transaction bookkeeping does not grow with the crowd ---------------------

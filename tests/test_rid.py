@@ -72,14 +72,35 @@ class TestCodec:
         ],
     )
     def test_encode_rejects_out_of_range(self, field, value):
-        faa = RidFaa(0, 0, 0, 0, 0, 0, 0)
-        faa = RidFaa(**{**faa.__dict__, field: value})
+        faa = RidFaa(0, 0, 0, 0, 0, 0, 0)._replace(**{field: value})
         with pytest.raises(ValueError):
             encode_rid(RidMessage(faa, b"\x00" * 32))
 
     def test_encode_rejects_short_vc(self):
         with pytest.raises(ValueError):
             encode_rid(RidMessage(RidFaa(0, 0, 0, 0, 0, 0, 0), b"\x01" * 31))
+
+    @pytest.mark.parametrize("field", RidFaa._fields)
+    def test_fields_cannot_be_assigned(self, field):
+        msg = random_message(random.Random(7))
+        with pytest.raises(AttributeError):
+            setattr(msg.faa, field, 1)
+        with pytest.raises(AttributeError):
+            msg.rid_vc = b"\x00" * 32
+        assert decode_rid(encode_rid(msg)) == msg
+
+    def test_decode_round_trips_the_wire_bytes(self):
+        rng = random.Random(5)
+        for _ in range(1_000):
+            wire = encode_rid(random_message(rng))
+            msg = decode_rid(wire)
+            assert isinstance(msg, RidMessage) and isinstance(msg.faa, RidFaa)
+            assert encode_rid(msg) == wire
+
+    def test_messages_are_equal_by_value(self):
+        a, b = random_message(random.Random(3)), random_message(random.Random(3))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != a._replace(rid_vc=bytes(32))
 
 
 class TestVerificationCode:

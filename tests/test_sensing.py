@@ -104,6 +104,51 @@ def test_kept_placement_equals_a_fresh_one_after_every_tick(scenario):
         assert oracles.cached_reporter_placement(world) == oracles.fresh_reporter_placement(world)
 
 
+def test_broadcasts_on_the_grid_edge_equal_the_all_pairs_scan():
+    """Drones on bucket row and column 0 (and one deviating below it) probe negative neighbour keys."""
+    drones = tuple(
+        DroneSpec(
+            name=f"d{i}",
+            serial=f"SN-{i}",
+            owner_national_id=f"NID-{i}",
+            mission=MissionSpec(dms(*src), dms(*dst), "01012025", f"000{i}"),
+            behavior=behavior,
+            offset_cells=-1 if behavior == "deviating" else 0,
+        )
+        for i, (src, dst, behavior) in enumerate([
+            ((1, 1), (1, 40), "compliant"),    # along row 0
+            ((1, 1), (40, 1), "compliant"),    # along column 0
+            ((2, 30), (2, 5), "deviating"),    # one cell below row 0
+            ((30, 2), (5, 2), "forger"),
+        ])
+    )
+    cells = [(0, 0), (0, 1), (1, 0), (0, 4), (4, 0), (2, 2)]
+    reporters = tuple(
+        ReporterSpec(name=f"r{i}", cell=cell, sensing_range_m=120, honesty="replayer" if i == 5 else "honest")
+        for i, cell in enumerate(cells)
+    )
+    scenario = Scenario(
+        name="edge", seed=11, grid_extent_cells=16, deconfliction_cell_buffer=0, deconfliction_time_buffer_s=0,
+        drones=drones, reporters=reporters,
+    )
+    scenario.validate()
+    world, sent = World(scenario), []
+    broadcast_phase = world._broadcast_phase
+
+    def recording(now):
+        broadcasts = broadcast_phase(now)
+        sent.extend(broadcasts)
+        return broadcasts
+
+    world._broadcast_phase = recording
+    outcome = _outcome(world)
+    side = world._bucket_side
+    buckets = {(world.grid.meters(lat) // side, world.grid.meters(lon) // side) for _, (lat, lon), _ in sent}
+    assert {0, -1} <= {lat for lat, _ in buckets} and 0 in {lon for _, lon in buckets}
+    assert world.metrics().op_counts["report_drone"]["calls"] >= 4
+    assert outcome == _outcome(AllPairsWorld(scenario))
+
+
 def test_generated_scenarios_do_report():
     """The generator reaches the sensing path: some scenario files reports."""
     reports = []
