@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fixedmath import div_round_half_up
 
 DEGREE, MINUTE_MARK, SECOND_MARK = "°", "′", "″"
 
-# +DDD°MM′SS″ with mandatory sign; ASCII ' and " accepted as fallbacks.
-_DMS_RE = re.compile(
-    r"^([+-])(\d{1,3})°(\d{2})[′'](\d{2})[″\"]$"
-)
+# +DDD°MM′SS″ with mandatory sign and ASCII digits; ASCII ' and " accepted as fallbacks.
+_DMS_RE = re.compile(r"^([+-])(\d{1,3})°(\d{2})[′'](\d{2})[″\"]$", re.ASCII)
 
 
 class DmsError(ValueError):
@@ -123,9 +122,8 @@ def flight_duration_s(grid: GridConfig, src: tuple[int, int], dst: tuple[int, in
     return max(1, -(-dist // speed_mps))
 
 
-@dataclass(frozen=True)
-class CellWindow:
-    """One grid cell and the second-granularity interval spent in it."""
+class CellWindow(NamedTuple):
+    """One grid cell and the second-granularity interval spent in it (an immutable tuple, equal by value)."""
 
     lat_idx: int
     lon_idx: int
@@ -154,16 +152,19 @@ def route_occupancy(
     """Cells crossed by the straight src->dst flight, with time windows.
 
     A window starts at each second where either axis enters a new cell,
-    and its cell is read with interpolate_position there, so the windows
-    are exactly those of sampling each second of flight.
+    and its cell is that of the half-up interpolated position there (a
+    leg of no duration sits at dst), so the windows are exactly those of
+    sampling each second of flight with interpolate_position.
     """
     changes = sorted({*_cell_changes(grid, src[0], dst[0], duration_s),
                       *_cell_changes(grid, src[1], dst[1], duration_s)}) if duration_s > 0 else []
-    windows = []
-    for start, end in zip([0, *changes], [*(u - 1 for u in changes), duration_s]):
-        cell = grid.cell_of(*interpolate_position(src, dst, start, duration_s))
-        windows.append(CellWindow(cell[0], cell[1], alt_band, depart_s + start, depart_s + end))
-    return windows
+    d, (lat, lon) = (duration_s, src) if duration_s > 0 else (1, dst)
+    mpa, cs, d2 = grid.meters_per_arcsec, grid.cell_size_m, 2 * d
+    # the position u s after departure is (base + step * u) // d2, rounded half up as in interpolate_arcsec
+    lat_base, lat_step, lon_base, lon_step = 2 * lat * d + d, 2 * (dst[0] - lat), 2 * lon * d + d, 2 * (dst[1] - lon)
+    return [CellWindow((lat_base + lat_step * start) // d2 * mpa // cs, (lon_base + lon_step * start) // d2 * mpa // cs,
+                       alt_band, depart_s + start, depart_s + end)
+            for start, end in zip([0, *changes], [*(u - 1 for u in changes), duration_s])]
 
 
 def windows_conflict(

@@ -73,11 +73,14 @@ class ContractRevert(Exception):
         self.reason = reason
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False)
 
 
 def canonical_json(obj: Any) -> bytes:
-    """The one serialization used for hashing: sorted keys, no spaces (one encoder, not one per call)."""
+    """The one serialization used for hashing: sorted keys, no spaces (one encoder, not one per call).
+
+    obj must be a tree: there is no cycle check, so a value that contains itself raises RecursionError.
+    """
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
@@ -193,11 +196,8 @@ def _copy_slot(value: Any) -> Any:
     if isinstance(value, list):
         return list(value)
     cls = type(value)
-    if _field_names(cls) is not None:
-        fresh = object.__new__(cls)
-        fresh.__dict__.update(value.__dict__)
-        return fresh
-    return value
+    fields_of = _field_values(cls)  # every journaled dataclass has init fields only and no __post_init__
+    return value if fields_of is None else cls(*fields_of(value))
 
 
 _ABSENT = object()  # journal value of a slot that does not exist

@@ -23,6 +23,7 @@ import functools
 import hashlib
 import weakref
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -82,7 +83,7 @@ def _days_from_civil(day: int, month: int, year: int) -> int:
 def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyyy: str) -> int:
     """Seconds since the scenario epoch (midnight of the epoch date)."""
     for text, width in ((date_ddmmyyyy, 8), (time_hhmm, 4), (epoch_date_ddmmyyyy, 8)):
-        if len(text) != width or not text.isdigit():
+        if len(text) != width or not (text.isascii() and text.isdigit()):
             raise ValueError(f"malformed date/time field {text!r}")
     hour, minute = int(time_hhmm[:2]), int(time_hhmm[2:])
     if hour > 23 or minute > 59:
@@ -201,7 +202,7 @@ class UssContract:
             "nonce_counter": 0,
         }
         self._nonce_seed = nonce_seed
-        self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = {}  # cell -> {drone id: window}
+        self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = defaultdict(dict)  # cell -> {drone id: window}
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
         ledger.attach_storage("uss", self.storage)
         drone = {"droneId": int}
@@ -238,7 +239,7 @@ class UssContract:
         """Add an active plan to the airspace index, which lives outside storage and changes only at commit."""
         buf = self.params.deconfliction_time_buffer_s
         for w in plan.route:
-            self._cells.setdefault((w.lat_idx, w.lon_idx), {})[plan.drone_id] = w
+            self._cells[w.lat_idx, w.lon_idx][plan.drone_id] = w
         insort(self._opens, plan.departure_epoch - buf)
         insort(self._closes, plan.arrival_epoch + buf)
 
@@ -407,12 +408,15 @@ class UssContract:
         duration = geo.flight_duration_s(grid, src, dst, self.params.cruise_speed_mps)
         alt_band = self.params.altitude_m // self.params.altitude_band_m
         route = geo.route_occupancy(grid, src, dst, depart_s, duration, alt_band)
-        buf_cells = self.params.deconfliction_cell_buffer
-        buf_s = self.params.deconfliction_time_buffer_s
+        buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
+        near = range(-buf_cells, buf_cells + 1)
+        offsets = [(dlat, dlon) for dlat in near for dlon in near]
         for window in route:
-            for dlat in range(-buf_cells, buf_cells + 1):
-                for dlon in range(-buf_cells, buf_cells + 1):
-                    for other in self._cells.get((window.lat_idx + dlat, window.lon_idx + dlon), {}).values():
+            lat, lon = window.lat_idx, window.lon_idx
+            for dlat, dlon in offsets:
+                plans = cells.get((lat + dlat, lon + dlon))  # get, not [], so a miss adds no empty cell
+                if plans:
+                    for other in plans.values():
                         if geo.windows_conflict(window, other, buf_cells, buf_s):
                             raise ContractRevert(REASON_SCHEDULE_CONFLICT)
         return route, depart_s + duration
@@ -471,8 +475,8 @@ class UssContract:
     def _sighting_matches_plan(self, plan: MissionPlan, cell: tuple[int, int], at_s: int) -> bool:
         """Same cell as the plan within the temporal tolerance window."""
         window_s = self.params.match_window_s
-        for w in plan.route:
-            if (w.lat_idx, w.lon_idx) == cell and w.enter_s - window_s <= at_s <= w.exit_s + window_s:
+        for lat, lon, _, enter_s, exit_s in plan.route:  # unpacked: a tuple's field reads cost more than a dataclass's
+            if (lat, lon) == cell and enter_s - window_s <= at_s <= exit_s + window_s:
                 return True
         return False
 

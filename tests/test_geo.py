@@ -32,6 +32,9 @@ class TestDmsParsing:
             "+010°0′0″",       # single digit fields
             "",
             "nonsense",
+            "+٠١٠°٠٠′٠٠″",     # Arabic-Indic digits
+            "+０１０°００′００″",  # fullwidth digits
+            "+010°00′1٠″",     # one non-ASCII digit
         ],
     )
     def test_rejects_malformed(self, text):
@@ -46,6 +49,9 @@ class TestDmsParsing:
         with pytest.raises(geo.DmsError):
             # latitude bound is 90 degrees
             geo.parse_dms_pair("+091°00′00″ +000°00′00″")
+        with pytest.raises(geo.DmsError):
+            # one point has one text: ASCII digits only
+            geo.parse_dms_pair("+٠٠٠°٠٠′١٠″ +000°00′10″")
 
 
 class TestGrid:
@@ -161,6 +167,7 @@ class TestRouteOccupancy:
     @example(leg=(geo.GridConfig(), (10, 10), (10, 60), 0))         # D = 0: one window at dst's cell
     @example(leg=(geo.GridConfig(), (10, 10), (10, 60), 1))         # D = 1: src's cell, then dst's
     @example(leg=(geo.GridConfig(7, 3), (-40, 17), (-40, 17), 90))  # zero-length leg
+    @example(leg=(geo.GridConfig(1, 30), (-7, 5), (3, -95), 10))    # 30 lat / 300 lon cells a second, many cells skipped
     def test_equals_per_second_sampling(self, leg):
         grid, src, dst, duration = leg
         route = geo.route_occupancy(grid, src, dst, 500, duration, alt_band=2)
@@ -178,6 +185,17 @@ class TestRouteOccupancy:
                 src, dst, 500, 500 + duration, t, grid.cell_size_m, grid.meters_per_arcsec
             )
             assert cell[:2] == expected
+
+    def test_cell_window_is_an_immutable_tuple(self):
+        window = geo.CellWindow(3, 5, 1, 100, 120)
+        lat_idx, lon_idx, alt_band, enter_s, exit_s = window
+        assert (lat_idx, lon_idx, alt_band, enter_s, exit_s) == (3, 5, 1, 100, 120)
+        assert window == geo.CellWindow(3, 5, 1, 100, 120)
+        with pytest.raises(AttributeError):
+            window.exit_s = 130
+        with pytest.raises(AttributeError):
+            window.note = "x"
+        assert window == (3, 5, 1, 100, 120)
 
     def test_conflict_buffers(self):
         a = geo.CellWindow(3, 5, 1, 100, 120)

@@ -392,3 +392,12 @@ def test_atomicity_over_random_interleavings(toy):
 def test_canonical_json_is_sorted_and_compact():
     data = {"b": 1, "a": [1, {"z": 0, "y": None}]}
     assert canonical_json(data) == b'{"a":[1,{"y":null,"z":0}],"b":1}'
+
+
+def test_canonical_json_refuses_a_value_that_contains_itself():
+    loop = [1, {"a": 2}]
+    loop.append(loop)
+    encoded = None
+    with pytest.raises(RecursionError):
+        encoded = canonical_json(loop)
+    assert encoded is None

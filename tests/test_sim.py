@@ -329,6 +329,8 @@ class TestScenarioValidation:
                          id="alpha-zero"),
             pytest.param(lambda d: d["reporters"][2].update(sensingRangeM=-1),
                          "reporters[2].sensingRangeM must be at least 0", id="negative-range"),
+            pytest.param(lambda d: d["drones"][0]["mission"].update(source="+٠٠٠°٠٠′١٠″ +000°00′10″"),
+                         "drones[0].mission: not a DMS coordinate", id="non-ascii-dms"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):

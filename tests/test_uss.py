@@ -19,6 +19,7 @@ from conftest import (
     quote,
     register,
     report,
+    report_args,
     subscribe,
 )
 from skyledger import geo, persistence
@@ -26,7 +27,7 @@ from skyledger.economics import FeeParams
 from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
 from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
-from skyledger.uss import MissionPlan
+from skyledger.uss import MissionPlan, parse_departure_epoch
 
 
 def small_fee_bench(**kwargs):
@@ -169,6 +170,31 @@ class TestRequestPlan:
         assert (rec.status, rec.reason) == ("revert", "invalid-datetime")
         rec = plan(bench, drone_id, date="32132025", value=10_000)
         assert (rec.status, rec.reason) == ("revert", "invalid-datetime")
+
+    @pytest.mark.parametrize(
+        "field,text,reason",
+        [
+            ("source", "+٠٠٠°٠٠′١٠″ +000°00′10″", "invalid-dms"),   # Arabic-Indic digits
+            ("destination", "+000°00′10″ +000°01′٠٠″", "invalid-dms"),
+            ("time", "٠٠٠١", "invalid-datetime"),
+            ("date", "０１０１２０２５", "invalid-datetime"),          # fullwidth digits
+        ],
+    )
+    def test_non_ascii_digits_revert(self, bench, field, text, reason):
+        """Each point and time has one text, so a plan and its commitment have one form."""
+        drone_id = register(bench)
+        subscribe(bench, drone_id)
+        state = bench.ledger.state_digest()
+        rec = plan(bench, drone_id, value=10_000, **{field: text})
+        assert (rec.status, rec.reason) == ("revert", reason)
+        assert bench.ledger.state_digest() == state
+
+    def test_departure_fields_take_ascii_digits_only(self):
+        assert parse_departure_epoch(DATE, TIME, "01012025") == 60
+        for date, time, epoch in (("01012025", "٠٠٠١", "01012025"), ("٠١٠١٢٠٢٥", TIME, "01012025"),
+                                  (DATE, TIME, "０１０１２０２５")):
+            with pytest.raises(ValueError, match="malformed date/time field"):
+                parse_departure_epoch(date, time, epoch)
 
     def test_repeat_mission_gets_fresh_commitment(self, bench):
         """Same plan fields, new nonce, different verification code."""
@@ -547,6 +573,15 @@ class TestReportDrone:
             rid_hex=broadcast_hex(bench, drone_id, arrival + 121),
         )
         assert rec.payload["verdict"] == "penalty"
+
+    def test_non_ascii_sighting_location_reverts(self, bench):
+        drone_id = planned_drone(bench)
+        state = bench.ledger.state_digest()
+        args = {**report_args(bench, drone_id, 100), "sightingLocation": "+٠٠٠°٠٠′١٠″ +000°00′10″"}
+        bench.ledger.clock = 100
+        rec = bench.ledger.submit(bench.reporter, "report_drone", args)
+        assert (rec.status, rec.reason) == ("revert", "invalid-dms")
+        assert bench.ledger.state_digest() == state
 
     def test_malformed_rid_bytes(self, bench):
         drone_id = planned_drone(bench)
