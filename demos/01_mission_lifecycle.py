@@ -60,7 +60,7 @@ plan = rec.payload
 
 # mid-flight, a bystander receives the broadcast and forwards it
 at_s = 100
-p = uss.plans[drone_id]
+p = uss.missions[drone_id].plan
 duration = p.arrival_epoch - p.departure_epoch
 pos = geo.interpolate_position(p.src_arcsec, p.dst_arcsec, at_s - p.departure_epoch, duration)
 wire = encode_rid(RidMessage(

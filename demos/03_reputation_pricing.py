@@ -47,7 +47,7 @@ def fly_mission(n, on_plan: bool):
          "departureDate": "01012025", "departureTime": "0001"},
         value=q["fee"],
     ).payload
-    p = uss.plans[drone]
+    p = uss.missions[drone].plan
     at_s = ledger.clock + 100
     pos = geo.interpolate_position(p.src_arcsec, p.dst_arcsec, 40, p.arrival_epoch - p.departure_epoch)
     lat = pos[0] if on_plan else pos[0] + 10  # 3 cells off

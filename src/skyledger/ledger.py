@@ -20,7 +20,8 @@ the size of the state. The meter counts a dataclass by its declared
 fields only, read by name; any other attribute stored on the instance
 (a cached_property value) is not state. Because the copy is one level
 deep, a write may change only the slot value's own fields or keys in
-place; an object nested below them must be replaced, never mutated.
+place; an object nested below them must be replaced, never mutated,
+unless each entry it changes is touched as a slot of its own.
 View operations open no journal and may not touch anything.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
@@ -422,7 +423,7 @@ class Ledger:
         """Declare that the running transaction is about to change container[key].
 
         Call before every write: assignment, deletion, in-place change of
-        the value, or append (key = len(list)). Slots must not nest.
+        the value, or append (key = len(list)).
 
         The journal keeps a one-level copy of the old value: a dict or
         list is copied, a dataclass instance becomes a fresh instance
@@ -431,7 +432,10 @@ class Ledger:
         keys in place (`account.balance -= x`, `counts[caller] = 1`) or
         replace or delete the whole value; an object nested below the
         value (a plan's route, a list inside a dict entry) must be
-        replaced, never mutated, or a revert would not undo it.
+        replaced, never mutated, or a revert would not undo it. The one
+        exception: a container held in the slot's value may change in
+        place through touches of its own entries, because the copy
+        shares it (a mission and the entries of its report_counts).
         """
         if self._view_running:
             raise LedgerError("view operation tried to change storage")

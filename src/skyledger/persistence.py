@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
-from .sim import RunMetrics, Scenario, World
+from .sim import SCHEMA as SCENARIO_SCHEMA, RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
 STATE_SCHEMA = {"major": 4, "minor": 0}  # 4.0: a header line, then the chain's block lines
@@ -54,6 +54,8 @@ def _check_header(data: dict[str, Any], kind: str, schema: dict[str, int] = SCHE
         raise SchemaMismatch(f"unsupported major version {data['schema']!r}")
     if data.get("kind") != kind:
         raise CorruptPayload(f"expected kind {kind!r}, found {data.get('kind')!r}")
+    if data["schema"] != schema:  # another minor, or another key, would not survive a round trip
+        raise CorruptPayload(f"{kind} schema {data['schema']!r} is not the {schema!r} this code writes")
 
 
 # -- scenarios --------------------------------------------------------------
@@ -78,7 +80,8 @@ def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
 def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict[str, Any], list[Block]]:
     """The header of a chain log or state snapshot, and its blocks, each line read by Block.from_line.
 
-    Only the final newline may end an empty line; any other blank or whitespace-only line is refused.
+    Only the final newline may end an empty line; any other blank or whitespace-only line is refused,
+    and so is a header whose bytes are not the canonical JSON of what they decode to.
     """
     lines = raw.split(b"\n")
     if lines[-1] == b"":
@@ -92,6 +95,8 @@ def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptPayload(f"bad {kind} header: {exc}") from None
     _check_header(header, kind, schema)
+    if canonical_json(header) != lines[0]:
+        raise CorruptPayload(f"{kind} header is not in canonical form")
     try:
         return header, [Block.from_line(ln) for ln in lines[1:]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -217,15 +222,13 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
 
 def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
+    _check_header(data["scenario"], "scenario", SCENARIO_SCHEMA)  # from_dict reads any minor, which would not round-trip
     scenario = Scenario.from_dict(data["scenario"])
     tick, clock = data["tick"], data["clock"]
     if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
         raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
     world = World.deployed(scenario)
     ledger = world.ledger
-    saved_accounts = sorted((a["id"], a["role"]) for a in data["accounts"])
-    if saved_accounts != sorted((a.id, a.role) for a in ledger.accounts.values()):
-        raise CorruptPayload("snapshot accounts differ from the accounts the scenario creates")
     ledger.blocks = blocks
     records = [tx for block in ledger.blocks for tx in block.transactions]
     if not records or records[0].op != "genesis" or records[0].payload != {"totalSupply": ledger.total_supply()}:
@@ -234,9 +237,8 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
         raise CorruptPayload("snapshot chain tx ids are not dense")
     ledger._tx_counter = len(records)
     fold_log(ledger, (world.authority, world.uss), records)
-    for acc in data["accounts"]:
-        if int(acc["balance"]) != ledger.accounts[acc["id"]].balance:
-            raise CorruptPayload(f"balance of {acc['id']} differs from the one its chain gives")
+    if data["accounts"] != account_table(ledger):
+        raise CorruptPayload("snapshot accounts differ from the accounts and balances the scenario and its chain give")
     ledger.clock = clock
     for block in ledger.blocks:
         world.learn(block.transactions)
@@ -244,15 +246,26 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     for rep in world.reporters:
         saved = reporters[rep.spec.name]
         rep.cell = tuple(saved["cell"])
-        rep.heard = {int(k): (v[0], v[1]) for k, v in saved["heard"].items()}
-        ints = {type(x) for x in (*rep.cell, *(tick for _, tick in rep.heard.values()))}
-        if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell):
-            raise CorruptPayload(f"reporter {rep.spec.name!r}: cell {saved['cell']} off the grid, or a tick not an int")
+        rep.heard = {int(k): (rid_hex, heard_tick) for k, (rid_hex, heard_tick) in saved["heard"].items()}
+        ints = {type(x) for x in (*rep.cell, *(heard_tick for _, heard_tick in rep.heard.values()))}
+        canonical_ids = list(map(str, rep.heard)) == list(saved["heard"])  # refuses " 2", "1_2", "02"
+        if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell) or not canonical_ids:
+            raise CorruptPayload(f"reporter {rep.spec.name!r}: cell {saved['cell']} off the grid, a tick not an int, "
+                                 "or a drone id not written as str(drone_id)")
 
     world.tick = tick
-    rng = data["rng"]
-    world.rng.setstate((rng[0], tuple(rng[1]), rng[2]))
+    world.rng.setstate(_rng_state(data["rng"]))
     return world
+
+
+def _rng_state(rng: Any) -> tuple[int, tuple[int, ...], None]:
+    """random.Random state from the header's [3, [624 words in [0, 2**32), a position in [0, 624]], null]."""
+    version, words, gauss = rng if type(rng) is list and len(rng) == 3 else (None, None, None)
+    if not (type(version) is int and version == 3 and gauss is None and type(words) is list and len(words) == 625
+            and all(type(w) is int for w in words) and all(0 <= w < 2**32 for w in words[:624])
+            and 0 <= words[624] <= 624):
+        raise CorruptPayload("rng state is not [3, [624 words in [0, 2**32), a position in [0, 624]], null]")
+    return version, tuple(words), None
 
 
 def verify_chain_file(path: str | Path) -> tuple[bool, int | None]:

@@ -37,7 +37,7 @@ from .economics import FeeParams
 from .fixedmath import MICRO
 from .ledger import Block, Ledger, TransactionRecord
 from .rid import RidFaa, RidMessage, encode_rid
-from .uss import UssContract, UssParams
+from .uss import parse_departure_epoch, UssContract, UssParams
 
 SCHEMA = {"major": 1, "minor": 0}
 
@@ -186,7 +186,8 @@ class Scenario:
             try:
                 src = geo.parse_dms_pair(d.mission.source)
                 dst = geo.parse_dms_pair(d.mission.destination)
-            except geo.DmsError as exc:
+                parse_departure_epoch(d.mission.departure_date, d.mission.departure_time, self.epoch_date)
+            except ValueError as exc:  # a geo.DmsError too
                 raise ScenarioError(f"drones[{i}].mission: {exc}") from None
             for pos in (src, dst):
                 cell = grid.cell_of(*pos)

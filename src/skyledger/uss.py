@@ -57,9 +57,6 @@ VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 VERDICT_INVALID = "invalid"
 
-# per-drone maps that a plan fills and its settlement empties
-_MISSION_MAPS = ("plans", "nonces", "report_counts", "escrow_by_drone", "forfeited")
-
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -91,19 +88,6 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
     day = _days_from_civil(int(date_ddmmyyyy[:2]), int(date_ddmmyyyy[2:4]), int(date_ddmmyyyy[4:]))
     epoch_day = _days_from_civil(int(epoch_date_ddmmyyyy[:2]), int(epoch_date_ddmmyyyy[2:4]), int(epoch_date_ddmmyyyy[4:]))
     return (day - epoch_day) * 86400 + hour * 3600 + minute * 60
-
-
-class NonceSource:
-    """Counter-mode SHA-256 nonce stream; whole state is one integer."""
-
-    def __init__(self, seed: bytes, counter: int = 0):
-        self.seed = seed
-        self.counter = counter
-
-    def next(self) -> bytes:
-        value = hashlib.sha256(self.seed + self.counter.to_bytes(8, "big")).digest()[:16]
-        self.counter += 1
-        return value
 
 
 @dataclass(frozen=True)
@@ -174,6 +158,17 @@ class MissionPlan:
 
 
 @dataclass
+class Mission:
+    """What the contract holds for one active mission, from its plan to its settlement."""
+
+    plan: MissionPlan | None           # None only while apply_log folds
+    nonce: bytes                       # USS-side secret behind the plan's RID verification code
+    report_counts: dict[AccountId, int]  # reporter -> valid reports on this mission
+    escrow: int                        # currency held for the mission
+    forfeited: int                     # fines taken so far, capped at the deposit
+
+
+@dataclass
 class SightingRecord:
     reporter: AccountId
     drone_id: int
@@ -190,16 +185,13 @@ class UssContract:
         self.params = params
         self.treasury = ledger.create_account("uss")
         self.escrow = ledger.create_account("uss")
+        self.missions: dict[int, Mission] = {}  # drone_id -> Mission, opened by a plan, closed by its settlement
         self.storage: dict[str, Any] = {
             "subscriptions": {},      # drone_id -> Subscription
-            "plans": {},              # drone_id -> MissionPlan
-            "nonces": {},             # drone_id -> bytes, USS-side secret
-            "report_counts": {},      # drone_id -> {reporter: count}, reset per mission
+            "missions": self.missions,
             "sightings": [],          # SightingRecord, append-only audit trail
             "reputation": {},         # owner account -> ReputationState
-            "escrow_by_drone": {},    # drone_id -> currency held for the mission
-            "forfeited": {},          # drone_id -> fines taken so far, capped at deposit
-            "nonce_counter": 0,
+            "nonce_counter": 0,       # missions planned so far; the next nonce's counter
         }
         self._nonce_seed = nonce_seed
         self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = defaultdict(dict)  # cell -> {drone id: window}
@@ -215,15 +207,6 @@ class UssContract:
         ledger.register_op("report_completion", self.op_report_completion, args={**drone, "ridVc": str})
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def plans(self) -> dict[int, MissionPlan]:
-        return self.storage["plans"]
-
-    def _touch(self, key: Any, *names: str) -> None:
-        """Journal storage[name][key] for each name before changing it."""
-        for name in names:
-            self.ledger.touch(self.storage[name], key)
 
     def reputation_of(self, owner: AccountId) -> economics.ReputationState:
         state = self.storage["reputation"].get(owner)
@@ -273,46 +256,46 @@ class UssContract:
     # -- storage writers, called by the ops and by apply_log ---------------
 
     def _subscribe(self, sub: Subscription) -> None:
-        self._touch(sub.drone_id, "subscriptions")
-        self.storage["subscriptions"][sub.drone_id] = sub
+        subscriptions = self.storage["subscriptions"]
+        self.ledger.touch(subscriptions, sub.drone_id)
+        subscriptions[sub.drone_id] = sub
 
-    def _open_mission(self, drone_id: int, escrow: int) -> bytes:
-        """Draw the mission's nonce and open every mission map but the plan, which the caller stores."""
-        storage = self.storage
-        nonce = NonceSource(self._nonce_seed, storage["nonce_counter"]).next()
-        self.ledger.touch(storage, "nonce_counter")
-        storage["nonce_counter"] += 1
-        self._touch(drone_id, *_MISSION_MAPS)
-        storage["nonces"][drone_id] = nonce
-        storage["report_counts"][drone_id] = {}
-        storage["escrow_by_drone"][drone_id] = escrow
-        storage["forfeited"][drone_id] = 0
+    def _next_nonce(self) -> bytes:
+        """The next mission nonce: counter-mode SHA-256 over the contract's seed."""
+        counter = self.storage["nonce_counter"]
+        self.ledger.touch(self.storage, "nonce_counter")
+        self.storage["nonce_counter"] = counter + 1
+        return hashlib.sha256(self._nonce_seed + counter.to_bytes(8, "big")).digest()[:16]
+
+    def _open_mission(self, drone_id: int, plan: MissionPlan | None, nonce: bytes, escrow: int) -> None:
+        self.ledger.touch(self.missions, drone_id)
+        self.missions[drone_id] = Mission(plan, nonce, {}, escrow, 0)
         self.authority.set_active_plan(drone_id, True)
-        return nonce
 
     def _record_sighting(self, sighting: SightingRecord, escrowed: int) -> None:
         """Count a valid report and move the mission's escrow by what it gained (a fine is negative)."""
-        storage, drone_id, reporter = self.storage, sighting.drone_id, sighting.reporter
-        counts = storage["report_counts"][drone_id]
+        drone_id, reporter = sighting.drone_id, sighting.reporter
+        mission = self.missions[drone_id]
+        self.ledger.touch(self.missions, drone_id)  # the journaled copy shares report_counts with the live mission
+        counts = mission.report_counts
         self.ledger.touch(counts, reporter)  # this reporter's entry alone, so the cost does not grow with the crowd
         counts[reporter] = counts.get(reporter, 0) + 1
-        self._touch(drone_id, "escrow_by_drone", "forfeited")
-        storage["escrow_by_drone"][drone_id] += escrowed
+        mission.escrow += escrowed
         if sighting.verdict == VERDICT_REWARD:
             self.authority.add_reward(drone_id)
         else:
             self.authority.add_penalty(drone_id)
-            storage["forfeited"][drone_id] -= escrowed
-        sightings = storage["sightings"]
+            mission.forfeited -= escrowed
+        sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
         sightings.append(sighting)
 
     def _close_mission(self, drone_id: int, owner: AccountId, reputation: economics.ReputationState) -> None:
-        self._touch(drone_id, *_MISSION_MAPS)
-        for name in _MISSION_MAPS:
-            self.storage[name].pop(drone_id, None)
-        self._touch(owner, "reputation")
-        self.storage["reputation"][owner] = reputation
+        self.ledger.touch(self.missions, drone_id)
+        del self.missions[drone_id]
+        reputations = self.storage["reputation"]
+        self.ledger.touch(reputations, owner)
+        reputations[owner] = reputation
         self.authority.reset_counters(drone_id)
         self.authority.set_active_plan(drone_id, False)
 
@@ -366,11 +349,7 @@ class UssContract:
             raise ContractRevert(REVERT_PLAN_FEE)
 
         route, arrival_s = self.schedule_route(src, dst, depart_s)
-
-        deposit = self.params.fee.deposit
-        nonce = self._open_mission(drone_id, deposit)
-        rid_vc = compute_rid_vc(nonce, caller, source, destination, date, time)
-
+        nonce = self._next_nonce()
         plan = MissionPlan(
             drone_id=drone_id,
             owner_account=caller,
@@ -385,9 +364,10 @@ class UssContract:
             altitude_m=self.params.altitude_m,
             alt_band=self.params.altitude_m // self.params.altitude_band_m,
             route=route,
-            rid_vc=rid_vc,
+            rid_vc=compute_rid_vc(nonce, caller, source, destination, date, time),
         )
-        self.plans[drone_id] = plan
+        deposit = self.params.fee.deposit
+        self._open_mission(drone_id, plan, nonce, deposit)
         self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.ledger.on_commit(functools.partial(self.index_plan, plan))
 
@@ -426,7 +406,8 @@ class UssContract:
         record = self.authority.record(drone_id)
         if caller == record.owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
-        if caller in self.storage["report_counts"].get(drone_id, ()):  # a count is stored only once it is 1
+        mission = self.missions.get(drone_id)
+        if mission is not None and caller in mission.report_counts:  # a count is stored only once it is 1
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
 
         try:
@@ -439,17 +420,9 @@ class UssContract:
             raise ContractRevert(REASON_INVALID_DMS) from None
         sighting_time = args["sightingTime"]
 
-        plan = self.plans.get(drone_id)
-        nonce = self.storage["nonces"].get(drone_id)
-        if plan is None or nonce is None or not verify_rid_vc(
-            message.rid_vc,
-            nonce,
-            plan.owner_account,
-            plan.source,
-            plan.destination,
-            plan.departure_date,
-            plan.departure_time,
-        ):
+        plan = None if mission is None else mission.plan
+        if plan is None or not verify_rid_vc(message.rid_vc, mission.nonce, plan.owner_account, plan.source,
+                                             plan.destination, plan.departure_date, plan.departure_time):
             raise ContractRevert(REVERT_INVALID_REPORT)
 
         self.ledger.transfer(self.treasury, caller, self.params.reporter_reward)
@@ -464,7 +437,7 @@ class UssContract:
             verdict, escrowed = VERDICT_REWARD, self.params.bonus_unit
             self.ledger.transfer(self.treasury, self.escrow, escrowed)
         else:
-            remaining = self.params.fee.deposit - self.storage["forfeited"][drone_id]
+            remaining = self.params.fee.deposit - mission.forfeited
             verdict, escrowed = VERDICT_PENALTY, -min(self.params.fine_unit, remaining)
             self.ledger.transfer(self.escrow, self.treasury, -escrowed)
         self._record_sighting(
@@ -487,7 +460,8 @@ class UssContract:
             raise ContractRevert(REVERT_NOT_OWNER_COMPLETE)
         if not record.has_active_plan:
             raise ContractRevert(REVERT_NO_ACTIVE_PLAN)
-        plan = self.plans[drone_id]
+        mission = self.missions[drone_id]
+        plan = mission.plan
         try:
             matches = bytes.fromhex(args["ridVc"]) == plan.rid_vc
         except ValueError:  # not hex
@@ -498,9 +472,8 @@ class UssContract:
         rewards, penalties = record.rewards, record.penalties
         deposit = self.params.fee.deposit
         payout = max(0, deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
-        held = self.storage["escrow_by_drone"][drone_id]
-        if held != payout:
-            raise LedgerError(f"escrow for drone {drone_id} holds {held}, settlement formula pays {payout}")
+        if mission.escrow != payout:
+            raise LedgerError(f"escrow for drone {drone_id} holds {mission.escrow}, settlement formula pays {payout}")
         self.ledger.transfer(self.escrow, caller, payout)
 
         rep_micro = economics.reputation(rewards, penalties)
@@ -547,7 +520,7 @@ class UssContract:
                 if not cells or len(cells) < len(payload["route"]) or payload["arrivalEpoch"] < payload["departureEpoch"]:
                     raise ValueError(f"plan for drone {drone_id} has no route, revisits a cell or lands before it departs")
                 planned[drone_id] = tx
-                self._open_mission(drone_id, escrowed)
+                self._open_mission(drone_id, None, self._next_nonce(), escrowed)
             elif op == "report_drone":
                 cell = self.params.grid.cell_of(*point(args["sightingLocation"]))
                 self._record_sighting(
@@ -560,8 +533,8 @@ class UssContract:
                     drone_id, tx.caller, economics.ReputationState(payload["reputationMicro"], payload["kMicro"])
                 )
         for drone_id, tx in planned.items():
-            plan = tx.payload
-            self.plans[drone_id] = MissionPlan(
+            plan, mission = tx.payload, self.missions[drone_id]
+            mission.plan = MissionPlan(
                 drone_id=drone_id,
                 owner_account=tx.caller,
                 source=plan["source"],
@@ -581,10 +554,10 @@ class UssContract:
                 rid_vc=bytes.fromhex(plan["ridVc"]),
                 active=plan["active"],
             )
-            self.index_plan(self.plans[drone_id])
+            self.index_plan(mission.plan)
 
     def export_active_plans(self) -> list[dict[str, Any]]:
-        return [self.plans[d].to_public_dict() for d in sorted(self.plans)]
+        return [self.missions[d].plan.to_public_dict() for d in sorted(self.missions)]
 
     def export_reputation(self) -> dict[str, dict[str, int]]:
         return {

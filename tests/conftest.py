@@ -148,7 +148,7 @@ def broadcast_hex(
     lat_offset_arcsec: int = 0,
 ) -> str:
     """Wire bytes a drone flying its plan would broadcast at a moment."""
-    p = bench.uss.plans[drone_id]
+    p = bench.uss.missions[drone_id].plan
     duration = p.arrival_epoch - p.departure_epoch
     elapsed = min(max(at_s - p.departure_epoch, 0), duration)
     lat, lon = geo.interpolate_position(p.src_arcsec, p.dst_arcsec, elapsed, duration)
@@ -171,7 +171,8 @@ def report_args(
     bench: Bench, drone_id: int, at_s: int, rid_hex: str | None = None, lat_offset_arcsec: int = 0
 ) -> dict:
     """report_drone args; defaults describe an honest on-plan observation."""
-    p = bench.uss.plans.get(drone_id)
+    mission = bench.uss.missions.get(drone_id)
+    p = mission and mission.plan
     if rid_hex is None:
         rid_hex = broadcast_hex(bench, drone_id, at_s)
     if p is not None:
@@ -200,8 +201,8 @@ def report(
 
 def complete(bench: Bench, drone_id: int, caller: str | None = None, vc_hex: str | None = None):
     if vc_hex is None:
-        p = bench.uss.plans.get(drone_id)
-        vc_hex = p.rid_vc.hex() if p else "00" * 32
+        mission = bench.uss.missions.get(drone_id)
+        vc_hex = mission.plan.rid_vc.hex() if mission else "00" * 32
     return bench.ledger.submit(
         caller or bench.operator,
         "report_completion",

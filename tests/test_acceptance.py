@@ -201,7 +201,7 @@ def test_criterion_4_security_invariants(demo_scenario_path):
         subscribe(bench, decoy, caller=bench.second_operator)
         other = plan(bench, decoy, caller=bench.second_operator, time="0030")
         assert other.status == "success"
-        genuine = bench.uss.plans[target].rid_vc
+        genuine = bench.uss.missions[target].plan.rid_vc
         foreign = bytes.fromhex(other.payload["ridVc"])
         rng = random.Random(41)
         accepted = 0

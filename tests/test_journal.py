@@ -116,13 +116,37 @@ def test_terms_must_be_accepted_with_a_boolean(bench, sign_tac):
 
 def test_escrow_drift_is_refused_and_rolled_back(bench):
     drone_id = planned_drone(bench)
-    bench.uss.storage["escrow_by_drone"][drone_id] += 1
+    bench.uss.missions[drone_id].escrow += 1
     digest, logged = bench.ledger.state_digest(), list(bench.ledger.pending)
     with pytest.raises(LedgerError, match="escrow"):
         complete(bench, drone_id)
     assert bench.ledger.state_digest() == digest
     assert bench.ledger.pending == logged
     assert bench.authority.record(drone_id).has_active_plan
+
+
+@pytest.mark.parametrize("lat_offset_arcsec", [0, 10], ids=["reward", "penalty"])
+def test_exception_after_a_sighting_is_recorded_undoes_the_mission_and_its_count(bench, monkeypatch, lat_offset_arcsec):
+    """The mission slot holds report_counts, whose entries are slots of their own; both writes roll back."""
+    drone_id = planned_drone(bench)
+    assert report(bench, drone_id, 100, bench.second_reporter, lat_offset_arcsec=lat_offset_arcsec).status == "success"
+    uss, ledger = bench.uss, bench.ledger
+    mission = uss.missions[drone_id]
+    kept = (ledger.state_digest(), mission.escrow, mission.forfeited, dict(mission.report_counts))
+    record = uss._record_sighting
+
+    def record_then_fail(sighting, escrowed):
+        record(sighting, escrowed)
+        written = uss.missions[drone_id]
+        assert written.escrow != kept[1] and written.report_counts[bench.reporter] == 1
+        raise RuntimeError("after the write")
+
+    monkeypatch.setattr(uss, "_record_sighting", record_then_fail)
+    with pytest.raises(RuntimeError, match="after the write"):
+        report(bench, drone_id, 110, lat_offset_arcsec=lat_offset_arcsec)
+    mission = uss.missions[drone_id]
+    assert (ledger.state_digest(), mission.escrow, mission.forfeited, mission.report_counts) == kept
+    assert bench.reporter not in mission.report_counts
 
 
 @pytest.mark.parametrize("write", ["slot", "transfer"])
@@ -179,14 +203,14 @@ def _well_formed(bench, op, caller, drone_id, variant):
         return args, uss.quote_fee(caller, parse_departure_epoch(DATE, time, uss.params.epoch_date))[0]
     if op == "report_drone":
         # variant 0: on plan, 1: off plan, 2: forged commitment
-        if drone_id not in uss.plans:
+        if drone_id not in uss.missions:
             return report_args(bench, drone_id, 100, rid_hex="00" * 8), 0
         vc = b"\x13" * 32 if variant == 2 else None
         rid = broadcast_hex(bench, drone_id, 100, vc=vc)
         return report_args(bench, drone_id, 100, rid, lat_offset_arcsec=10 * (variant == 1)), 0
     if op == "report_completion":
-        plan = uss.plans.get(drone_id)
-        return {"droneId": drone_id, "ridVc": plan.rid_vc.hex() if plan else "00" * 32}, 0
+        mission = uss.missions.get(drone_id)
+        return {"droneId": drone_id, "ridVc": mission.plan.rid_vc.hex() if mission else "00" * 32}, 0
     return {"droneId": drone_id}, 0  # get_drone, request_quote
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -14,6 +15,7 @@ from skyledger import persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
 from skyledger.sim import World, run
+from test_golden import SNAPSHOT_GOLDEN
 from test_sensing import sensing_scenarios
 
 
@@ -217,6 +219,132 @@ def test_tick_or_clock_out_of_range_is_corrupt(key, value):
         persistence.restore_world(snap)
 
 
+def _set_rng(index, value):
+    return lambda header, blocks: header["rng"][1].__setitem__(index, value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # random.setstate raises OverflowError on a negative word and keeps the low 32 bits of a larger one
+        pytest.param(_set_rng(0, -1), id="negative-word"),
+        pytest.param(_set_rng(0, 2**32 + 5), id="word-past-32-bits"),
+        pytest.param(_set_rng(623, True), id="boolean-word"),
+        pytest.param(_set_rng(624, 625), id="position-past-624"),
+        pytest.param(_set_rng(624, -1), id="negative-position"),
+        pytest.param(lambda header, blocks: header["rng"][1].pop(), id="no-position"),
+        pytest.param(lambda header, blocks: header["rng"].__setitem__(0, 2), id="version-2"),
+        pytest.param(lambda header, blocks: header["rng"].__setitem__(2, 0.5), id="gauss-not-null"),
+        pytest.param(lambda header, blocks: header.update(rng={"0": 3}), id="object"),
+    ],
+)
+def test_rng_state_of_another_shape_is_corrupt(edit):
+    """The header's rng is [3, [624 words in [0, 2**32), a position in [0, 624]], null], or restore refuses it."""
+    snap = oracles.edit_snapshot(persistence.snapshot_world(World(compliant_scenario())), edit)
+    with pytest.raises(persistence.CorruptPayload, match="rng state"):
+        persistence.restore_world(snap)
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        pytest.param(lambda header: header.replace(b'{"accounts"', b'{ "accounts"'), id="after-brace"),
+        pytest.param(lambda header: header.replace(b'"tick":', b'"tick": '), id="after-colon"),
+        pytest.param(lambda header: header + b" ", id="at-the-end"),
+        pytest.param(lambda header: header.replace(b'"kind":"state"', b'"kind":"\\u0073tate"'), id="escaped-letter"),
+    ],
+)
+def test_header_that_is_not_canonical_json_is_corrupt(spaced):
+    """A header that decodes to the same value but would snapshot to other bytes is refused."""
+    header, rest = persistence.snapshot_world(World(compliant_scenario())).split(b"\n", 1)
+    assert spaced(header) != header
+    with pytest.raises(persistence.CorruptPayload, match="header is not in canonical form"):
+        persistence.restore_world(spaced(header) + b"\n" + rest)
+
+
+@pytest.mark.parametrize("spell", [" {}", "0_{}", "+{}", "0{}"], ids=["space", "underscore", "plus", "leading-zero"])
+def test_replay_memory_keyed_other_than_by_str_of_the_drone_id_is_corrupt(demo_scenario_path, spell):
+    """int() reads " 2", "0_2", "+2" and "02" as 2; restore reads only "2", the key a snapshot writes."""
+    world = World(persistence.load_scenario(demo_scenario_path))
+    while not any(r.heard for r in world.reporters):
+        world.step()
+
+    def respell(header, blocks):
+        heard = next(r["heard"] for r in header["reporters"] if r["heard"])
+        key = next(iter(heard))
+        heard[spell.format(key)] = heard.pop(key)
+
+    snap = oracles.edit_snapshot(persistence.snapshot_world(world), respell)
+    with pytest.raises(persistence.CorruptPayload, match="str\\(drone_id\\)"):
+        persistence.restore_world(snap)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda header, blocks: header["schema"].update(minor=1), id="state-minor"),
+        pytest.param(lambda header, blocks: header["schema"].update(patch=0), id="state-extra-key"),
+    ],
+)
+def test_state_schema_other_than_the_one_written_is_corrupt(edit):
+    """Only the schema this code writes survives a round trip, so only it is read; another major is a SchemaMismatch."""
+    snap = oracles.edit_snapshot(persistence.snapshot_world(World(compliant_scenario())), edit)
+    with pytest.raises(persistence.CorruptPayload, match="is not the .* this code writes"):
+        persistence.restore_world(snap)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda scenario: scenario["schema"].update(minor=1), id="scenario-minor"),
+        pytest.param(lambda scenario: scenario["schema"].update(minr=0), id="scenario-schema-key"),
+    ],
+)
+def test_scenario_schema_other_than_the_one_written_is_corrupt(edit):
+    """A scenario file may carry another minor; the scenario inside a snapshot must carry the schema it writes."""
+    snap = oracles.edit_snapshot(
+        persistence.snapshot_world(World(compliant_scenario())), lambda header, blocks: edit(header["scenario"])
+    )
+    with pytest.raises(persistence.CorruptPayload, match="scenario schema .* is not the .* this code writes"):
+        persistence.restore_world(snap)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda accounts: accounts.reverse(), id="out-of-order"),
+        pytest.param(lambda accounts: accounts[0].update(balance=int(accounts[0]["balance"])), id="balance-as-int"),
+        pytest.param(lambda accounts: accounts[0].update(balance=" " + accounts[0]["balance"]), id="balance-spaced"),
+        pytest.param(lambda accounts: accounts[0].update(note="x"), id="extra-key"),
+    ],
+)
+def test_account_table_other_than_the_one_written_is_corrupt(edit):
+    snap = oracles.edit_snapshot(
+        persistence.snapshot_world(run(compliant_scenario())[1]), lambda header, blocks: edit(header["accounts"])
+    )
+    with pytest.raises(persistence.CorruptPayload, match="snapshot accounts differ"):
+        persistence.restore_world(snap)
+
+
+@functools.cache
+def _golden_snapshot(name):
+    return persistence.snapshot_world(SNAPSHOT_GOLDEN[name][0]())
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(SNAPSHOT_GOLDEN)), data=st.data())
+def test_a_byte_replaced_in_a_golden_header_is_refused_or_round_trips(name, data):
+    """Every accepted header restores a world that snapshots to exactly the bytes restored from."""
+    snap = _golden_snapshot(name)
+    at = data.draw(st.integers(0, snap.index(b"\n") - 1), label="at")
+    edited = snap[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + snap[at + 1:]
+    try:
+        restored = persistence.restore_world(edited)
+    except (persistence.CorruptPayload, persistence.SchemaMismatch):
+        return
+    assert persistence.snapshot_world(restored) == edited
+
+
 def _logged(data, op):
     return next(
         tx for block in data["chain"] for tx in block["transactions"] if tx["op"] == op and tx["status"] == "success"
@@ -333,18 +461,18 @@ def test_nonces_survive_a_round_trip_but_never_in_the_clear():
     mid = World(compliant_scenario(n_reporters=0, seed=31))
     while mid.tick < 10:
         mid.step()
-    nonces = dict(mid.uss.storage["nonces"])
+    nonces = {d: m.nonce for d, m in mid.uss.missions.items()}
     assert nonces, "mission should still be active at tick 10"
     snap = persistence.snapshot_world(mid)
     for nonce in nonces.values():
         assert nonce.hex().encode() not in snap
     restored = persistence.restore_world(snap)
-    assert restored.uss.storage["nonces"] == nonces
+    assert {d: m.nonce for d, m in restored.uss.missions.items()} == nonces
 
 
 def test_plan_exports_never_contain_nonces():
     world = World(compliant_scenario())
-    nonce_hexes = [n.hex() for n in world.uss.storage["nonces"].values()]
+    nonce_hexes = [m.nonce.hex() for m in world.uss.missions.values()]
     dump = json.dumps(world.uss.export_active_plans())
     for nonce_hex in nonce_hexes:
         assert nonce_hex not in dump

@@ -165,7 +165,7 @@ class TestDeterminism:
 class TestWorldMechanics:
     def test_flying_drone_tracks_its_plan_cell_for_cell(self):
         world = World(compliant_scenario())
-        plan = world.uss.plans[0]
+        plan = world.uss.missions[0].plan
         grid = world.grid
         while world.tick < world.scenario.duration_ticks:
             now = world.now()
@@ -223,13 +223,13 @@ class TestWorldMechanics:
     def test_escrow_empty_after_everything_settles(self):
         _, world = run(compliant_scenario())
         assert world.ledger.balance(world.uss.escrow) == 0
-        assert world.uss.storage["escrow_by_drone"] == {}
+        assert world.uss.missions == {}
 
     def test_escrow_matches_future_settlements_every_tick(self):
         world = World(deviating_scenario())
         while world.tick < world.scenario.duration_ticks:
             held = world.ledger.balance(world.uss.escrow)
-            assert held == sum(world.uss.storage["escrow_by_drone"].values())
+            assert held == sum(m.escrow for m in world.uss.missions.values())
             world.step()
         assert world.ledger.balance(world.uss.escrow) == 0
 
@@ -331,6 +331,13 @@ class TestScenarioValidation:
                          "reporters[2].sensingRangeM must be at least 0", id="negative-range"),
             pytest.param(lambda d: d["drones"][0]["mission"].update(source="+٠٠٠°٠٠′١٠″ +000°00′10″"),
                          "drones[0].mission: not a DMS coordinate", id="non-ascii-dms"),
+            # departure fields parse as request_plan parses them, so setup never logs an invalid-datetime revert
+            pytest.param(lambda d: d["drones"][0]["mission"].update(departureDate="32132025"),
+                         "drones[0].mission: month out of range", id="departure-date-32132025"),
+            pytest.param(lambda d: d["drones"][0]["mission"].update(departureDate="０１０１２０２５"),
+                         "drones[0].mission: malformed date/time field", id="fullwidth-departure-date"),
+            pytest.param(lambda d: d["drones"][0]["mission"].update(departureTime="2400"),
+                         "drones[0].mission: time out of range", id="departure-time-2400"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):

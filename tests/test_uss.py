@@ -27,7 +27,12 @@ from skyledger.economics import FeeParams
 from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
 from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
-from skyledger.uss import MissionPlan, parse_departure_epoch
+from skyledger.uss import Mission, MissionPlan, parse_departure_epoch
+
+
+def _plans(uss):
+    """The active plans, read from the contract's missions."""
+    return [m.plan for m in uss.missions.values()]
 
 
 def small_fee_bench(**kwargs):
@@ -199,10 +204,10 @@ class TestRequestPlan:
     def test_repeat_mission_gets_fresh_commitment(self, bench):
         """Same plan fields, new nonce, different verification code."""
         drone_id = planned_drone(bench)
-        first = bench.uss.plans[drone_id]
+        first = bench.uss.missions[drone_id].plan
         first_vc = first.rid_vc.hex()
         assert first.rid_vc == compute_rid_vc(
-            bench.uss.storage["nonces"][drone_id], bench.operator,
+            bench.uss.missions[drone_id].nonce, bench.operator,
             first.source, first.destination, first.departure_date, first.departure_time,
         )
         bench.ledger.clock = 1000  # past arrival
@@ -211,9 +216,9 @@ class TestRequestPlan:
         assert second.status == "success"
         assert second.payload["ridVc"] != first_vc
         # and the fresh commitment also recomputes from its stored nonce
-        again = bench.uss.plans[drone_id]
+        again = bench.uss.missions[drone_id].plan
         assert again.rid_vc == compute_rid_vc(
-            bench.uss.storage["nonces"][drone_id], bench.operator,
+            bench.uss.missions[drone_id].nonce, bench.operator,
             again.source, again.destination, again.departure_date, again.departure_time,
         )
 
@@ -266,21 +271,21 @@ class TestScheduleRoute:
         other = self._second_drone(bench)
         rec = plan(bench, other, caller=bench.second_operator)
         assert (rec.status, rec.reason) == ("revert", "schedule-conflict")
-        assert self._oracle_conflict(bench, bench.uss.plans[drone_id].route, SRC, DST, TIME)
+        assert self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, SRC, DST, TIME)
 
     def test_departure_shifted_beyond_buffer_accepted(self, bench):
         drone_id = planned_drone(bench)  # occupies 60..210, buffer 60
         other = self._second_drone(bench)
         rec = plan(bench, other, caller=bench.second_operator, time="0005")  # departs 300
         assert rec.status == "success"
-        assert not self._oracle_conflict(bench, bench.uss.plans[drone_id].route, SRC, DST, "0005")
+        assert not self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, SRC, DST, "0005")
 
     def test_departure_shift_inside_buffer_conflicts(self, bench):
         drone_id = planned_drone(bench)
         other = self._second_drone(bench)
         rec = plan(bench, other, caller=bench.second_operator, time="0002")  # trails by 60 s
         assert (rec.status, rec.reason) == ("revert", "schedule-conflict")
-        assert self._oracle_conflict(bench, bench.uss.plans[drone_id].route, SRC, DST, "0002")
+        assert self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, SRC, DST, "0002")
 
     def test_trailing_separation_beyond_buffer_accepted(self, bench):
         # same corridor 180 s behind: every cell-time gap exceeds the buffer
@@ -288,7 +293,7 @@ class TestScheduleRoute:
         other = self._second_drone(bench)
         rec = plan(bench, other, caller=bench.second_operator, time="0004")
         assert rec.status == "success"
-        assert not self._oracle_conflict(bench, bench.uss.plans[drone_id].route, SRC, DST, "0004")
+        assert not self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, SRC, DST, "0004")
 
     def test_adjacent_row_within_cell_buffer_conflicts(self, bench):
         drone_id = planned_drone(bench)  # row 3
@@ -296,7 +301,7 @@ class TestScheduleRoute:
         src, dst = dms(14, 10), dms(14, 60)  # 420 m -> row 4
         rec = plan(bench, other, caller=bench.second_operator, source=src, destination=dst)
         assert (rec.status, rec.reason) == ("revert", "schedule-conflict")
-        assert self._oracle_conflict(bench, bench.uss.plans[drone_id].route, src, dst, TIME)
+        assert self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, src, dst, TIME)
 
     def test_two_rows_apart_accepted(self, bench):
         drone_id = planned_drone(bench)  # row 3
@@ -304,7 +309,7 @@ class TestScheduleRoute:
         src, dst = dms(17, 10), dms(17, 60)  # 510 m -> row 5
         rec = plan(bench, other, caller=bench.second_operator, source=src, destination=dst)
         assert rec.status == "success"
-        assert not self._oracle_conflict(bench, bench.uss.plans[drone_id].route, src, dst, TIME)
+        assert not self._oracle_conflict(bench, bench.uss.missions[drone_id].plan.route, src, dst, TIME)
 
     @staticmethod
     def _as_dicts(route):
@@ -319,13 +324,14 @@ class TestScheduleRoute:
         uss = bench.uss
         grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
         duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
-        uss.plans[drone_id] = MissionPlan(
+        plan = MissionPlan(
             drone_id, bench.operator, dms(*src), dms(*dst), DATE, TIME, depart, depart + duration,
             src, dst, uss.params.altitude_m, band,
             geo.route_occupancy(grid, src, dst, depart, duration, band), b"\0" * 32,
         )
-        uss.index_plan(uss.plans[drone_id])
-        return uss.plans[drone_id]
+        uss.missions[drone_id] = Mission(plan, b"\0" * 16, {}, 0, 0)
+        uss.index_plan(plan)
+        return plan
 
     @staticmethod
     def _conflicts(uss, src, dst, depart):
@@ -380,8 +386,8 @@ class TestScheduleRoute:
             self._install_plan(bench, drone_id, src, dst, draw(st.integers(0, 400)))
         # place the new flight at the edges of one plan: right after it (from its destination),
         # right before it (into its source), or beside it, a few cells off its track
-        mode = draw(st.sampled_from(["free", "after", "before", "beside"] if uss.plans else ["free"]))
-        other = uss.plans[draw(st.sampled_from(sorted(uss.plans)))] if uss.plans else None
+        mode = draw(st.sampled_from(["free", "after", "before", "beside"] if uss.missions else ["free"]))
+        other = uss.missions[draw(st.sampled_from(sorted(uss.missions)))].plan if uss.missions else None
         src, dst = draw(point), draw(point)
         if mode == "after":
             src = other.dst_arcsec
@@ -403,7 +409,7 @@ class TestScheduleRoute:
         candidate = self._as_dicts(geo.route_occupancy(grid, src, dst, depart, duration, band))
         expected = any(
             oracles.brute_force_conflict(self._as_dicts(p.route), candidate, buf_cells, buf_s)
-            for p in uss.plans.values()
+            for p in _plans(uss)
         )
         event(f"{mode} conflict={expected}")
         assert self._conflicts(uss, src, dst, depart) == expected
@@ -421,16 +427,16 @@ class TestAirspaceIndex:
         """The index built afresh from the active plans."""
         buf = uss.params.deconfliction_time_buffer_s
         cells = {}
-        for p in uss.plans.values():
+        for p in _plans(uss):
             for w in p.route:
                 cells.setdefault((w.lat_idx, w.lon_idx), {})[p.drone_id] = w
-        opens = sorted(p.departure_epoch - buf for p in uss.plans.values())
-        return cells, opens, sorted(p.arrival_epoch + buf for p in uss.plans.values())
+        opens = sorted(p.departure_epoch - buf for p in _plans(uss))
+        return cells, opens, sorted(p.arrival_epoch + buf for p in _plans(uss))
 
     @staticmethod
     def _scan(uss, at_s):
         buf = uss.params.deconfliction_time_buffer_s
-        return sum(p.departure_epoch - buf <= at_s <= p.arrival_epoch + buf for p in uss.plans.values())
+        return sum(p.departure_epoch - buf <= at_s <= p.arrival_epoch + buf for p in _plans(uss))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -456,7 +462,7 @@ class TestAirspaceIndex:
             ledger.clock += draw(st.integers(0, 60))
             op = draw(st.sampled_from(["quote", "plan", "plan", "complete"]))
             # mostly a drone the op can succeed for: an idle one plans, a flying one completes
-            fits = [d for d in world.drones if (d.drone_id in uss.plans) == (op == "complete")]
+            fits = [d for d in world.drones if (d.drone_id in uss.missions) == (op == "complete")]
             drone = draw(st.sampled_from(fits if fits and draw(st.integers(0, 4)) else world.drones))
             owner, drone_id = drone.operator_account, drone.drone_id
             if op == "quote":
@@ -465,7 +471,7 @@ class TestAirspaceIndex:
             elif op == "plan":
                 src, dst, depart = draw(point), draw(point), 60 * draw(minute)
                 short = draw(st.sampled_from([0, 0, 0, 1]))
-                active = [TestScheduleRoute._as_dicts(p.route) for p in uss.plans.values()]
+                active = [TestScheduleRoute._as_dicts(p.route) for p in _plans(uss)]
                 args = {"droneId": drone_id, "source": dms(*src), "destination": dms(*dst),
                         "departureDate": DATE, "departureTime": f"00{depart // 60:02d}"}
                 rec = ledger.submit(owner, "request_plan", args, value=uss.quote_fee(owner, depart)[0] - short)
@@ -478,12 +484,12 @@ class TestAirspaceIndex:
                     expected = any(oracles.brute_force_conflict(r, candidate, buf_cells, buf_s) for r in active)
                     assert (rec.reason == "schedule-conflict") == expected
             else:
-                plan = uss.plans.get(drone_id)
-                vc = plan.rid_vc.hex() if plan is not None and draw(st.integers(0, 3)) else "00" * 32
+                mission = uss.missions.get(drone_id)
+                vc = mission.plan.rid_vc.hex() if mission is not None and draw(st.integers(0, 3)) else "00" * 32
                 rec = ledger.submit(owner, "report_completion", {"droneId": drone_id, "ridVc": vc})
                 event(f"complete {rec.reason or rec.status}")
             assert self._index(uss) == self._rebuilt(uss)
-            ends = [t for p in uss.plans.values() for t in (p.departure_epoch - buf_s, p.arrival_epoch + buf_s)]
+            ends = [t for p in _plans(uss) for t in (p.departure_epoch - buf_s, p.arrival_epoch + buf_s)]
             for t in {ledger.clock, *(t + d for t in ends for d in (-1, 0, 1))}:
                 assert uss.congestion_count(t) == self._scan(uss, t)
 
@@ -491,7 +497,7 @@ class TestAirspaceIndex:
         """A plan missing from one of its route cells: report_completion raises with storage and index as they were."""
         drone_id = planned_drone(bench)
         uss, ledger = bench.uss, bench.ledger
-        route = uss.plans[drone_id].route
+        route = uss.missions[drone_id].plan.route
         assert len(route) > 2
         del uss._cells[route[-2].lat_idx, route[-2].lon_idx]  # the plan is the only one in its cells
         before = (copy.deepcopy(self._index(uss)), ledger.state_digest(), list(ledger.pending), ledger._tx_counter)
@@ -555,7 +561,7 @@ class TestReportDrone:
         record = bench.authority.record(drone_id)
         assert (record.rewards, record.penalties) == (0, 1)
         # brute-force interpolation agrees the sighting is off-plan
-        p = bench.uss.plans[drone_id]
+        p = bench.uss.missions[drone_id].plan
         cell = oracles.interpolated_cell(
             p.src_arcsec, p.dst_arcsec, p.departure_epoch, p.arrival_epoch, 100,
             bench.uss.params.grid.cell_size_m, bench.uss.params.grid.meters_per_arcsec,
@@ -565,7 +571,7 @@ class TestReportDrone:
 
     def test_match_window_boundary(self, bench):
         drone_id = planned_drone(bench)
-        arrival = bench.uss.plans[drone_id].arrival_epoch
+        arrival = bench.uss.missions[drone_id].plan.arrival_epoch
         rec = report(bench, drone_id, at_s=arrival + 120)
         assert rec.payload["verdict"] == "reward"
         rec = report(
@@ -619,7 +625,7 @@ class TestCompletion:
         assert rec.payload["payout"] == 5
         assert rec.payload["reputationMicro"] == 0
         assert bench.ledger.balance(bench.operator) == operator_before + 5
-        assert drone_id not in bench.uss.plans
+        assert drone_id not in bench.uss.missions
         assert bench.authority.record(drone_id).has_active_plan is False
 
     def test_settlement_arithmetic_three_rewards_one_penalty(self):
@@ -675,7 +681,7 @@ class TestEscrowAccounting:
         assert ledger.balance(uss.escrow) == deposit + uss.params.bonus_unit
         report(bench, drone_id, at_s=120, reporter=bench.second_reporter, lat_offset_arcsec=10)
         assert ledger.balance(uss.escrow) == deposit + uss.params.bonus_unit - uss.params.fine_unit
-        assert ledger.balance(uss.escrow) == sum(uss.storage["escrow_by_drone"].values())
+        assert ledger.balance(uss.escrow) == sum(m.escrow for m in uss.missions.values())
         bench.ledger.clock = 1000
         payout = complete(bench, drone_id).payload["payout"]
         assert payout == deposit + uss.params.bonus_unit - uss.params.fine_unit
@@ -720,12 +726,12 @@ class TestEscrowAccounting:
     def test_active_plan_flag_iff_plan_exists(self, bench):
         drone_id = register(bench)
         subscribe(bench, drone_id)
-        assert drone_id not in bench.uss.plans
+        assert drone_id not in bench.uss.missions
         assert not bench.authority.record(drone_id).has_active_plan
         plan(bench, drone_id)
-        assert drone_id in bench.uss.plans
+        assert drone_id in bench.uss.missions
         assert bench.authority.record(drone_id).has_active_plan
         bench.ledger.clock = 1000
         complete(bench, drone_id)
-        assert drone_id not in bench.uss.plans
+        assert drone_id not in bench.uss.missions
         assert not bench.authority.record(drone_id).has_active_plan
