@@ -85,9 +85,7 @@ def canonical_json(obj: Any) -> bytes:
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
-_SCALARS = (int, str, bytes, float, type(None))
-# the exact scalar types, tested first; isinstance(v, _SCALARS) still catches their subclasses
-_SCALAR_TYPES = frozenset(_SCALARS + (bool,))
+_SCALAR_TYPES = frozenset((int, str, bytes, float, type(None), bool))
 
 
 @functools.cache
@@ -110,31 +108,19 @@ def _field_values(cls: type) -> Callable[[Any], tuple] | None:
     return operator.attrgetter(*names) if len(names) > 1 else lambda obj: tuple(getattr(obj, n) for n in names)
 
 
-def flatten_state(obj: Any, prefix: str = "") -> dict[str, Any]:
-    """Flatten nested dicts/lists/dataclasses to leaf paths, for digests."""
-    out: dict[str, Any] = {}
+def _state_value(obj: Any) -> Any:
+    """state_digest's JSON of a dataclass (its declared fields) and of bytes (hex); canonical_json refuses both."""
     names = _field_names(type(obj))
-    if names is not None:
-        obj = {name: getattr(obj, name) for name in names}
-    if isinstance(obj, dict):
-        for k in obj:
-            out.update(flatten_state(obj[k], f"{prefix}/{k}"))
-        if not obj:
-            out[prefix] = "{}"
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            out.update(flatten_state(v, f"{prefix}/{i}"))
-        if not obj:
-            out[prefix] = "[]"
-    elif isinstance(obj, bytes):
-        out[prefix] = obj.hex()
-    else:
-        out[prefix] = obj
-    return out
+    if names is None and not isinstance(obj, bytes):
+        raise TypeError(f"{type(obj).__name__} is not contract state")
+    return obj.hex() if names is None else {name: getattr(obj, name) for name in names}
+
+
+_STATE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False, default=_state_value)
 
 
 def count_leaves(obj: Any) -> int:
-    if type(obj) in _SCALAR_TYPES or isinstance(obj, _SCALARS):
+    if type(obj) in _SCALAR_TYPES:
         return 1
     fields_of = _field_values(type(obj))
     if fields_of is not None:
@@ -161,7 +147,7 @@ def diff_count(before: Any, after: Any) -> int:
     """
     if type(before) is not type(after):
         return count_leaves(before) + count_leaves(after)
-    if type(before) in _SCALAR_TYPES or isinstance(before, _SCALARS):
+    if type(before) in _SCALAR_TYPES:
         return 0 if before == after else 1
     fields_of = _field_values(type(before))
     if fields_of is not None:
@@ -594,5 +580,4 @@ class Ledger:
 
     def state_digest(self) -> str:
         """Hash of all contract state (log excluded); replay comparator."""
-        flat = flatten_state(self._storages)
-        return hashlib.sha256(canonical_json(flat)).hexdigest()
+        return hashlib.sha256(_STATE_JSON.encode(self._storages).encode("utf-8")).hexdigest()

@@ -33,10 +33,12 @@ from pathlib import Path
 from typing import Any
 
 from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
+from .rid import RID_WIRE_LEN
 from .sim import SCHEMA as SCENARIO_SCHEMA, RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
 STATE_SCHEMA = {"major": 4, "minor": 0}  # 4.0: a header line, then the chain's block lines
+STATE_HEADER_KEYS = frozenset(("schema", "kind", "scenario", "tick", "clock", "accounts", "reporters", "rng", "head"))
 
 
 class SchemaMismatch(ValueError):
@@ -222,6 +224,8 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
 
 def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
+    if data.keys() != STATE_HEADER_KEYS:
+        raise CorruptPayload(f"state header keys {sorted(data)} are not {sorted(STATE_HEADER_KEYS)}")
     _check_header(data["scenario"], "scenario", SCENARIO_SCHEMA)  # from_dict reads any minor, which would not round-trip
     scenario = Scenario.from_dict(data["scenario"])
     tick, clock = data["tick"], data["clock"]
@@ -242,16 +246,16 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     ledger.clock = clock
     for block in ledger.blocks:
         world.learn(block.transactions)
-    reporters = {r["name"]: r for r in data["reporters"]}
-    for rep in world.reporters:
-        saved = reporters[rep.spec.name]
+    for rep, saved in zip(world.reporters, data["reporters"], strict=True):  # in the scenario's order, each once
         rep.cell = tuple(saved["cell"])
         rep.heard = {int(k): (rid_hex, heard_tick) for k, (rid_hex, heard_tick) in saved["heard"].items()}
         ints = {type(x) for x in (*rep.cell, *(heard_tick for _, heard_tick in rep.heard.values()))}
         canonical_ids = list(map(str, rep.heard)) == list(saved["heard"])  # refuses " 2", "1_2", "02"
-        if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell) or not canonical_ids:
-            raise CorruptPayload(f"reporter {rep.spec.name!r}: cell {saved['cell']} off the grid, a tick not an int, "
-                                 "or a drone id not written as str(drone_id)")
+        wires = all(type(h) is str and len(h) == 2 * RID_WIRE_LEN and bytes.fromhex(h).hex() == h for h, _ in rep.heard.values())
+        if (saved.keys() != {"name", "cell", "heard"} or saved["name"] != rep.spec.name or len(rep.cell) != 2
+                or ints != {int} or not scenario._cell_in_grid(rep.cell) or not canonical_ids or not wires):
+            raise CorruptPayload(f"reporter {rep.spec.name!r}: entry out of order or not name, cell, heard, a cell off the grid, "
+                                 "a tick not an int, a drone id not written as str(drone_id) or a broadcast not lowercase wire hex")
 
     world.tick = tick
     world.rng.setstate(_rng_state(data["rng"]))

@@ -19,6 +19,7 @@ the eventual payout, and drains to zero once every mission settles.
 
 from __future__ import annotations
 
+import datetime
 import functools
 import hashlib
 import weakref
@@ -57,25 +58,6 @@ VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 VERDICT_INVALID = "invalid"
 
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _is_leap(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
-def _days_from_civil(day: int, month: int, year: int) -> int:
-    if not 1 <= month <= 12:
-        raise ValueError("month out of range")
-    limit = _DAYS_IN_MONTH[month - 1] + (1 if month == 2 and _is_leap(year) else 0)
-    if not 1 <= day <= limit:
-        raise ValueError("day out of range")
-    days = (year - 1) * 365 + (year - 1) // 4 - (year - 1) // 100 + (year - 1) // 400
-    days += sum(_DAYS_IN_MONTH[:month - 1])
-    if month > 2 and _is_leap(year):
-        days += 1
-    return days + day - 1
-
 
 def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyyy: str) -> int:
     """Seconds since the scenario epoch (midnight of the epoch date)."""
@@ -85,9 +67,8 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
     hour, minute = int(time_hhmm[:2]), int(time_hhmm[2:])
     if hour > 23 or minute > 59:
         raise ValueError(f"time out of range {time_hhmm!r}")
-    day = _days_from_civil(int(date_ddmmyyyy[:2]), int(date_ddmmyyyy[2:4]), int(date_ddmmyyyy[4:]))
-    epoch_day = _days_from_civil(int(epoch_date_ddmmyyyy[:2]), int(epoch_date_ddmmyyyy[2:4]), int(epoch_date_ddmmyyyy[4:]))
-    return (day - epoch_day) * 86400 + hour * 3600 + minute * 60
+    day, epoch_day = (datetime.date(int(d[4:]), int(d[2:4]), int(d[:2])) for d in (date_ddmmyyyy, epoch_date_ddmmyyyy))
+    return (day - epoch_day).days * 86400 + hour * 3600 + minute * 60
 
 
 @dataclass(frozen=True)

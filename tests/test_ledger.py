@@ -394,6 +394,18 @@ def test_canonical_json_is_sorted_and_compact():
     assert canonical_json(data) == b'{"a":[1,{"y":null,"z":0}],"b":1}'
 
 
+@pytest.mark.parametrize(
+    "one,other", [({"a": {"b": 1}}, {"a/b": 1}), ({"k": {}}, {"k": "{}"})], ids=["nested-vs-path-key", "empty-vs-text"]
+)
+def test_state_digest_tells_apart_storages_of_another_shape(one, other):
+    digests = []
+    for storage in (one, other):
+        ledger = Ledger()
+        ledger.attach_storage("toy", storage)
+        digests.append(ledger.state_digest())
+    assert digests[0] != digests[1]
+
+
 def test_canonical_json_refuses_a_value_that_contains_itself():
     loop = [1, {"a": 2}]
     loop.append(loop)

@@ -181,6 +181,10 @@ def _move_balance(data):
         pytest.param(lambda d: d["reporters"][0].update(cell=[1.5, 2]), id="reporter-cell-fractional"),
         pytest.param(lambda d: d["reporters"][0].update(cell=[True, 2]), id="reporter-cell-boolean"),
         pytest.param(lambda d: d["reporters"][0].update(cell=[1, 2, 3]), id="reporter-cell-three-long"),
+        pytest.param(lambda d: d["reporters"].reverse(), id="reporters-reversed"),
+        pytest.param(lambda d: d["reporters"].append(d["reporters"][0]), id="reporter-listed-twice"),
+        pytest.param(lambda d: d["reporters"][0].update(note="x"), id="reporter-extra-key"),
+        pytest.param(lambda d: d.update(note="x"), id="header-extra-key"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
@@ -202,6 +206,31 @@ def test_replay_memory_with_a_tick_that_is_not_an_int_is_corrupt(demo_scenario_p
 
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
+
+
+@pytest.mark.parametrize(
+    "broadcast",
+    [12345, lambda wire: wire.upper(), lambda wire: wire[:-2], "g" * 128],
+    ids=["int", "upper-case-hex", "short-hex", "not-hex"],
+)
+def test_replay_memory_whose_broadcast_is_not_lowercase_wire_hex_is_corrupt(demo_scenario_path, broadcast):
+    """A heard broadcast restores only as a snapshot writes it, so a resumed replayer logs what the live one would."""
+    world = World(persistence.load_scenario(demo_scenario_path))
+    while not any(r.heard for r in world.reporters):
+        world.step()
+
+    def edit(header, blocks):
+        entry = next(iter(next(r["heard"] for r in header["reporters"] if r["heard"]).values()))
+        entry[0] = broadcast(entry[0]) if callable(broadcast) else broadcast
+
+    snap = oracles.edit_snapshot(persistence.snapshot_world(world), edit)
+    with pytest.raises(persistence.CorruptPayload):
+        persistence.restore_world(snap)
+
+
+def test_state_header_keys_are_the_ones_a_snapshot_writes():
+    header = json.loads(persistence.snapshot_world(World(compliant_scenario())).split(b"\n", 1)[0])
+    assert header.keys() == persistence.STATE_HEADER_KEYS
 
 
 @pytest.mark.parametrize(

@@ -333,7 +333,7 @@ class TestScenarioValidation:
                          "drones[0].mission: not a DMS coordinate", id="non-ascii-dms"),
             # departure fields parse as request_plan parses them, so setup never logs an invalid-datetime revert
             pytest.param(lambda d: d["drones"][0]["mission"].update(departureDate="32132025"),
-                         "drones[0].mission: month out of range", id="departure-date-32132025"),
+                         "drones[0].mission: month must be in 1..12", id="departure-date-32132025"),
             pytest.param(lambda d: d["drones"][0]["mission"].update(departureDate="０１０１２０２５"),
                          "drones[0].mission: malformed date/time field", id="fullwidth-departure-date"),
             pytest.param(lambda d: d["drones"][0]["mission"].update(departureTime="2400"),

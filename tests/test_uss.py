@@ -201,6 +201,15 @@ class TestRequestPlan:
             with pytest.raises(ValueError, match="malformed date/time field"):
                 parse_departure_epoch(date, time, epoch)
 
+    @pytest.mark.parametrize("date,epoch,days", [("01032024", "01012024", 60), ("01032100", "01012100", 59)])
+    def test_departure_days_follow_the_gregorian_leap_rule(self, date, epoch, days):
+        assert parse_departure_epoch(date, "0000", epoch) == days * 86400
+
+    @pytest.mark.parametrize("date", ["29022100", "01010000"], ids=["feb-29-of-a-century", "year-0000"])
+    def test_departure_date_off_the_calendar_raises(self, date):
+        with pytest.raises(ValueError):
+            parse_departure_epoch(date, "0000", "01012025")
+
     def test_repeat_mission_gets_fresh_commitment(self, bench):
         """Same plan fields, new nonce, different verification code."""
         drone_id = planned_drone(bench)
