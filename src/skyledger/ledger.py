@@ -314,8 +314,7 @@ class _OpSpec:
     fn: Callable[[AccountId, dict[str, Any]], Any]
     args: dict[str, type]
     view: bool
-    payable: bool
-    receiver: AccountId | None
+    receiver: AccountId | None  # the account that an attached value goes to; None: the op is not payable
 
 
 class Ledger:
@@ -391,19 +390,17 @@ class Ledger:
         *,
         args: dict[str, type] | None = None,
         view: bool = False,
-        payable: bool = False,
         receiver: AccountId | None = None,
     ) -> None:
         """Register `fn` as operation `name`; `args` declares its arguments, name -> int, str or bool.
 
         submit() reverts a call whose declared argument is missing or not exactly
         of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
+        An op with a `receiver` is payable: submit() moves an attached value to that account.
         """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
-        if payable and receiver is None:
-            raise ValueError("payable operations need a receiving account")
-        self._ops[name] = _OpSpec(fn, args or {}, view, payable, receiver)
+        self._ops[name] = _OpSpec(fn, args or {}, view, receiver)
 
     def touch(self, container: dict | list, key: Any) -> None:
         """Declare that the running transaction is about to change container[key].
@@ -503,7 +500,7 @@ class Ledger:
                 if type(args.get(name)) is not kind:
                     raise ContractRevert(f"{REASON_INVALID_ARG}:{name}")
             if value > 0:
-                if not spec.payable:
+                if spec.receiver is None:
                     raise ContractRevert(REASON_NOT_PAYABLE)
                 if self.account(caller).balance < value:
                     raise ContractRevert(REASON_INSUFFICIENT_BALANCE)

@@ -19,7 +19,9 @@ itself, plus the account balances as a cross-check and the chain's head
 hash. Restore checks every hash and link and the head, folds contract
 storage and balances from the chain's successful records and has the
 agents learn the rest of their memory from it (World.learn), so a
-snapshot cannot disagree with its log.
+snapshot cannot disagree with its log. The writer is the one definition
+of a header: restore accepts a state header, and read_chain_jsonl a chain
+header, only if it is byte for byte the line this code writes back.
 Mission nonces, the one secret in the system, follow from the scenario
 seed and are in no file; shareable exports (plan tables, registry)
 exclude them too.
@@ -34,11 +36,11 @@ from typing import Any
 
 from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
 from .rid import RID_WIRE_LEN
-from .sim import SCHEMA as SCENARIO_SCHEMA, RunMetrics, Scenario, World
+from .sim import RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
 STATE_SCHEMA = {"major": 4, "minor": 0}  # 4.0: a header line, then the chain's block lines
-STATE_HEADER_KEYS = frozenset(("schema", "kind", "scenario", "tick", "clock", "accounts", "reporters", "rng", "head"))
+_CHAIN_HEADER = {"schema": SCHEMA, "kind": "chain"}
 
 
 class SchemaMismatch(ValueError):
@@ -49,15 +51,12 @@ class CorruptPayload(ValueError):
     """File bytes do not decode to the declared structure."""
 
 
-def _check_header(data: dict[str, Any], kind: str, schema: dict[str, int] = SCHEMA) -> None:
-    if not isinstance(data, dict) or not isinstance(data.get("schema"), dict):
-        raise CorruptPayload(f"missing schema header in {kind} payload")
-    if data["schema"].get("major") != schema["major"]:
-        raise SchemaMismatch(f"unsupported major version {data['schema']!r}")
-    if data.get("kind") != kind:
-        raise CorruptPayload(f"expected kind {kind!r}, found {data.get('kind')!r}")
-    if data["schema"] != schema:  # another minor, or another key, would not survive a round trip
-        raise CorruptPayload(f"{kind} schema {data['schema']!r} is not the {schema!r} this code writes")
+def _require_written(kind: str, line: bytes, header: dict[str, Any], written: dict[str, Any]) -> None:
+    """Refuse a header line that is not byte for byte the line this code writes for what was read from the file."""
+    if line != canonical_json(written):
+        items = [{(k, canonical_json(v)) for k, v in d.items()} for d in (header, written)]  # the keys whose bytes differ
+        differ = sorted({k for k, _ in items[0] ^ items[1]}) or "its layout"
+        raise CorruptPayload(f"{kind} header is not the one this code writes: {differ} differs")
 
 
 # -- scenarios --------------------------------------------------------------
@@ -79,11 +78,10 @@ def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
     return b"\n".join([canonical_json(header), *(b.line() for b in blocks), b""])
 
 
-def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict[str, Any], list[Block]]:
-    """The header of a chain log or state snapshot, and its blocks, each line read by Block.from_line.
+def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[bytes, dict[str, Any], list[Block]]:
+    """The header line of a chain log or state snapshot, its value, and its blocks, each line read by Block.from_line.
 
-    Only the final newline may end an empty line; any other blank or whitespace-only line is refused,
-    and so is a header whose bytes are not the canonical JSON of what they decode to.
+    Only the final newline may end an empty line; any other blank or whitespace-only line is refused.
     """
     lines = raw.split(b"\n")
     if lines[-1] == b"":
@@ -96,30 +94,33 @@ def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[dict
         header = json.loads(lines[0])
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptPayload(f"bad {kind} header: {exc}") from None
-    _check_header(header, kind, schema)
-    if canonical_json(header) != lines[0]:
-        raise CorruptPayload(f"{kind} header is not in canonical form")
+    if not isinstance(header, dict) or not isinstance(header.get("schema"), dict):
+        raise CorruptPayload(f"missing schema header in {kind} payload")
+    if header["schema"].get("major") != schema["major"]:
+        raise SchemaMismatch(f"unsupported major version {header['schema']!r}")
+    if header.get("kind") != kind:
+        raise CorruptPayload(f"expected kind {kind!r}, found {header.get('kind')!r}")
     try:
-        return header, [Block.from_line(ln) for ln in lines[1:]]
+        return lines[0], header, [Block.from_line(ln) for ln in lines[1:]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptPayload(f"bad block line: {exc}") from None
 
 
 def write_chain_jsonl(path: str | Path, blocks: list[Block]) -> None:
-    Path(path).write_bytes(_block_log({"schema": dict(SCHEMA), "kind": "chain"}, blocks))
+    Path(path).write_bytes(_block_log(_CHAIN_HEADER, blocks))
 
 
 def read_chain_jsonl(path: str | Path) -> list[Block]:
-    return _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)[1]
+    line, header, blocks = _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)
+    _require_written("chain", line, header, _CHAIN_HEADER)
+    return blocks
 
 
 def write_events_jsonl(path: str | Path, blocks: list[Block]) -> None:
-    lines = [canonical_json({"schema": dict(SCHEMA), "kind": "events"})]
-    for block in blocks:
-        for tx in block.transactions:
-            for event in tx.events:
-                lines.append(canonical_json({"txId": tx.tx_id, **event}))
-    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+    events = (canonical_json({"txId": tx.tx_id, **event})
+              for block in blocks for tx in block.transactions for event in tx.events)
+    # the empty last part ends the log with a newline inside the one join, as in _block_log
+    Path(path).write_bytes(b"\n".join([canonical_json({"schema": SCHEMA, "kind": "events"}), *events, b""]))
 
 
 # -- metrics and plot-ready CSV ----------------------------------------------
@@ -173,10 +174,15 @@ def snapshot_world(world: World) -> bytes:
     """Canonical bytes for a sealed world, a header line then its block lines; requires no pending txs."""
     if world.ledger.pending:
         raise ValueError("seal pending transactions before snapshotting")
+    return _block_log(_state_header(world), world.ledger.blocks)
+
+
+def _state_header(world: World) -> dict[str, Any]:
+    """The one definition of a snapshot's header: snapshot_world writes it, and restore_world accepts only it."""
     ledger = world.ledger
     rng_state = world.rng.getstate()
-    header = {
-        "schema": dict(STATE_SCHEMA),
+    return {
+        "schema": STATE_SCHEMA,
         "kind": "state",
         "scenario": world.scenario.to_dict(),
         "tick": world.tick,
@@ -189,23 +195,24 @@ def snapshot_world(world: World) -> bytes:
         "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
         "head": ledger.chain_head_hex(),
     }
-    return _block_log(header, ledger.blocks)
 
 
 def restore_world(payload: bytes) -> World:
-    """Rebuild a world from snapshot bytes; refuses a chain whose hashes, links or head do not check."""
-    header, blocks = _read_block_log(payload, "state", STATE_SCHEMA)
+    """Rebuild a world from snapshot bytes; refuses a broken chain and any header the world would not write back."""
+    line, header, blocks = _read_block_log(payload, "state", STATE_SCHEMA)
     ok, bad_index = verify_blocks(blocks)
     if not ok:
         raise CorruptPayload(f"snapshot chain broken at block {bad_index}")
     if header.get("head") != (blocks[-1].hash if blocks else GENESIS_PREV_HASH).hex():
         raise CorruptPayload("snapshot chain does not end at the header's head")
     try:
-        return _rebuild(header, blocks)
+        world = _rebuild(header, blocks)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
+    _require_written("state", line, header, _state_header(world))
+    return world
 
 
 def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[TransactionRecord]) -> None:
@@ -223,10 +230,7 @@ def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[Transac
 
 
 def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
-    """Deploy the scenario's world as a live run does, fold its chain in, have its agents learn it, load reporters."""
-    if data.keys() != STATE_HEADER_KEYS:
-        raise CorruptPayload(f"state header keys {sorted(data)} are not {sorted(STATE_HEADER_KEYS)}")
-    _check_header(data["scenario"], "scenario", SCENARIO_SCHEMA)  # from_dict reads any minor, which would not round-trip
+    """The scenario's world with its chain folded in and learned and its reporters loaded; checks what no round trip sees."""
     scenario = Scenario.from_dict(data["scenario"])
     tick, clock = data["tick"], data["clock"]
     if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
@@ -241,22 +245,16 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
         raise CorruptPayload("snapshot chain tx ids are not dense")
     ledger._tx_counter = len(records)
     fold_log(ledger, (world.authority, world.uss), records)
-    if data["accounts"] != account_table(ledger):
-        raise CorruptPayload("snapshot accounts differ from the accounts and balances the scenario and its chain give")
     ledger.clock = clock
     for block in ledger.blocks:
         world.learn(block.transactions)
-    for rep, saved in zip(world.reporters, data["reporters"], strict=True):  # in the scenario's order, each once
+    for rep, saved in zip(world.reporters, data["reporters"], strict=True):  # by position; the round trip checks each name
         rep.cell = tuple(saved["cell"])
         rep.heard = {int(k): (rid_hex, heard_tick) for k, (rid_hex, heard_tick) in saved["heard"].items()}
         ints = {type(x) for x in (*rep.cell, *(heard_tick for _, heard_tick in rep.heard.values()))}
-        canonical_ids = list(map(str, rep.heard)) == list(saved["heard"])  # refuses " 2", "1_2", "02"
         wires = all(type(h) is str and len(h) == 2 * RID_WIRE_LEN and bytes.fromhex(h).hex() == h for h, _ in rep.heard.values())
-        if (saved.keys() != {"name", "cell", "heard"} or saved["name"] != rep.spec.name or len(rep.cell) != 2
-                or ints != {int} or not scenario._cell_in_grid(rep.cell) or not canonical_ids or not wires):
-            raise CorruptPayload(f"reporter {rep.spec.name!r}: entry out of order or not name, cell, heard, a cell off the grid, "
-                                 "a tick not an int, a drone id not written as str(drone_id) or a broadcast not lowercase wire hex")
-
+        if len(rep.cell) != 2 or ints != {int} or not scenario._cell_in_grid(rep.cell) or not wires:
+            raise CorruptPayload(f"reporter {rep.spec.name!r}: cell off the grid, tick not an int or broadcast not wire hex")
     world.tick = tick
     world.rng.setstate(_rng_state(data["rng"]))
     return world

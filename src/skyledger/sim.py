@@ -157,7 +157,8 @@ class Scenario:
             raise ScenarioError("scenario must be a JSON object")
         body = dict(data)
         schema = body.pop("schema", None)
-        if not isinstance(schema, dict) or schema.get("major") != SCHEMA["major"]:
+        major = schema.get("major") if isinstance(schema, dict) else None
+        if type(major) is not int or major != SCHEMA["major"]:  # exact type, as for every other key: not true, not 1.0
             raise ScenarioError(f"schema: unsupported version {schema!r}")
         if body.pop("kind", "scenario") != "scenario":
             raise ScenarioError("kind: file is not a scenario")

@@ -181,9 +181,9 @@ class UssContract:
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
         sighting = {**drone, "rid": str, "sightingLocation": str, "sightingTime": int}
-        ledger.register_op("subscribe", self.op_subscribe, args=drone, payable=True, receiver=self.treasury)
+        ledger.register_op("subscribe", self.op_subscribe, args=drone, receiver=self.treasury)
         ledger.register_op("request_quote", self.op_request_quote, args=drone, view=True)
-        ledger.register_op("request_plan", self.op_request_plan, args=plan, payable=True, receiver=self.treasury)
+        ledger.register_op("request_plan", self.op_request_plan, args=plan, receiver=self.treasury)
         ledger.register_op("report_drone", self.op_report_drone, args=sighting)
         ledger.register_op("report_completion", self.op_report_completion, args={**drone, "ridVc": str})
 

@@ -26,7 +26,7 @@ class ToyContract:
         self.vault = ledger.create_account("uss")
         self.storage = {"slots": {}}
         ledger.attach_storage("toy", self.storage)
-        ledger.register_op("set_slot", self.op_set, payable=True, receiver=self.vault)
+        ledger.register_op("set_slot", self.op_set, receiver=self.vault)
         ledger.register_op("peek", self.op_peek, view=True)
         ledger.register_op("set_then_fail", self.op_set_then_fail)
         ledger.register_op("pay_out", self.op_pay_out, args={"amount": int})

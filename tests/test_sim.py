@@ -338,6 +338,9 @@ class TestScenarioValidation:
                          "drones[0].mission: malformed date/time field", id="fullwidth-departure-date"),
             pytest.param(lambda d: d["drones"][0]["mission"].update(departureTime="2400"),
                          "drones[0].mission: time out of range", id="departure-time-2400"),
+            # the schema major is an exact int like every other key: a bool or a float is another version
+            pytest.param(lambda d: d["schema"].update(major=True), "schema: unsupported version", id="schema-major-true"),
+            pytest.param(lambda d: d["schema"].update(major=1.0), "schema: unsupported version", id="schema-major-float"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):
