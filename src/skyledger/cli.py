@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import persistence
 from .ledger import canonical_json
@@ -36,7 +36,15 @@ _DEMO_OPS = {
     "complete": "report_completion",
 }
 
-INSPECT_QUERIES = ("accounts", "account:<id>", "drones", "plans", "supply", "reputation")
+# query -> (restored world, the text after "account:") -> result; None is an unknown account
+INSPECT_QUERIES: dict[str, Callable[[World, str], Any]] = {
+    "accounts": lambda world, _: persistence.account_table(world.ledger),
+    "account:<id>": lambda world, wanted: {a["id"]: a for a in persistence.account_table(world.ledger)}.get(wanted),
+    "drones": lambda world, _: world.authority.export_registry(),
+    "plans": lambda world, _: world.uss.export_active_plans(),
+    "supply": lambda world, _: {"total": str(world.ledger.total_supply())},
+    "reputation": lambda world, _: world.uss.export_reputation(),
+}
 
 
 def builtin_demo_scenario() -> Scenario:
@@ -175,25 +183,13 @@ def _cmd_inspect(state_path: str, query: str) -> int:
     except persistence.CorruptPayload as exc:
         return _fail(EXIT_CONFIG, f"malformed state snapshot: {exc}")
 
-    result: Any
-    if query == "accounts":
-        result = persistence.account_table(world.ledger)
-    elif query.startswith("account:"):
-        wanted = query.split(":", 1)[1]
-        matches = [a for a in persistence.account_table(world.ledger) if a["id"] == wanted]
-        if not matches:
-            return _fail(EXIT_CONFIG, f"no such account: {wanted}")
-        result = matches[0]
-    elif query == "drones":
-        result = world.authority.export_registry()
-    elif query == "plans":
-        result = world.uss.export_active_plans()
-    elif query == "supply":
-        result = {"total": str(world.ledger.total_supply())}
-    elif query == "reputation":
-        result = world.uss.export_reputation()
-    else:
+    name, colon, wanted = query.partition(":")
+    answer = INSPECT_QUERIES.get(name + (colon and ":<id>"))
+    if answer is None:
         return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
+    result = answer(world, wanted)
+    if result is None:
+        return _fail(EXIT_CONFIG, f"no such account: {wanted}")
     print(canonical_json(result).decode())
     return EXIT_OK
 

@@ -502,8 +502,6 @@ class Ledger:
             if value > 0:
                 if spec.receiver is None:
                     raise ContractRevert(REASON_NOT_PAYABLE)
-                if self.account(caller).balance < value:
-                    raise ContractRevert(REASON_INSUFFICIENT_BALANCE)
                 self.transfer(caller, spec.receiver, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
@@ -567,6 +565,25 @@ class Ledger:
         self.blocks.append(block)
         self.pending = []
         return block
+
+    def apply_log(self, blocks: list[Block]) -> list[TransactionRecord]:
+        """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain.
+
+        Moves the balances by each success's balanceDeltas, refusing any that do not sum to zero; returns the successes.
+        """
+        records = [tx for block in blocks for tx in block.transactions]
+        successes = [tx for tx in records[1:] if tx.status == "success"]
+        if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
+            raise LedgerError("chain does not open with this ledger's genesis")
+        if any(tx.tx_id != i for i, tx in enumerate(records)):
+            raise LedgerError("chain tx ids are not dense")
+        if any(sum(tx.balance_deltas.values()) for tx in successes):
+            raise LedgerError("a success's balanceDeltas do not sum to zero")
+        self.blocks, self.pending, self._tx_counter = blocks, [], len(records)
+        for tx in successes:
+            for account, delta in tx.balance_deltas.items():
+                self.accounts[account].balance += delta
+        return successes
 
     def verify_chain(self) -> bool:
         ok, _ = verify_blocks(self.blocks)

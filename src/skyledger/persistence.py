@@ -16,15 +16,18 @@ Snapshots are canonical: the same state always produces the same bytes
 snapshot holds only what the chain cannot give: the scenario, the tick
 and clock, each reporter's cell and replay memory, the RNG and the chain
 itself, plus the account balances as a cross-check and the chain's head
-hash. Restore checks every hash and link and the head, folds contract
-storage and balances from the chain's successful records and has the
-agents learn the rest of their memory from it (World.learn), so a
-snapshot cannot disagree with its log. The writer is the one definition
-of a header: restore accepts a state header, and read_chain_jsonl a chain
-header, only if it is byte for byte the line this code writes back.
-Mission nonces, the one secret in the system, follow from the scenario
-seed and are in no file; shareable exports (plan tables, registry)
-exclude them too.
+hash. Restore checks every hash and link and the head, then each part
+folds its own share of the chain: the ledger takes it only if it opens
+with the genesis the scenario's world writes, with dense tx ids and
+zero-sum balanceDeltas (Ledger.apply_log), each contract rebuilds its
+storage from the successes (apply_log), and the agents learn the rest of
+their memory as a live world does (World.learn), so a snapshot cannot
+disagree with its log. The writer is the one definition of a header:
+restore accepts a state header, and read_chain_jsonl a chain header,
+only if it is byte for byte the line this code writes back. Mission
+nonces, the one secret in the system, follow from the scenario seed and
+are in no file; shareable exports (plan tables, registry) exclude them
+too.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, TransactionRecord, canonical_json, verify_blocks
+from .ledger import GENESIS_PREV_HASH, Block, ContractRevert, Ledger, LedgerError, canonical_json, verify_blocks
 from .rid import RID_WIRE_LEN
 from .sim import RunMetrics, Scenario, World
 
@@ -207,26 +210,12 @@ def restore_world(payload: bytes) -> World:
         raise CorruptPayload("snapshot chain does not end at the header's head")
     try:
         world = _rebuild(header, blocks)
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError, ContractRevert) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, ContractRevert, LedgerError) as exc:
         if isinstance(exc, (SchemaMismatch, CorruptPayload)):
             raise
         raise CorruptPayload(f"snapshot structure invalid: {exc}") from None
     _require_written("state", line, header, _state_header(world))
     return world
-
-
-def fold_log(ledger: Ledger, contracts: Iterable[Any], records: Iterable[TransactionRecord]) -> None:
-    """Apply the logged successes to a freshly deployed ledger and its contracts; nothing is re-executed.
-
-    Each balance moves by the records' balanceDeltas, and each contract's
-    apply_log rebuilds its storage from the records' args and payloads.
-    """
-    successes = [tx for tx in records if tx.status == "success" and tx.op != "genesis"]
-    for tx in successes:
-        for account, delta in tx.balance_deltas.items():
-            ledger.accounts[account].balance += delta
-    for contract in contracts:
-        contract.apply_log(successes)
 
 
 def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
@@ -236,18 +225,11 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
         raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
     world = World.deployed(scenario)
-    ledger = world.ledger
-    ledger.blocks = blocks
-    records = [tx for block in ledger.blocks for tx in block.transactions]
-    if not records or records[0].op != "genesis" or records[0].payload != {"totalSupply": ledger.total_supply()}:
-        raise CorruptPayload("snapshot chain does not open with the scenario's genesis")
-    if any(tx.tx_id != i for i, tx in enumerate(records)):
-        raise CorruptPayload("snapshot chain tx ids are not dense")
-    ledger._tx_counter = len(records)
-    fold_log(ledger, (world.authority, world.uss), records)
-    ledger.clock = clock
-    for block in ledger.blocks:
-        world.learn(block.transactions)
+    successes = world.ledger.apply_log(blocks)
+    world.authority.apply_log(successes)
+    world.uss.apply_log(successes)
+    world.ledger.clock = clock
+    world.learn()
     for rep, saved in zip(world.reporters, data["reporters"], strict=True):  # by position; the round trip checks each name
         rep.cell = tuple(saved["cell"])
         rep.heard = {int(k): (rid_hex, heard_tick) for k, (rid_hex, heard_tick) in saved["heard"].items()}

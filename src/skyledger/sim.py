@@ -29,13 +29,13 @@ import hashlib
 import random
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import geo
 from .authority import AuthorityContract
 from .economics import FeeParams
 from .fixedmath import MICRO
-from .ledger import Block, Ledger, TransactionRecord
+from .ledger import Block, Ledger
 from .rid import RidFaa, RidMessage, encode_rid
 from .uss import parse_departure_epoch, UssContract, UssParams
 
@@ -373,12 +373,11 @@ class World:
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self._deploy(scenario)
-        self.ledger.genesis(note=scenario.name)
         self._setup()
 
     @classmethod
     def deployed(cls, scenario: Scenario) -> "World":
-        """The accounts, contracts and agents World(scenario) creates for a valid scenario, before any transaction."""
+        """The accounts, contracts, agents and pending genesis record World(scenario) creates for a valid scenario."""
         world = cls.__new__(cls)
         world._deploy(scenario)
         return world
@@ -415,50 +414,54 @@ class World:
         self._drone_by_serial = {d.spec.serial: d for d in self.drones}
         self._drone_by_id: dict[int, _DroneState] = {}
         self._reporter_by_account = {rep.account: rep for rep in self.reporters}
+        self._learned = 0  # blocks of the chain that learn() has read
+        self.ledger.genesis(note=scenario.name)
 
-    def learn(self, records: Iterable[TransactionRecord]) -> None:
-        """Write the agent memory that the log determines, from the records of one sealed block.
+    def learn(self) -> None:
+        """Write the agent memory that the log determines, from each sealed block not yet learned, block by block.
 
         Successes give a drone its id (register_drone, matched by serial), its
         plan and its flight time at its own speed (request_plan) and its
         settlement (report_completion). Any report_drone, success or revert,
         marks the drone as attempted by the reporter that filed it. Drones
-        settled here then leave every reporter's memory.
+        settled in a block then leave every reporter's memory.
         """
-        settled = set()
-        for tx in records:
-            if tx.op not in _LEARNED_OPS:
-                continue
-            drone_id = tx.args.get("droneId")
-            if tx.op == "report_drone":
-                rep = self._reporter_by_account.get(tx.caller)
-                if rep is not None and type(drone_id) is int:
-                    rep.attempted.add(drone_id)
-            elif tx.status != "success":
-                continue
-            elif tx.op == "register_drone":
-                drone = self._drone_by_serial.get(tx.args["serial"])
-                if drone is not None:
-                    drone.drone_id = tx.payload["droneId"]
-                    self._drone_by_id[drone.drone_id] = drone
-            elif (drone := self._drone_by_id.get(drone_id)) is None:
-                continue
-            elif tx.op == "request_plan":
-                drone.plan = plan = tx.payload
-                if drone.spec.speed_mps is None:  # flies at the cruise speed the USS timed the plan with
-                    drone.flight_duration_s = plan["arrivalEpoch"] - plan["departureEpoch"]
-                else:
-                    drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, drone.spec.speed_mps)
-            else:  # report_completion
-                drone.completed = True
-                settled.add(drone_id)
-        if settled:
-            for rep in self.reporters:
-                if rep.attempted:
-                    rep.attempted -= settled
-                if rep.heard:
-                    for drone_id in rep.heard.keys() & settled:
-                        del rep.heard[drone_id]
+        for block in self.ledger.blocks[self._learned:]:
+            self._learned += 1
+            settled = set()
+            for tx in block.transactions:
+                if tx.op not in _LEARNED_OPS:
+                    continue
+                drone_id = tx.args.get("droneId")
+                if tx.op == "report_drone":
+                    rep = self._reporter_by_account.get(tx.caller)
+                    if rep is not None and type(drone_id) is int:
+                        rep.attempted.add(drone_id)
+                elif tx.status != "success":
+                    continue
+                elif tx.op == "register_drone":
+                    drone = self._drone_by_serial.get(tx.args["serial"])
+                    if drone is not None:
+                        drone.drone_id = tx.payload["droneId"]
+                        self._drone_by_id[drone.drone_id] = drone
+                elif (drone := self._drone_by_id.get(drone_id)) is None:
+                    continue
+                elif tx.op == "request_plan":
+                    drone.plan = plan = tx.payload
+                    if drone.spec.speed_mps is None:  # flies at the cruise speed the USS timed the plan with
+                        drone.flight_duration_s = plan["arrivalEpoch"] - plan["departureEpoch"]
+                    else:
+                        drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, drone.spec.speed_mps)
+                else:  # report_completion
+                    drone.completed = True
+                    settled.add(drone_id)
+            if settled:
+                for rep in self.reporters:
+                    if rep.attempted:
+                        rep.attempted -= settled
+                    if rep.heard:
+                        for drone_id in rep.heard.keys() & settled:
+                            del rep.heard[drone_id]
 
     # -- protocol setup: register, subscribe, quote, plan -------------------
 
@@ -495,7 +498,8 @@ class World:
                 },
                 value=quote.payload["fee"],
             )
-        self.learn(self.ledger.seal_block().transactions)
+        self.ledger.seal_block()
+        self.learn()
 
     # -- per-tick agent phases ----------------------------------------------
 
@@ -503,7 +507,8 @@ class World:
         return self.tick * self.scenario.tick_seconds
 
     def step(self) -> None:
-        """Advance one tick: move, broadcast, sense/report, complete, seal and learn."""
+        """Advance one tick: learn blocks another driver sealed, move, broadcast, sense/report, complete, seal and learn."""
+        self.learn()
         now = self.now()
         self.ledger.clock = now
         self._walk_reporters()
@@ -511,7 +516,8 @@ class World:
         self._report_phase(broadcasts, now)
         self._completion_phase(now)
         if self.ledger.pending:
-            self.learn(self.ledger.seal_block().transactions)
+            self.ledger.seal_block()
+            self.learn()
         self.tick += 1
 
     def _walk_reporters(self) -> None:

@@ -56,7 +56,6 @@ REASON_INVALID_RIDVC = "invalid-ridvc"
 
 VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
-VERDICT_INVALID = "invalid"
 
 
 def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyyy: str) -> int:

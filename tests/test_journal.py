@@ -24,7 +24,7 @@ from conftest import (
     report,
     report_args,
 )
-from skyledger import ledger as ledger_module, persistence
+from skyledger import ledger as ledger_module
 from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, run
@@ -303,12 +303,34 @@ def test_folding_the_log_gives_the_live_state(steps):
     live = make_bench()
     for caller, op, args, value in _generated_calls(live, steps):
         live.ledger.submit(caller, op, args, value)
+    live.ledger.seal_block()
     folded = make_bench()
-    persistence.fold_log(folded.ledger, (folded.authority, folded.uss), live.ledger.pending)
+    successes = folded.ledger.apply_log(live.ledger.blocks)
+    for contract in (folded.authority, folded.uss):
+        contract.apply_log(successes)
     assert folded.ledger.state_digest() == live.ledger.state_digest()
     assert {a: acc.balance for a, acc in folded.ledger.accounts.items()} == {
         a: acc.balance for a, acc in live.ledger.accounts.items()
     }
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda genesis: genesis.args.update(note="other"), id="note"),
+        pytest.param(lambda genesis: genesis.args["accounts"][0].update(role="uss"), id="role"),
+        pytest.param(lambda genesis: setattr(genesis, "timestamp", 1), id="timestamp"),
+    ],
+)
+def test_apply_log_refuses_a_chain_that_does_not_open_with_the_pending_genesis(edit):
+    other = make_bench().ledger
+    edit(other.pending[0])
+    other.seal_block()
+    ledger = make_bench().ledger
+    pending = list(ledger.pending)
+    with pytest.raises(LedgerError, match="genesis"):
+        ledger.apply_log(other.blocks)
+    assert (ledger.blocks, ledger.pending) == ([], pending)
 
 
 def test_generated_steps_reach_what_the_fold_guards():

@@ -130,9 +130,22 @@ def test_report_with_a_malformed_drone_id_teaches_no_agent():
         world.ledger.submit(reporter, "report_drone", args)
     block = world.ledger.seal_block()
     assert {tx.reason for tx in block.transactions} == {"invalid-arg:droneId"}
-    world.learn(block.transactions)
+    world.learn()
     assert _agent_memory(world) == before
     assert _agent_memory(persistence.restore_world(persistence.snapshot_world(world))) == before
+
+
+@pytest.mark.parametrize("reporter", range(len(compliant_scenario().reporters)))
+def test_report_sealed_by_another_driver_is_learned_live_as_on_restore(reporter):
+    """A live world learns a block it did not seal at its next step, as restore learns every block."""
+    live = World(compliant_scenario())
+    args = {"droneId": 0, "rid": "00", "sightingLocation": SRC, "sightingTime": 0}
+    assert live.ledger.submit(live.reporters[reporter].account, "report_drone", args).status == "revert"
+    live.ledger.seal_block()
+    restored = persistence.restore_world(persistence.snapshot_world(live))
+    live.run_to_end()
+    restored.run_to_end()
+    assert live.ledger.chain_head_hex() == restored.ledger.chain_head_hex()
 
 
 def test_reverted_report_whose_args_are_not_an_object_is_corrupt():
@@ -167,6 +180,36 @@ def _move_balance(data):
         account["balance"] = str(int(account["balance"]) + delta)
 
 
+def _genesis(data):
+    return data["chain"][0]["transactions"][0]
+
+
+def _move_genesis_balance(data):
+    """5 units between two funded accounts of the genesis record: its totalSupply stays the same."""
+    payer, payee = [a for a in _genesis(data)["args"]["accounts"] if a["balance"] >= 5][:2]
+    payer["balance"] -= 5
+    payee["balance"] += 5
+
+
+def _paying_successes(data):
+    return [tx for block in data["chain"] for tx in block["transactions"] if tx["status"] == "success" and tx["balanceDeltas"]]
+
+
+def _mint_to_caller(data):
+    """1,000 units more for the first paying success's caller, in its balanceDeltas and in the header's account table."""
+    tx = _paying_successes(data)[0]
+    tx["balanceDeltas"][tx["caller"]] += 1000
+    account = next(a for a in data["accounts"] if a["id"] == tx["caller"])
+    account["balance"] = str(int(account["balance"]) + 1000)
+
+
+def _mint_then_burn(data):
+    """+1,000 for one account in one success and −1,000 in the next: the final balances are the ones written."""
+    first, second = _paying_successes(data)[:2]
+    first["balanceDeltas"][first["caller"]] += 1000
+    second["balanceDeltas"][first["caller"]] = second["balanceDeltas"].get(first["caller"], 0) - 1000
+
+
 @pytest.mark.parametrize(
     "forge",
     [
@@ -191,6 +234,18 @@ def _move_balance(data):
         pytest.param(lambda d: d["schema"].update(major=4.0), id="state-major-float"),
         pytest.param(lambda d: d["schema"].update(minor=0.0), id="state-minor-float"),
         pytest.param(lambda d: d["scenario"]["schema"].update(major=1.0), id="scenario-major-float"),
+        # the genesis record is compared whole with the one the scenario's world writes
+        pytest.param(
+            lambda d: next(a for a in _genesis(d)["args"]["accounts"] if a["role"] == "reporter").update(role="operator"),
+            id="genesis-role",
+        ),
+        pytest.param(_move_genesis_balance, id="genesis-balance-moved"),
+        pytest.param(lambda d: _genesis(d).update(caller="0x" + "11" * 20), id="genesis-caller"),
+        pytest.param(lambda d: _genesis(d).update(timestamp=1), id="genesis-timestamp"),
+        pytest.param(lambda d: _genesis(d)["args"].update(note="other"), id="genesis-note"),
+        # every transfer conserves value, so a success's balanceDeltas sum to zero
+        pytest.param(_mint_to_caller, id="minted-with-header-to-match"),
+        pytest.param(_mint_then_burn, id="minted-then-burned"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
