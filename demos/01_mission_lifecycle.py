@@ -7,7 +7,7 @@ Run: python3 demos/01_mission_lifecycle.py
 
 import hashlib
 
-from skyledger import AuthorityContract, FeeParams, Ledger, UssContract, UssParams
+from skyledger import AuthorityContract, FeeParams, Ledger, Scenario, UssContract
 from skyledger.rid import RidFaa, RidMessage, encode_rid
 from skyledger import geo
 
@@ -25,7 +25,7 @@ authority = AuthorityContract(ledger)
 uss = UssContract(
     ledger,
     authority,
-    UssParams(fee=FeeParams(base_cost=10, deposit=1000, surcharge_per_mission=2)),
+    Scenario(fee_params=FeeParams(base_cost=10, deposit=1000, surcharge_per_mission=2)),
     nonce_seed=hashlib.sha256(b"demo-01").digest(),
 )
 ledger.accounts[uss.treasury].balance = 1_000_000
@@ -55,7 +55,7 @@ rec = ledger.submit(
      "departureDate": "01012025", "departureTime": "0001"},
     value=fee,
 )
-show(f"buy the mission plan for {fee} (deposit {uss.params.fee.deposit} held in escrow)", rec)
+show(f"buy the mission plan for {fee} (deposit {uss.params.fee_params.deposit} held in escrow)", rec)
 plan = rec.payload
 
 # mid-flight, a bystander receives the broadcast and forwards it

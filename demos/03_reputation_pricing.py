@@ -11,7 +11,7 @@ Run: python3 demos/03_reputation_pricing.py
 
 import hashlib
 
-from skyledger import AuthorityContract, FeeParams, Ledger, UssContract, UssParams
+from skyledger import AuthorityContract, FeeParams, Ledger, Scenario, UssContract
 from skyledger import geo
 from skyledger.rid import RidFaa, RidMessage, encode_rid
 from skyledger.economics import congestion_surcharge, dynamic_fee
@@ -21,7 +21,7 @@ authority = AuthorityContract(ledger)
 uss = UssContract(
     ledger,
     authority,
-    UssParams(fee=FeeParams(base_cost=200, deposit=1000, surcharge_per_mission=2)),
+    Scenario(fee_params=FeeParams(base_cost=200, deposit=1000, surcharge_per_mission=2)),
     nonce_seed=hashlib.sha256(b"demo-03").digest(),
 )
 ledger.accounts[uss.treasury].balance = 10_000_000

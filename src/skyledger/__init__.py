@@ -27,7 +27,7 @@ from .ledger import (
 )
 from .rid import MalformedRid, RidFaa, RidMessage, compute_rid_vc, decode_rid, encode_rid, verify_rid_vc
 from .sim import DroneSpec, MissionSpec, ReporterSpec, RunMetrics, Scenario, ScenarioError, World, emit_metrics, run
-from .uss import MissionPlan, UssContract, UssParams
+from .uss import MissionPlan, UssContract
 
 __all__ = [
     "Account",
@@ -52,7 +52,6 @@ __all__ = [
     "ScenarioError",
     "TransactionRecord",
     "UssContract",
-    "UssParams",
     "World",
     "compute_rid_vc",
     "congestion_surcharge",

@@ -569,7 +569,8 @@ class Ledger:
     def apply_log(self, blocks: list[Block]) -> list[TransactionRecord]:
         """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain.
 
-        Moves the balances by each success's balanceDeltas, refusing any that do not sum to zero; returns the successes.
+        Moves the balances by each success's balanceDeltas, refusing any that are not ints or do not sum to zero;
+        returns the successes.
         """
         records = [tx for block in blocks for tx in block.transactions]
         successes = [tx for tx in records[1:] if tx.status == "success"]
@@ -577,6 +578,8 @@ class Ledger:
             raise LedgerError("chain does not open with this ledger's genesis")
         if any(tx.tx_id != i for i, tx in enumerate(records)):
             raise LedgerError("chain tx ids are not dense")
+        if any(type(delta) is not int for tx in successes for delta in tx.balance_deltas.values()):
+            raise LedgerError("a success's balanceDeltas are not all ints")
         if any(sum(tx.balance_deltas.values()) for tx in successes):
             raise LedgerError("a success's balanceDeltas do not sum to zero")
         self.blocks, self.pending, self._tx_counter = blocks, [], len(records)

@@ -37,7 +37,7 @@ from .economics import FeeParams
 from .fixedmath import MICRO
 from .ledger import Block, Ledger
 from .rid import RidFaa, RidMessage, encode_rid
-from .uss import parse_departure_epoch, UssContract, UssParams
+from .uss import parse_departure_epoch, UssContract
 
 SCHEMA = {"major": 1, "minor": 0}
 
@@ -106,20 +106,18 @@ class Scenario:
     meters_per_arcsec: int = _key("grid.metersPerArcsec", geo.GridConfig.meters_per_arcsec, lo=1)
     tick_seconds: int = _key("clock.tickSeconds", 10, lo=1)
     duration_ticks: int = _key("clock.durationTicks", 60, lo=1)
-    epoch_date: str = _key("clock.epochDate", UssParams.epoch_date)
+    epoch_date: str = _key("clock.epochDate", "01012025")
     fee_params: FeeParams = field(default_factory=FeeParams, metadata={"key": "economics"})
-    subscription_fee: int = _key("fees.subscriptionFee", UssParams.subscription_fee, lo=0)
-    reporter_reward: int = _key("fees.reporterReward", UssParams.reporter_reward, lo=0)
-    fine_unit: int = _key("fees.fineUnit", UssParams.fine_unit, lo=0)
-    bonus_unit: int = _key("fees.bonusUnit", UssParams.bonus_unit, lo=0)
-    cruise_speed_mps: int = _key("uss.cruiseSpeedMps", UssParams.cruise_speed_mps, lo=1)
-    altitude_m: int = _key("uss.altitudeM", UssParams.altitude_m)
-    altitude_band_m: int = _key("uss.altitudeBandM", UssParams.altitude_band_m, lo=1)
-    match_window_s: int = _key("uss.matchWindowS", UssParams.match_window_s, lo=0)
-    deconfliction_cell_buffer: int = _key("uss.deconflictionCellBuffer", UssParams.deconfliction_cell_buffer, lo=0)
-    deconfliction_time_buffer_s: int = _key(
-        "uss.deconflictionTimeBufferS", UssParams.deconfliction_time_buffer_s, lo=0
-    )
+    subscription_fee: int = _key("fees.subscriptionFee", 100, lo=0)
+    reporter_reward: int = _key("fees.reporterReward", 20, lo=0)  # deposit / 50 with the default deposit
+    fine_unit: int = _key("fees.fineUnit", 100, lo=0)  # deposit / 10
+    bonus_unit: int = _key("fees.bonusUnit", 100, lo=0)  # deposit / 10
+    cruise_speed_mps: int = _key("uss.cruiseSpeedMps", 10, lo=1)
+    altitude_m: int = _key("uss.altitudeM", 60)
+    altitude_band_m: int = _key("uss.altitudeBandM", 30, lo=1)
+    match_window_s: int = _key("uss.matchWindowS", 120, lo=0)
+    deconfliction_cell_buffer: int = _key("uss.deconflictionCellBuffer", 1, lo=0)
+    deconfliction_time_buffer_s: int = _key("uss.deconflictionTimeBufferS", 60, lo=0)
     operator_funding: int = _key("funding.operator", 100_000, lo=0)
     reporter_funding: int = _key("funding.reporter", 0, lo=0)
     treasury_funding: int = _key("funding.treasury", 1_000_000, lo=0)
@@ -129,23 +127,6 @@ class Scenario:
 
     def grid(self) -> geo.GridConfig:
         return geo.GridConfig(self.cell_size_m, self.meters_per_arcsec)
-
-    def uss_params(self) -> UssParams:
-        return UssParams(
-            fee=self.fee_params,
-            subscription_fee=self.subscription_fee,
-            reporter_reward=self.reporter_reward,
-            fine_unit=self.fine_unit,
-            bonus_unit=self.bonus_unit,
-            cruise_speed_mps=self.cruise_speed_mps,
-            altitude_m=self.altitude_m,
-            altitude_band_m=self.altitude_band_m,
-            match_window_s=self.match_window_s,
-            deconfliction_cell_buffer=self.deconfliction_cell_buffer,
-            deconfliction_time_buffer_s=self.deconfliction_time_buffer_s,
-            epoch_date=self.epoch_date,
-            grid=self.grid(),
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return {"schema": dict(SCHEMA), "kind": "scenario", **_dump(self)}
@@ -391,7 +372,7 @@ class World:
         self.ledger = Ledger()
         self.authority = AuthorityContract(self.ledger)
         nonce_seed = hashlib.sha256(b"nonce-seed:" + str(scenario.seed).encode()).digest()
-        self.uss = UssContract(self.ledger, self.authority, scenario.uss_params(), nonce_seed)
+        self.uss = UssContract(self.ledger, self.authority, scenario, nonce_seed)
         self.ledger.accounts[self.uss.treasury].balance = scenario.treasury_funding
 
         self.drones: list[_DroneState] = []

@@ -26,14 +26,16 @@ import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from . import economics, geo
 from .authority import AuthorityContract
-from .economics import FeeParams
 from .ledger import AccountId, ContractRevert, Ledger, LedgerError, TransactionRecord
 from .rid import compute_rid_vc, decode_rid, MalformedRid, verify_rid_vc
+
+if TYPE_CHECKING:
+    from .sim import Scenario
 
 REVERT_NOT_OWNER_SUBSCRIBE = "Not the owner of the registered drone"
 REVERT_ALREADY_SUBSCRIBED = "Drone is already subscribed"
@@ -57,6 +59,8 @@ REASON_INVALID_RIDVC = "invalid-ridvc"
 VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 
+SUBSCRIPTION_PERIOD_S = 365 * 86400
+
 
 def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyyy: str) -> int:
     """Seconds since the scenario epoch (midnight of the epoch date)."""
@@ -68,26 +72,6 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
         raise ValueError(f"time out of range {time_hhmm!r}")
     day, epoch_day = (datetime.date(int(d[4:]), int(d[2:4]), int(d[:2])) for d in (date_ddmmyyyy, epoch_date_ddmmyyyy))
     return (day - epoch_day).days * 86400 + hour * 3600 + minute * 60
-
-
-@dataclass(frozen=True)
-class UssParams:
-    """Contract configuration; every default can be overridden per scenario."""
-
-    fee: FeeParams = field(default_factory=FeeParams)
-    subscription_fee: int = 100
-    reporter_reward: int = 20        # deposit / 50 with the default deposit
-    fine_unit: int = 100             # deposit / 10
-    bonus_unit: int = 100            # deposit / 10
-    cruise_speed_mps: int = 10
-    altitude_m: int = 60
-    altitude_band_m: int = 30
-    match_window_s: int = 120
-    deconfliction_cell_buffer: int = 1
-    deconfliction_time_buffer_s: int = 60
-    subscription_period_s: int = 365 * 86400
-    epoch_date: str = "01012025"
-    grid: geo.GridConfig = field(default_factory=geo.GridConfig)
 
 
 @dataclass
@@ -159,10 +143,12 @@ class SightingRecord:
 
 
 class UssContract:
-    def __init__(self, ledger: Ledger, authority: AuthorityContract, params: UssParams, nonce_seed: bytes):
+    def __init__(self, ledger: Ledger, authority: AuthorityContract, params: Scenario, nonce_seed: bytes):
         self.ledger = weakref.proxy(ledger)  # the ledger holds our ops; a strong reference back would be a cycle
         self.authority = authority
-        self.params = params
+        self.params = params  # the contract reads its fees, buffers and flight settings from the scenario
+        self.grid = params.grid()
+        self.alt_band = params.altitude_m // params.altitude_band_m
         self.treasury = ledger.create_account("uss")
         self.escrow = ledger.create_account("uss")
         self.missions: dict[int, Mission] = {}  # drone_id -> Mission, opened by a plan, closed by its settlement
@@ -225,7 +211,7 @@ class UssContract:
         return bisect_right(self._opens, at_s) - bisect_left(self._closes, at_s)
 
     def quote_fee(self, owner: AccountId, at_s: int) -> tuple[int, int]:
-        fee_params = self.params.fee
+        fee_params = self.params.fee_params
         congestion = self.congestion_count(at_s)
         surcharge = economics.congestion_surcharge(congestion, fee_params.surcharge_per_mission)
         fee = economics.dynamic_fee(
@@ -290,7 +276,7 @@ class UssContract:
             raise ContractRevert(REVERT_ALREADY_SUBSCRIBED)
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
-        expiry = self.ledger.clock + self.params.subscription_period_s
+        expiry = self.ledger.clock + SUBSCRIPTION_PERIOD_S
         self._subscribe(Subscription(drone_id, caller, value, expiry))
         return {"droneId": drone_id, "expiry": expiry}
 
@@ -342,11 +328,11 @@ class UssContract:
             src_arcsec=src,
             dst_arcsec=dst,
             altitude_m=self.params.altitude_m,
-            alt_band=self.params.altitude_m // self.params.altitude_band_m,
+            alt_band=self.alt_band,
             route=route,
             rid_vc=compute_rid_vc(nonce, caller, source, destination, date, time),
         )
-        deposit = self.params.fee.deposit
+        deposit = self.params.fee_params.deposit
         self._open_mission(drone_id, plan, nonce, deposit)
         self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.ledger.on_commit(functools.partial(self.index_plan, plan))
@@ -364,10 +350,8 @@ class UssContract:
         within the deconfliction buffer (1 cell, 60 s by default) of an
         active plan's occupancy.
         """
-        grid = self.params.grid
-        duration = geo.flight_duration_s(grid, src, dst, self.params.cruise_speed_mps)
-        alt_band = self.params.altitude_m // self.params.altitude_band_m
-        route = geo.route_occupancy(grid, src, dst, depart_s, duration, alt_band)
+        duration = geo.flight_duration_s(self.grid, src, dst, self.params.cruise_speed_mps)
+        route = geo.route_occupancy(self.grid, src, dst, depart_s, duration, self.alt_band)
         buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
         near = range(-buf_cells, buf_cells + 1)
         offsets = [(dlat, dlon) for dlat in near for dlon in near]
@@ -395,7 +379,7 @@ class UssContract:
         except (MalformedRid, ValueError):
             raise ContractRevert(REASON_MALFORMED_RID) from None
         try:
-            sighting_cell = self.params.grid.cell_of(*geo.parse_dms_pair(args["sightingLocation"]))
+            sighting_cell = self.grid.cell_of(*geo.parse_dms_pair(args["sightingLocation"]))
         except geo.DmsError:
             raise ContractRevert(REASON_INVALID_DMS) from None
         sighting_time = args["sightingTime"]
@@ -417,7 +401,7 @@ class UssContract:
             verdict, escrowed = VERDICT_REWARD, self.params.bonus_unit
             self.ledger.transfer(self.treasury, self.escrow, escrowed)
         else:
-            remaining = self.params.fee.deposit - mission.forfeited
+            remaining = self.params.fee_params.deposit - mission.forfeited
             verdict, escrowed = VERDICT_PENALTY, -min(self.params.fine_unit, remaining)
             self.ledger.transfer(self.escrow, self.treasury, -escrowed)
         self._record_sighting(
@@ -450,7 +434,7 @@ class UssContract:
             raise ContractRevert(REASON_INVALID_RIDVC)
 
         rewards, penalties = record.rewards, record.penalties
-        deposit = self.params.fee.deposit
+        deposit = self.params.fee_params.deposit
         payout = max(0, deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
         if mission.escrow != payout:
             raise LedgerError(f"escrow for drone {drone_id} holds {mission.escrow}, settlement formula pays {payout}")
@@ -459,7 +443,7 @@ class UssContract:
         rep_micro = economics.reputation(rewards, penalties)
         prev = self.reputation_of(caller)
         k_micro = economics.update_k(
-            rep_micro, prev.k_micro, self.params.fee.alpha_micro, self.params.fee.k_min_micro
+            rep_micro, prev.k_micro, self.params.fee_params.alpha_micro, self.params.fee_params.k_min_micro
         )
         self._close_mission(drone_id, caller, economics.ReputationState(rep_micro, k_micro))
         self.ledger.on_commit(functools.partial(self._unindex_plan, plan))
@@ -502,7 +486,7 @@ class UssContract:
                 planned[drone_id] = tx
                 self._open_mission(drone_id, None, self._next_nonce(), escrowed)
             elif op == "report_drone":
-                cell = self.params.grid.cell_of(*point(args["sightingLocation"]))
+                cell = self.grid.cell_of(*point(args["sightingLocation"]))
                 self._record_sighting(
                     SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], payload["verdict"]),
                     escrowed,
@@ -526,7 +510,7 @@ class UssContract:
                 src_arcsec=point(plan["source"]),
                 dst_arcsec=point(plan["destination"]),
                 altitude_m=plan["altitudeM"],
-                alt_band=self.params.altitude_m // self.params.altitude_band_m,
+                alt_band=self.alt_band,
                 route=[
                     geo.CellWindow(w["latIdx"], w["lonIdx"], w["altBand"], w["enterS"], w["exitS"])
                     for w in plan["route"]

@@ -11,11 +11,10 @@ import pytest
 from oracles import edit_snapshot
 from skyledger import geo
 from skyledger.authority import AuthorityContract
-from skyledger.economics import FeeParams
 from skyledger.ledger import Ledger
 from skyledger.rid import RidFaa, RidMessage, encode_rid
 from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario
-from skyledger.uss import UssContract, UssParams
+from skyledger.uss import UssContract
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,35 +42,19 @@ class Bench:
     uss_reader: str
 
 
-def make_bench(
-    *,
-    fee: FeeParams | None = None,
-    subscription_fee: int = 100,
-    reporter_reward: int = 20,
-    fine_unit: int = 100,
-    bonus_unit: int = 100,
-    treasury_funding: int = 1_000_000,
-    operator_funding: int = 100_000,
-    **uss_overrides,
-) -> Bench:
+def make_bench(**overrides) -> Bench:
+    """A bench whose USS contract reads `Scenario(**overrides)`, which also sets the treasury's and operators' funding."""
+    scenario = Scenario(**overrides)
     ledger = Ledger()
     authority = AuthorityContract(ledger)
-    params = UssParams(
-        fee=fee or FeeParams(),
-        subscription_fee=subscription_fee,
-        reporter_reward=reporter_reward,
-        fine_unit=fine_unit,
-        bonus_unit=bonus_unit,
-        **uss_overrides,
-    )
-    uss = UssContract(ledger, authority, params, nonce_seed=hashlib.sha256(b"bench").digest())
-    ledger.accounts[uss.treasury].balance = treasury_funding
+    uss = UssContract(ledger, authority, scenario, nonce_seed=hashlib.sha256(b"bench").digest())
+    ledger.accounts[uss.treasury].balance = scenario.treasury_funding
     bench = Bench(
         ledger=ledger,
         authority=authority,
         uss=uss,
-        operator=ledger.create_account("operator", operator_funding),
-        second_operator=ledger.create_account("operator", operator_funding),
+        operator=ledger.create_account("operator", scenario.operator_funding),
+        second_operator=ledger.create_account("operator", scenario.operator_funding),
         reporter=ledger.create_account("reporter"),
         second_reporter=ledger.create_account("reporter"),
         uss_reader=ledger.create_account("uss"),

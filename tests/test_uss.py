@@ -27,7 +27,7 @@ from skyledger.economics import FeeParams
 from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
 from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
-from skyledger.uss import Mission, MissionPlan, parse_departure_epoch
+from skyledger.uss import Mission, MissionPlan, parse_departure_epoch, SUBSCRIPTION_PERIOD_S
 
 
 def _plans(uss):
@@ -38,7 +38,7 @@ def _plans(uss):
 def small_fee_bench(**kwargs):
     """Deposit 5, base 10, surcharge 2: the hand-checkable fee setting."""
     return make_bench(
-        fee=FeeParams(base_cost=10, deposit=5, surcharge_per_mission=2),
+        fee_params=FeeParams(base_cost=10, deposit=5, surcharge_per_mission=2),
         fine_unit=1,
         bonus_unit=1,
         reporter_reward=1,
@@ -130,7 +130,7 @@ class TestRequestPlan:
         assert payload["route"]
         assert bench.authority.record(drone_id).has_active_plan is True
         # the refundable deposit sits in escrow, the rest in the treasury
-        assert bench.ledger.balance(bench.uss.escrow) == bench.uss.params.fee.deposit
+        assert bench.ledger.balance(bench.uss.escrow) == bench.uss.params.fee_params.deposit
 
     def test_second_active_plan_reverts_verbatim(self, bench):
         drone_id = planned_drone(bench)
@@ -151,13 +151,18 @@ class TestRequestPlan:
         assert (rec.status, rec.reason) == ("revert", "Please make sure to pay the mission plan fee")
         assert bench.ledger.state_digest() == state
 
-    def test_expired_subscription_cannot_plan(self):
-        bench = make_bench(subscription_period_s=1000)
+    def test_expired_subscription_cannot_plan(self, bench):
         drone_id = register(bench)
         subscribe(bench, drone_id)
-        bench.ledger.clock = 2000
+        bench.ledger.clock = SUBSCRIPTION_PERIOD_S + 1
         rec = plan(bench, drone_id, value=10_000)
         assert (rec.status, rec.reason) == ("revert", "Not subscribed to a USS")
+
+    def test_subscription_still_plans_at_its_expiry(self, bench):
+        drone_id = register(bench)
+        assert subscribe(bench, drone_id).payload["expiry"] == SUBSCRIPTION_PERIOD_S  # subscribed at clock 0
+        bench.ledger.clock = SUBSCRIPTION_PERIOD_S
+        assert plan(bench, drone_id, value=10_000).status == "success"
 
     def test_invalid_dms_reverts_before_any_state_change(self, bench):
         drone_id = register(bench)
@@ -238,7 +243,7 @@ class TestRequestPlan:
         treasury_before = bench.ledger.balance(bench.uss.treasury)
         rec = plan(bench, drone_id, value=fee + 250)
         assert rec.status == "success"
-        deposit = bench.uss.params.fee.deposit
+        deposit = bench.uss.params.fee_params.deposit
         assert bench.ledger.balance(bench.uss.treasury) == treasury_before + fee + 250 - deposit
 
 
@@ -255,7 +260,7 @@ class TestScheduleRoute:
 
     def _oracle_conflict(self, bench, plan_route, source, destination, time):
         """Brute-force occupancy overlap for a hypothetical second flight."""
-        grid = bench.uss.params.grid
+        grid = bench.uss.grid
         src = geo.parse_dms_pair(source)
         dst = geo.parse_dms_pair(destination)
         from skyledger.uss import parse_departure_epoch
@@ -331,7 +336,7 @@ class TestScheduleRoute:
     def _install_plan(bench, drone_id, src, dst, depart):
         """An active plan put straight into storage and the airspace index, routed as request_plan routes it."""
         uss = bench.uss
-        grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
+        grid, band = uss.grid, uss.params.altitude_m // uss.params.altitude_band_m
         duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
         plan = MissionPlan(
             drone_id, bench.operator, dms(*src), dms(*dst), DATE, TIME, depart, depart + duration,
@@ -355,7 +360,7 @@ class TestScheduleRoute:
     @pytest.mark.parametrize("shift", [(1, 0), (-1, 0), (0, 1), (0, -1)])
     def test_parallel_leg_at_the_cell_buffer_edge(self, buf_cells, shift):
         bench = make_bench(deconfliction_cell_buffer=buf_cells)
-        center = bench.uss.params.grid.cell_center_arcsec
+        center = bench.uss.grid.cell_center_arcsec
         along_lon = shift[0] != 0  # a row for a lat shift, a column for a lon shift
 
         def leg(offset):
@@ -385,7 +390,7 @@ class TestScheduleRoute:
         buf_cells, buf_s = draw(st.integers(0, 2)), draw(st.integers(0, 90))
         bench = make_bench(deconfliction_cell_buffer=buf_cells, deconfliction_time_buffer_s=buf_s)
         uss = bench.uss
-        grid, speed = uss.params.grid, uss.params.cruise_speed_mps
+        grid, speed = uss.grid, uss.params.cruise_speed_mps
         band = uss.params.altitude_m // uss.params.altitude_band_m
         point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
         for drone_id in range(draw(st.integers(0, 4))):
@@ -486,7 +491,7 @@ class TestAirspaceIndex:
                 rec = ledger.submit(owner, "request_plan", args, value=uss.quote_fee(owner, depart)[0] - short)
                 event(f"plan {rec.reason or rec.status}")
                 if rec.status == "success" or rec.reason == "schedule-conflict":
-                    grid, band = uss.params.grid, uss.params.altitude_m // uss.params.altitude_band_m
+                    grid, band = uss.grid, uss.params.altitude_m // uss.params.altitude_band_m
                     duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
                     route = oracles.per_second_route_occupancy(grid, src, dst, depart, duration, band)
                     candidate = TestScheduleRoute._as_dicts(route)
@@ -573,7 +578,7 @@ class TestReportDrone:
         p = bench.uss.missions[drone_id].plan
         cell = oracles.interpolated_cell(
             p.src_arcsec, p.dst_arcsec, p.departure_epoch, p.arrival_epoch, 100,
-            bench.uss.params.grid.cell_size_m, bench.uss.params.grid.meters_per_arcsec,
+            bench.uss.grid.cell_size_m, bench.uss.grid.meters_per_arcsec,
         )
         sighted = (cell[0] + 3, cell[1])
         assert sighted != cell
@@ -683,7 +688,7 @@ class TestCompletion:
 class TestEscrowAccounting:
     def test_escrow_tracks_future_settlement_exactly(self, bench):
         drone_id = planned_drone(bench)
-        deposit = bench.uss.params.fee.deposit
+        deposit = bench.uss.params.fee_params.deposit
         ledger, uss = bench.ledger, bench.uss
         assert ledger.balance(uss.escrow) == deposit
         report(bench, drone_id, at_s=100)  # reward: +bonus
