@@ -13,21 +13,22 @@ read them back through one reader (Block.from_line).
 
 Snapshots are canonical: the same state always produces the same bytes
 (sorted keys, currency as decimal strings, digests as hex). A state
-snapshot holds only what the chain cannot give: the scenario, the tick
-and clock, each reporter's cell and replay memory, the RNG and the chain
-itself, plus the account balances as a cross-check and the chain's head
-hash. Restore checks every hash and link and the head, then each part
-folds its own share of the chain: the ledger takes it only if it opens
-with the genesis the scenario's world writes, with dense tx ids and
-zero-sum balanceDeltas (Ledger.apply_log), each contract rebuilds its
-storage from the successes (apply_log), and the agents learn the rest of
-their memory as a live world does (World.learn), so a snapshot cannot
-disagree with its log. The writer is the one definition of a header:
-restore accepts a state header, and read_chain_jsonl a chain header,
-only if it is byte for byte the line this code writes back. Mission
-nonces, the one secret in the system, follow from the scenario seed and
-are in no file; shareable exports (plan tables, registry) exclude them
-too.
+snapshot holds only what the chain cannot give: the scenario, the tick and
+clock, each reporter's cell and replay memory, the RNG and the chain, plus
+the account balances as a cross-check and the chain's head hash. Restore
+checks every hash and link and the head, then each part folds its own
+share of the chain: the ledger takes it only if it opens with the genesis
+the scenario's world writes, with dense tx ids and zero-sum balanceDeltas
+(Ledger.apply_log); each contract rebuilds its storage from the successes
+(apply_log), refusing one whose payload or balanceDeltas are not what the
+USS operations' calculators give (verdicts, plan fees and congestion, RID
+checks and deconfliction are taken as given); the agents learn the rest
+of their memory as a live world does (World.learn). The writer is the one
+definition of a header: restore accepts a state header, and
+read_chain_jsonl a chain header, only if it is byte for byte the line this
+code writes back. Mission nonces, the one secret in the system, follow
+from the scenario seed and are in no file; shareable exports (plan
+tables, registry) exclude them too.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return Scenario.from_dict(data)
-
-
-def save_scenario(path: str | Path, scenario: Scenario) -> None:
-    Path(path).write_bytes(canonical_json(scenario.to_dict()) + b"\n")
 
 
 # -- chain log ---------------------------------------------------------------

@@ -52,18 +52,22 @@ class ScenarioError(ValueError):
 
 
 # A scenario file is declared by the dataclasses below: each field's metadata
-# holds its JSON key path (dotted inside a nested object) and an optional lower
-# bound, its annotation is its type, and its default, or the lack of one, says
+# holds its JSON key path (dotted inside a nested object) and optional bounds,
+# its annotation is its type, and its default, or the lack of one, says
 # whether the key may be left out. from_dict, to_dict and the bound checks of
 # validate all read that declaration.
 
-def _key(path: str, default: Any = dataclasses.MISSING, *, lo: int | None = None, numbered: str | None = None) -> Any:
-    """A field stored under the scenario-file key `path`; an integer must be at least `lo`.
+_RID_MAX_M = (2**32 - 1) // 100  # the most metres, or m/s, whose centimetres fit a RID message's u32 field
+
+
+def _key(path: str, default: Any = dataclasses.MISSING, *, lo: int | None = None, hi: int | None = None,
+         numbered: str | None = None) -> Any:
+    """A field stored under the scenario-file key `path`; an integer must be at least `lo` and at most `hi`.
 
     `numbered`, a str.format template of the array index, is the file's default
     for a key of an array item that the dataclass itself requires.
     """
-    return field(default=default, metadata={"key": path, "min": lo, "numbered": numbered})
+    return field(default=default, metadata={"key": path, "min": lo, "max": hi, "numbered": numbered})
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class DroneSpec:
     behavior: str = _key("behavior.kind", "compliant")
     offset_cells: int = _key("behavior.offsetCells", 0)
     deviate_start_tick: int = _key("behavior.startTick", 0)
-    speed_mps: int | None = _key("speedMps", None, lo=1)
+    speed_mps: int | None = _key("speedMps", None, lo=1, hi=_RID_MAX_M)
     operator: str | None = _key("operator", None)    # drones naming the same operator share reputation
 
 
@@ -112,8 +116,8 @@ class Scenario:
     reporter_reward: int = _key("fees.reporterReward", 20, lo=0)  # deposit / 50 with the default deposit
     fine_unit: int = _key("fees.fineUnit", 100, lo=0)  # deposit / 10
     bonus_unit: int = _key("fees.bonusUnit", 100, lo=0)  # deposit / 10
-    cruise_speed_mps: int = _key("uss.cruiseSpeedMps", 10, lo=1)
-    altitude_m: int = _key("uss.altitudeM", 60)
+    cruise_speed_mps: int = _key("uss.cruiseSpeedMps", 10, lo=1, hi=_RID_MAX_M)
+    altitude_m: int = _key("uss.altitudeM", 60, lo=0, hi=_RID_MAX_M)
     altitude_band_m: int = _key("uss.altitudeBandM", 30, lo=1)
     match_window_s: int = _key("uss.matchWindowS", 120, lo=0)
     deconfliction_cell_buffer: int = _key("uss.deconflictionCellBuffer", 1, lo=0)
@@ -202,6 +206,7 @@ class _Field(typing.NamedTuple):
     key: str
     nested: bool                # an array or an object
     lo: int | None              # lower bound, checked by validate()
+    hi: int | None              # upper bound, checked by validate()
     required: bool
     numbered: str | None        # default template of the item index, see _key
     read: Callable[[Any, str, _Key], Any]  # value, and its key path as (at, key) -> the field's value, or ScenarioError
@@ -227,9 +232,8 @@ def _declared(cls: type) -> _Layout:
         members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
         nested = not any(t in _JSON_TYPES for t in members)
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and not numbered
-        fields.append(_Field(
-            f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), required, numbered, _reader(kind)
-        ))
+        fields.append(_Field(f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), f.metadata.get("max"),
+                             required, numbered, _reader(kind)))
     return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
 
 
@@ -282,7 +286,7 @@ def _load(cls: type, data: Any, at: str, key: _Key) -> Any:
         scopes[group] = group_data = data.get(group, {})
         _check_object(group_data, names, _path(at, group))
     values = {}
-    for attr, path, group, name, _, _, required, numbered, read in layout.fields:
+    for attr, path, group, name, _, _, _, required, numbered, read in layout.fields:
         value = scopes[group].get(name, _ABSENT)
         if value is not _ABSENT:
             values[attr] = read(value, at, path)
@@ -297,10 +301,13 @@ def _load(cls: type, data: Any, at: str, key: _Key) -> Any:
 
 
 def _check_bounds(obj: Any, at: str) -> None:
-    """Each declared lower bound of a dataclass instance, the object at key path `at`."""
+    """Each declared bound of a dataclass instance, the object at key path `at`."""
     for f in _declared(type(obj)).fields:
-        if f.lo is not None and (value := getattr(obj, f.attr)) is not None and value < f.lo:
+        value = getattr(obj, f.attr)
+        if f.lo is not None and value is not None and value < f.lo:
             raise ScenarioError(f"{_path(at, f.path)} must be at least {f.lo}")
+        if f.hi is not None and value is not None and value > f.hi:
+            raise ScenarioError(f"{_path(at, f.path)} must be at most {f.hi}")
 
 
 def _dump(obj: Any) -> dict[str, Any]:

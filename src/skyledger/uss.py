@@ -25,7 +25,7 @@ import hashlib
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -60,6 +60,7 @@ VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 
 SUBSCRIPTION_PERIOD_S = 365 * 86400
+PlanPoints = tuple[tuple[int, int], tuple[int, int], int]  # a plan's source and destination arcseconds, departure second
 
 
 def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyyy: str) -> int:
@@ -72,6 +73,17 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
         raise ValueError(f"time out of range {time_hhmm!r}")
     day, epoch_day = (datetime.date(int(d[4:]), int(d[2:4]), int(d[:2])) for d in (date_ddmmyyyy, epoch_date_ddmmyyyy))
     return (day - epoch_day).days * 86400 + hour * 3600 + minute * 60
+
+
+def _require(tx: TransactionRecord, payload: Any, *moves: tuple[AccountId, int]) -> None:
+    """Refuse a logged success unless its payload and balanceDeltas are these: the moves per account, zeros dropped."""
+    deltas: dict[AccountId, int] = {}
+    for account, amount in moves:
+        deltas[account] = deltas.get(account, 0) + amount
+    if 0 in deltas.values():
+        deltas = {account: d for account, d in deltas.items() if d}
+    if tx.payload != payload or tx.balance_deltas != deltas:
+        raise ValueError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")
 
 
 @dataclass
@@ -175,10 +187,7 @@ class UssContract:
     # -- helpers -----------------------------------------------------------
 
     def reputation_of(self, owner: AccountId) -> economics.ReputationState:
-        state = self.storage["reputation"].get(owner)
-        if state is None:
-            return economics.ReputationState()
-        return state
+        return self.storage["reputation"].get(owner) or economics.ReputationState()
 
     def _subscription_valid(self, drone_id: int, caller: AccountId) -> bool:
         sub = self.storage["subscriptions"].get(drone_id)
@@ -214,9 +223,7 @@ class UssContract:
         fee_params = self.params.fee_params
         congestion = self.congestion_count(at_s)
         surcharge = economics.congestion_surcharge(congestion, fee_params.surcharge_per_mission)
-        fee = economics.dynamic_fee(
-            self.reputation_of(owner).k_micro, fee_params.base_cost, fee_params.deposit, surcharge
-        )
+        fee = economics.dynamic_fee(self.reputation_of(owner).k_micro, fee_params.base_cost, fee_params.deposit, surcharge)
         return fee, congestion
 
     # -- storage writers, called by the ops and by apply_log ---------------
@@ -265,6 +272,52 @@ class UssContract:
         self.authority.reset_counters(drone_id)
         self.authority.set_active_plan(drone_id, False)
 
+    # -- calculators, called by the ops and by apply_log; each computes and writes nothing
+
+    def subscription_expiry(self, timestamp: int) -> int:
+        return timestamp + SUBSCRIPTION_PERIOD_S
+
+    def plan_points(self, args: dict[str, Any], point: Callable[[str], tuple[int, int]]) -> PlanPoints:
+        """A plan request's source and destination, read by `point`, and departure second; reverts on bad DMS, then date."""
+        try:
+            src, dst = point(args["source"]), point(args["destination"])
+        except geo.DmsError:
+            raise ContractRevert(REASON_INVALID_DMS) from None
+        try:
+            depart_s = parse_departure_epoch(args["departureDate"], args["departureTime"], self.params.epoch_date)
+        except ValueError:
+            raise ContractRevert(REASON_INVALID_DATETIME) from None
+        return src, dst, depart_s
+
+    def plan_for(self, caller: AccountId, args: dict[str, Any], nonce: bytes, points: PlanPoints) -> MissionPlan:
+        """The plan request_plan stores for the caller, its args, their plan_points and the nonce; reverts on a conflict."""
+        src, dst, depart_s = points
+        texts = args["source"], args["destination"], args["departureDate"], args["departureTime"]
+        route, arrival_s = self.schedule_route(src, dst, depart_s)
+        return MissionPlan(args["droneId"], caller, *texts, depart_s, arrival_s, src, dst, self.params.altitude_m,
+                           self.alt_band, route, compute_rid_vc(nonce, caller, *texts))
+
+    def escrow_move(self, verdict: str, forfeited: int) -> int:
+        """What a report's verdict moves into its mission's escrow: the bonus, or minus the fine the deposit still covers."""
+        if verdict == VERDICT_REWARD:
+            return self.params.bonus_unit
+        if verdict == VERDICT_PENALTY:
+            return -min(self.params.fine_unit, self.params.fee_params.deposit - forfeited)
+        raise ValueError(f"unknown verdict {verdict!r}")
+
+    def settlement(self, drone_id: int, owner: AccountId) -> dict[str, Any]:
+        """report_completion's payload: payout, counters and the owner's new reputation; LedgerError if escrow differs."""
+        record, fee_params = self.authority.record(drone_id), self.params.fee_params
+        rewards, penalties = record.rewards, record.penalties
+        payout = max(0, fee_params.deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
+        if (escrow := self.missions[drone_id].escrow) != payout:
+            raise LedgerError(f"escrow for drone {drone_id} holds {escrow}, settlement formula pays {payout}")
+        rep_micro = economics.reputation(rewards, penalties)
+        k_micro = economics.update_k(rep_micro, self.reputation_of(owner).k_micro, fee_params.alpha_micro,
+                                     fee_params.k_min_micro)
+        return {"droneId": drone_id, "payout": payout, "rewards": rewards, "penalties": penalties,
+                "reputationMicro": rep_micro, "kMicro": k_micro}
+
     # -- operations ---------------------------------------------------------
 
     def op_subscribe(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
@@ -276,7 +329,7 @@ class UssContract:
             raise ContractRevert(REVERT_ALREADY_SUBSCRIBED)
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
-        expiry = self.ledger.clock + SUBSCRIPTION_PERIOD_S
+        expiry = self.subscription_expiry(self.ledger.clock)
         self._subscribe(Subscription(drone_id, caller, value, expiry))
         return {"droneId": drone_id, "expiry": expiry}
 
@@ -297,49 +350,18 @@ class UssContract:
         record = self.authority.record(drone_id)
         if record.has_active_plan:
             raise ContractRevert(REVERT_ACTIVE_PLAN_EXISTS)
-
-        source, destination = args["source"], args["destination"]
-        date, time = args["departureDate"], args["departureTime"]
-        try:
-            src = geo.parse_dms_pair(source)
-            dst = geo.parse_dms_pair(destination)
-        except geo.DmsError:
-            raise ContractRevert(REASON_INVALID_DMS) from None
-        try:
-            depart_s = parse_departure_epoch(date, time, self.params.epoch_date)
-        except ValueError:
-            raise ContractRevert(REASON_INVALID_DATETIME) from None
-
-        fee, congestion = self.quote_fee(caller, depart_s)
+        points = self.plan_points(args, geo.parse_dms_pair)
+        fee, congestion = self.quote_fee(caller, points[2])
         if value < fee:
             raise ContractRevert(REVERT_PLAN_FEE)
 
-        route, arrival_s = self.schedule_route(src, dst, depart_s)
         nonce = self._next_nonce()
-        plan = MissionPlan(
-            drone_id=drone_id,
-            owner_account=caller,
-            source=source,
-            destination=destination,
-            departure_date=date,
-            departure_time=time,
-            departure_epoch=depart_s,
-            arrival_epoch=arrival_s,
-            src_arcsec=src,
-            dst_arcsec=dst,
-            altitude_m=self.params.altitude_m,
-            alt_band=self.alt_band,
-            route=route,
-            rid_vc=compute_rid_vc(nonce, caller, source, destination, date, time),
-        )
+        plan = self.plan_for(caller, args, nonce, points)
         deposit = self.params.fee_params.deposit
         self._open_mission(drone_id, plan, nonce, deposit)
         self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.ledger.on_commit(functools.partial(self.index_plan, plan))
-
-        payload = plan.to_public_dict()
-        payload.update({"fee": fee, "congestion": congestion})
-        return payload
+        return {**plan.to_public_dict(), "fee": fee, "congestion": congestion}
 
     def schedule_route(
         self, src: tuple[int, int], dst: tuple[int, int], depart_s: int
@@ -355,7 +377,7 @@ class UssContract:
         buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
         near = range(-buf_cells, buf_cells + 1)
         offsets = [(dlat, dlon) for dlat in near for dlon in near]
-        for window in route:
+        for window in route if cells else ():  # an empty index, as while apply_log builds plans, has no conflict
             lat, lon = window.lat_idx, window.lon_idx
             for dlat, dlon in offsets:
                 plans = cells.get((lat + dlat, lon + dlon))  # get, not [], so a miss adds no empty cell
@@ -390,19 +412,13 @@ class UssContract:
             raise ContractRevert(REVERT_INVALID_REPORT)
 
         self.ledger.transfer(self.treasury, caller, self.params.reporter_reward)
-        self.ledger.emit(
-            "DroneSighted",
-            droneId=drone_id,
-            sightingLocation=args["sightingLocation"],
-            reporter=caller,
-        )
+        self.ledger.emit("DroneSighted", droneId=drone_id, sightingLocation=args["sightingLocation"], reporter=caller)
 
-        if self._sighting_matches_plan(plan, sighting_cell, sighting_time):
-            verdict, escrowed = VERDICT_REWARD, self.params.bonus_unit
+        verdict = VERDICT_REWARD if self._sighting_matches_plan(plan, sighting_cell, sighting_time) else VERDICT_PENALTY
+        escrowed = self.escrow_move(verdict, mission.forfeited)
+        if verdict == VERDICT_REWARD:
             self.ledger.transfer(self.treasury, self.escrow, escrowed)
         else:
-            remaining = self.params.fee_params.deposit - mission.forfeited
-            verdict, escrowed = VERDICT_PENALTY, -min(self.params.fine_unit, remaining)
             self.ledger.transfer(self.escrow, self.treasury, -escrowed)
         self._record_sighting(
             SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict), escrowed
@@ -424,8 +440,7 @@ class UssContract:
             raise ContractRevert(REVERT_NOT_OWNER_COMPLETE)
         if not record.has_active_plan:
             raise ContractRevert(REVERT_NO_ACTIVE_PLAN)
-        mission = self.missions[drone_id]
-        plan = mission.plan
+        plan = self.missions[drone_id].plan
         try:
             matches = bytes.fromhex(args["ridVc"]) == plan.rid_vc
         except ValueError:  # not hex
@@ -433,98 +448,65 @@ class UssContract:
         if not matches:
             raise ContractRevert(REASON_INVALID_RIDVC)
 
-        rewards, penalties = record.rewards, record.penalties
-        deposit = self.params.fee_params.deposit
-        payout = max(0, deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
-        if mission.escrow != payout:
-            raise LedgerError(f"escrow for drone {drone_id} holds {mission.escrow}, settlement formula pays {payout}")
-        self.ledger.transfer(self.escrow, caller, payout)
-
-        rep_micro = economics.reputation(rewards, penalties)
-        prev = self.reputation_of(caller)
-        k_micro = economics.update_k(
-            rep_micro, prev.k_micro, self.params.fee_params.alpha_micro, self.params.fee_params.k_min_micro
-        )
-        self._close_mission(drone_id, caller, economics.ReputationState(rep_micro, k_micro))
+        payload = self.settlement(drone_id, caller)
+        self.ledger.transfer(self.escrow, caller, payload["payout"])
+        self._close_mission(drone_id, caller, economics.ReputationState(payload["reputationMicro"], payload["kMicro"]))
         self.ledger.on_commit(functools.partial(self._unindex_plan, plan))
         self.ledger.emit("missionComplete", ridVc=plan.rid_vc.hex(), droneId=drone_id)
-
-        return {
-            "droneId": drone_id,
-            "payout": payout,
-            "rewards": rewards,
-            "penalties": penalties,
-            "reputationMicro": rep_micro,
-            "kMicro": k_micro,
-        }
+        return payload
 
     def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
         """Apply logged successes, in log order, through the writers their ops call.
 
-        Reads only each record's args, payload, value and balanceDeltas; no
-        fee, schedule, sensing result or RID check is recomputed. The escrow
-        account's delta is what the mission's escrow gained or lost. A plan
-        that a later settlement removes is never built, and each distinct DMS
-        string is parsed once, so the cost follows the live plans and the
-        sightings rather than the plan history. Each plan built joins the
-        airspace index.
+        Each success's payload and balanceDeltas are recomputed through its op's calculators, and a mismatch raises
+        ValueError; a plan is built, compared and indexed only if no later settlement removes it, with each distinct DMS
+        string parsed once. Taken as given: a report's verdict, a plan's fee and congestion, RID checks and deconfliction.
         """
         point = functools.cache(geo.parse_dms_pair)
+        deposit = self.params.fee_params.deposit
         planned: dict[int, TransactionRecord] = {}  # drone id -> its plan's record, while the plan is active
         for tx in successes:
-            op, args, payload = tx.op, tx.args, tx.payload
+            op, args, payload, caller = tx.op, tx.args, tx.payload, tx.caller
             if op not in ("subscribe", "request_plan", "report_drone", "report_completion"):
                 continue
             drone_id = args["droneId"]
-            escrowed = tx.balance_deltas.get(self.escrow, 0)
             if op == "subscribe":
-                self._subscribe(Subscription(drone_id, tx.caller, tx.value, payload["expiry"]))
+                if tx.value != self.params.subscription_fee:
+                    raise ValueError(f"tx {tx.tx_id} pays {tx.value} for a subscription")
+                expiry = self.subscription_expiry(tx.timestamp)
+                _require(tx, {"droneId": drone_id, "expiry": expiry}, (caller, -tx.value), (self.treasury, tx.value))
+                self._subscribe(Subscription(drone_id, caller, tx.value, expiry))
             elif op == "request_plan":
-                cells = {(w["latIdx"], w["lonIdx"]) for w in payload["route"]}
-                if not cells or len(cells) < len(payload["route"]) or payload["arrivalEpoch"] < payload["departureEpoch"]:
-                    raise ValueError(f"plan for drone {drone_id} has no route, revisits a cell or lands before it departs")
+                _require(tx, payload, (caller, -tx.value), (self.treasury, tx.value - deposit), (self.escrow, deposit))
                 planned[drone_id] = tx
-                self._open_mission(drone_id, None, self._next_nonce(), escrowed)
+                self._open_mission(drone_id, None, self._next_nonce(), deposit)
             elif op == "report_drone":
+                verdict, reward = payload["verdict"], self.params.reporter_reward
+                escrowed = self.escrow_move(verdict, self.missions[drone_id].forfeited)
+                _require(tx, {"verdict": verdict, "reporterReward": reward},
+                         (caller, reward), (self.treasury, -reward - escrowed), (self.escrow, escrowed))
                 cell = self.grid.cell_of(*point(args["sightingLocation"]))
-                self._record_sighting(
-                    SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], payload["verdict"]),
-                    escrowed,
-                )
+                sighting = SightingRecord(caller, drone_id, args["rid"], cell, args["sightingTime"], verdict)
+                self._record_sighting(sighting, escrowed)
             else:
                 planned.pop(drone_id, None)
+                settled = self.settlement(drone_id, caller)
+                _require(tx, settled, (self.escrow, -settled["payout"]), (caller, settled["payout"]))
                 self._close_mission(
-                    drone_id, tx.caller, economics.ReputationState(payload["reputationMicro"], payload["kMicro"])
+                    drone_id, caller, economics.ReputationState(settled["reputationMicro"], settled["kMicro"])
                 )
         for drone_id, tx in planned.items():
-            plan, mission = tx.payload, self.missions[drone_id]
-            mission.plan = MissionPlan(
-                drone_id=drone_id,
-                owner_account=tx.caller,
-                source=plan["source"],
-                destination=plan["destination"],
-                departure_date=plan["departureDate"],
-                departure_time=plan["departureTime"],
-                departure_epoch=plan["departureEpoch"],
-                arrival_epoch=plan["arrivalEpoch"],
-                src_arcsec=point(plan["source"]),
-                dst_arcsec=point(plan["destination"]),
-                altitude_m=plan["altitudeM"],
-                alt_band=self.alt_band,
-                route=[
-                    geo.CellWindow(w["latIdx"], w["lonIdx"], w["altBand"], w["enterS"], w["exitS"])
-                    for w in plan["route"]
-                ],
-                rid_vc=bytes.fromhex(plan["ridVc"]),
-                active=plan["active"],
-            )
-            self.index_plan(mission.plan)
+            mission = self.missions[drone_id]
+            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args, point))
+            quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
+            if tx.payload != {**mission.plan.to_public_dict(), **quoted}:
+                raise ValueError(f"plan for drone {drone_id} is not the one its request_plan args give")
+        for drone_id in planned:  # indexed after all are built, so building scans no other plan for conflicts
+            self.index_plan(self.missions[drone_id].plan)
 
     def export_active_plans(self) -> list[dict[str, Any]]:
         return [self.missions[d].plan.to_public_dict() for d in sorted(self.missions)]
 
     def export_reputation(self) -> dict[str, dict[str, int]]:
-        return {
-            owner: {"reputationMicro": st.reputation_micro, "kMicro": st.k_micro}
-            for owner, st in sorted(self.storage["reputation"].items())
-        }
+        return {owner: {"reputationMicro": st.reputation_micro, "kMicro": st.k_micro}
+                for owner, st in sorted(self.storage["reputation"].items())}

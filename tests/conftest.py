@@ -40,6 +40,7 @@ class Bench:
     reporter: str
     second_reporter: str
     uss_reader: str
+    third_reporter: str  # with the two above and second_operator, five accounts can report operator's drones
 
 
 def make_bench(**overrides) -> Bench:
@@ -58,6 +59,7 @@ def make_bench(**overrides) -> Bench:
         reporter=ledger.create_account("reporter"),
         second_reporter=ledger.create_account("reporter"),
         uss_reader=ledger.create_account("uss"),
+        third_reporter=ledger.create_account("reporter"),
     )
     ledger.genesis(note="bench")
     return bench

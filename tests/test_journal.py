@@ -27,7 +27,7 @@ from conftest import (
 from skyledger import ledger as ledger_module
 from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
-from skyledger.sim import ReporterSpec, run
+from skyledger.sim import ReporterSpec, Scenario, run
 from skyledger.uss import parse_departure_epoch
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -289,22 +289,31 @@ SETTLE_AND_REPLAN = [
     ("report_drone", "reporter", 0, 0, "valid", 0, "args"),
 ]
 
+# five off-plan reports at a fine of 300 against the 1,000 deposit: the fourth fine is clipped to 100 and the fifth
+# to 0, then settlement pays nothing
+FINES_PAST_THE_DEPOSIT = [
+    ("report_drone", who, 0, 1, "valid", 0, "args")
+    for who in ("reporter", "second_reporter", "uss_reader", "second_operator", "third_reporter")
+] + [("report_completion", "operator", 0, 0, "valid", 0, "args")]
+DEFAULT_FINE = Scenario().fine_unit
+
 
 @settings(max_examples=100, deadline=None)
-@given(steps=steps)
-@example(steps=SETTLE_AND_REPLAN)
-def test_folding_the_log_gives_the_live_state(steps):
-    """Contract storage and balances are a fold of the logged successes, with nothing re-executed.
+@given(steps=steps, fine_unit=st.just(DEFAULT_FINE))
+@example(steps=SETTLE_AND_REPLAN, fine_unit=DEFAULT_FINE)
+@example(steps=FINES_PAST_THE_DEPOSIT, fine_unit=300)
+def test_folding_the_log_gives_the_live_state(steps, fine_unit):
+    """Contract storage and balances are a fold of the logged successes, each recomputed by its op's calculators.
 
     The sequences reach records a simulated run never logs, such as
-    reports filed by a supplier account and a second plan for a drone
-    after its settlement.
+    reports filed by a supplier account, a second plan for a drone
+    after its settlement, and fines clipped by the deposit.
     """
-    live = make_bench()
+    live = make_bench(fine_unit=fine_unit)
     for caller, op, args, value in _generated_calls(live, steps):
         live.ledger.submit(caller, op, args, value)
     live.ledger.seal_block()
-    folded = make_bench()
+    folded = make_bench(fine_unit=fine_unit)
     successes = folded.ledger.apply_log(live.ledger.blocks)
     for contract in (folded.authority, folded.uss):
         contract.apply_log(successes)

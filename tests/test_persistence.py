@@ -221,6 +221,68 @@ def _split_unit(data):
         account["balance"] = str(int(account["balance"]) + half)
 
 
+def _successes(data, op):
+    transactions = (tx for block in data["chain"] for tx in block["transactions"])
+    return [tx for tx in transactions if tx["op"] == op and tx["status"] == "success"]
+
+
+def _logged(data, op):
+    return _successes(data, op)[0]
+
+
+def _raised(op, key, by):
+    """A forge: `by` more in a payload field of the first success of `op`."""
+    def forge(data):
+        _logged(data, op)["payload"][key] += by
+    return forge
+
+
+def _move(data, tx, account_id, amount):
+    """`amount` more for an account in a success's balanceDeltas and in the header's account table."""
+    tx["balanceDeltas"][account_id] += amount
+    account = next(a for a in data["accounts"] if a["id"] == account_id)
+    account["balance"] = str(int(account["balance"]) + amount)
+
+
+def _treasury(data):
+    return _first_account(data, "uss")["id"]  # the USS contract creates its treasury first
+
+
+def _escrow_raised(verdict):
+    """A forge: 50 more from the treasury into escrow for the first report with this verdict, paid out at settlement."""
+    def forge(data):
+        report = next(tx for tx in _successes(data, "report_drone") if tx["payload"]["verdict"] == verdict)
+        settled, treasury = _logged(data, "report_completion"), _treasury(data)
+        escrow = next(a for a in report["balanceDeltas"] if a not in (report["caller"], treasury))
+        _move(data, report, escrow, 50)
+        _move(data, report, treasury, -50)
+        settled["payload"]["payout"] += 50
+        _move(data, settled, escrow, -50)
+        _move(data, settled, settled["caller"], 50)
+    return forge
+
+
+def _richer_reporter_reward(data):
+    """5 more from the treasury for the first reporter, in balanceDeltas only."""
+    report = _logged(data, "report_drone")
+    _move(data, report, report["caller"], 5)
+    _move(data, report, _treasury(data), -5)
+
+
+def _dearer_subscription(data):
+    """A subscription paid 1 above the fee, in its value, its balanceDeltas and the header's account table."""
+    sub = _logged(data, "subscribe")
+    sub["value"] += 1
+    _move(data, sub, sub["caller"], -1)
+    _move(data, sub, _treasury(data), 1)
+
+
+def _flip_verdict(data):
+    report = _logged(data, "report_drone")
+    assert report["payload"]["verdict"] == "reward"
+    report["payload"]["verdict"] = "penalty"
+
+
 @pytest.mark.parametrize(
     "forge",
     [
@@ -259,12 +321,30 @@ def _split_unit(data):
         pytest.param(_mint_then_burn, id="minted-then-burned"),
         # every transfer moves whole units, so each delta is an int
         pytest.param(_split_unit, id="fractional-delta-with-header-to-match"),
+        # each amount, reputation and expiry is recomputed by the calculator its op calls
+        pytest.param(_raised("report_completion", "payout", 1), id="payout-raised"),
+        pytest.param(lambda d: _logged(d, "report_completion")["payload"].update(kMicro=100000), id="k-micro-edited"),
+        pytest.param(_raised("report_completion", "reputationMicro", 7), id="reputation-raised"),
+        pytest.param(_raised("report_completion", "rewards", 1), id="rewards-raised"),
+        pytest.param(_flip_verdict, id="verdict-flipped"),
+        pytest.param(lambda d: _logged(d, "report_drone")["payload"].update(verdict="forgiven"), id="verdict-unknown"),
+        pytest.param(_escrow_raised("reward"), id="reward-escrow-raised-with-settlement-and-header-to-match"),
+        pytest.param(_richer_reporter_reward, id="reporter-reward-raised-with-treasury-and-header-to-match"),
+        pytest.param(_raised("subscribe", "expiry", 1), id="expiry-raised"),
+        pytest.param(_dearer_subscription, id="subscription-fee-raised-with-deltas-and-header-to-match"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
     _, world = run(compliant_scenario())
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
+
+
+def test_forged_fine_is_corrupt():
+    """A fine cut from 100 to 50, with the settlement and the header matched: the escrow move is recomputed."""
+    _, world = run(deviating_scenario())
+    with pytest.raises(persistence.CorruptPayload, match="report_drone"):
+        persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), _escrow_raised("penalty")))
 
 
 @pytest.mark.parametrize("tick", ["13", 13.0, None, True])
@@ -485,16 +565,32 @@ def test_a_key_or_number_type_edited_in_a_golden_header_is_refused_or_round_trip
     assert persistence.snapshot_world(restored) == edited, path
 
 
-def _logged(data, op):
-    return next(
-        tx for block in data["chain"] for tx in block["transactions"] if tx["op"] == op and tx["status"] == "success"
-    )
+@pytest.mark.parametrize(
+    "forge",
+    [
+        pytest.param(lambda plan: plan.update(ridVc="00" * 32), id="rid-vc-zeroed"),
+        pytest.param(lambda plan: plan.update(arrivalEpoch=plan["arrivalEpoch"] + 1000), id="arrival-later"),
+        pytest.param(lambda plan: plan["route"][0].update(exitS=plan["route"][0]["exitS"] + 500), id="window-longer"),
+        pytest.param(lambda plan: plan.update(altitudeM=plan["altitudeM"] + 500), id="altitude-raised"),
+        pytest.param(lambda plan: plan.update(source=plan["destination"]), id="source-is-destination"),
+    ],
+)
+def test_live_plan_other_than_its_args_give_is_corrupt(forge):
+    """A plan still active at the snapshot is rebuilt from its request and compared field by field."""
+    world = World(compliant_scenario())
+    while world.tick < 5:
+        world.step()
+    assert world.uss.missions
+    snap = persistence.snapshot_world(world)
+    forged = oracles.forge_snapshot(snap, lambda d: forge(_logged(d, "request_plan")["payload"]))
+    with pytest.raises(persistence.CorruptPayload, match="plan for drone 0"):
+        persistence.restore_world(forged)
 
 
 def test_plan_without_route_is_corrupt():
     snap = persistence.snapshot_world(World(compliant_scenario()))
     forged = oracles.forge_snapshot(snap, lambda d: _logged(d, "request_plan")["payload"].update(route=[]))
-    with pytest.raises(persistence.CorruptPayload, match="no route"):
+    with pytest.raises(persistence.CorruptPayload, match="plan for drone 0"):
         persistence.restore_world(forged)
 
 
@@ -700,7 +796,7 @@ class TestScenarioFiles:
     def test_save_load_round_trip(self, tmp_path):
         scenario = compliant_scenario()
         path = tmp_path / "x.scenario.json"
-        persistence.save_scenario(path, scenario)
+        path.write_bytes(canonical_json(scenario.to_dict()) + b"\n")
         assert persistence.load_scenario(path) == scenario
 
     def test_bundled_demo_loads(self, demo_scenario_path):

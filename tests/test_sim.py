@@ -341,6 +341,15 @@ class TestScenarioValidation:
             # the schema major is an exact int like every other key: a bool or a float is another version
             pytest.param(lambda d: d["schema"].update(major=True), "schema: unsupported version", id="schema-major-true"),
             pytest.param(lambda d: d["schema"].update(major=1.0), "schema: unsupported version", id="schema-major-float"),
+            # altitude and speed go into a RID message's u32 centimetre fields: a scenario the wire cannot carry is refused
+            pytest.param(lambda d: d["uss"].update(altitudeM=-30), "uss.altitudeM must be at least 0",
+                         id="altitude-negative"),
+            pytest.param(lambda d: d["uss"].update(altitudeM=10**8), "uss.altitudeM must be at most 42949672",
+                         id="altitude-past-the-wire"),
+            pytest.param(lambda d: d["drones"][0].update(speedMps=10**8), "drones[0].speedMps must be at most 42949672",
+                         id="speed-past-the-wire"),
+            pytest.param(lambda d: d["uss"].update(cruiseSpeedMps=10**8), "uss.cruiseSpeedMps must be at most 42949672",
+                         id="cruise-speed-past-the-wire"),
         ],
     )
     def test_rejects_bad_configs(self, mutate, message):
