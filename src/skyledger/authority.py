@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,10 +59,9 @@ class AuthorityContract:
         self.account = ledger.create_account("authority")
         self.storage: dict[str, Any] = {"records": [], "serial_index": {}}
         ledger.attach_storage("authority", self.storage)
-        ledger.register_op(
-            "register_drone", self.op_register_drone, args={"serial": str, "ownerNationalId": str, "signTAC": bool}
-        )
-        ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int}, view=True)
+        ledger.register_op("register_drone", self.op_register_drone,
+                           args={"serial": str, "ownerNationalId": str, "signTAC": bool}, fold=self.fold_register_drone)
+        ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int})
 
     @property
     def records(self) -> list[DroneRecord]:
@@ -78,7 +76,7 @@ class AuthorityContract:
         return {"droneId": self._register(serial_hash, args["ownerNationalId"], caller)}
 
     def _register(self, serial_hash: str, owner_national_id: str, owner: AccountId) -> int:
-        """The one writer of the registry's records and serial index, for register_drone and apply_log."""
+        """The one writer of the registry's records and serial index, for register_drone and its fold."""
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
         self.ledger.touch(self.storage["serial_index"], serial_hash)
@@ -117,14 +115,8 @@ class AuthorityContract:
         rec.rewards = 0
         rec.penalties = 0
 
-    def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
-        """Register each drone of the logged successes, in log order, through register_drone's writer."""
-        for tx in successes:
-            if tx.op != "register_drone":
-                continue
-            drone_id = self._register(_hashed(tx.args["serial"]), tx.args["ownerNationalId"], tx.caller)
-            if tx.payload["droneId"] != drone_id:
-                raise ValueError(f"logged drone id {tx.payload['droneId']} is not the next registry index")
+    def fold_register_drone(self, tx: TransactionRecord) -> dict[str, Any]:
+        return {"droneId": self._register(_hashed(tx.args["serial"]), tx.args["ownerNationalId"], tx.caller)}
 
     def export_registry(self) -> list[dict[str, Any]]:
         return [r.to_public_dict() for r in self.records]

@@ -14,15 +14,19 @@ per-drone map, a root scalar, the next index of an append-only list) it
 calls Ledger.touch(container, key), and the first touch in a
 transaction saves a one-level copy of the slot's old value. A revert, or
 any other exception out of an operation, restores the touched slots in
-reverse order; a success meters `stateWrites` and `balanceDeltas` from
-the touched slots alone, so the cost of a transaction does not grow with
-the size of the state. The meter counts a dataclass by its declared
-fields only, read by name; any other attribute stored on the instance
-(a cached_property value) is not state. Because the copy is one level
-deep, a write may change only the slot value's own fields or keys in
-place; an object nested below them must be replaced, never mutated,
-unless each entry it changes is touched as a slot of its own.
-View operations open no journal and may not touch anything.
+reverse order; a success meters `stateWrites` from the touched slots
+alone, so the cost of a transaction does not grow with the size of the
+state. Balances change only through transfer(), and a success logs its
+transfers, netted per account, as its `balanceDeltas`. The meter counts
+a dataclass by its declared fields only, read by name; any other
+attribute stored on the instance (a cached_property value) is not state.
+Because the copy is one level deep, a write may change only the slot
+value's own fields or keys in place; an object nested below them must be
+replaced, never mutated, unless each entry it changes is touched as a
+slot of its own.
+An operation registered without a fold is a view: it opens no journal
+and may not touch anything. Restore re-applies a sealed log through each
+op's fold (apply_log), checking logged `balanceDeltas`, never adding them.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -86,6 +90,16 @@ def canonical_json(obj: Any) -> bytes:
 
 
 _SCALAR_TYPES = frozenset((int, str, bytes, float, type(None), bool))
+
+
+def same_fields(logged: Any, expected: dict[str, Any]) -> bool:
+    """logged == expected, each top-level value also of expected's type (1500.0 is not 1500, nor True 1)."""
+    if logged != expected:
+        return False
+    for key, value in expected.items():
+        if type(logged[key]) is not type(value):
+            return False
+    return True
 
 
 @functools.cache
@@ -313,8 +327,13 @@ def verify_blocks(blocks: list[Block]) -> tuple[bool, int | None]:
 class _OpSpec:
     fn: Callable[[AccountId, dict[str, Any]], Any]
     args: dict[str, type]
-    view: bool
+    fold: Callable[[TransactionRecord], Any] | None  # None: the op is a view
     receiver: AccountId | None  # the account that an attached value goes to; None: the op is not payable
+
+
+def _deltas(moves: dict[AccountId, int]) -> dict[AccountId, int]:
+    """A transaction's balanceDeltas: its net move per account, sorted by account, zeros dropped."""
+    return {account: moves[account] for account in sorted(moves) if moves[account]}
 
 
 class Ledger:
@@ -338,7 +357,7 @@ class Ledger:
         self._event_buffer: list[dict[str, Any]] = []
         self._journal: _Journal | None = None  # open only while a state-changing op runs
         self._view_running = False
-        self._commit_queue: list[Callable[[], None]] = []  # on_commit callbacks of the running op
+        self._moves: dict[AccountId, int] | None = None  # account -> net transfer of the running transaction
 
     # -- accounts ---------------------------------------------------------
 
@@ -375,6 +394,10 @@ class Ledger:
             raise InsufficientBalance(f"{src} holds {src_acc.balance}, needs {amount}")
         src_acc.balance -= amount
         dst_acc.balance += amount
+        moves = self._moves
+        if moves is not None:
+            moves[src] = moves.get(src, 0) - amount
+            moves[dst] = moves.get(dst, 0) + amount
 
     # -- contract wiring --------------------------------------------------
 
@@ -389,18 +412,20 @@ class Ledger:
         fn: Callable[[AccountId, dict[str, Any]], Any],
         *,
         args: dict[str, type] | None = None,
-        view: bool = False,
+        fold: Callable[[TransactionRecord], Any] | None = None,
         receiver: AccountId | None = None,
     ) -> None:
         """Register `fn` as operation `name`; `args` declares its arguments, name -> int, str or bool.
 
         submit() reverts a call whose declared argument is missing or not exactly
         of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
-        An op with a `receiver` is payable: submit() moves an attached value to that account.
+        An op with a `receiver` is payable: submit() moves an attached value to that account. `fold(tx)` re-applies
+        a logged success (apply_log) through fn's writers and returns fn's payload, or the logged one it takes as given.
+        An op without a fold is a view, which may change nothing.
         """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
-        self._ops[name] = _OpSpec(fn, args or {}, view, receiver)
+        self._ops[name] = _OpSpec(fn, args or {}, fold, receiver)
 
     def touch(self, container: dict | list, key: Any) -> None:
         """Declare that the running transaction is about to change container[key].
@@ -429,13 +454,6 @@ class Ledger:
         if slot not in journal:
             old = _read_slot(container, key)
             journal[slot] = (container, key, old if old is _ABSENT else _copy_slot(old))
-
-    def on_commit(self, fn: Callable[[], None]) -> None:
-        """Run fn once the op body succeeds (outside submit(), now); a revert drops it; fn raising undoes storage, not what fns did."""
-        if self._journal is None:
-            fn()
-        else:
-            self._commit_queue.append(fn)
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing."""
@@ -490,8 +508,9 @@ class Ledger:
             timestamp=self.clock,
         )
         spec = self._ops.get(op)
-        self._view_running = spec is not None and spec.view
+        self._view_running = spec is not None and spec.fold is None
         journal = self._journal = None if self._view_running else {}
+        moves = self._moves = {}
         self._event_buffer = []
         try:
             if spec is None:
@@ -505,8 +524,6 @@ class Ledger:
                 self.transfer(caller, spec.receiver, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
-            for fn in self._commit_queue:
-                fn()
         except ContractRevert as exc:
             self._undo(journal)
             rec.status, rec.reason, rec.payload = "revert", exc.reason, None
@@ -520,10 +537,12 @@ class Ledger:
         else:
             if journal:
                 self._meter(rec, journal)
+            if moves:
+                rec.balance_deltas = _deltas(moves)
             rec.events = self._event_buffer
         finally:
-            self._journal, self._view_running = None, False
-            self._event_buffer, self._commit_queue = [], []
+            self._journal, self._view_running, self._moves = None, False, None
+            self._event_buffer = []
         self.pending.append(rec)
         return rec
 
@@ -538,7 +557,7 @@ class Ledger:
             _restore_slot(container, key, old)
 
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
-        deltas, writes, accounts = {}, 0, self.accounts
+        writes = 0
         for container, key, old in journal.values():
             if isinstance(container, list):  # _read_slot and, for two scalars, diff_count inlined
                 new = container[key] if key < len(container) else _ABSENT
@@ -548,10 +567,7 @@ class Ledger:
                 writes += old != new
             else:
                 writes += _slot_writes(old, new)
-            if container is accounts:
-                deltas[key] = new.balance - old.balance
         rec.state_writes += writes
-        rec.balance_deltas = {k: deltas[k] for k in sorted(deltas) if deltas[k]}
 
     # -- blocks -----------------------------------------------------------
 
@@ -566,27 +582,38 @@ class Ledger:
         self.pending = []
         return block
 
-    def apply_log(self, blocks: list[Block]) -> list[TransactionRecord]:
-        """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain.
+    def apply_log(self, blocks: list[Block]) -> None:
+        """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain, and re-apply it.
 
-        Moves the balances by each success's balanceDeltas, refusing any that are not ints or do not sum to zero;
-        returns the successes.
+        Each success moves its attached value as submit() does and calls its op's fold. LedgerError refuses a status other
+        than "success" or "revert", a success of an unknown op or caller, and one whose balanceDeltas are not its
+        transfers or whose payload is not its fold's (by type too). Reverts and view payloads are taken as given.
         """
         records = [tx for block in blocks for tx in block.transactions]
-        successes = [tx for tx in records[1:] if tx.status == "success"]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
             raise LedgerError("chain does not open with this ledger's genesis")
         if any(tx.tx_id != i for i, tx in enumerate(records)):
             raise LedgerError("chain tx ids are not dense")
-        if any(type(delta) is not int for tx in successes for delta in tx.balance_deltas.values()):
-            raise LedgerError("a success's balanceDeltas are not all ints")
-        if any(sum(tx.balance_deltas.values()) for tx in successes):
-            raise LedgerError("a success's balanceDeltas do not sum to zero")
         self.blocks, self.pending, self._tx_counter = blocks, [], len(records)
-        for tx in successes:
-            for account, delta in tx.balance_deltas.items():
-                self.accounts[account].balance += delta
-        return successes
+        ops, accounts = self._ops, self.accounts
+        for tx in records[1:]:
+            if tx.status == "revert":
+                continue
+            spec, value, deltas = ops.get(tx.op), tx.value, tx.balance_deltas
+            if tx.status != "success" or spec is None or tx.caller not in accounts:
+                raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for op {tx.op!r} by account {tx.caller!r}")
+            if type(value) is not int or value < 0 or value and spec.receiver is None:
+                raise LedgerError(f"tx {tx.tx_id} ({tx.op}) attaches {value!r}, which the op cannot take")
+            if spec.fold is None and not deltas:
+                continue  # a view that moves nothing: its payload is taken as given
+            moves = self._moves = {}
+            if value:
+                self.transfer(tx.caller, spec.receiver, value)
+            payload = tx.payload if spec.fold is None else spec.fold(tx)
+            if not (same_fields(deltas, moves) or same_fields(deltas, _deltas(moves))) \
+                    or payload is not tx.payload and not same_fields(tx.payload, payload):
+                raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")
+        self._moves = None
 
     def verify_chain(self) -> bool:
         ok, _ = verify_blocks(self.blocks)

@@ -16,19 +16,21 @@ Snapshots are canonical: the same state always produces the same bytes
 snapshot holds only what the chain cannot give: the scenario, the tick and
 clock, each reporter's cell and replay memory, the RNG and the chain, plus
 the account balances as a cross-check and the chain's head hash. Restore
-checks every hash and link and the head, then each part folds its own
-share of the chain: the ledger takes it only if it opens with the genesis
-the scenario's world writes, with dense tx ids and zero-sum balanceDeltas
-(Ledger.apply_log); each contract rebuilds its storage from the successes
-(apply_log), refusing one whose payload or balanceDeltas are not what the
-USS operations' calculators give (verdicts, plan fees and congestion, RID
-checks and deconfliction are taken as given); the agents learn the rest
-of their memory as a live world does (World.learn). The writer is the one
-definition of a header: restore accepts a state header, and
-read_chain_jsonl a chain header, only if it is byte for byte the line this
-code writes back. Mission nonces, the one secret in the system, follow
-from the scenario seed and are in no file; shareable exports (plan
-tables, registry) exclude them too.
+checks every hash and link and the head, then re-applies the chain
+(Ledger.apply_log): it must open with the genesis the scenario's world
+writes and have dense tx ids, and each success calls its op's fold, which
+writes through the op's own writers. In both paths balances change only
+through transfer: logged balanceDeltas are checked against the transfers,
+never applied, and each payload against the fold's, by type too. Taken as
+given: view payloads, a report's verdict, a plan's fee and congestion, RID
+checks, deconfliction, settled plans, stateWrites, events and reverts.
+Active plans are rebuilt from their requests (build_live_plans), and the
+agents learn the rest of their memory as a live world does (World.learn).
+The writer is the one definition of a header: restore accepts a state
+header, and read_chain_jsonl a chain header, only if it is byte for byte
+the line this code writes back. Mission nonces, the one secret in the
+system, follow from the scenario seed and are in no file; shareable
+exports (plan tables, registry) exclude them too.
 """
 
 from __future__ import annotations
@@ -222,9 +224,8 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
         raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
     world = World.deployed(scenario)
-    successes = world.ledger.apply_log(blocks)
-    world.authority.apply_log(successes)
-    world.uss.apply_log(successes)
+    world.ledger.apply_log(blocks)
+    world.uss.build_live_plans()
     world.ledger.clock = clock
     world.learn()
     for rep, saved in zip(world.reporters, data["reporters"], strict=True):  # by position; the round trip checks each name

@@ -25,13 +25,13 @@ import hashlib
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from . import economics, geo
 from .authority import AuthorityContract
-from .ledger import AccountId, ContractRevert, Ledger, LedgerError, TransactionRecord
+from .ledger import AccountId, ContractRevert, Ledger, LedgerError, TransactionRecord, same_fields
 from .rid import compute_rid_vc, decode_rid, MalformedRid, verify_rid_vc
 
 if TYPE_CHECKING:
@@ -73,17 +73,6 @@ def parse_departure_epoch(date_ddmmyyyy: str, time_hhmm: str, epoch_date_ddmmyyy
         raise ValueError(f"time out of range {time_hhmm!r}")
     day, epoch_day = (datetime.date(int(d[4:]), int(d[2:4]), int(d[:2])) for d in (date_ddmmyyyy, epoch_date_ddmmyyyy))
     return (day - epoch_day).days * 86400 + hour * 3600 + minute * 60
-
-
-def _require(tx: TransactionRecord, payload: Any, *moves: tuple[AccountId, int]) -> None:
-    """Refuse a logged success unless its payload and balanceDeltas are these: the moves per account, zeros dropped."""
-    deltas: dict[AccountId, int] = {}
-    for account, amount in moves:
-        deltas[account] = deltas.get(account, 0) + amount
-    if 0 in deltas.values():
-        deltas = {account: d for account, d in deltas.items() if d}
-    if tx.payload != payload or tx.balance_deltas != deltas:
-        raise ValueError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")
 
 
 @dataclass
@@ -137,7 +126,7 @@ class MissionPlan:
 class Mission:
     """What the contract holds for one active mission, from its plan to its settlement."""
 
-    plan: MissionPlan | None           # None only while apply_log folds
+    plan: MissionPlan | None           # None only while restore walks the log (build_live_plans)
     nonce: bytes                       # USS-side secret behind the plan's RID verification code
     report_counts: dict[AccountId, int]  # reporter -> valid reports on this mission
     escrow: int                        # currency held for the mission
@@ -174,15 +163,19 @@ class UssContract:
         self._nonce_seed = nonce_seed
         self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = defaultdict(dict)  # cell -> {drone id: window}
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
+        self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> request of a plan restore has yet to build
+        self._point = functools.cache(geo.parse_dms_pair)  # restore's DMS reader: each distinct string parsed once
         ledger.attach_storage("uss", self.storage)
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
         sighting = {**drone, "rid": str, "sightingLocation": str, "sightingTime": int}
-        ledger.register_op("subscribe", self.op_subscribe, args=drone, receiver=self.treasury)
-        ledger.register_op("request_quote", self.op_request_quote, args=drone, view=True)
-        ledger.register_op("request_plan", self.op_request_plan, args=plan, receiver=self.treasury)
-        ledger.register_op("report_drone", self.op_report_drone, args=sighting)
-        ledger.register_op("report_completion", self.op_report_completion, args={**drone, "ridVc": str})
+        ledger.register_op("subscribe", self.op_subscribe, args=drone, fold=self.fold_subscribe, receiver=self.treasury)
+        ledger.register_op("request_quote", self.op_request_quote, args=drone)
+        ledger.register_op("request_plan", self.op_request_plan, args=plan, fold=self.fold_request_plan,
+                           receiver=self.treasury)
+        ledger.register_op("report_drone", self.op_report_drone, args=sighting, fold=self.fold_report_drone)
+        ledger.register_op("report_completion", self.op_report_completion, args={**drone, "ridVc": str},
+                           fold=self.fold_report_completion)
 
     # -- helpers -----------------------------------------------------------
 
@@ -194,7 +187,7 @@ class UssContract:
         return sub is not None and sub.subscriber == caller and self.ledger.clock <= sub.expiry
 
     def index_plan(self, plan: MissionPlan) -> None:
-        """Add an active plan to the airspace index, which lives outside storage and changes only at commit."""
+        """Add an active plan to the airspace index, which lives outside storage: an op changes it last, past any revert."""
         buf = self.params.deconfliction_time_buffer_s
         for w in plan.route:
             self._cells[w.lat_idx, w.lon_idx][plan.drone_id] = w
@@ -226,12 +219,14 @@ class UssContract:
         fee = economics.dynamic_fee(self.reputation_of(owner).k_micro, fee_params.base_cost, fee_params.deposit, surcharge)
         return fee, congestion
 
-    # -- storage writers, called by the ops and by apply_log ---------------
+    # -- storage writers, called by the ops and by their folds; only they move money
 
-    def _subscribe(self, sub: Subscription) -> None:
+    def _subscribe(self, drone_id: int, subscriber: AccountId, fee: int, timestamp: int) -> dict[str, Any]:
+        expiry = timestamp + SUBSCRIPTION_PERIOD_S
         subscriptions = self.storage["subscriptions"]
-        self.ledger.touch(subscriptions, sub.drone_id)
-        subscriptions[sub.drone_id] = sub
+        self.ledger.touch(subscriptions, drone_id)
+        subscriptions[drone_id] = Subscription(drone_id, subscriber, fee, expiry)
+        return {"droneId": drone_id, "expiry": expiry}
 
     def _next_nonce(self) -> bytes:
         """The next mission nonce: counter-mode SHA-256 over the contract's seed."""
@@ -240,42 +235,62 @@ class UssContract:
         self.storage["nonce_counter"] = counter + 1
         return hashlib.sha256(self._nonce_seed + counter.to_bytes(8, "big")).digest()[:16]
 
-    def _open_mission(self, drone_id: int, plan: MissionPlan | None, nonce: bytes, escrow: int) -> None:
+    def _open_mission(self, drone_id: int, plan: MissionPlan | None, nonce: bytes) -> None:
+        """Open a mission with the deposit moved from the treasury into escrow."""
+        deposit = self.params.fee_params.deposit
+        self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.ledger.touch(self.missions, drone_id)
-        self.missions[drone_id] = Mission(plan, nonce, {}, escrow, 0)
+        self.missions[drone_id] = Mission(plan, nonce, {}, deposit, 0)
         self.authority.set_active_plan(drone_id, True)
 
-    def _record_sighting(self, sighting: SightingRecord, escrowed: int) -> None:
-        """Count a valid report and move the mission's escrow by what it gained (a fine is negative)."""
-        drone_id, reporter = sighting.drone_id, sighting.reporter
+    def _record_sighting(self, sighting: SightingRecord) -> dict[str, Any]:
+        """Pay the reporter, count a valid report, and move the bonus into escrow or the fine the deposit still covers out."""
+        drone_id, reporter, params = sighting.drone_id, sighting.reporter, self.params
         mission = self.missions[drone_id]
         self.ledger.touch(self.missions, drone_id)  # the journaled copy shares report_counts with the live mission
         counts = mission.report_counts
         self.ledger.touch(counts, reporter)  # this reporter's entry alone, so the cost does not grow with the crowd
         counts[reporter] = counts.get(reporter, 0) + 1
-        mission.escrow += escrowed
+        self.ledger.transfer(self.treasury, reporter, params.reporter_reward)
         if sighting.verdict == VERDICT_REWARD:
+            self.ledger.transfer(self.treasury, self.escrow, params.bonus_unit)
+            mission.escrow += params.bonus_unit
             self.authority.add_reward(drone_id)
-        else:
+        elif sighting.verdict == VERDICT_PENALTY:
+            fine = min(params.fine_unit, params.fee_params.deposit - mission.forfeited)
+            self.ledger.transfer(self.escrow, self.treasury, fine)
+            mission.escrow -= fine
+            mission.forfeited += fine
             self.authority.add_penalty(drone_id)
-            mission.forfeited -= escrowed
+        else:
+            raise ValueError(f"unknown verdict {sighting.verdict!r}")
         sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
         sightings.append(sighting)
+        return {"verdict": sighting.verdict, "reporterReward": params.reporter_reward}
 
-    def _close_mission(self, drone_id: int, owner: AccountId, reputation: economics.ReputationState) -> None:
+    def _close_mission(self, drone_id: int, owner: AccountId) -> dict[str, Any]:
+        """Settle: pay the owner the payout, store its new reputation; returns the payload. LedgerError if escrow differs."""
+        record, fee_params = self.authority.record(drone_id), self.params.fee_params
+        rewards, penalties = record.rewards, record.penalties
+        payout = max(0, fee_params.deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
+        if (escrow := self.missions[drone_id].escrow) != payout:
+            raise LedgerError(f"escrow for drone {drone_id} holds {escrow}, settlement formula pays {payout}")
+        rep_micro = economics.reputation(rewards, penalties)
+        k_micro = economics.update_k(rep_micro, self.reputation_of(owner).k_micro, fee_params.alpha_micro,
+                                     fee_params.k_min_micro)
+        self.ledger.transfer(self.escrow, owner, payout)
         self.ledger.touch(self.missions, drone_id)
         del self.missions[drone_id]
         reputations = self.storage["reputation"]
         self.ledger.touch(reputations, owner)
-        reputations[owner] = reputation
+        reputations[owner] = economics.ReputationState(rep_micro, k_micro)
         self.authority.reset_counters(drone_id)
         self.authority.set_active_plan(drone_id, False)
+        return {"droneId": drone_id, "payout": payout, "rewards": rewards, "penalties": penalties,
+                "reputationMicro": rep_micro, "kMicro": k_micro}
 
-    # -- calculators, called by the ops and by apply_log; each computes and writes nothing
-
-    def subscription_expiry(self, timestamp: int) -> int:
-        return timestamp + SUBSCRIPTION_PERIOD_S
+    # -- calculators, called by request_plan and by restore; each computes and writes nothing
 
     def plan_points(self, args: dict[str, Any], point: Callable[[str], tuple[int, int]]) -> PlanPoints:
         """A plan request's source and destination, read by `point`, and departure second; reverts on bad DMS, then date."""
@@ -297,27 +312,6 @@ class UssContract:
         return MissionPlan(args["droneId"], caller, *texts, depart_s, arrival_s, src, dst, self.params.altitude_m,
                            self.alt_band, route, compute_rid_vc(nonce, caller, *texts))
 
-    def escrow_move(self, verdict: str, forfeited: int) -> int:
-        """What a report's verdict moves into its mission's escrow: the bonus, or minus the fine the deposit still covers."""
-        if verdict == VERDICT_REWARD:
-            return self.params.bonus_unit
-        if verdict == VERDICT_PENALTY:
-            return -min(self.params.fine_unit, self.params.fee_params.deposit - forfeited)
-        raise ValueError(f"unknown verdict {verdict!r}")
-
-    def settlement(self, drone_id: int, owner: AccountId) -> dict[str, Any]:
-        """report_completion's payload: payout, counters and the owner's new reputation; LedgerError if escrow differs."""
-        record, fee_params = self.authority.record(drone_id), self.params.fee_params
-        rewards, penalties = record.rewards, record.penalties
-        payout = max(0, fee_params.deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
-        if (escrow := self.missions[drone_id].escrow) != payout:
-            raise LedgerError(f"escrow for drone {drone_id} holds {escrow}, settlement formula pays {payout}")
-        rep_micro = economics.reputation(rewards, penalties)
-        k_micro = economics.update_k(rep_micro, self.reputation_of(owner).k_micro, fee_params.alpha_micro,
-                                     fee_params.k_min_micro)
-        return {"droneId": drone_id, "payout": payout, "rewards": rewards, "penalties": penalties,
-                "reputationMicro": rep_micro, "kMicro": k_micro}
-
     # -- operations ---------------------------------------------------------
 
     def op_subscribe(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
@@ -329,9 +323,7 @@ class UssContract:
             raise ContractRevert(REVERT_ALREADY_SUBSCRIBED)
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
-        expiry = self.subscription_expiry(self.ledger.clock)
-        self._subscribe(Subscription(drone_id, caller, value, expiry))
-        return {"droneId": drone_id, "expiry": expiry}
+        return self._subscribe(drone_id, caller, value, self.ledger.clock)
 
     def op_request_quote(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         drone_id = args["droneId"]
@@ -357,10 +349,8 @@ class UssContract:
 
         nonce = self._next_nonce()
         plan = self.plan_for(caller, args, nonce, points)
-        deposit = self.params.fee_params.deposit
-        self._open_mission(drone_id, plan, nonce, deposit)
-        self.ledger.transfer(self.treasury, self.escrow, deposit)
-        self.ledger.on_commit(functools.partial(self.index_plan, plan))
+        self._open_mission(drone_id, plan, nonce)
+        self.index_plan(plan)  # last: nothing below can revert
         return {**plan.to_public_dict(), "fee": fee, "congestion": congestion}
 
     def schedule_route(
@@ -377,7 +367,7 @@ class UssContract:
         buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
         near = range(-buf_cells, buf_cells + 1)
         offsets = [(dlat, dlon) for dlat in near for dlon in near]
-        for window in route if cells else ():  # an empty index, as while apply_log builds plans, has no conflict
+        for window in route if cells else ():  # an empty index, as while restore builds plans, has no conflict
             lat, lon = window.lat_idx, window.lon_idx
             for dlat, dlon in offsets:
                 plans = cells.get((lat + dlat, lon + dlon))  # get, not [], so a miss adds no empty cell
@@ -411,19 +401,9 @@ class UssContract:
                                              plan.destination, plan.departure_date, plan.departure_time):
             raise ContractRevert(REVERT_INVALID_REPORT)
 
-        self.ledger.transfer(self.treasury, caller, self.params.reporter_reward)
         self.ledger.emit("DroneSighted", droneId=drone_id, sightingLocation=args["sightingLocation"], reporter=caller)
-
         verdict = VERDICT_REWARD if self._sighting_matches_plan(plan, sighting_cell, sighting_time) else VERDICT_PENALTY
-        escrowed = self.escrow_move(verdict, mission.forfeited)
-        if verdict == VERDICT_REWARD:
-            self.ledger.transfer(self.treasury, self.escrow, escrowed)
-        else:
-            self.ledger.transfer(self.escrow, self.treasury, -escrowed)
-        self._record_sighting(
-            SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict), escrowed
-        )
-        return {"verdict": verdict, "reporterReward": self.params.reporter_reward}
+        return self._record_sighting(SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict))
 
     def _sighting_matches_plan(self, plan: MissionPlan, cell: tuple[int, int], at_s: int) -> bool:
         """Same cell as the plan within the temporal tolerance window."""
@@ -448,61 +428,59 @@ class UssContract:
         if not matches:
             raise ContractRevert(REASON_INVALID_RIDVC)
 
-        payload = self.settlement(drone_id, caller)
-        self.ledger.transfer(self.escrow, caller, payload["payout"])
-        self._close_mission(drone_id, caller, economics.ReputationState(payload["reputationMicro"], payload["kMicro"]))
-        self.ledger.on_commit(functools.partial(self._unindex_plan, plan))
+        payload = self._close_mission(drone_id, caller)
         self.ledger.emit("missionComplete", ridVc=plan.rid_vc.hex(), droneId=drone_id)
+        self._unindex_plan(plan)  # last: nothing below can revert, and its KeyError rolls the op back
         return payload
 
-    def apply_log(self, successes: Iterable[TransactionRecord]) -> None:
-        """Apply logged successes, in log order, through the writers their ops call.
+    # -- folds: restore re-applies each logged success through its op's writers (Ledger.apply_log)
 
-        Each success's payload and balanceDeltas are recomputed through its op's calculators, and a mismatch raises
-        ValueError; a plan is built, compared and indexed only if no later settlement removes it, with each distinct DMS
-        string parsed once. Taken as given: a report's verdict, a plan's fee and congestion, RID checks and deconfliction.
+    def _owned(self, tx: TransactionRecord) -> int:
+        """The drone id of a logged success that only the drone's owner may make; ValueError for another caller."""
+        drone_id = tx.args["droneId"]
+        if self.authority.record(drone_id).owner_account != tx.caller:
+            raise ValueError(f"tx {tx.tx_id} ({tx.op}) is not made by the owner of drone {drone_id}")
+        return drone_id
+
+    def fold_subscribe(self, tx: TransactionRecord) -> dict[str, Any]:
+        drone_id = self._owned(tx)
+        if tx.value != self.params.subscription_fee:
+            raise ValueError(f"tx {tx.tx_id} pays {tx.value} for a subscription")
+        return self._subscribe(drone_id, tx.caller, tx.value, tx.timestamp)
+
+    def fold_request_plan(self, tx: TransactionRecord) -> dict[str, Any]:
+        """Open the mission; its plan is built and its payload checked at the end only if still active (build_live_plans)."""
+        drone_id = self._owned(tx)
+        self._open_mission(drone_id, None, self._next_nonce())
+        self._unbuilt[drone_id] = tx
+        return tx.payload
+
+    def fold_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
+        """Record the report under its logged verdict, which is taken as given."""
+        args, verdict = tx.args, tx.payload["verdict"]
+        cell = self.grid.cell_of(*self._point(args["sightingLocation"]))
+        return self._record_sighting(SightingRecord(tx.caller, args["droneId"], args["rid"], cell, args["sightingTime"], verdict))
+
+    def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
+        drone_id = self._owned(tx)
+        self._unbuilt.pop(drone_id, None)
+        return self._close_mission(drone_id, tx.caller)
+
+    def build_live_plans(self) -> None:
+        """After restore's walk, build each plan still active from its request's args and nonce, then index them all.
+
+        A plan other than its logged payload (all but `fee` and `congestion`, taken as given) raises ValueError.
+        Built before any is indexed, so building scans no other plan for conflicts.
         """
-        point = functools.cache(geo.parse_dms_pair)
-        deposit = self.params.fee_params.deposit
-        planned: dict[int, TransactionRecord] = {}  # drone id -> its plan's record, while the plan is active
-        for tx in successes:
-            op, args, payload, caller = tx.op, tx.args, tx.payload, tx.caller
-            if op not in ("subscribe", "request_plan", "report_drone", "report_completion"):
-                continue
-            drone_id = args["droneId"]
-            if op == "subscribe":
-                if tx.value != self.params.subscription_fee:
-                    raise ValueError(f"tx {tx.tx_id} pays {tx.value} for a subscription")
-                expiry = self.subscription_expiry(tx.timestamp)
-                _require(tx, {"droneId": drone_id, "expiry": expiry}, (caller, -tx.value), (self.treasury, tx.value))
-                self._subscribe(Subscription(drone_id, caller, tx.value, expiry))
-            elif op == "request_plan":
-                _require(tx, payload, (caller, -tx.value), (self.treasury, tx.value - deposit), (self.escrow, deposit))
-                planned[drone_id] = tx
-                self._open_mission(drone_id, None, self._next_nonce(), deposit)
-            elif op == "report_drone":
-                verdict, reward = payload["verdict"], self.params.reporter_reward
-                escrowed = self.escrow_move(verdict, self.missions[drone_id].forfeited)
-                _require(tx, {"verdict": verdict, "reporterReward": reward},
-                         (caller, reward), (self.treasury, -reward - escrowed), (self.escrow, escrowed))
-                cell = self.grid.cell_of(*point(args["sightingLocation"]))
-                sighting = SightingRecord(caller, drone_id, args["rid"], cell, args["sightingTime"], verdict)
-                self._record_sighting(sighting, escrowed)
-            else:
-                planned.pop(drone_id, None)
-                settled = self.settlement(drone_id, caller)
-                _require(tx, settled, (self.escrow, -settled["payout"]), (caller, settled["payout"]))
-                self._close_mission(
-                    drone_id, caller, economics.ReputationState(settled["reputationMicro"], settled["kMicro"])
-                )
-        for drone_id, tx in planned.items():
+        for drone_id, tx in self._unbuilt.items():
             mission = self.missions[drone_id]
-            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args, point))
+            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args, self._point))
             quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
-            if tx.payload != {**mission.plan.to_public_dict(), **quoted}:
+            if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}):
                 raise ValueError(f"plan for drone {drone_id} is not the one its request_plan args give")
-        for drone_id in planned:  # indexed after all are built, so building scans no other plan for conflicts
+        for drone_id in self._unbuilt:
             self.index_plan(self.missions[drone_id].plan)
+        self._unbuilt.clear()
 
     def export_active_plans(self) -> list[dict[str, Any]]:
         return [self.missions[d].plan.to_public_dict() for d in sorted(self.missions)]

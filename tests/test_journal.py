@@ -135,8 +135,8 @@ def test_exception_after_a_sighting_is_recorded_undoes_the_mission_and_its_count
     kept = (ledger.state_digest(), mission.escrow, mission.forfeited, dict(mission.report_counts))
     record = uss._record_sighting
 
-    def record_then_fail(sighting, escrowed):
-        record(sighting, escrowed)
+    def record_then_fail(sighting):
+        record(sighting)
         written = uss.missions[drone_id]
         assert written.escrow != kept[1] and written.report_counts[bench.reporter] == 1
         raise RuntimeError("after the write")
@@ -164,7 +164,7 @@ def test_view_that_writes_is_refused(write):
         else:
             ledger.transfer(caller, vault, 1)
 
-    ledger.register_op("sneaky", sneaky, view=True)
+    ledger.register_op("sneaky", sneaky)  # no fold: a view
     ledger.genesis()
     digest, logged = ledger.state_digest(), list(ledger.pending)
     with pytest.raises(LedgerError, match="view"):
@@ -303,7 +303,7 @@ DEFAULT_FINE = Scenario().fine_unit
 @example(steps=SETTLE_AND_REPLAN, fine_unit=DEFAULT_FINE)
 @example(steps=FINES_PAST_THE_DEPOSIT, fine_unit=300)
 def test_folding_the_log_gives_the_live_state(steps, fine_unit):
-    """Contract storage and balances are a fold of the logged successes, each recomputed by its op's calculators.
+    """Contract storage and balances are a fold of the logged successes, each re-applied by its op's fold.
 
     The sequences reach records a simulated run never logs, such as
     reports filed by a supplier account, a second plan for a drone
@@ -314,9 +314,8 @@ def test_folding_the_log_gives_the_live_state(steps, fine_unit):
         live.ledger.submit(caller, op, args, value)
     live.ledger.seal_block()
     folded = make_bench(fine_unit=fine_unit)
-    successes = folded.ledger.apply_log(live.ledger.blocks)
-    for contract in (folded.authority, folded.uss):
-        contract.apply_log(successes)
+    folded.ledger.apply_log(live.ledger.blocks)
+    folded.uss.build_live_plans()
     assert folded.ledger.state_digest() == live.ledger.state_digest()
     assert {a: acc.balance for a, acc in folded.ledger.accounts.items()} == {
         a: acc.balance for a, acc in live.ledger.accounts.items()
@@ -436,7 +435,7 @@ def _one_op_ledger(storage, body):
     ledger = Ledger()
     caller = ledger.create_account("operator")
     ledger.attach_storage("test", storage)
-    ledger.register_op("write", lambda _caller, _args: body(ledger))
+    ledger.register_op("write", lambda _caller, _args: body(ledger), fold=lambda _tx: body(ledger))
     return ledger, caller
 
 

@@ -18,6 +18,11 @@ from skyledger.ledger import (
 )
 
 
+def rerun(op):
+    """A toy op's fold: its body run again on the logged caller and args."""
+    return lambda tx: op(tx.caller, tx.args)
+
+
 class ToyContract:
     """Minimal op set to exercise submit/revert semantics in isolation."""
 
@@ -26,12 +31,10 @@ class ToyContract:
         self.vault = ledger.create_account("uss")
         self.storage = {"slots": {}}
         ledger.attach_storage("toy", self.storage)
-        ledger.register_op("set_slot", self.op_set, receiver=self.vault)
-        ledger.register_op("peek", self.op_peek, view=True)
-        ledger.register_op("set_then_fail", self.op_set_then_fail)
-        ledger.register_op("pay_out", self.op_pay_out, args={"amount": int})
-        ledger.register_op("set_on_commit", self.op_set_on_commit, args={"key": str, "then": str})
-        self.committed = []  # keys whose on_commit callback ran, in order
+        ledger.register_op("set_slot", self.op_set, fold=rerun(self.op_set), receiver=self.vault)
+        ledger.register_op("peek", self.op_peek)
+        ledger.register_op("set_then_fail", self.op_set_then_fail, fold=rerun(self.op_set_then_fail))
+        ledger.register_op("pay_out", self.op_pay_out, args={"amount": int}, fold=rerun(self.op_pay_out))
 
     def op_set(self, caller, args):
         self.ledger.touch(self.storage["slots"], args["key"])
@@ -50,26 +53,6 @@ class ToyContract:
     def op_pay_out(self, caller, args):
         self.ledger.transfer(self.vault, caller, args["amount"])
         return {}
-
-    def op_set_on_commit(self, caller, args):
-        """Set a slot and queue a callback, then end as args["then"] says."""
-        key = args["key"]
-        self.ledger.on_commit(lambda: self.committed.append((key, self.storage["slots"][key])))
-        self.ledger.touch(self.storage["slots"], key)
-        self.storage["slots"][key] = "set"
-        if args["then"] == "revert":
-            raise ContractRevert("toy-failure")
-        if args["then"] == "overdraw":
-            self.ledger.transfer(self.vault, caller, 10**9)
-        if args["then"] == "raise":
-            raise RuntimeError("toy bug")
-        if args["then"] == "raise-on-commit":
-            self.ledger.on_commit(self.raise_toy_bug)
-        return {}
-
-    @staticmethod
-    def raise_toy_bug():
-        raise RuntimeError("toy bug in a callback")
 
 
 @pytest.fixture
@@ -223,44 +206,6 @@ class TestSubmit:
         ledger, _, alice, _ = toy
         ids = [ledger.submit(alice, "peek", {"key": "a"}).tx_id for _ in range(5)]
         assert ids == sorted(ids) and len(set(ids)) == 5
-
-
-class TestOnCommit:
-    def test_success_runs_the_callback_on_the_committed_state(self, toy):
-        ledger, contract, alice, _ = toy
-        rec = ledger.submit(alice, "set_on_commit", {"key": "a", "then": "succeed"})
-        assert rec.status == "success" and rec.state_writes == 1
-        assert contract.committed == [("a", "set")]
-        assert ledger._commit_queue == []
-
-    @pytest.mark.parametrize("then", ["revert", "overdraw", "raise"])
-    def test_failure_runs_no_callback_and_leaves_none_queued(self, toy, then):
-        ledger, contract, alice, _ = toy
-        if then == "raise":
-            with pytest.raises(RuntimeError):
-                ledger.submit(alice, "set_on_commit", {"key": "a", "then": then})
-        else:
-            assert ledger.submit(alice, "set_on_commit", {"key": "a", "then": then}).status == "revert"
-        assert contract.committed == []
-        assert ledger._commit_queue == []
-        ledger.submit(alice, "set_on_commit", {"key": "b", "then": "succeed"})
-        assert contract.committed == [("b", "set")]  # the dropped callback does not run later
-
-    def test_a_raising_callback_rolls_the_op_back_and_returns_its_tx_id(self, toy):
-        ledger, contract, alice, _ = toy
-        before = (ledger.state_digest(), list(ledger.pending), ledger._tx_counter)
-        with pytest.raises(RuntimeError, match="callback"):
-            ledger.submit(alice, "set_on_commit", {"key": "a", "then": "raise-on-commit"})
-        assert (ledger.state_digest(), ledger.pending, ledger._tx_counter) == before
-        assert contract.committed == [("a", "set")]  # a callback that ran before the raising one is not undone
-        assert ledger._commit_queue == [] and ledger._journal is None
-        assert ledger.submit(alice, "set_on_commit", {"key": "a", "then": "succeed"}).tx_id == before[2]
-
-    def test_outside_submit_the_callback_runs_at_once(self, toy):
-        ledger, _, _, _ = toy
-        ran = []
-        ledger.on_commit(lambda: ran.append(1))
-        assert ran == [1] and ledger._commit_queue == []
 
 
 class TestBlocks:

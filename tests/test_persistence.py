@@ -239,7 +239,7 @@ def _raised(op, key, by):
 
 def _move(data, tx, account_id, amount):
     """`amount` more for an account in a success's balanceDeltas and in the header's account table."""
-    tx["balanceDeltas"][account_id] += amount
+    tx["balanceDeltas"][account_id] = tx["balanceDeltas"].get(account_id, 0) + amount
     account = next(a for a in data["accounts"] if a["id"] == account_id)
     account["balance"] = str(int(account["balance"]) + amount)
 
@@ -275,6 +275,40 @@ def _dearer_subscription(data):
     sub["value"] += 1
     _move(data, sub, sub["caller"], -1)
     _move(data, sub, _treasury(data), 1)
+
+
+def _seven_to_a_reporter(op):
+    """A forge: 7 units from the caller of the first success of `op` to the first reporter, header matched."""
+    def forge(data):
+        tx = _logged(data, op)
+        _move(data, tx, tx["caller"], -7)
+        _move(data, tx, _first_account(data, "reporter")["id"], 7)
+    return forge
+
+
+def _minted(move):
+    """A forge: the first successful quote renamed to an op no contract registers, with 7 units moved or none."""
+    def forge(data):
+        if move:
+            _seven_to_a_reporter("request_quote")(data)
+        _logged(data, "request_quote")["op"] = "mint"
+    return forge
+
+
+def _as_float(key):
+    """A forge: a settlement payload field written as the equal float."""
+    return lambda data: _logged(data, "report_completion")["payload"].update({key: float(_logged(data, "report_completion")["payload"][key])})
+
+
+def _settled_by_a_reporter(data):
+    """The settlement re-attributed to the first reporter: its caller, its payout's balanceDeltas entry and the header."""
+    settled, reporter = _logged(data, "report_completion"), _first_account(data, "reporter")["id"]
+    owner, payout = settled["caller"], settled["payload"]["payout"]
+    settled["caller"] = reporter
+    settled["balanceDeltas"][reporter] = settled["balanceDeltas"].pop(owner)
+    for account_id, amount in ((owner, -payout), (reporter, payout)):
+        account = next(a for a in data["accounts"] if a["id"] == account_id)
+        account["balance"] = str(int(account["balance"]) + amount)
 
 
 def _flip_verdict(data):
@@ -332,6 +366,21 @@ def _flip_verdict(data):
         pytest.param(_richer_reporter_reward, id="reporter-reward-raised-with-treasury-and-header-to-match"),
         pytest.param(_raised("subscribe", "expiry", 1), id="expiry-raised"),
         pytest.param(_dearer_subscription, id="subscription-fee-raised-with-deltas-and-header-to-match"),
+        # each success re-applies its op's transfers: its balanceDeltas are checked against them, never applied
+        pytest.param(_seven_to_a_reporter("register_drone"), id="registration-moves-money-with-header-to-match"),
+        pytest.param(_seven_to_a_reporter("request_quote"), id="view-moves-money-with-header-to-match"),
+        pytest.param(_minted(move=True), id="unknown-op-moves-money-with-header-to-match"),
+        pytest.param(_minted(move=False), id="unknown-op"),
+        pytest.param(lambda d: _logged(d, "request_quote").update(status="pending"), id="status-pending"),
+        # payloads are compared by type as well as value
+        pytest.param(_as_float("payout"), id="payout-as-float"),
+        pytest.param(_as_float("kMicro"), id="k-micro-as-float"),
+        pytest.param(lambda d: _logged(d, "subscribe").update(value=float(_logged(d, "subscribe")["value"])),
+                     id="subscription-value-as-float"),
+        pytest.param(lambda d: _paying_successes(d)[0]["balanceDeltas"].update(
+            {k: float(v) for k, v in _paying_successes(d)[0]["balanceDeltas"].items()}), id="deltas-as-floats"),
+        # only the drone's owner may settle its mission
+        pytest.param(_settled_by_a_reporter, id="settled-by-a-reporter-with-header-to-match"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):

@@ -507,6 +507,22 @@ class TestAirspaceIndex:
             for t in {ledger.clock, *(t + d for t in ends for d in (-1, 0, 1))}:
                 assert uss.congestion_count(t) == self._scan(uss, t)
 
+    @pytest.mark.parametrize("reason,time", [("schedule-conflict", TIME), ("insufficient-balance", "0005")])
+    def test_a_reverted_plan_leaves_the_index_as_it_was(self, bench, reason, time):
+        """request_plan indexes its plan as its last step, so a plan that reverts never reaches the index."""
+        planned_drone(bench)
+        uss, ledger = bench.uss, bench.ledger
+        other = register(bench, serial="SN-2", caller=bench.second_operator)
+        subscribe(bench, other, caller=bench.second_operator)
+        instants = range(-100, 600, 10)
+        before = (copy.deepcopy(self._index(uss)), [uss.congestion_count(t) for t in instants])
+        value = ledger.balance(bench.second_operator) + 1 if reason == "insufficient-balance" else None
+        rec = plan(bench, other, caller=bench.second_operator, time=time, value=value)
+        assert (rec.status, rec.reason) == ("revert", reason)
+        assert (self._index(uss), [uss.congestion_count(t) for t in instants]) == before
+        assert plan(bench, other, caller=bench.second_operator, time="0005").status == "success"
+        assert self._index(uss) != before[0]  # the same plan, paid for, does reach the index
+
     def test_a_settlement_whose_unindex_fails_changes_nothing(self, bench):
         """A plan missing from one of its route cells: report_completion raises with storage and index as they were."""
         drone_id = planned_drone(bench)
