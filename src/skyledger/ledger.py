@@ -9,19 +9,20 @@ checked after the fact. A block's transactions are JSON-encoded once,
 at seal (Block.body); the hash covers those bytes, and files store them.
 
 State changes are tracked by an undo journal. Before a contract changes
-one slot of its storage (an account, a registry record, one entry of a
-per-drone map, a root scalar, the next index of an append-only list) it
-calls Ledger.touch(container, key), and the first touch in a
-transaction saves a one-level copy of the slot's old value. A revert, or
-any other exception out of an operation, restores the touched slots in
-reverse order; a success meters `stateWrites` from the touched slots
-alone, so the cost of a transaction does not grow with the size of the
-state. Balances change only through transfer(), and a success logs its
-transfers, netted per account, as its `balanceDeltas`. The meter counts
-a dataclass by its declared fields only, read by name; any other
-attribute stored on the instance (a cached_property value) is not state.
-Because the copy is one level deep, a write may change only the slot
-value's own fields or keys in place; an object nested below them must be
+one slot of its storage (a registry record, one entry of a per-drone
+map, a root scalar, the next index of an append-only list) it calls
+Ledger.touch(container, key). The first touch in a transaction keeps the
+slot's object and its contents: a dict's or list's entries, or a
+dataclass's field values. A revert, or any other exception out of an
+operation, puts each touched slot's own object back in reverse order,
+with those contents; a success meters `stateWrites` from the touched
+slots alone, so a transaction's cost does not grow with the state.
+Balances change only through transfer(), which journals nothing: a
+transaction's net move per account is undone by subtraction, logged as
+its `balanceDeltas`, and metered as one write per account it moved. The
+meter counts a dataclass by its declared fields only; any other
+attribute on the instance (a cached_property value) is not state. The
+contents are one level deep, so an object nested below them must be
 replaced, never mutated, unless each entry it changes is touched as a
 slot of its own.
 An operation registered without a fold is a view: it opens no journal
@@ -67,7 +68,7 @@ class UnknownAccount(LedgerError):
 
 
 class InsufficientBalance(LedgerError):
-    pass
+    reason = REASON_INSUFFICIENT_BALANCE
 
 
 class ContractRevert(Exception):
@@ -105,9 +106,7 @@ def same_fields(logged: Any, expected: dict[str, Any]) -> bool:
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...] | None:
     """Field names of a dataclass type, None for any other type."""
-    if dataclasses.is_dataclass(cls):
-        return tuple(f.name for f in dataclasses.fields(cls))
-    return None
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
 
 
 @functools.cache
@@ -145,9 +144,16 @@ def count_leaves(obj: Any) -> int:
         values = obj.values() if isinstance(obj, dict) else obj
     else:
         return 1
+    if _SCALAR_TYPES.issuperset(map(type, values)):  # all scalars: one C-level test
+        return len(values)
     total = 0
     for v in values:
-        total += 1 if type(v) in _SCALAR_TYPES else count_leaves(v)
+        if type(v) in _SCALAR_TYPES:
+            total += 1
+        elif isinstance(v, tuple) and v and _SCALAR_TYPES.issuperset(map(type, v)):  # a route's CellWindow
+            total += len(v)
+        else:
+            total += count_leaves(v)
     return total
 
 
@@ -178,6 +184,12 @@ def diff_count(before: Any, after: Any) -> int:
         pairs = zip(before, after)
     else:
         return 0 if before == after else 1
+    return total + _pairs_diff(pairs)
+
+
+def _pairs_diff(pairs: Any) -> int:
+    """diff_count summed over (old, new) pairs of fields or entries."""
+    total = 0
     for old, new in pairs:
         if old is new:
             continue
@@ -190,21 +202,18 @@ def diff_count(before: Any, after: Any) -> int:
     return total
 
 
-def _copy_slot(value: Any) -> Any:
-    """One level deep: a fresh dict, list or dataclass instance; anything else as it is."""
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, list):
-        return list(value)
-    cls = type(value)
-    fields_of = _field_values(cls)  # every journaled dataclass has init fields only and no __post_init__
-    return value if fields_of is None else cls(*fields_of(value))
+def _contents(value: Any) -> Any:
+    """What touch keeps besides the object: a copy of a dict's or list's entries, a dataclass's field values, else None."""
+    if isinstance(value, (dict, list)):
+        return value.copy()
+    fields_of = _field_values(type(value))
+    return None if fields_of is None else fields_of(value)
 
 
 _ABSENT = object()  # journal value of a slot that does not exist
 
-# (id(container), key) -> (container, key, value before the transaction)
-_Journal = dict[tuple[int, Any], tuple[Any, Any, Any]]
+# (id(container), key) -> (container, key, object in the slot before the transaction, its contents then)
+_Journal = dict[tuple[int, Any], tuple[Any, Any, Any, Any]]
 
 
 def _read_slot(container: dict | list, key: Any) -> Any:
@@ -213,21 +222,16 @@ def _read_slot(container: dict | list, key: Any) -> Any:
     return container.get(key, _ABSENT)
 
 
-def _restore_slot(container: dict | list, key: Any, old: Any) -> None:
-    if old is not _ABSENT:
-        container[key] = old
-    elif isinstance(container, list):
-        del container[key:]
-    else:
-        container.pop(key, None)
-
-
-def _slot_writes(old: Any, new: Any) -> int:
-    """diff_count for one slot; a slot that appeared or vanished counts all its leaves."""
-    if old is _ABSENT:
-        return 0 if new is _ABSENT else count_leaves(new)
-    if new is _ABSENT:
-        return count_leaves(old)
+def _slot_writes(old: Any, contents: Any, new: Any) -> int:
+    """diff_count for one slot, from the contents it had when first touched; a slot that appeared or vanished counts whole."""
+    if type(contents) is tuple:  # a dataclass's field values
+        if new is old:
+            return _pairs_diff(zip(contents, _field_values(type(old))(old)))
+        old = type(old)(*contents)  # built only for a slot that was replaced or deleted
+    elif contents is not None:
+        old = contents  # a dict's or list's entries
+    if old is _ABSENT or new is _ABSENT:
+        return 0 if old is new else count_leaves(new if old is _ABSENT else old)
     return diff_count(old, new)
 
 
@@ -388,8 +392,8 @@ class Ledger:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         src_acc, dst_acc = self.account(src), self.account(dst)
-        self.touch(self.accounts, src)
-        self.touch(self.accounts, dst)
+        if self._view_running:
+            raise LedgerError("view operation tried to move money")
         if src_acc.balance < amount:
             raise InsufficientBalance(f"{src} holds {src_acc.balance}, needs {amount}")
         src_acc.balance -= amount
@@ -431,19 +435,15 @@ class Ledger:
         """Declare that the running transaction is about to change container[key].
 
         Call before every write: assignment, deletion, in-place change of
-        the value, or append (key = len(list)).
+        the value, or append (key = len(list)). A revert puts the slot's
+        own object back, with the fields or entries it had then.
 
-        The journal keeps a one-level copy of the old value: a dict or
-        list is copied, a dataclass instance becomes a fresh instance
-        holding the same field values, and an immutable value is kept
-        as it is. So a write may change only the value's own fields or
-        keys in place (`account.balance -= x`, `counts[caller] = 1`) or
-        replace or delete the whole value; an object nested below the
-        value (a plan's route, a list inside a dict entry) must be
-        replaced, never mutated, or a revert would not undo it. The one
-        exception: a container held in the slot's value may change in
-        place through touches of its own entries, because the copy
-        shares it (a mission and the entries of its report_counts).
+        A write may change the value's own fields or keys in place or
+        replace or delete it; a nested object (a plan's route) is
+        replaced, never mutated, unless its entries are touched as slots
+        of their own (a mission's report_counts). A replaced or deleted
+        dataclass slot is metered against an instance built from its kept
+        field values, so its class has init fields only, no __post_init__.
         """
         if self._view_running:
             raise LedgerError("view operation tried to change storage")
@@ -453,7 +453,7 @@ class Ledger:
         slot = (id(container), key)
         if slot not in journal:
             old = _read_slot(container, key)
-            journal[slot] = (container, key, old if old is _ABSENT else _copy_slot(old))
+            journal[slot] = (container, key, old, _contents(old))
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing."""
@@ -524,25 +524,22 @@ class Ledger:
                 self.transfer(caller, spec.receiver, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
-        except ContractRevert as exc:
-            self._undo(journal)
+        except (ContractRevert, InsufficientBalance) as exc:
+            self._undo(journal, moves)
             rec.status, rec.reason, rec.payload = "revert", exc.reason, None
-        except InsufficientBalance:
-            self._undo(journal)
-            rec.status, rec.reason, rec.payload = "revert", REASON_INSUFFICIENT_BALANCE, None
         except BaseException:
-            self._undo(journal)
+            self._undo(journal, moves)
             self._tx_counter -= 1
             raise
         else:
             if journal:
                 self._meter(rec, journal)
-            if moves:
+            if moves:  # an account's one changing field is its balance, written where the net move is not 0
                 rec.balance_deltas = _deltas(moves)
+                rec.state_writes += len(rec.balance_deltas)
             rec.events = self._event_buffer
         finally:
-            self._journal, self._view_running, self._moves = None, False, None
-            self._event_buffer = []
+            self._journal, self._view_running, self._moves, self._event_buffer = None, False, None, []
         self.pending.append(rec)
         return rec
 
@@ -551,14 +548,31 @@ class Ledger:
         self._tx_counter += 1
         return tx_id
 
-    @staticmethod
-    def _undo(journal: _Journal | None) -> None:
-        for container, key, old in reversed(journal.values() if journal else ()):
-            _restore_slot(container, key, old)
+    def _undo(self, journal: _Journal | None, moves: dict[AccountId, int]) -> None:
+        """Subtract each net move, then put each touched slot's own object back with the contents it had when first touched."""
+        for account, move in moves.items():
+            self.accounts[account].balance -= move
+        for container, key, old, contents in reversed(journal.values() if journal else ()):
+            if old is _ABSENT:
+                if isinstance(container, list):
+                    del container[key:]
+                else:
+                    container.pop(key, None)
+                continue
+            container[key] = old
+            if type(contents) is tuple:  # a dataclass's field values
+                for name, value in zip(_field_names(type(old)), contents):
+                    if getattr(old, name) is not value:  # a frozen instance never differs
+                        setattr(old, name, value)
+            elif isinstance(old, list):
+                old[:] = contents
+            elif contents is not None:
+                old.clear()
+                old.update(contents)
 
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
         writes = 0
-        for container, key, old in journal.values():
+        for container, key, old, contents in journal.values():
             if isinstance(container, list):  # _read_slot and, for two scalars, diff_count inlined
                 new = container[key] if key < len(container) else _ABSENT
             else:
@@ -566,7 +580,7 @@ class Ledger:
             if type(old) is type(new) and type(old) in _SCALAR_TYPES:
                 writes += old != new
             else:
-                writes += _slot_writes(old, new)
+                writes += _slot_writes(old, contents, new)
         rec.state_writes += writes
 
     # -- blocks -----------------------------------------------------------

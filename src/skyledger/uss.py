@@ -456,10 +456,12 @@ class UssContract:
         return tx.payload
 
     def fold_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
-        """Record the report under its logged verdict, which is taken as given."""
-        args, verdict = tx.args, tx.payload["verdict"]
+        """Record the report under its logged verdict, which is taken as given; ValueError for the owner or a second report."""
+        args, verdict, drone_id = tx.args, tx.payload["verdict"], tx.args["droneId"]
+        if tx.caller == self.authority.record(drone_id).owner_account or tx.caller in self.missions[drone_id].report_counts:
+            raise ValueError(f"tx {tx.tx_id} reports drone {drone_id} as its owner or a second time")
         cell = self.grid.cell_of(*self._point(args["sightingLocation"]))
-        return self._record_sighting(SightingRecord(tx.caller, args["droneId"], args["rid"], cell, args["sightingTime"], verdict))
+        return self._record_sighting(SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], verdict))
 
     def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
         drone_id = self._owned(tx)

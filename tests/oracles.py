@@ -101,6 +101,28 @@ def forge_snapshot(snap: bytes, forge) -> bytes:
     return edit_snapshot(snap, reseal)
 
 
+def reattribute_report(data: dict, report: dict, caller: str) -> None:
+    """Make a logged report success `caller`'s: its caller, its reporter reward's balanceDeltas entry and the two header balances.
+
+    `data` is the dict forge_snapshot hands to its forge, and `report` one of its records.
+    """
+    reward = report["balanceDeltas"].pop(report["caller"])
+    report["balanceDeltas"][caller] = report["balanceDeltas"].get(caller, 0) + reward
+    for account_id, amount in ((report["caller"], -reward), (caller, reward)):
+        account = next(a for a in data["accounts"] if a["id"] == account_id)
+        account["balance"] = str(int(account["balance"]) + amount)
+    report["caller"] = caller
+
+
+def report_by_owner(data: dict) -> None:
+    """A forge for forge_snapshot: the first successful report re-attributed to the owner of the drone it reports."""
+    records = [tx for block in data["chain"] for tx in block["transactions"] if tx["status"] == "success"]
+    report = next(tx for tx in records if tx["op"] == "report_drone")
+    owner = next(tx["caller"] for tx in records
+                 if tx["op"] == "register_drone" and tx["payload"]["droneId"] == report["args"]["droneId"])
+    reattribute_report(data, report, owner)
+
+
 def float_distance_m(grid: geo.GridConfig, a: tuple[int, int], b: tuple[int, int]) -> float:
     """Metres between two arcsecond positions, in floating point."""
     dy = grid.meters(a[0] - b[0])

@@ -521,3 +521,88 @@ def test_journal_never_deep_copies(monkeypatch):
     monkeypatch.setattr(copy, "deepcopy", refuse)
     metrics, world = run(compliant_scenario())
     assert metrics.transactions > 1 and world.ledger.verify_chain()
+
+
+# -- balances are undone and metered from the transaction's own moves; slots keep their objects ---------------------
+
+@dataclasses.dataclass
+class _Tally:
+    count: int
+    note: str
+
+
+# a step: ("transfer", src, dst, amount) between accounts 0-2, or a write to storage
+_transfer = st.tuples(st.just("transfer"), st.integers(0, 2), st.integers(0, 2), st.integers(0, 12))
+_write = st.sampled_from([("bump",), ("tag",), ("replace",), ("append",), ("drop",)])
+_ENDINGS = ("success", "revert", "raise")
+
+
+def _transfer_chain_ledger(steps, ending):
+    """A ledger whose op "chain" runs `steps`, then succeeds, reverts or raises RuntimeError; and its three accounts."""
+    ledger = Ledger()
+    storage = {"tallies": [_Tally(0, "a")], "tags": {"x": {"n": 1}, "y": {"n": 2}}}
+    ledger.attach_storage("chain", storage)
+    accounts = [ledger.create_account("operator", balance) for balance in (10, 5, 0)]
+
+    def chain(_caller, _args):
+        tallies, tags = storage["tallies"], storage["tags"]
+        for step in steps:
+            if step[0] == "transfer":
+                ledger.transfer(accounts[step[1]], accounts[step[2]], step[3])
+            elif step[0] == "bump":  # a dataclass changed in place
+                ledger.touch(tallies, 0)
+                tallies[0].count += 1
+            elif step[0] == "tag":  # a dict entry's own keys changed in place
+                ledger.touch(tags, "x")
+                tags["x"]["n"] += 1
+            elif step[0] == "replace":
+                ledger.touch(tallies, 0)
+                tallies[0] = _Tally(tallies[0].count, "b")
+            elif step[0] == "append":
+                ledger.touch(tallies, len(tallies))
+                tallies.append(_Tally(0, "c"))
+            else:  # "drop"
+                ledger.touch(tags, "y")
+                tags.pop("y", None)
+        if ending == "revert":
+            raise ledger_module.ContractRevert("after-the-moves")
+        if ending == "raise":
+            raise RuntimeError("after the moves")
+
+    ledger.register_op("chain", chain, fold=lambda _tx: None)
+    ledger.genesis()
+    return ledger, storage, accounts
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.one_of(_transfer, _transfer, _write), max_size=8), ending=st.sampled_from(_ENDINGS))
+@example(steps=[("transfer", 0, 0, 4), ("bump",)], ending="success")  # a self-transfer moves nothing
+@example(steps=[("transfer", 0, 1, 3), ("transfer", 1, 0, 3), ("tag",)], ending="success")  # A -> B -> A nets to zero
+@example(steps=[("transfer", 0, 1, 3), ("bump",), ("transfer", 2, 1, 1), ("tag",)], ending="success")  # too poor
+@example(steps=[("transfer", 0, 1, 3), ("replace",), ("tag",), ("drop",)], ending="revert")
+@example(steps=[("transfer", 1, 2, 2), ("bump",), ("append",), ("tag",)], ending="raise")
+def test_transfer_chains_match_whole_tree_oracle_and_undo_in_place(steps, ending):
+    """A revert or an escaping error puts back each touched slot's own object, with its old field values and entries."""
+    ledger, storage, accounts = _transfer_chain_ledger(steps, ending)
+    tally, tags, tag_x, tag_y = storage["tallies"][0], storage["tags"], storage["tags"]["x"], storage["tags"]["y"]
+    balances, digest, logged = [ledger.balance(a) for a in accounts], ledger.state_digest(), list(ledger.pending)
+    submit = oracles.WholeTreeSubmit(Ledger.submit)
+    try:
+        rec = submit(ledger, accounts[0], "chain")
+    except RuntimeError as exc:
+        assert (ending, str(exc)) == ("raise", "after the moves")
+        assert ledger.pending == logged
+        rec = None
+    else:
+        assert_matches_oracle(submit.checked)
+        assert ledger.pending == logged + [rec] and rec.tx_id == logged[-1].tx_id + 1
+        if rec.status == "success":
+            assert ending == "success"
+            return
+        assert rec.reason == "insufficient-balance" or (ending, rec.reason) == ("revert", "after-the-moves")
+    assert ledger.state_digest() == digest
+    assert [ledger.balance(a) for a in accounts] == balances
+    assert storage["tallies"] == [tally] and storage["tallies"][0] is tally and (tally.count, tally.note) == (0, "a")
+    assert storage["tags"] is tags and tags["x"] is tag_x and tags["y"] is tag_y
+    assert tags == {"x": {"n": 1}, "y": {"n": 2}}
+    assert ledger.submit(accounts[1], "next").tx_id == logged[-1].tx_id + 1 + (rec is not None)  # dense tx ids

@@ -311,6 +311,13 @@ def _settled_by_a_reporter(data):
         account["balance"] = str(int(account["balance"]) + amount)
 
 
+def _report_twice(data):
+    """The first report's reporter made the second report on the same mission too, header matched."""
+    first, second = _successes(data, "report_drone")[:2]
+    assert first["args"]["droneId"] == second["args"]["droneId"] and first["caller"] != second["caller"]
+    oracles.reattribute_report(data, second, first["caller"])
+
+
 def _flip_verdict(data):
     report = _logged(data, "report_drone")
     assert report["payload"]["verdict"] == "reward"
@@ -381,6 +388,9 @@ def _flip_verdict(data):
             {k: float(v) for k, v in _paying_successes(d)[0]["balanceDeltas"].items()}), id="deltas-as-floats"),
         # only the drone's owner may settle its mission
         pytest.param(_settled_by_a_reporter, id="settled-by-a-reporter-with-header-to-match"),
+        # a report is by anyone but the drone's owner, at most once per reporter and mission
+        pytest.param(oracles.report_by_owner, id="report-by-owner"),
+        pytest.param(_report_twice, id="report-twice"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
