@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -124,22 +127,34 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot create output directory {out_dir}: {exc.strerror}")
+    staging = None
     try:
         world = World(scenario)
         world.run_to_end()
         metrics = world.metrics()
-        name = scenario.name
-        persistence.write_metrics(out / f"{name}.metrics.json", metrics)
-        persistence.write_chain_jsonl(out / f"{name}.chain.jsonl", world.ledger.blocks)
-        persistence.write_trace_csv(out / f"{name}.trace.csv", world)
-        persistence.write_events_jsonl(out / f"{name}.events.jsonl", world.ledger.blocks)
-        (out / f"{name}.state.json").write_bytes(persistence.snapshot_world(world))
-        persistence.write_reputation_surface_csv(out / "reputation_surface.csv")
-        persistence.write_congestion_fee_csv(out / "congestion_fee.csv", scenario)
-    except OSError as exc:  # from a writer (the run itself opens no file); the files written before it stay
-        return _fail(EXIT_CONFIG, f"cannot write {exc.filename or out}: {exc.strerror}")
+        name, blocks = scenario.name, world.ledger.blocks
+        artifacts: dict[str, Callable[[Path], Any]] = {  # file name -> its writer, in writing order
+            f"{name}.metrics.json": lambda path: persistence.write_metrics(path, metrics),
+            f"{name}.chain.jsonl": lambda path: persistence.write_chain_jsonl(path, blocks),
+            f"{name}.trace.csv": lambda path: persistence.write_trace_csv(path, world),
+            f"{name}.events.jsonl": lambda path: persistence.write_events_jsonl(path, blocks),
+            f"{name}.state.json": lambda path: path.write_bytes(persistence.snapshot_world(world)),
+            "reputation_surface.csv": persistence.write_reputation_surface_csv,
+            "congestion_fee.csv": lambda path: persistence.write_congestion_fee_csv(path, scenario),
+        }
+        staging = Path(tempfile.mkdtemp(prefix=".skyledger-run-", dir=out))  # all are written here before any is moved
+        for file, write in artifacts.items():
+            write(staging / file)
+        for file in artifacts:
+            os.replace(staging / file, out / file)
+    except OSError as exc:  # from a writer or a rename (the run itself opens no file); named by its place in out
+        return _fail(EXIT_CONFIG, f"cannot write {out / Path(exc.filename).name if staging and exc.filename else out}: "
+                                  f"{exc.strerror}")
     except Exception as exc:  # noqa: BLE001 -- CLI boundary maps failures to exit 3
         return _fail(EXIT_RUNTIME, f"scenario failed: {exc}")
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
     if not quiet:
         _print_summary(metrics)

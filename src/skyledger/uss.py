@@ -22,11 +22,13 @@ from __future__ import annotations
 import datetime
 import functools
 import hashlib
+import operator
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from . import economics, geo
@@ -60,6 +62,7 @@ VERDICT_REWARD = "reward"
 VERDICT_PENALTY = "penalty"
 
 SUBSCRIPTION_PERIOD_S = 365 * 86400
+_ENTER = operator.itemgetter(0)  # an airspace index entry's enter_s
 PlanPoints = tuple[tuple[int, int], tuple[int, int], int]  # a plan's source and destination arcseconds, departure second
 
 
@@ -161,7 +164,9 @@ class UssContract:
             "nonce_counter": 0,       # missions planned so far; the next nonce's counter
         }
         self._nonce_seed = nonce_seed
-        self._cells: dict[tuple[int, int], dict[int, geo.CellWindow]] = defaultdict(dict)  # cell -> {drone id: window}
+        # lat -> lon -> the cell's (enter_s, drone id, window) in time order; _longest bounds every exit_s - enter_s
+        self._cells: dict[int, dict[int, list[tuple[int, int, geo.CellWindow]]]] = defaultdict(lambda: defaultdict(list))
+        self._longest = 0
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
         self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> request of a plan restore has yet to build
         self._point = functools.cache(geo.parse_dms_pair)  # restore's DMS reader: each distinct string parsed once
@@ -188,23 +193,30 @@ class UssContract:
 
     def index_plan(self, plan: MissionPlan) -> None:
         """Add an active plan to the airspace index, which lives outside storage: an op changes it last, past any revert."""
-        buf = self.params.deconfliction_time_buffer_s
+        buf, drone_id, longest = self.params.deconfliction_time_buffer_s, plan.drone_id, self._longest
         for w in plan.route:
-            self._cells[w.lat_idx, w.lon_idx][plan.drone_id] = w
+            lat, lon, _, enter_s, exit_s = w  # unpacked: a tuple's field reads cost more than a dataclass's
+            insort(self._cells[lat][lon], (enter_s, drone_id, w))
+            if exit_s - enter_s > longest:  # an if, not max(): a builtin call per window costs more
+                longest = exit_s - enter_s
+        self._longest = longest  # never lowered: an upper bound is all the check needs
         insort(self._opens, plan.departure_epoch - buf)
         insort(self._closes, plan.arrival_epoch + buf)
 
     def _unindex_plan(self, plan: MissionPlan) -> None:
         """Take a settled plan out of the airspace index; one missing from any of its cells raises KeyError and changes nothing."""
         buf = self.params.deconfliction_time_buffer_s
-        cells = [(w.lat_idx, w.lon_idx) for w in plan.route]  # a straight route enters each cell once
-        if not all(plan.drone_id in self._cells.get(cell, ()) for cell in cells):
+        entries = [(w.lat_idx, w.lon_idx, (w.enter_s, plan.drone_id, w)) for w in plan.route]
+        if not all(entry in self._cells.get(lat, {}).get(lon, ()) for lat, lon, entry in entries):
             raise KeyError(plan.drone_id)
-        for cell in cells:
-            plans = self._cells[cell]
-            del plans[plan.drone_id]
-            if not plans:
-                del self._cells[cell]
+        for lat, lon, entry in entries:
+            row = self._cells[lat]
+            windows = row[lon]
+            del windows[bisect_left(windows, entry)]
+            if not windows:
+                del row[lon]
+                if not row:
+                    del self._cells[lat]
         del self._opens[bisect_left(self._opens, plan.departure_epoch - buf)]
         del self._closes[bisect_left(self._closes, plan.arrival_epoch + buf)]
 
@@ -360,21 +372,28 @@ class UssContract:
 
         Reverts "schedule-conflict" when any cell-time window comes
         within the deconfliction buffer (1 cell, 60 s by default) of an
-        active plan's occupancy.
+        active plan's occupancy. In each nearby cell only the windows
+        entering in [enter - buffer - longest, exit + buffer] can conflict,
+        so it bisects to them and windows_conflict decides each.
         """
         duration = geo.flight_duration_s(self.grid, src, dst, self.params.cruise_speed_mps)
         route = geo.route_occupancy(self.grid, src, dst, depart_s, duration, self.alt_band)
         buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
         near = range(-buf_cells, buf_cells + 1)
-        offsets = [(dlat, dlon) for dlat in near for dlon in near]
+        reach = buf_s + self._longest  # a window entering earlier than this before ours has left too early to conflict
         for window in route if cells else ():  # an empty index, as while restore builds plans, has no conflict
-            lat, lon = window.lat_idx, window.lon_idx
-            for dlat, dlon in offsets:
-                plans = cells.get((lat + dlat, lon + dlon))  # get, not [], so a miss adds no empty cell
-                if plans:
-                    for other in plans.values():
-                        if geo.windows_conflict(window, other, buf_cells, buf_s):
-                            raise ContractRevert(REASON_SCHEDULE_CONFLICT)
+            lat, lon, _, enter_s, exit_s = window
+            earliest, latest = enter_s - reach, exit_s + buf_s
+            for dlat in near:
+                row = cells.get(lat + dlat)  # get, not [], so a miss adds no empty row or cell
+                if row:
+                    for dlon in near:
+                        windows = row.get(lon + dlon, ())
+                        i = bisect_left(windows, earliest, key=_ENTER)
+                        while i < len(windows) and windows[i][0] <= latest:
+                            if geo.windows_conflict(window, windows[i][2], buf_cells, buf_s):
+                                raise ContractRevert(REASON_SCHEDULE_CONFLICT)
+                            i += 1
         return route, depart_s + duration
 
     def op_report_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
@@ -471,14 +490,15 @@ class UssContract:
     def build_live_plans(self) -> None:
         """After restore's walk, build each plan still active from its request's args and nonce, then index them all.
 
-        A plan other than its logged payload (all but `fee` and `congestion`, taken as given) raises ValueError.
-        Built before any is indexed, so building scans no other plan for conflicts.
+        A plan other than its logged payload (all but `fee` and `congestion`, taken as given), by type too for the
+        route windows' values, raises ValueError. Built before any is indexed, so building scans no other plan for conflicts.
         """
         for drone_id, tx in self._unbuilt.items():
             mission = self.missions[drone_id]
             mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args, self._point))
             quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
-            if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}):
+            if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}) or (
+                    {*map(type, chain.from_iterable(map(dict.values, tx.payload["route"])))} - {int}):  # 60.0 or True
                 raise ValueError(f"plan for drone {drone_id} is not the one its request_plan args give")
         for drone_id in self._unbuilt:
             self.index_plan(self.missions[drone_id].plan)

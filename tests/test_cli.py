@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 
@@ -23,6 +24,7 @@ class TestRun:
             assert (tmp_path / f"demo.{suffix}").exists(), suffix
         assert (tmp_path / "reputation_surface.csv").exists()
         assert (tmp_path / "congestion_fee.csv").exists()
+        assert len(list(tmp_path.iterdir())) == 7  # the staging directory is gone
         out = capsys.readouterr().out
         assert "payout" in out and "chain head" in out
 
@@ -105,8 +107,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot write {tmp_path / taken}: ") and err.count("\n") == 1, err
         assert "scenario failed" not in err
-        if taken == "demo.state.json":  # the files written before it stay on disk
+        if taken == "demo.state.json":  # every file is written; the ones renamed into place before it stay there
             assert all((tmp_path / f"demo.{s}").is_file() for s in ("metrics.json", "chain.jsonl", "trace.csv"))
+        assert not list(tmp_path.glob(".skyledger-run-*"))  # the staging directory is gone
+
+    @pytest.mark.parametrize("failure", ["os-error", "other-error"])
+    def test_a_writer_that_fails_adds_no_file_to_out(self, tmp_path, demo_scenario_path, capsys, monkeypatch, failure):
+        """Each file is staged under --out and moved into place only once all are written."""
+        (tmp_path / "kept.txt").write_text("from before")
+
+        def failing(path, blocks):
+            if failure == "os-error":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(persistence, "write_events_jsonl", failing)  # the fourth of seven writers
+        code = run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--quiet")
+        err = capsys.readouterr().err
+        if failure == "os-error":
+            assert code == 2 and err == f"cannot write {tmp_path / 'demo.events.jsonl'}: No space left on device\n"
+        else:
+            assert code == 3 and err == "scenario failed: boom\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
 
 class TestVerify:

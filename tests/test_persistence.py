@@ -7,14 +7,14 @@ import json
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from conftest import REPO_ROOT, SRC, UNSEALED_SNAPSHOT_EDITS, compliant_scenario, deviating_scenario
+from conftest import REPO_ROOT, SRC, UNSEALED_SNAPSHOT_EDITS, compliant_scenario, deviating_scenario, dms
 from skyledger import persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
-from skyledger.sim import World, run
+from skyledger.sim import BEHAVIOR_KINDS, HONESTY_KINDS, Scenario, ScenarioError, World, run
 from test_golden import SNAPSHOT_GOLDEN
 from test_sensing import sensing_scenarios
 
@@ -89,6 +89,103 @@ def test_checkpoint_resume_equals_straight_through(name, tick):
     assert canonical_json(resumed.metrics().to_dict()) == canonical_json(straight.metrics().to_dict())
     # broadcasts are not in the log, so a restored world's trace holds only the rows after its checkpoint
     assert straight.trace == interrupted.trace + resumed.trace
+
+
+_RID_MAX = (2**32 - 1) // 100  # the most metres, or m/s, a RID message's u32 centimetre field carries
+_EDGES = {  # scenario key path -> (values at its bounds and a usual one, values just past them); long runs kept short
+    "seed": ([0, 2**64], [-1]),
+    "grid.extentCells": ([1, 64, 10**6], [0]),
+    "grid.cellSizeM": ([1, 100, 10**6], [0]),
+    "grid.metersPerArcsec": ([1, 30, 10**4], [0]),
+    "clock.tickSeconds": ([1, 10, 86400], [0]),
+    "clock.durationTicks": ([1, 2, 16], [0]),
+    "economics.baseMissionCost": ([0, 10, 10**12], [-1]),
+    "economics.rcd": ([0, 1000, 10**12], [-1]),
+    "economics.surchargePerMission": ([0, 2, 10**12], [-1]),
+    "economics.alphaMicro": ([1, 300_000, 999_999], [0, 10**6]),
+    "economics.kMinMicro": ([1, 50_000, 10**6], [0, 10**6 + 1]),
+    "fees.subscriptionFee": ([0, 100, 10**12], [-1]),
+    "fees.reporterReward": ([0, 20, 10**12], [-1]),
+    "fees.fineUnit": ([0, 100, 10**12], [-1]),
+    "fees.bonusUnit": ([0, 100, 10**12], [-1]),
+    "uss.cruiseSpeedMps": ([1, 10, _RID_MAX], [0, _RID_MAX + 1]),
+    "uss.altitudeM": ([0, 60, _RID_MAX], [-1, _RID_MAX + 1]),
+    "uss.altitudeBandM": ([1, 30, 10**9], [0]),
+    "uss.matchWindowS": ([0, 120, 10**9], [-1]),
+    "uss.deconflictionCellBuffer": ([0, 1, 2], [-1]),  # a plan looks at (2 buffer + 1)^2 cells per window
+    "uss.deconflictionTimeBufferS": ([0, 60, 10**9], [-1]),
+    "funding.operator": ([0, 100_000, 10**15], [-1]),
+    "funding.reporter": ([0, 10**15], [-1]),
+    "funding.treasury": ([0, 1_000_000, 10**15], [-1]),
+    "lossProbabilityMicro": ([0, 10**6], [-1, 10**6 + 1]),
+}
+_DRONE_EDGES = {"speedMps": ([1, 5, _RID_MAX], [0, _RID_MAX + 1]), "behavior.offsetCells": ([-3, 0, 2], []),
+                "behavior.startTick": ([-1, 0, 3], [])}
+_REPORTER_EDGES = {"sensingRangeM": ([0, 200, 10**6], [-1]), "replayDelayTicks": ([-1, 0, 3], [])}
+
+
+def _put(obj, path, value):
+    *groups, key = path.split(".")
+    for group in groups:
+        obj = obj.setdefault(group, {})
+    obj[key] = value
+
+
+@st.composite
+def edge_scenarios(draw):
+    """A scenario file's JSON: some numeric keys at an edge, at most one just past it; drones share corridor rows."""
+    def edges(table, into):
+        for path in draw(st.sets(st.sampled_from(sorted(table)), max_size=4)):
+            _put(into, path, draw(st.sampled_from(table[path][0]), label=path))
+
+    data = {"schema": {"major": 1, "minor": 0}, "kind": "scenario", "name": "edges"}
+    edges(_EDGES, data)
+    rows, drones = draw(st.lists(st.integers(5, 20), min_size=1, max_size=2, unique=True)), []
+    for _ in range(draw(st.integers(1, 4))):
+        lat, lon = draw(st.sampled_from(rows)), draw(st.integers(3, 20))
+        drone = {"mission": {"source": dms(lat, lon), "destination": dms(lat, draw(st.integers(3, 60))),
+                             "departureDate": "01012025", "departureTime": f"000{draw(st.integers(0, 3))}"},
+                 "behavior": {"kind": draw(st.sampled_from(BEHAVIOR_KINDS))}}
+        edges(_DRONE_EDGES, drone)
+        drones.append(drone)
+    reporters = []
+    for _ in range(draw(st.integers(0, 3))):
+        reporter = {"cell": [draw(st.integers(0, 8)), draw(st.sampled_from([0, 1, 5, 7, 63, 64]))],
+                    "honesty": draw(st.sampled_from(HONESTY_KINDS)), "randomWalk": draw(st.booleans())}
+        edges(_REPORTER_EDGES, reporter)
+        reporters.append(reporter)
+    past = [(path, value) for path, (_, beyond) in _EDGES.items() for value in beyond]
+    if draw(st.booleans()):
+        _put(data, *draw(st.sampled_from(past)))
+    return {**data, "drones": drones, "reporters": reporters}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=edge_scenarios(), at=st.floats(0, 1))
+def test_every_scenario_that_loads_runs_to_its_end(data, at):
+    """A scenario file either loads or raises ScenarioError; one that loads runs to its end, straight through and
+    resumed from a snapshot at any tick (live plans re-indexed), to one chain that verifies and conserves supply."""
+    try:
+        scenario = Scenario.from_dict(data)
+    except ScenarioError:
+        event("refused")
+        return
+    straight = World(scenario)
+    straight.run_to_end()
+    metrics = straight.metrics()
+    assert verify_blocks(straight.ledger.blocks) == (True, None)
+    assert straight.ledger.total_supply() == metrics.final_supply == metrics.genesis_supply
+
+    interrupted = World(scenario)
+    while interrupted.tick < int(at * scenario.duration_ticks):
+        interrupted.step()
+    resumed = persistence.restore_world(persistence.snapshot_world(interrupted))
+    index = lambda uss: (uss._cells, uss._opens, uss._closes)  # noqa: E731
+    assert index(resumed.uss) == index(interrupted.uss)
+    live = len(interrupted.uss.missions)
+    event(f"live plans at the snapshot: {'2 or more' if live > 1 else live}")
+    resumed.run_to_end()
+    assert resumed.ledger.chain_head_hex() == straight.ledger.chain_head_hex()
 
 
 @pytest.mark.parametrize("tick", [3, 12, 25])
@@ -632,6 +729,9 @@ def test_a_key_or_number_type_edited_in_a_golden_header_is_refused_or_round_trip
         pytest.param(lambda plan: plan["route"][0].update(exitS=plan["route"][0]["exitS"] + 500), id="window-longer"),
         pytest.param(lambda plan: plan.update(altitudeM=plan["altitudeM"] + 500), id="altitude-raised"),
         pytest.param(lambda plan: plan.update(source=plan["destination"]), id="source-is-destination"),
+        pytest.param(lambda plan: plan["route"][0].update(enterS=float(plan["route"][0]["enterS"])), id="enter-as-float"),
+        pytest.param(lambda plan: plan["route"][-1].update(altBand=float(plan["route"][-1]["altBand"])),
+                     id="band-as-float"),
     ],
 )
 def test_live_plan_other_than_its_args_give_is_corrupt(forge):

@@ -27,7 +27,7 @@ from skyledger.economics import FeeParams
 from skyledger.ledger import ContractRevert
 from skyledger.rid import compute_rid_vc
 from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
-from skyledger.uss import Mission, MissionPlan, parse_departure_epoch, SUBSCRIPTION_PERIOD_S
+from skyledger.uss import Mission, MissionPlan, parse_departure_epoch, SUBSCRIPTION_PERIOD_S, UssContract
 
 
 def _plans(uss):
@@ -333,11 +333,14 @@ class TestScheduleRoute:
         ]
 
     @staticmethod
-    def _install_plan(bench, drone_id, src, dst, depart):
-        """An active plan put straight into storage and the airspace index, routed as request_plan routes it."""
+    def _install_plan(bench, drone_id, src, dst, depart, slowdown=1, band_shift=0):
+        """An active plan put straight into storage and the airspace index, routed as request_plan routes it.
+
+        With a slowdown of k the leg takes k times as long, and its windows k times longer, than the cruise speed gives.
+        """
         uss = bench.uss
-        grid, band = uss.grid, uss.params.altitude_m // uss.params.altitude_band_m
-        duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps)
+        grid, band = uss.grid, uss.params.altitude_m // uss.params.altitude_band_m + band_shift
+        duration = geo.flight_duration_s(grid, src, dst, uss.params.cruise_speed_mps) * slowdown
         plan = MissionPlan(
             drone_id, bench.operator, dms(*src), dms(*dst), DATE, TIME, depart, depart + duration,
             src, dst, uss.params.altitude_m, band,
@@ -428,6 +431,93 @@ class TestScheduleRoute:
         event(f"{mode} conflict={expected}")
         assert self._conflicts(uss, src, dst, depart) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_conflict_iff_brute_force_finds_one_in_any_index(self, data):
+        """Plans indexed as they are, with no deconfliction among them: overlapping, in another band, or slow legs
+        indexed last, whose windows outlast every window indexed before. The check bounds how far back a window
+        can have entered by the longest window indexed, so it must stay exact whatever the index holds."""
+        draw = data.draw
+        buf_cells, buf_s = draw(st.integers(0, 2)), draw(st.integers(0, 90))
+        bench = make_bench(deconfliction_cell_buffer=buf_cells, deconfliction_time_buffer_s=buf_s)
+        uss = bench.uss
+        grid, speed = uss.grid, uss.params.cruise_speed_mps
+        band = uss.params.altitude_m // uss.params.altitude_band_m
+        point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
+        legs = []
+        for _ in range(draw(st.integers(1, 4))):
+            src, dst = draw(point), draw(point)
+            dst = draw(st.sampled_from([dst, (src[0], dst[1]), (dst[0], src[1])]))
+            legs.append((src, dst, draw(st.integers(0, 400)), draw(st.sampled_from([1, 1, 3, 8])),
+                         draw(st.sampled_from([0, 0, 1]))))
+        if draw(st.booleans()):
+            legs.sort(key=lambda leg: leg[3])  # the slowest legs last
+        for drone_id, (src, dst, depart, slowdown, band_shift) in enumerate(legs):
+            self._install_plan(bench, drone_id, src, dst, depart, slowdown, band_shift)
+        # the new flight leaves one plan's destination a time buffer after its last window, which may be the
+        # longest indexed, closes; or starts along the plan while it is in the air; or ends at its source a time
+        # buffer before it departs; or flies free
+        mode = draw(st.sampled_from(["free", "after", "during", "before"]))
+        other = uss.missions[draw(st.sampled_from(sorted(uss.missions)))].plan
+        src, dst = draw(point), draw(point)
+        if mode == "after":
+            src = other.dst_arcsec
+        elif mode == "during":
+            src = other.src_arcsec
+        elif mode == "before":
+            dst = other.src_arcsec
+        duration = geo.flight_duration_s(grid, src, dst, speed)
+        nudge = draw(st.sampled_from([-1, 0, 1]))
+        depart = {
+            "free": lambda: draw(st.integers(0, 400)),
+            "after": lambda: other.arrival_epoch + buf_s + nudge,
+            "during": lambda: draw(st.integers(other.departure_epoch, other.arrival_epoch)),
+            "before": lambda: other.departure_epoch - buf_s - duration + nudge,
+        }[mode]()
+        candidate = self._as_dicts(geo.route_occupancy(grid, src, dst, depart, duration, band))
+        expected = any(
+            oracles.brute_force_conflict(self._as_dicts(p.route), candidate, buf_cells, buf_s)
+            for p in _plans(uss)
+        )
+        event(f"{mode} conflict={expected}")
+        assert self._conflicts(uss, src, dst, depart) == expected
+
+
+def corridor_scenario(n_drones):
+    """Drones on four shared rows, 24 cells long, one departure a minute: each row's cells hold every earlier plan on it."""
+    rows = [10 + 10 * (i % 4) for i in range(n_drones)]  # arcseconds 300 m apart, outside each other's cell buffer
+    drones = tuple(
+        DroneSpec(f"d{i}", f"SN-{i}", f"NID-{i}",
+                  MissionSpec(dms(lat, 4), dms(lat, 84), DATE, f"{(i + 1) // 60:02d}{(i + 1) % 60:02d}"))
+        for i, lat in enumerate(rows)
+    )
+    # no congestion surcharge: the quote, taken at clock 0, then pays for a plan that departs into traffic
+    return Scenario(name="corridors", duration_ticks=1, fee_params=FeeParams(surcharge_per_mission=0), drones=drones)
+
+
+def test_conflict_checks_per_plan_stay_within_its_route(monkeypatch):
+    """Plans on shared corridors are checked against the windows near each of theirs in time, not every window near in space."""
+    calls, per_plan = [0], []
+    exact_conflict, exact_schedule = geo.windows_conflict, UssContract.schedule_route
+
+    def counted(*args):
+        calls[0] += 1
+        return exact_conflict(*args)
+
+    def scheduled(self, *args):
+        before = calls[0]
+        route, arrival = exact_schedule(self, *args)
+        per_plan.append((calls[0] - before, len(route)))
+        return route, arrival
+
+    monkeypatch.setattr(geo, "windows_conflict", counted)
+    monkeypatch.setattr(UssContract, "schedule_route", scheduled)
+    for n in (20, 80):
+        per_plan.clear()
+        world = World(corridor_scenario(n))
+        assert len(world.uss.missions) == len(per_plan) == n  # every plan is accepted
+        assert all(checks <= windows for checks, windows in per_plan), max(per_plan)
+
 
 class TestAirspaceIndex:
     """The index applied at commit against full scans of the active plans, through reverts and a restore."""
@@ -443,7 +533,10 @@ class TestAirspaceIndex:
         cells = {}
         for p in _plans(uss):
             for w in p.route:
-                cells.setdefault((w.lat_idx, w.lon_idx), {})[p.drone_id] = w
+                cells.setdefault(w.lat_idx, {}).setdefault(w.lon_idx, []).append((w.enter_s, p.drone_id, w))
+        for row in cells.values():
+            for windows in row.values():
+                windows.sort()
         opens = sorted(p.departure_epoch - buf for p in _plans(uss))
         return cells, opens, sorted(p.arrival_epoch + buf for p in _plans(uss))
 
@@ -529,7 +622,7 @@ class TestAirspaceIndex:
         uss, ledger = bench.uss, bench.ledger
         route = uss.missions[drone_id].plan.route
         assert len(route) > 2
-        del uss._cells[route[-2].lat_idx, route[-2].lon_idx]  # the plan is the only one in its cells
+        del uss._cells[route[-2].lat_idx][route[-2].lon_idx]  # the plan is the only one in its cells
         before = (copy.deepcopy(self._index(uss)), ledger.state_digest(), list(ledger.pending), ledger._tx_counter)
         ledger.clock = 1000
         with pytest.raises(KeyError):
