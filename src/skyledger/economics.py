@@ -105,10 +105,3 @@ def update_k(reputation_micro: int, k_prev_micro: int, alpha_micro: int, k_min_m
     numer = (MICRO - reputation_micro) * alpha_micro + 2 * k_prev_micro * (MICRO - alpha_micro)
     blended = div_round_half_up(numer, 2 * MICRO)
     return max(k_min_micro, blended)
-
-
-def reputation_surface(max_rewards: int, max_penalties: int):
-    """Yield (rewards, penalties, reputation_micro) over the full grid."""
-    for r in range(max_rewards + 1):
-        for p in range(max_penalties + 1):
-            yield r, p, reputation(r, p)

@@ -45,6 +45,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
 AccountId = str
@@ -79,15 +80,18 @@ class ContractRevert(Exception):
         self.reason = reason
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False)
+# JSONEncoder.encode builds a C encoder on every call; this is the one it would build, made once
+_CANONICAL = c_make_encoder(markers=None, default=json.JSONEncoder().default, encoder=encode_basestring_ascii, indent=None,
+                            key_separator=":", item_separator=",", sort_keys=True, skipkeys=False, allow_nan=True)
 
 
 def canonical_json(obj: Any) -> bytes:
-    """The one serialization used for hashing: sorted keys, no spaces (one encoder, not one per call).
+    """The one serialization used for hashing: json.dumps(obj, sort_keys=True, separators=(",", ":")), as UTF-8 bytes.
 
-    obj must be a tree: there is no cycle check, so a value that contains itself raises RecursionError.
+    Every call goes through one C encoder built at import. obj must be a tree: there is no cycle check, so a value
+    that contains itself raises RecursionError; a value json cannot encode (bytes, a dataclass) raises TypeError.
     """
-    return _CANONICAL.encode(obj).encode("utf-8")
+    return "".join(_CANONICAL(obj, 0)).encode("utf-8")
 
 
 _SCALAR_TYPES = frozenset((int, str, bytes, float, type(None), bool))

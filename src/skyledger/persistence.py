@@ -147,10 +147,11 @@ def write_trace_csv(path: str | Path, world: World) -> None:
 
 
 def write_reputation_surface_csv(path: str | Path, max_rewards: int = 50, max_penalties: int = 50) -> None:
-    from .economics import reputation_surface
+    """The surface in one pass and one write: its 2,601 default rows are 40 KB, so holding them costs nothing."""
+    from .economics import reputation
 
-    rows = (f"{r},{p},{rep}" for r, p, rep in reputation_surface(max_rewards, max_penalties))
-    _write_csv(path, "rewards,penalties,reputationMicro", rows)
+    rows = [f"{r},{p},{reputation(r, p)}\r\n" for r in range(max_rewards + 1) for p in range(max_penalties + 1)]
+    Path(path).write_bytes("".join(["rewards,penalties,reputationMicro\r\n", *rows]).encode())
 
 
 def write_congestion_fee_csv(path: str | Path, scenario: Scenario, max_missions: int = 50) -> None:

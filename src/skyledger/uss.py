@@ -380,14 +380,16 @@ class UssContract:
         route = geo.route_occupancy(self.grid, src, dst, depart_s, duration, self.alt_band)
         buf_cells, buf_s, cells = self.params.deconfliction_cell_buffer, self.params.deconfliction_time_buffer_s, self._cells
         near = range(-buf_cells, buf_cells + 1)
+        walk_rows = len(near) > len(cells)  # the index holds fewer rows than 2b+1, and gains none during the check
         reach = buf_s + self._longest  # a window entering earlier than this before ours has left too early to conflict
         for window in route if cells else ():  # an empty index, as while restore builds plans, has no conflict
             lat, lon, _, enter_s, exit_s = window
             earliest, latest = enter_s - reach, exit_s + buf_s
-            for dlat in near:
+            # look up each offset in the buffer, or, where the index (a row) holds fewer keys, walk the keys it holds
+            for dlat in [k - lat for k in cells if abs(k - lat) <= buf_cells] if walk_rows else near:
                 row = cells.get(lat + dlat)  # get, not [], so a miss adds no empty row or cell
                 if row:
-                    for dlon in near:
+                    for dlon in [k - lon for k in row if abs(k - lon) <= buf_cells] if len(near) > len(row) else near:
                         windows = row.get(lon + dlon, ())
                         i = bisect_left(windows, earliest, key=_ENTER)
                         while i < len(windows) and windows[i][0] <= latest:
@@ -470,6 +472,8 @@ class UssContract:
     def fold_request_plan(self, tx: TransactionRecord) -> dict[str, Any]:
         """Open the mission; its plan is built and its payload checked at the end only if still active (build_live_plans)."""
         drone_id = self._owned(tx)
+        if not tx.payload["route"] or tx.payload["arrivalEpoch"] < tx.payload["departureEpoch"]:  # settled plans too
+            raise ValueError(f"plan for drone {drone_id} has no route or lands before it departs")
         self._open_mission(drone_id, None, self._next_nonce())
         self._unbuilt[drone_id] = tx
         return tx.payload

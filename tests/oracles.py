@@ -382,8 +382,9 @@ def csv_writer_reputation_surface(path, max_rewards: int, max_penalties: int) ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rewards", "penalties", "reputationMicro"])
-        for r, p, rep in economics.reputation_surface(max_rewards, max_penalties):
-            writer.writerow([r, p, rep])
+        for r in range(max_rewards + 1):
+            for p in range(max_penalties + 1):
+                writer.writerow([r, p, economics.reputation(r, p)])
 
 
 def csv_writer_congestion_fee(path, scenario, max_missions: int) -> None:

@@ -9,7 +9,6 @@ from skyledger.economics import (
     congestion_surcharge,
     dynamic_fee,
     reputation,
-    reputation_surface,
     update_k,
 )
 from skyledger.fixedmath import MICRO, div_round_half_up
@@ -140,13 +139,6 @@ def test_matches_rational_oracle_everywhere():
         k_prev = rng.randrange(50_000, MICRO + 1)
         alpha = rng.randrange(1, MICRO)
         assert abs(update_k(rep, k_prev, alpha, 50_000) - oracles.rational_update_k(rep, k_prev, alpha, 50_000)) <= 1
-
-
-def test_surface_generator_covers_grid():
-    rows = list(reputation_surface(3, 2))
-    assert len(rows) == 4 * 3
-    assert rows[0] == (0, 0, 0)
-    assert all(rep == reputation(r, p) for r, p, rep in rows)
 
 
 class TestFeeParams:

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from skyledger.ledger import (
@@ -349,6 +351,41 @@ def test_state_digest_tells_apart_storages_of_another_shape(one, other):
         ledger.attach_storage("toy", storage)
         digests.append(ledger.state_digest())
     assert digests[0] != digests[1]
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.sampled_from([True, 1, False, 0, 1.0]),  # equal in Python, not in JSON
+    st.integers(),
+    st.integers(-(2**200), 2**200),  # wider than 64 bits
+    st.floats(),
+    st.text(),
+    st.text("é中😀\u2028\x00\x7f\"\\", max_size=6),  # non-ASCII, control and escaped characters
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+)
+
+
+@given(_JSON_TREES)
+@example([True, 1, 1.0, None, {"1": True, "é": 2**64}])
+def test_canonical_json_is_json_dumps_sorted_compact_ascii(tree):
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+
+
+@dataclasses.dataclass
+class _Point:
+    x: int
+
+
+@pytest.mark.parametrize("leaf", [b"\x01", _Point(1)], ids=["bytes", "dataclass"])
+def test_canonical_json_refuses_what_json_cannot_encode(leaf):
+    tree = {"a": [1, leaf]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(TypeError) as raised:
+        canonical_json(tree)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_canonical_json_refuses_a_value_that_contains_itself():

@@ -488,6 +488,10 @@ def _flip_verdict(data):
         # a report is by anyone but the drone's owner, at most once per reporter and mission
         pytest.param(oracles.report_by_owner, id="report-by-owner"),
         pytest.param(_report_twice, id="report-twice"),
+        # a plan settled before the snapshot is checked only by its fold: it holds a route and lands after it departs
+        pytest.param(lambda d: _logged(d, "request_plan")["payload"].update(route=[]), id="settled-plan-empty-route"),
+        pytest.param(lambda d: _logged(d, "request_plan")["payload"].update(arrivalEpoch=0),
+                     id="settled-plan-lands-before-departure"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):

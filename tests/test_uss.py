@@ -434,11 +434,14 @@ class TestScheduleRoute:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_conflict_iff_brute_force_finds_one_in_any_index(self, data):
-        """Plans indexed as they are, with no deconfliction among them: overlapping, in another band, or slow legs
-        indexed last, whose windows outlast every window indexed before. The check bounds how far back a window
-        can have entered by the longest window indexed, so it must stay exact whatever the index holds."""
+        """Plans indexed as they are, with no deconfliction among them: overlapping, in another band, off the grid, or
+        slow legs indexed last, whose windows outlast every window indexed before. The check bounds how far back a
+        window can have entered by the longest window indexed, and it walks the rows and cells held when the cell
+        buffer spans more of them than the index holds, so it must stay exact whatever the index holds."""
         draw = data.draw
-        buf_cells, buf_s = draw(st.integers(0, 2)), draw(st.integers(0, 90))
+        # cell buffers up to 10^9, where a lookup per offset in the buffer would not end
+        buf_cells = draw(st.one_of(st.integers(0, 2), st.integers(0, 8), st.integers(0, 10**9)))
+        buf_s = draw(st.integers(0, 90))
         bench = make_bench(deconfliction_cell_buffer=buf_cells, deconfliction_time_buffer_s=buf_s)
         uss = bench.uss
         grid, speed = uss.grid, uss.params.cruise_speed_mps
@@ -448,6 +451,9 @@ class TestScheduleRoute:
         for _ in range(draw(st.integers(1, 4))):
             src, dst = draw(point), draw(point)
             dst = draw(st.sampled_from([dst, (src[0], dst[1]), (dst[0], src[1])]))
+            # the grid is 64 cells (213 arcseconds) wide: some legs lie below it or beyond it
+            dlat, dlon = draw(st.sampled_from([(0, 0), (0, 0), (-40, 0), (0, 220)]))
+            src, dst = (src[0] + dlat, src[1] + dlon), (dst[0] + dlat, dst[1] + dlon)
             legs.append((src, dst, draw(st.integers(0, 400)), draw(st.sampled_from([1, 1, 3, 8])),
                          draw(st.sampled_from([0, 0, 1]))))
         if draw(st.booleans()):
