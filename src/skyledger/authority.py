@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any
 
-from .ledger import AccountId, ContractRevert, Ledger, TransactionRecord
+from .ledger import AccountId, ContractRevert, Ledger
 
 REVERT_ALREADY_REGISTERED = "Drone already registered"
 REVERT_TAC_NOT_SIGNED = "Please accept terms and conditions"
@@ -60,7 +60,8 @@ class AuthorityContract:
         self.storage: dict[str, Any] = {"records": [], "serial_index": {}}
         ledger.attach_storage("authority", self.storage)
         ledger.register_op("register_drone", self.op_register_drone,
-                           args={"serial": str, "ownerNationalId": str, "signTAC": bool}, fold=self.fold_register_drone)
+                           args={"serial": str, "ownerNationalId": str, "signTAC": bool},
+                           fold=lambda tx: self.op_register_drone(tx.caller, tx.args))
         ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int})
 
     @property
@@ -73,16 +74,12 @@ class AuthorityContract:
             raise ContractRevert(REVERT_ALREADY_REGISTERED)
         if not args["signTAC"]:
             raise ContractRevert(REVERT_TAC_NOT_SIGNED)
-        return {"droneId": self._register(serial_hash, args["ownerNationalId"], caller)}
-
-    def _register(self, serial_hash: str, owner_national_id: str, owner: AccountId) -> int:
-        """The one writer of the registry's records and serial index, for register_drone and its fold."""
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
         self.ledger.touch(self.storage["serial_index"], serial_hash)
-        self.records.append(DroneRecord(drone_id, serial_hash, _hashed(owner_national_id), owner))
+        self.records.append(DroneRecord(drone_id, serial_hash, _hashed(args["ownerNationalId"]), caller))
         self.storage["serial_index"][serial_hash] = drone_id
-        return drone_id
+        return {"droneId": drone_id}
 
     def op_get_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         if self.ledger.account(caller).role not in _REGISTRY_READER_ROLES:
@@ -114,9 +111,6 @@ class AuthorityContract:
         rec = self._writable(drone_id)
         rec.rewards = 0
         rec.penalties = 0
-
-    def fold_register_drone(self, tx: TransactionRecord) -> dict[str, Any]:
-        return {"droneId": self._register(_hashed(tx.args["serial"]), tx.args["ownerNationalId"], tx.caller)}
 
     def export_registry(self) -> list[dict[str, Any]]:
         return [r.to_public_dict() for r in self.records]

@@ -26,8 +26,9 @@ contents are one level deep, so an object nested below them must be
 replaced, never mutated, unless each entry it changes is touched as a
 slot of its own.
 An operation registered without a fold is a view: it opens no journal
-and may not touch anything. Restore re-applies a sealed log through each
-op's fold (apply_log), checking logged `balanceDeltas`, never adding them.
+and may not touch anything. Restore re-applies a sealed log (apply_log):
+each success passes submit's entry checks, then its op's fold, and its
+logged `balanceDeltas` are checked, never added.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -427,9 +428,9 @@ class Ledger:
 
         submit() reverts a call whose declared argument is missing or not exactly
         of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
-        An op with a `receiver` is payable: submit() moves an attached value to that account. `fold(tx)` re-applies
-        a logged success (apply_log) through fn's writers and returns fn's payload, or the logged one it takes as given.
-        An op without a fold is a view, which may change nothing.
+        An op with a `receiver` is payable: submit() moves an attached value to that account. apply_log runs these
+        checks on a logged success, then `fold(tx)`: fn's own checks and writers (fn itself, if it reads no payload),
+        returning fn's payload or the logged one it takes as given. An op without a fold is a view.
         """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
@@ -517,15 +518,7 @@ class Ledger:
         moves = self._moves = {}
         self._event_buffer = []
         try:
-            if spec is None:
-                raise ContractRevert(REASON_UNKNOWN_OPERATION)
-            for name, kind in spec.args.items():
-                if type(args.get(name)) is not kind:
-                    raise ContractRevert(f"{REASON_INVALID_ARG}:{name}")
-            if value > 0:
-                if spec.receiver is None:
-                    raise ContractRevert(REASON_NOT_PAYABLE)
-                self.transfer(caller, spec.receiver, value)
+            self._admit(spec, caller, args, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
         except (ContractRevert, InsufficientBalance) as exc:
@@ -546,6 +539,18 @@ class Ledger:
             self._journal, self._view_running, self._moves, self._event_buffer = None, False, None, []
         self.pending.append(rec)
         return rec
+
+    def _admit(self, spec: _OpSpec | None, caller: AccountId, args: dict[str, Any], value: int) -> None:
+        """Entry checks of submit and apply_log: a registered op, each arg of its declared type, a value only if payable."""
+        if spec is None:
+            raise ContractRevert(REASON_UNKNOWN_OPERATION)
+        for name, kind in spec.args.items():
+            if type(args.get(name)) is not kind:
+                raise ContractRevert(f"{REASON_INVALID_ARG}:{name}")
+        if value > 0:
+            if spec.receiver is None:
+                raise ContractRevert(REASON_NOT_PAYABLE)
+            self.transfer(caller, spec.receiver, value)
 
     def _next_tx_id(self) -> int:
         tx_id = self._tx_counter
@@ -603,9 +608,10 @@ class Ledger:
     def apply_log(self, blocks: list[Block]) -> None:
         """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain, and re-apply it.
 
-        Each success moves its attached value as submit() does and calls its op's fold. LedgerError refuses a status other
-        than "success" or "revert", a success of an unknown op or caller, and one whose balanceDeltas are not its
-        transfers or whose payload is not its fold's (by type too). Reverts and view payloads are taken as given.
+        Each success runs at its logged time through submit()'s entry checks, then its op's fold. LedgerError refuses a
+        status other than "success" or "revert", a success by an unknown caller or with a value not an int >= 0, one a
+        check reverts (naming its reason), and one whose balanceDeltas are not its transfers or whose payload is not
+        its fold's (by type too). Reverts, and views that move nothing, are taken as given.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -618,16 +624,17 @@ class Ledger:
             if tx.status == "revert":
                 continue
             spec, value, deltas = ops.get(tx.op), tx.value, tx.balance_deltas
-            if tx.status != "success" or spec is None or tx.caller not in accounts:
-                raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for op {tx.op!r} by account {tx.caller!r}")
-            if type(value) is not int or value < 0 or value and spec.receiver is None:
-                raise LedgerError(f"tx {tx.tx_id} ({tx.op}) attaches {value!r}, which the op cannot take")
-            if spec.fold is None and not deltas:
+            if tx.status != "success" or tx.caller not in accounts or type(value) is not int or value < 0:
+                raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for {tx.op!r} by {tx.caller!r} with value {value!r}")
+            if spec is not None and spec.fold is None and not (value or deltas):
                 continue  # a view that moves nothing: its payload is taken as given
             moves = self._moves = {}
-            if value:
-                self.transfer(tx.caller, spec.receiver, value)
-            payload = tx.payload if spec.fold is None else spec.fold(tx)
+            self.clock = tx.timestamp
+            try:
+                self._admit(spec, tx.caller, tx.args, value)
+                payload = tx.payload if spec.fold is None else spec.fold(tx)
+            except (ContractRevert, InsufficientBalance) as exc:
+                raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a success that its op reverts: {exc.reason}") from None
             if not (same_fields(deltas, moves) or same_fields(deltas, _deltas(moves))) \
                     or payload is not tx.payload and not same_fields(tx.payload, payload):
                 raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")

@@ -18,12 +18,14 @@ clock, each reporter's cell and replay memory, the RNG and the chain, plus
 the account balances as a cross-check and the chain's head hash. Restore
 checks every hash and link and the head, then re-applies the chain
 (Ledger.apply_log): it must open with the genesis the scenario's world
-writes and have dense tx ids, and each success calls its op's fold, which
-writes through the op's own writers. In both paths balances change only
-through transfer: logged balanceDeltas are checked against the transfers,
-never applied, and each payload against the fold's, by type too. Taken as
-given: view payloads, a report's verdict, a plan's fee and congestion, RID
-checks, deconfliction, settled plans, stateWrites, events and reverts.
+writes and have dense tx ids; each success passes submit's entry checks
+and its op's own, then its fold writes through the op's writers. In both
+paths balances change only through transfer: logged balanceDeltas are
+checked against the transfers, never applied, and each payload against the
+fold's, by type too. Taken as given is what only re-computation could
+check: a plan's fee, congestion and deconfliction, a settled plan's route,
+a report's RID checks and verdict, a completion's ridVc, view payloads,
+stateWrites, events and reverts.
 Active plans are rebuilt from their requests (build_live_plans), and the
 agents learn the rest of their memory as a live world does (World.learn).
 The writer is the one definition of a header: restore accepts a state

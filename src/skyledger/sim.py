@@ -54,8 +54,8 @@ class ScenarioError(ValueError):
 # A scenario file is declared by the dataclasses below: each field's metadata
 # holds its JSON key path (dotted inside a nested object) and optional bounds,
 # its annotation is its type, and its default, or the lack of one, says
-# whether the key may be left out. from_dict, to_dict and the bound checks of
-# validate all read that declaration.
+# whether the key may be left out. from_dict, to_dict and the bound checks
+# a Scenario runs when it is built all read that declaration.
 
 _RID_MAX_M = (2**32 - 1) // 100  # the most metres, or m/s, whose centimetres fit a RID message's u32 field
 
@@ -76,6 +76,11 @@ class MissionSpec:
     destination: str = _key("destination")
     departure_date: str = _key("departureDate")
     departure_time: str = _key("departureTime")
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Source and destination in arcseconds, parsed on first use; a DmsError for either."""
+        return geo.parse_dms_pair(self.source), geo.parse_dms_pair(self.destination)
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class Scenario:
     operator_funding: int = _key("funding.operator", 100_000, lo=0)
     reporter_funding: int = _key("funding.reporter", 0, lo=0)
     treasury_funding: int = _key("funding.treasury", 1_000_000, lo=0)
-    loss_probability_micro: int = _key("lossProbabilityMicro", 0)
+    loss_probability_micro: int = _key("lossProbabilityMicro", 0, lo=0, hi=MICRO)
     drones: tuple[DroneSpec, ...] = _key("drones", ())
     reporters: tuple[ReporterSpec, ...] = _key("reporters", ())
 
@@ -147,15 +152,11 @@ class Scenario:
             raise ScenarioError(f"schema: unsupported version {schema!r}")
         if body.pop("kind", "scenario") != "scenario":
             raise ScenarioError("kind: file is not a scenario")
-        scenario = _load(cls, body, "", "")
-        scenario.validate()
-        return scenario
+        return _load(cls, body, "", "")
 
-    def validate(self) -> None:
-        """Each key's declared lower bound, then the checks that span fields; from_dict has checked the types."""
+    def __post_init__(self) -> None:
+        """Each key's declared bounds, then the checks that span fields; from_dict has checked the types."""
         _check_bounds(self, "")
-        if not 0 <= self.loss_probability_micro <= MICRO:
-            raise ScenarioError("lossProbabilityMicro must be within [0, 1e6]")
         grid = self.grid()
         seen_names: set[str] = set()
         seen_serials: set[str] = set()
@@ -170,12 +171,11 @@ class Scenario:
             if d.behavior not in BEHAVIOR_KINDS:
                 raise ScenarioError(f"drones[{i}].behavior.kind: unknown behavior {d.behavior!r}")
             try:
-                src = geo.parse_dms_pair(d.mission.source)
-                dst = geo.parse_dms_pair(d.mission.destination)
+                points = d.mission.points
                 parse_departure_epoch(d.mission.departure_date, d.mission.departure_time, self.epoch_date)
             except ValueError as exc:  # a geo.DmsError too
                 raise ScenarioError(f"drones[{i}].mission: {exc}") from None
-            for pos in (src, dst):
+            for pos in points:
                 cell = grid.cell_of(*pos)
                 if not self._cell_in_grid(cell):
                     raise ScenarioError(f"drones[{i}].mission: waypoint cell {cell} outside grid")
@@ -205,8 +205,8 @@ class _Field(typing.NamedTuple):
     group: str                  # key of the nested object holding the key, "" for none
     key: str
     nested: bool                # an array or an object
-    lo: int | None              # lower bound, checked by validate()
-    hi: int | None              # upper bound, checked by validate()
+    lo: int | None              # lower bound, checked when a Scenario is built
+    hi: int | None              # upper bound, checked when a Scenario is built
     required: bool
     numbered: str | None        # default template of the item index, see _key
     read: Callable[[Any, str, _Key], Any]  # value, and its key path as (at, key) -> the field's value, or ScenarioError
@@ -296,6 +296,8 @@ def _load(cls: type, data: Any, at: str, key: _Key) -> Any:
             raise ScenarioError(f"{_path(at, path)} is missing")
     try:
         return cls(**values)
+    except ScenarioError:  # a Scenario checks itself
+        raise
     except ValueError as exc:  # FeeParams checks its own ranges
         raise ScenarioError(f"{at}: bad {at} block: {exc}") from None
 
@@ -337,12 +339,6 @@ class _DroneState:
     flight_duration_s: int | None = None
     completed: bool = False
 
-    @functools.cached_property
-    def waypoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Mission source and destination in arcseconds, parsed on first use."""
-        mission = self.spec.mission
-        return geo.parse_dms_pair(mission.source), geo.parse_dms_pair(mission.destination)
-
 
 @dataclass
 class _ReporterState:
@@ -359,13 +355,12 @@ class World:
     """One live run: the ledger, the contracts, and the agents."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self._deploy(scenario)
         self._setup()
 
     @classmethod
     def deployed(cls, scenario: Scenario) -> "World":
-        """The accounts, contracts, agents and pending genesis record World(scenario) creates for a valid scenario."""
+        """The accounts, contracts, agents and pending genesis record World(scenario) creates."""
         world = cls.__new__(cls)
         world._deploy(scenario)
         return world
@@ -389,7 +384,6 @@ class World:
             if op_name not in operators:
                 operators[op_name] = self.ledger.create_account("operator", scenario.operator_funding)
             self.drones.append(_DroneState(spec, operators[op_name]))
-        self.operator_accounts = operators
         self.reporters: list[_ReporterState] = [
             _ReporterState(spec, self.ledger.create_account("reporter", scenario.reporter_funding), spec.cell)
             for spec in scenario.reporters
@@ -439,7 +433,8 @@ class World:
                     if drone.spec.speed_mps is None:  # flies at the cruise speed the USS timed the plan with
                         drone.flight_duration_s = plan["arrivalEpoch"] - plan["departureEpoch"]
                     else:
-                        drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.waypoints, drone.spec.speed_mps)
+                        drone.flight_duration_s = geo.flight_duration_s(self.grid, *drone.spec.mission.points,
+                                                                        drone.spec.speed_mps)
                 else:  # report_completion
                     drone.completed = True
                     settled.add(drone_id)
@@ -538,7 +533,7 @@ class World:
         arrival = depart + drone.flight_duration_s
         if not depart <= now <= arrival:
             return None
-        src, dst = drone.waypoints
+        src, dst = drone.spec.mission.points
         lat, lon = geo.interpolate_position(src, dst, now - depart, drone.flight_duration_s)
         if drone.spec.behavior == "deviating" and self.tick >= drone.spec.deviate_start_tick:
             offset_m = drone.spec.offset_cells * self.scenario.cell_size_m
@@ -557,7 +552,7 @@ class World:
             vc = bytes.fromhex(drone.plan["ridVc"])
             if drone.spec.behavior == "forger":
                 vc = bytes([vc[0] ^ 0x01]) + vc[1:]
-            src = drone.waypoints[0]
+            src = drone.spec.mission.points[0]
             speed = drone.spec.speed_mps or self.scenario.cruise_speed_mps
             # timestamp, drone lat/lon, control station (the mission source) lat/lon, altitude, velocity
             wire = encode_rid(RidMessage(RidFaa(now, pos[0], pos[1], src[0], src[1], altitude_cm, speed * 100), vc))

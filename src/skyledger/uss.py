@@ -174,7 +174,8 @@ class UssContract:
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
         sighting = {**drone, "rid": str, "sightingLocation": str, "sightingTime": int}
-        ledger.register_op("subscribe", self.op_subscribe, args=drone, fold=self.fold_subscribe, receiver=self.treasury)
+        ledger.register_op("subscribe", self.op_subscribe, args=drone, receiver=self.treasury,
+                           fold=lambda tx: self.op_subscribe(tx.caller, {**tx.args, "_value": tx.value}))
         ledger.register_op("request_quote", self.op_request_quote, args=drone)
         ledger.register_op("request_plan", self.op_request_plan, args=plan, fold=self.fold_request_plan,
                            receiver=self.treasury)
@@ -232,13 +233,6 @@ class UssContract:
         return fee, congestion
 
     # -- storage writers, called by the ops and by their folds; only they move money
-
-    def _subscribe(self, drone_id: int, subscriber: AccountId, fee: int, timestamp: int) -> dict[str, Any]:
-        expiry = timestamp + SUBSCRIPTION_PERIOD_S
-        subscriptions = self.storage["subscriptions"]
-        self.ledger.touch(subscriptions, drone_id)
-        subscriptions[drone_id] = Subscription(drone_id, subscriber, fee, expiry)
-        return {"droneId": drone_id, "expiry": expiry}
 
     def _next_nonce(self) -> bytes:
         """The next mission nonce: counter-mode SHA-256 over the contract's seed."""
@@ -335,7 +329,10 @@ class UssContract:
             raise ContractRevert(REVERT_ALREADY_SUBSCRIBED)
         if value != self.params.subscription_fee:
             raise ContractRevert(REVERT_SUBSCRIPTION_FEE)
-        return self._subscribe(drone_id, caller, value, self.ledger.clock)
+        expiry = self.ledger.clock + SUBSCRIPTION_PERIOD_S
+        self.ledger.touch(self.storage["subscriptions"], drone_id)
+        self.storage["subscriptions"][drone_id] = Subscription(drone_id, caller, value, expiry)
+        return {"droneId": drone_id, "expiry": expiry}
 
     def op_request_quote(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         drone_id = args["droneId"]
@@ -347,13 +344,16 @@ class UssContract:
         fee, congestion = self.quote_fee(caller, self.ledger.clock)
         return {"fee": fee, "congestion": congestion}
 
-    def op_request_plan(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id, value = args["droneId"], args["_value"]
+    def _check_plan(self, drone_id: int, caller: AccountId) -> None:
+        """request_plan's leading checks, which its fold runs too: a valid subscription, then no active plan."""
         if not self._subscription_valid(drone_id, caller):
             raise ContractRevert(REVERT_NOT_SUBSCRIBED_PLAN)
-        record = self.authority.record(drone_id)
-        if record.has_active_plan:
+        if self.authority.record(drone_id).has_active_plan:
             raise ContractRevert(REVERT_ACTIVE_PLAN_EXISTS)
+
+    def op_request_plan(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
+        drone_id, value = args["droneId"], args["_value"]
+        self._check_plan(drone_id, caller)
         points = self.plan_points(args, geo.parse_dms_pair)
         fee, congestion = self.quote_fee(caller, points[2])
         if value < fee:
@@ -398,15 +398,18 @@ class UssContract:
                             i += 1
         return route, depart_s + duration
 
-    def op_report_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = args["droneId"]
-        record = self.authority.record(drone_id)
-        if caller == record.owner_account:
+    def _check_report(self, drone_id: int, caller: AccountId) -> Mission | None:
+        """report_drone's leading checks, which its fold runs too: not the drone's owner, then not a second report."""
+        if caller == self.authority.record(drone_id).owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
         mission = self.missions.get(drone_id)
         if mission is not None and caller in mission.report_counts:  # a count is stored only once it is 1
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
+        return mission
 
+    def op_report_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
+        drone_id = args["droneId"]
+        mission = self._check_report(drone_id, caller)
         try:
             message = decode_rid(bytes.fromhex(args["rid"]))
         except (MalformedRid, ValueError):
@@ -434,13 +437,17 @@ class UssContract:
                 return True
         return False
 
-    def op_report_completion(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = args["droneId"]
+    def _check_completion(self, drone_id: int, caller: AccountId) -> None:
+        """report_completion's leading checks, which its fold runs too: the drone's owner, then an active plan."""
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_COMPLETE)
         if not record.has_active_plan:
             raise ContractRevert(REVERT_NO_ACTIVE_PLAN)
+
+    def op_report_completion(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
+        drone_id = args["droneId"]
+        self._check_completion(drone_id, caller)
         plan = self.missions[drone_id].plan
         try:
             matches = bytes.fromhex(args["ridVc"]) == plan.rid_vc
@@ -454,24 +461,12 @@ class UssContract:
         self._unindex_plan(plan)  # last: nothing below can revert, and its KeyError rolls the op back
         return payload
 
-    # -- folds: restore re-applies each logged success through its op's writers (Ledger.apply_log)
-
-    def _owned(self, tx: TransactionRecord) -> int:
-        """The drone id of a logged success that only the drone's owner may make; ValueError for another caller."""
-        drone_id = tx.args["droneId"]
-        if self.authority.record(drone_id).owner_account != tx.caller:
-            raise ValueError(f"tx {tx.tx_id} ({tx.op}) is not made by the owner of drone {drone_id}")
-        return drone_id
-
-    def fold_subscribe(self, tx: TransactionRecord) -> dict[str, Any]:
-        drone_id = self._owned(tx)
-        if tx.value != self.params.subscription_fee:
-            raise ValueError(f"tx {tx.tx_id} pays {tx.value} for a subscription")
-        return self._subscribe(drone_id, tx.caller, tx.value, tx.timestamp)
+    # -- folds: restore re-applies each logged success through its op's leading checks and writers (Ledger.apply_log)
 
     def fold_request_plan(self, tx: TransactionRecord) -> dict[str, Any]:
         """Open the mission; its plan is built and its payload checked at the end only if still active (build_live_plans)."""
-        drone_id = self._owned(tx)
+        drone_id = tx.args["droneId"]
+        self._check_plan(drone_id, tx.caller)
         if not tx.payload["route"] or tx.payload["arrivalEpoch"] < tx.payload["departureEpoch"]:  # settled plans too
             raise ValueError(f"plan for drone {drone_id} has no route or lands before it departs")
         self._open_mission(drone_id, None, self._next_nonce())
@@ -479,15 +474,15 @@ class UssContract:
         return tx.payload
 
     def fold_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
-        """Record the report under its logged verdict, which is taken as given; ValueError for the owner or a second report."""
-        args, verdict, drone_id = tx.args, tx.payload["verdict"], tx.args["droneId"]
-        if tx.caller == self.authority.record(drone_id).owner_account or tx.caller in self.missions[drone_id].report_counts:
-            raise ValueError(f"tx {tx.tx_id} reports drone {drone_id} as its owner or a second time")
-        cell = self.grid.cell_of(*self._point(args["sightingLocation"]))
+        """Record the report under its logged verdict, which is taken as given."""
+        args, drone_id = tx.args, tx.args["droneId"]
+        self._check_report(drone_id, tx.caller)
+        verdict, cell = tx.payload["verdict"], self.grid.cell_of(*self._point(args["sightingLocation"]))
         return self._record_sighting(SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], verdict))
 
     def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
-        drone_id = self._owned(tx)
+        drone_id = tx.args["droneId"]
+        self._check_completion(drone_id, tx.caller)
         self._unbuilt.pop(drone_id, None)
         return self._close_mission(drone_id, tx.caller)
 

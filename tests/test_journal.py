@@ -4,10 +4,11 @@ import collections
 import copy
 import dataclasses
 import functools
+import re
 import sys
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 import oracles
 from conftest import (
@@ -20,11 +21,15 @@ from conftest import (
     compliant_scenario,
     deviating_scenario,
     make_bench,
+    plan,
     planned_drone,
+    register,
     report,
     report_args,
+    subscribe,
 )
-from skyledger import ledger as ledger_module
+from skyledger import ledger as ledger_module, uss as uss_module
+from skyledger.authority import REVERT_ALREADY_REGISTERED, REVERT_TAC_NOT_SIGNED
 from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, Scenario, run
@@ -366,6 +371,96 @@ def test_generated_steps_reach_what_the_fold_guards():
 
     collect()
     assert all(reached[path] >= 5 for path in ("reward", "penalty", "settlement", "re-plan")), reached
+
+
+def _fold_relabelled(live, rec, payload=None, deltas=None):
+    """Seal live's log with `rec`, a revert, logged as a success with this payload and these balanceDeltas; fold it."""
+    rec.status, rec.reason, rec.payload, rec.balance_deltas = "success", None, payload, deltas or {}
+    live.ledger.seal_block()
+    make_bench().ledger.apply_log(live.ledger.blocks)
+
+
+def _second_subscription(bench):
+    drone_id = register(bench)
+    first = subscribe(bench, drone_id)
+    return subscribe(bench, drone_id), first.payload, first.balance_deltas
+
+
+def _underpaid_subscription(bench):
+    drone_id, fee = register(bench), bench.uss.params.subscription_fee
+    rec = bench.ledger.submit(bench.operator, "subscribe", {"droneId": drone_id}, value=fee - 1)
+    expiry = bench.ledger.clock + uss_module.SUBSCRIPTION_PERIOD_S
+    return rec, {"droneId": drone_id, "expiry": expiry}, {bench.operator: 1 - fee, bench.uss.treasury: fee - 1}
+
+
+def _declined_terms(bench):
+    args = {"serial": "SN-0001", "ownerNationalId": "NID-SN-0001", "signTAC": False}
+    return bench.ledger.submit(bench.operator, "register_drone", args), {"droneId": 0}, {}
+
+
+def _second_registration(bench):
+    register(bench)
+    args = {"serial": "SN-0001", "ownerNationalId": "NID-other", "signTAC": True}
+    return bench.ledger.submit(bench.second_operator, "register_drone", args), {"droneId": 1}, {}
+
+
+def _second_plan(bench):
+    drone_id = planned_drone(bench)
+    first = next(tx for tx in bench.ledger.pending if tx.op == "request_plan")
+    rec, deposit = plan(bench, drone_id, time="0003"), bench.uss.params.fee_params.deposit
+    moves = {bench.operator: -rec.value, bench.uss.treasury: rec.value - deposit, bench.uss.escrow: deposit}
+    return rec, first.payload, moves
+
+
+@pytest.mark.parametrize(
+    "relabelled,reason",
+    [
+        (_second_subscription, uss_module.REVERT_ALREADY_SUBSCRIBED),
+        (_underpaid_subscription, uss_module.REVERT_SUBSCRIPTION_FEE),
+        (_second_registration, REVERT_ALREADY_REGISTERED),
+        (_declined_terms, REVERT_TAC_NOT_SIGNED),
+        (_second_plan, uss_module.REVERT_ACTIVE_PLAN_EXISTS),
+    ],
+    ids=["second-subscription", "underpaid-subscription", "duplicate-registration", "declined-terms", "second-plan"],
+)
+def test_a_revert_logged_as_a_success_with_the_payload_and_moves_of_one_is_refused(relabelled, reason):
+    """The op's own check refuses each, whose payload and moves are the ones a success would log."""
+    live = make_bench()
+    rec, payload, deltas = relabelled(live)
+    assert (rec.status, rec.reason) == ("revert", reason)
+    with pytest.raises(LedgerError, match=re.escape(f"its op reverts: {reason}") + "$"):
+        _fold_relabelled(live, rec, payload, deltas)
+
+
+# Reasons the fold does not check, so a revert with one of them may fold past the check that gave it (or fail on the
+# revert's empty payload instead): what only re-computation could check, and the payload the fold takes as given.
+NOT_RECHECKED = {
+    uss_module.REASON_INVALID_DMS: "a plan's points and a sighting's location are read only past the checks",
+    uss_module.REASON_INVALID_DATETIME: "a plan's departure is computed only when a live plan is built",
+    uss_module.REVERT_PLAN_FEE: "a plan's fee is taken as given",
+    uss_module.REASON_SCHEDULE_CONFLICT: "deconfliction needs the settled plans",
+    uss_module.REASON_MALFORMED_RID: "a report's RID is taken as given",
+    uss_module.REVERT_INVALID_REPORT: "two checks, no mission or a RID that does not verify; the second needs the RID",
+    uss_module.REASON_INVALID_RIDVC: "a completion's ridVc is taken as given",
+}
+VIEWS = ("get_drone", "request_quote")  # a view that moves nothing is taken as given, its args unchecked
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=steps, data=st.data())
+def test_a_revert_logged_as_a_success_is_refused_with_its_reason(steps, data):
+    """A generated revert relabelled as a success: the fold runs the check that reverted it, whatever the payload."""
+    live = make_bench()
+    reverts = []
+    for caller, op, args, value in _generated_calls(live, steps):
+        rec = live.ledger.submit(caller, op, args, value)
+        if rec.status == "revert" and op not in VIEWS and rec.reason not in NOT_RECHECKED:
+            reverts.append(rec)
+    assume(reverts)
+    rec = data.draw(st.sampled_from(reverts))
+    with pytest.raises(LedgerError, match=re.escape(f"tx {rec.tx_id} ({rec.op}) logs a success that its op reverts: "
+                                                    f"{rec.reason}") + "$"):
+        _fold_relabelled(live, rec)
 
 
 @dataclasses.dataclass

@@ -408,6 +408,14 @@ def _settled_by_a_reporter(data):
         account["balance"] = str(int(account["balance"]) + amount)
 
 
+def _arg(op, key, value):
+    """A forge: an arg of the first success of `op` set to `value`, or to value(arg) for a callable."""
+    def forge(data):
+        args = _logged(data, op)["args"]
+        args[key] = value(args[key]) if callable(value) else value
+    return forge
+
+
 def _report_twice(data):
     """The first report's reporter made the second report on the same mission too, header matched."""
     first, second = _successes(data, "report_drone")[:2]
@@ -492,6 +500,14 @@ def _flip_verdict(data):
         pytest.param(lambda d: _logged(d, "request_plan")["payload"].update(route=[]), id="settled-plan-empty-route"),
         pytest.param(lambda d: _logged(d, "request_plan")["payload"].update(arrivalEpoch=0),
                      id="settled-plan-lands-before-departure"),
+        # each success passes submit's entry checks again: each declared arg exactly of its type
+        pytest.param(_arg("report_drone", "sightingTime", "noon"), id="sighting-time-as-text"),
+        pytest.param(_arg("report_drone", "sightingTime", float), id="sighting-time-as-float"),
+        pytest.param(_arg("report_drone", "rid", 5), id="rid-as-int"),
+        pytest.param(_arg("register_drone", "signTAC", 1), id="terms-as-int"),
+        pytest.param(_arg("report_completion", "ridVc", 7), id="ridvc-as-int"),
+        # an op that needs nothing from its payload is its own fold: registration runs its own checks again
+        pytest.param(_arg("register_drone", "signTAC", False), id="terms-declined"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):

@@ -89,7 +89,6 @@ def _outcome(world):
 @settings(max_examples=80, deadline=None)
 @given(sensing_scenarios())
 def test_bucketed_tick_equals_all_pairs_scan(scenario):
-    scenario.validate()
     assert _outcome(World(scenario)) == _outcome(AllPairsWorld(scenario))
 
 
@@ -131,7 +130,6 @@ def test_broadcasts_on_the_grid_edge_equal_the_all_pairs_scan():
         name="edge", seed=11, grid_extent_cells=16, deconfliction_cell_buffer=0, deconfliction_time_buffer_s=0,
         drones=drones, reporters=reporters,
     )
-    scenario.validate()
     world, sent = World(scenario), []
     broadcast_phase = world._broadcast_phase
 
