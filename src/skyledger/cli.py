@@ -12,6 +12,7 @@ failure, 4 broken chain.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -112,7 +113,7 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
     try:
         scenario = persistence.load_scenario(scenario_path)
         if seed is not None:
-            scenario = Scenario.from_dict({**scenario.to_dict(), "seed": seed})
+            scenario = dataclasses.replace(scenario, seed=seed)  # the Scenario checks the bound again
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot read scenario {scenario_path}: {exc.strerror}")
     except json.JSONDecodeError as exc:

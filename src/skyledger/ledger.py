@@ -608,10 +608,11 @@ class Ledger:
     def apply_log(self, blocks: list[Block]) -> None:
         """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain, and re-apply it.
 
-        Each success runs at its logged time through submit()'s entry checks, then its op's fold. LedgerError refuses a
-        status other than "success" or "revert", a success by an unknown caller or with a value not an int >= 0, one a
-        check reverts (naming its reason), and one whose balanceDeltas are not its transfers or whose payload is not
-        its fold's (by type too). Reverts, and views that move nothing, are taken as given.
+        Each success runs at its logged time through submit()'s entry checks, then its op's fold; the clock is left at
+        the last record's time. LedgerError refuses a timestamp that is not an int or runs back from the record before
+        it, a status other than "success" or "revert", a success by an unknown caller or with a value not an int >= 0,
+        one a check reverts (naming its reason), and one whose balanceDeltas are not its transfers or whose payload is
+        not its fold's (by type too). Reverts, and views that move nothing, are otherwise taken as given.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -620,7 +621,10 @@ class Ledger:
             raise LedgerError("chain tx ids are not dense")
         self.blocks, self.pending, self._tx_counter = blocks, [], len(records)
         ops, accounts = self._ops, self.accounts
-        for tx in records[1:]:
+        for before, tx in zip(records, records[1:]):
+            if type(tx.timestamp) is not int or tx.timestamp < before.timestamp:
+                raise LedgerError(f"tx {tx.tx_id} logs timestamp {tx.timestamp!r}, not an int at or after {before.timestamp}")
+            self.clock = tx.timestamp
             if tx.status == "revert":
                 continue
             spec, value, deltas = ops.get(tx.op), tx.value, tx.balance_deltas
@@ -629,7 +633,6 @@ class Ledger:
             if spec is not None and spec.fold is None and not (value or deltas):
                 continue  # a view that moves nothing: its payload is taken as given
             moves = self._moves = {}
-            self.clock = tx.timestamp
             try:
                 self._admit(spec, tx.caller, tx.args, value)
                 payload = tx.payload if spec.fold is None else spec.fold(tx)

@@ -18,11 +18,12 @@ clock, each reporter's cell and replay memory, the RNG and the chain, plus
 the account balances as a cross-check and the chain's head hash. Restore
 checks every hash and link and the head, then re-applies the chain
 (Ledger.apply_log): it must open with the genesis the scenario's world
-writes and have dense tx ids; each success passes submit's entry checks
-and its op's own, then its fold writes through the op's writers. In both
-paths balances change only through transfer: logged balanceDeltas are
-checked against the transfers, never applied, and each payload against the
-fold's, by type too. Taken as given is what only re-computation could
+writes and have dense tx ids, and its timestamps must be ints that never
+run back and end at or before the header's clock; each success passes
+submit's entry checks and its op's own, then its fold writes through the
+op's writers. In both paths balances change only through transfer: logged
+balanceDeltas are checked against the transfers, never applied, and each
+payload against the fold's, by type too. Taken as given is what only re-computation could
 check: a plan's fee, congestion and deconfliction, a settled plan's route,
 a report's RID checks and verdict, a completion's ridVc, view payloads,
 stateWrites, events and reverts.
@@ -228,6 +229,8 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
         raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
     world = World.deployed(scenario)
     world.ledger.apply_log(blocks)
+    if clock < world.ledger.clock:  # apply_log leaves the clock at the last record's time
+        raise CorruptPayload(f"clock {clock} is before the last record's timestamp {world.ledger.clock}")
     world.uss.build_live_plans()
     world.ledger.clock = clock
     world.learn()

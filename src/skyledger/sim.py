@@ -55,7 +55,8 @@ class ScenarioError(ValueError):
 # holds its JSON key path (dotted inside a nested object) and optional bounds,
 # its annotation is its type, and its default, or the lack of one, says
 # whether the key may be left out. from_dict, to_dict and the bound checks
-# a Scenario runs when it is built all read that declaration.
+# a Scenario runs when it is built are generated from that declaration,
+# once per class (_codec).
 
 _RID_MAX_M = (2**32 - 1) // 100  # the most metres, or m/s, whose centimetres fit a RID message's u32 field
 
@@ -138,7 +139,7 @@ class Scenario:
         return geo.GridConfig(self.cell_size_m, self.meters_per_arcsec)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"schema": dict(SCHEMA), "kind": "scenario", **_dump(self)}
+        return {"schema": dict(SCHEMA), "kind": "scenario", **_codec(Scenario).write(self)}
 
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
@@ -152,16 +153,17 @@ class Scenario:
             raise ScenarioError(f"schema: unsupported version {schema!r}")
         if body.pop("kind", "scenario") != "scenario":
             raise ScenarioError("kind: file is not a scenario")
-        return _load(cls, body, "", "")
+        return _codec(cls).read(body, "", "")
 
     def __post_init__(self) -> None:
         """Each key's declared bounds, then the checks that span fields; from_dict has checked the types."""
-        _check_bounds(self, "")
+        _codec(Scenario).check(self, "", "")
+        check_drone, check_reporter = _codec(DroneSpec).check, _codec(ReporterSpec).check
         grid = self.grid()
         seen_names: set[str] = set()
         seen_serials: set[str] = set()
         for i, d in enumerate(self.drones):
-            _check_bounds(d, f"drones[{i}]")
+            check_drone(d, "drones", i)
             if d.name in seen_names:
                 raise ScenarioError(f"drones[{i}].name: duplicate drone name {d.name!r}")
             seen_names.add(d.name)
@@ -181,7 +183,7 @@ class Scenario:
                     raise ScenarioError(f"drones[{i}].mission: waypoint cell {cell} outside grid")
         reporter_names: set[str] = set()
         for i, r in enumerate(self.reporters):
-            _check_bounds(r, f"reporters[{i}]")
+            check_reporter(r, "reporters", i)
             if r.name in reporter_names:
                 raise ScenarioError(f"reporters[{i}].name: duplicate reporter name {r.name!r}")
             reporter_names.add(r.name)
@@ -199,69 +201,108 @@ _ABSENT = object()
 _Key = str | int  # an object key, or an array index
 
 
-class _Field(typing.NamedTuple):
-    attr: str
-    path: str                   # key path within the object
-    group: str                  # key of the nested object holding the key, "" for none
-    key: str
-    nested: bool                # an array or an object
-    lo: int | None              # lower bound, checked when a Scenario is built
-    hi: int | None              # upper bound, checked when a Scenario is built
-    required: bool
-    numbered: str | None        # default template of the item index, see _key
-    read: Callable[[Any, str, _Key], Any]  # value, and its key path as (at, key) -> the field's value, or ScenarioError
-
-
-class _Layout(typing.NamedTuple):
-    names: frozenset[str]               # keys of the object itself
-    groups: dict[str, frozenset[str]]   # nested object key -> its keys
-    fields: tuple[_Field, ...]
+class _Codec(typing.NamedTuple):
+    read: Callable[[Any, str, _Key], Any]    # JSON value, the key path around it and its key -> instance, or ScenarioError
+    write: Callable[[Any], dict[str, Any]]   # instance -> its JSON object
+    check: Callable[[Any, str, _Key], None]  # instance, the key path around it and its key -> ScenarioError at a bad bound
 
 
 @functools.cache
-def _declared(cls: type) -> _Layout:
-    """The JSON layout of a declared dataclass, read from its fields' metadata and annotations."""
-    hints = typing.get_type_hints(cls)
-    fields, groups = [], {}
-    for f in dataclasses.fields(cls):
-        group, _, key = f.metadata["key"].rpartition(".")
+def _codec(cls: type) -> _Codec:
+    """The reader, writer and bound check of a declared dataclass, generated as Python source once per class.
+
+    Each is straight-line code, the way dataclasses builds __init__: the reader checks the object and its nested
+    objects' keys, then each key's presence and exact type in field order, and calls the class once; the writer
+    is one dict literal, nested objects first; the check tests only the bounded fields. A key path is formatted
+    only to name it in a ScenarioError, or to hand it to the reader of an object inside this one.
+    """
+    env = {"cls": cls, "ScenarioError": ScenarioError, "_ABSENT": _ABSENT, "_path": _path, "_check_object": _check_object}
+    hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+    names: set[str] = set()
+    groups: dict[str, dict[str, str]] = {}  # nested object key -> its key -> value source
+    written: dict[str, str] = {}             # key -> value source
+    reads, checks = [], []
+    for i, f in enumerate(fields):
+        path, kind, var = f.metadata["key"], hints[f.name], f"v{i}"
+        group, _, key = path.rpartition(".")
+        names.add(group or key)
+        if f.metadata.get("numbered"):
+            absent = f"{var} = {f.metadata['numbered']!r}.format(key)"
+        elif f.default is not dataclasses.MISSING:
+            env[f"d{i}"], absent = f.default, f"{var} = d{i}"
+        elif f.default_factory is not dataclasses.MISSING:
+            env[f"d{i}"], absent = f.default_factory, f"{var} = d{i}()"
+        else:
+            absent = f'raise ScenarioError(f"{{_path(here, {path!r})}} is missing")'
         if group:
-            groups[group] = groups.get(group, frozenset()) | {key}
-        kind, numbered = hints[f.name], f.metadata.get("numbered")
-        origin = typing.get_origin(kind)
-        members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
-        nested = not any(t in _JSON_TYPES for t in members)
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and not numbered
-        fields.append(_Field(f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), f.metadata.get("max"),
-                             required, numbered, _reader(kind)))
-    return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
+            groups.setdefault(group, {})
+        scope = f"g{list(groups).index(group)}" if group else "data"
+        reads += [f"{var} = {scope}.get({key!r}, _ABSENT)", f"if {var} is _ABSENT:", f"    {absent}", "else:",
+                  *_indent(_read_source(kind, var, "here", repr(path), env))]
+        (groups[group] if group else written)[key] = _write_source(kind, f"obj.{f.name}", env)
+        for limit, op, word in ((f.metadata.get("min"), "<", "least"), (f.metadata.get("max"), ">", "most")):
+            if limit is not None:
+                checks += [f"if obj.{f.name} is not None and obj.{f.name} {op} {limit!r}:",
+                           f'    raise ScenarioError(f"{{_path(_path(at, key), {path!r})}} must be at {word} {limit}")']
+    env["names"] = frozenset(names)
+    opened = ["here = _path(at, key)",
+              "if not (isinstance(data, dict) and names.issuperset(data)):", "    _check_object(data, names, here)"]
+    for j, (group, keys) in enumerate(groups.items()):
+        env[f"names{j}"] = frozenset(keys)
+        opened += [f"g{j} = data.get({group!r}, {{}})", f"if not (isinstance(g{j}, dict) and names{j}.issuperset(g{j})):",
+                   f"    _check_object(g{j}, names{j}, _path(here, {group!r}))"]
+    made = ["try:", f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})",
+            "except ScenarioError:  # a Scenario checks itself", "    raise",
+            "except ValueError as exc:  # FeeParams checks its own ranges",
+            '    raise ScenarioError(f"{here}: bad {here} block: {exc}") from None']
+    literal = ", ".join([*(f"{g!r}: {{{', '.join(f'{k!r}: {v}' for k, v in keys.items())}}}" for g, keys in groups.items()),
+                         *(f"{k!r}: {v}" for k, v in written.items())])
+    source = "\n".join(["def read(data, at, key):", *_indent(opened + reads + made),
+                        "def write(obj):", f"    return {{{literal}}}",
+                        "def check(obj, at, key):", *_indent(checks or ["pass"])])
+    exec(compile(source, f"<codec of {cls.__qualname__}>", "exec"), env)
+    return _Codec(env["read"], env["write"], env["check"])
 
 
-def _reader(kind: Any) -> Callable[[Any, str, _Key], Any]:
-    """A function reading a JSON value as the declared type `kind`: a scalar, an array, an optional or an object."""
-    options = typing.get_args(kind)
+def _read_source(kind: Any, var: str, at: str, key: str, env: dict[str, Any]) -> list[str]:
+    """Lines that check the JSON value in `var` as the declared type `kind`, a scalar, an array, an optional or an
+    object, and leave the field's value in it; `at` and `key` are source of the key path around it and its key."""
+    options, where = typing.get_args(kind), f"{{_path({at}, {key})}}"
     if kind in _JSON_TYPES:
-        def scalar(value: Any, at: str, key: _Key) -> Any:
-            if type(value) is not kind:
-                raise ScenarioError(f"{_path(at, key)} must be {_JSON_TYPES[kind]}")
-            return value
-        return scalar
+        return [f"if type({var}) is not {kind.__name__}:", f'    raise ScenarioError(f"{where} must be {_JSON_TYPES[kind]}")']
     if typing.get_origin(kind) is tuple:  # tuple[X, ...], or a fixed tuple[X, Y]
-        readers = [_reader(item) for item in options if item is not Ellipsis]
-
-        def array(value: Any, at: str, key: _Key) -> tuple:
-            at = _path(at, key)
-            if not isinstance(value, list):
-                raise ScenarioError(f"{at} must be a JSON array")
-            items = readers * len(value) if options[-1] is Ellipsis else readers
-            if len(items) != len(value):
-                raise ScenarioError(f"{at} must hold {len(items)} items")
-            return tuple(read(v, at, i) for i, (read, v) in enumerate(zip(items, value)))
-        return array
+        lines = [f"if not isinstance({var}, list):", f'    raise ScenarioError(f"{where} must be a JSON array")']
+        if options[-1] is Ellipsis:
+            return lines + [f"{var}p, {var}s = _path({at}, {key}), []", f"for {var}i, {var}_ in enumerate({var}):",
+                            *_indent(_read_source(options[0], f"{var}_", f"{var}p", f"{var}i", env)),
+                            f"    {var}s.append({var}_)", f"{var} = tuple({var}s)"]
+        items = [f"{var}_{j}" for j in range(len(options))]
+        lines += [f"if len({var}) != {len(items)}:", f'    raise ScenarioError(f"{where} must hold {len(items)} items")',
+                  f"{', '.join(items)}, = {var}"]
+        for j, (item, option) in enumerate(zip(items, options)):
+            lines += _read_source(option, item, f"_path({at}, {key})", str(j), env)
+        return lines + [f"{var} = {', '.join(items)},"]
     if type(None) in options:  # `X | None`: null or an X
-        inner = _reader(options[0])
-        return lambda value, at, key: None if value is None else inner(value, at, key)
-    return lambda value, at, key: _load(kind, value, at, key)
+        return [f"if {var} is not None:", *_indent(_read_source(options[0], var, at, key, env))]
+    env[f"read_{kind.__name__}"] = _codec(kind).read
+    return [f"{var} = read_{kind.__name__}({var}, {at}, {key})"]
+
+
+def _write_source(kind: Any, value: str, env: dict[str, Any]) -> str:
+    """Source of the JSON value of `value`, a source expression of the declared type `kind`: a scalar or an optional
+    scalar as it is, an array of scalars, or of objects of one class, as a list, an object through its writer."""
+    options = typing.get_args(kind)
+    if kind in _JSON_TYPES or type(None) in options and options[0] in _JSON_TYPES:
+        return value
+    if typing.get_origin(kind) is tuple:
+        (item,) = {_write_source(option, "v", env) for option in options if option is not Ellipsis}
+        return f"list({value})" if item == "v" else f"[{item} for v in {value}]"
+    env[f"write_{kind.__name__}"] = _codec(kind).write
+    return f"write_{kind.__name__}({value})"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
 def _path(at: str, key: _Key) -> str:
@@ -274,60 +315,6 @@ def _check_object(obj: Any, names: frozenset[str], at: str) -> None:
         raise ScenarioError(f"{at or 'scenario'} must be a JSON object")
     if not names.issuperset(obj):
         raise ScenarioError(f"{_path(at, min(obj.keys() - names))} is not a known key")
-
-
-def _load(cls: type, data: Any, at: str, key: _Key) -> Any:
-    """An instance of the declared dataclass `cls` from `data`, the JSON value of `key` inside key path `at`."""
-    at = _path(at, key)
-    layout = _declared(cls)
-    _check_object(data, layout.names, at)
-    scopes = {"": data}
-    for group, names in layout.groups.items():
-        scopes[group] = group_data = data.get(group, {})
-        _check_object(group_data, names, _path(at, group))
-    values = {}
-    for attr, path, group, name, _, _, _, required, numbered, read in layout.fields:
-        value = scopes[group].get(name, _ABSENT)
-        if value is not _ABSENT:
-            values[attr] = read(value, at, path)
-        elif numbered:
-            values[attr] = numbered.format(key)
-        elif required:
-            raise ScenarioError(f"{_path(at, path)} is missing")
-    try:
-        return cls(**values)
-    except ScenarioError:  # a Scenario checks itself
-        raise
-    except ValueError as exc:  # FeeParams checks its own ranges
-        raise ScenarioError(f"{at}: bad {at} block: {exc}") from None
-
-
-def _check_bounds(obj: Any, at: str) -> None:
-    """Each declared bound of a dataclass instance, the object at key path `at`."""
-    for f in _declared(type(obj)).fields:
-        value = getattr(obj, f.attr)
-        if f.lo is not None and value is not None and value < f.lo:
-            raise ScenarioError(f"{_path(at, f.path)} must be at least {f.lo}")
-        if f.hi is not None and value is not None and value > f.hi:
-            raise ScenarioError(f"{_path(at, f.path)} must be at most {f.hi}")
-
-
-def _dump(obj: Any) -> dict[str, Any]:
-    """The JSON object of a declared dataclass instance."""
-    layout = _declared(type(obj))
-    out: dict[str, Any] = {}
-    scopes = {"": out}
-    for group in layout.groups:
-        scopes[group] = out[group] = {}
-    for f in layout.fields:
-        value = getattr(obj, f.attr)
-        if f.nested:
-            if isinstance(value, tuple):
-                value = [v if type(v) in _JSON_TYPES else _dump(v) for v in value]
-            else:
-                value = _dump(value)
-        scopes[f.group][f.key] = value
-    return out
 
 
 @dataclass

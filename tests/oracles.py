@@ -5,20 +5,23 @@ package: exact rationals for the fixed-point economics, second-by-second
 enumeration for route occupancy, a from-scratch digest chain walk,
 whole-storage copies for per-transaction write metering, an
 every-reporter-against-every-broadcast scan for crowd sensing, a
-float distance for the integer range check, and csv.writer for the
-CSV exports.
+float distance for the integer range check, csv.writer for the CSV
+exports, and a scenario codec that walks the declaration field by field.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import typing
 from fractions import Fraction
+from typing import Any, Callable
 
-from skyledger import economics, geo
+from skyledger import economics, geo, sim
 
 MICRO = 10**6
 
@@ -395,3 +398,155 @@ def csv_writer_congestion_fee(path, scenario, max_missions: int) -> None:
         for count in range(max_missions + 1):
             surcharge = economics.congestion_surcharge(count, fp.surcharge_per_mission)
             writer.writerow([count, economics.dynamic_fee(economics.INITIAL_K_MICRO, fp.base_cost, fp.deposit, surcharge)])
+
+
+# The table-driven scenario codec the package compiled away: each call walks
+# the declaration field by field. Its reader, writer and bound check are the
+# reference for the generated ones.
+
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean"}
+_ABSENT = object()
+
+
+class _Field(typing.NamedTuple):
+    attr: str
+    path: str                   # key path within the object
+    group: str                  # key of the nested object holding the key, "" for none
+    key: str
+    nested: bool                # an array or an object
+    lo: int | None
+    hi: int | None
+    required: bool
+    numbered: str | None        # default template of the item index
+    read: Callable[[Any, str, Any], Any]
+
+
+class _Layout(typing.NamedTuple):
+    names: frozenset[str]               # keys of the object itself
+    groups: dict[str, frozenset[str]]   # nested object key -> its keys
+    fields: tuple[_Field, ...]
+
+
+@functools.cache
+def _declared(cls: type) -> _Layout:
+    hints = typing.get_type_hints(cls)
+    fields, groups = [], {}
+    for f in dataclasses.fields(cls):
+        group, _, key = f.metadata["key"].rpartition(".")
+        if group:
+            groups[group] = groups.get(group, frozenset()) | {key}
+        kind, numbered = hints[f.name], f.metadata.get("numbered")
+        origin = typing.get_origin(kind)
+        members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
+        nested = not any(t in _JSON_TYPES for t in members)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and not numbered
+        fields.append(_Field(f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), f.metadata.get("max"),
+                             required, numbered, _reader(kind)))
+    return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
+
+
+def _reader(kind):
+    options = typing.get_args(kind)
+    if kind in _JSON_TYPES:
+        def scalar(value, at, key):
+            if type(value) is not kind:
+                raise sim.ScenarioError(f"{_path(at, key)} must be {_JSON_TYPES[kind]}")
+            return value
+        return scalar
+    if typing.get_origin(kind) is tuple:
+        readers = [_reader(item) for item in options if item is not Ellipsis]
+
+        def array(value, at, key):
+            at = _path(at, key)
+            if not isinstance(value, list):
+                raise sim.ScenarioError(f"{at} must be a JSON array")
+            items = readers * len(value) if options[-1] is Ellipsis else readers
+            if len(items) != len(value):
+                raise sim.ScenarioError(f"{at} must hold {len(items)} items")
+            return tuple(read(v, at, i) for i, (read, v) in enumerate(zip(items, value)))
+        return array
+    if type(None) in options:
+        inner = _reader(options[0])
+        return lambda value, at, key: None if value is None else inner(value, at, key)
+    return lambda value, at, key: _load(kind, value, at, key)
+
+
+def _path(at, key):
+    return f"{at}[{key}]" if type(key) is int else f"{at}.{key}" if at and key else at or key
+
+
+def _check_object(obj, names, at):
+    if not isinstance(obj, dict):
+        raise sim.ScenarioError(f"{at or 'scenario'} must be a JSON object")
+    if not names.issuperset(obj):
+        raise sim.ScenarioError(f"{_path(at, min(obj.keys() - names))} is not a known key")
+
+
+def _load(cls, data, at, key):
+    at = _path(at, key)
+    layout = _declared(cls)
+    _check_object(data, layout.names, at)
+    scopes = {"": data}
+    for group, names in layout.groups.items():
+        scopes[group] = group_data = data.get(group, {})
+        _check_object(group_data, names, _path(at, group))
+    values = {}
+    for attr, path, group, name, _, _, _, required, numbered, read in layout.fields:
+        value = scopes[group].get(name, _ABSENT)
+        if value is not _ABSENT:
+            values[attr] = read(value, at, path)
+        elif numbered:
+            values[attr] = numbered.format(key)
+        elif required:
+            raise sim.ScenarioError(f"{_path(at, path)} is missing")
+    try:
+        return cls(**values)
+    except sim.ScenarioError:
+        raise
+    except ValueError as exc:
+        raise sim.ScenarioError(f"{at}: bad {at} block: {exc}") from None
+
+
+def _dump(obj):
+    layout = _declared(type(obj))
+    out = {}
+    scopes = {"": out}
+    for group in layout.groups:
+        scopes[group] = out[group] = {}
+    for f in layout.fields:
+        value = getattr(obj, f.attr)
+        if f.nested:
+            if isinstance(value, tuple):
+                value = [v if type(v) in _JSON_TYPES else _dump(v) for v in value]
+            else:
+                value = _dump(value)
+        scopes[f.group][f.key] = value
+    return out
+
+
+def walked_scenario_from_dict(data):
+    """Scenario.from_dict by walking the declaration: the same header checks, then the table-driven reader."""
+    if not isinstance(data, dict):
+        raise sim.ScenarioError("scenario must be a JSON object")
+    body = dict(data)
+    schema = body.pop("schema", None)
+    major = schema.get("major") if isinstance(schema, dict) else None
+    if type(major) is not int or major != sim.SCHEMA["major"]:
+        raise sim.ScenarioError(f"schema: unsupported version {schema!r}")
+    if body.pop("kind", "scenario") != "scenario":
+        raise sim.ScenarioError("kind: file is not a scenario")
+    return _load(sim.Scenario, body, "", "")
+
+
+def walked_scenario_to_dict(scenario):
+    return {"schema": dict(sim.SCHEMA), "kind": "scenario", **_dump(scenario)}
+
+
+def walked_check_bounds(obj, at):
+    """Each declared bound of a dataclass instance, the object at key path `at`."""
+    for f in _declared(type(obj)).fields:
+        value = getattr(obj, f.attr)
+        if f.lo is not None and value is not None and value < f.lo:
+            raise sim.ScenarioError(f"{_path(at, f.path)} must be at least {f.lo}")
+        if f.hi is not None and value is not None and value > f.hi:
+            raise sim.ScenarioError(f"{_path(at, f.path)} must be at most {f.hi}")

@@ -87,6 +87,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
 
+    def test_negative_seed_override_names_its_bound(self, tmp_path, demo_scenario_path, capsys):
+        assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--seed", "-1") == 2
+        assert capsys.readouterr().err == "invalid scenario: seed must be at least 0\n"
+
     @pytest.mark.parametrize("under", ["", "sub"], ids=["is-a-file", "under-a-file"])
     def test_output_path_through_a_file_exits_2_with_one_line(self, tmp_path, demo_scenario_path, capsys, under):
         taken = tmp_path / "taken"

@@ -318,9 +318,12 @@ def _split_unit(data):
         account["balance"] = str(int(account["balance"]) + half)
 
 
+def _records(data):
+    return [tx for block in data["chain"] for tx in block["transactions"]]
+
+
 def _successes(data, op):
-    transactions = (tx for block in data["chain"] for tx in block["transactions"])
-    return [tx for tx in transactions if tx["op"] == op and tx["status"] == "success"]
+    return [tx for tx in _records(data) if tx["op"] == op and tx["status"] == "success"]
 
 
 def _logged(data, op):
@@ -416,6 +419,13 @@ def _arg(op, key, value):
     return forge
 
 
+def _backdated(data):
+    """The first successful report logged a second before the record ahead of it."""
+    records = _records(data)
+    i = records.index(_logged(data, "report_drone"))
+    records[i]["timestamp"] = records[i - 1]["timestamp"] - 1
+
+
 def _report_twice(data):
     """The first report's reporter made the second report on the same mission too, header matched."""
     first, second = _successes(data, "report_drone")[:2]
@@ -508,6 +518,11 @@ def _flip_verdict(data):
         pytest.param(_arg("report_completion", "ridVc", 7), id="ridvc-as-int"),
         # an op that needs nothing from its payload is its own fold: registration runs its own checks again
         pytest.param(_arg("register_drone", "signTAC", False), id="terms-declined"),
+        # submit logs the ledger clock, which never runs back, and the header's clock is where it stood
+        pytest.param(lambda d: _logged(d, "report_drone").update(timestamp=_logged(d, "report_drone")["timestamp"] + 0.5),
+                     id="timestamp-float"),
+        pytest.param(_backdated, id="timestamp-backwards"),
+        pytest.param(lambda d: _records(d)[-1].update(timestamp=d["clock"] + 1), id="timestamp-past-clock"),
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
