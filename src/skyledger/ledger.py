@@ -461,7 +461,9 @@ class Ledger:
             journal[slot] = (container, key, old, _contents(old))
 
     def emit(self, name: str, **args: Any) -> None:
-        """Record an event against the transaction currently executing."""
+        """Record an event against the transaction currently executing; a view may not emit."""
+        if self._view_running:
+            raise LedgerError("view operation tried to emit an event")
         self._event_buffer.append({"name": name, "args": args})
 
     # -- transactions -----------------------------------------------------
@@ -609,10 +611,10 @@ class Ledger:
         """Take sealed blocks that open with the pending genesis and have dense tx ids as this ledger's chain, and re-apply it.
 
         Each success runs at its logged time through submit()'s entry checks, then its op's fold; the clock is left at
-        the last record's time. LedgerError refuses a timestamp that is not an int or runs back from the record before
-        it, a status other than "success" or "revert", a success by an unknown caller or with a value not an int >= 0,
-        one a check reverts (naming its reason), and one whose balanceDeltas are not its transfers or whose payload is
-        not its fold's (by type too). Reverts, and views that move nothing, are otherwise taken as given.
+        the last record's time. LedgerError refuses a record submit never logs (a timestamp not an int or running back,
+        a status not "success" or "revert", an unknown caller, a value or stateWrites not an int >= 0, an event not as
+        emit builds it, a revert or view that writes, moves or emits, a revert with a payload or no str reason), and a
+        success a check reverts (naming its reason) or whose balanceDeltas or payload (by type too) are not its fold's.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -625,13 +627,21 @@ class Ledger:
             if type(tx.timestamp) is not int or tx.timestamp < before.timestamp:
                 raise LedgerError(f"tx {tx.tx_id} logs timestamp {tx.timestamp!r}, not an int at or after {before.timestamp}")
             self.clock = tx.timestamp
-            if tx.status == "revert":
-                continue
-            spec, value, deltas = ops.get(tx.op), tx.value, tx.balance_deltas
-            if tx.status != "success" or tx.caller not in accounts or type(value) is not int or value < 0:
-                raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for {tx.op!r} by {tx.caller!r} with value {value!r}")
-            if spec is not None and spec.fold is None and not (value or deltas):
-                continue  # a view that moves nothing: its payload is taken as given
+            spec, value, deltas, writes, events = ops.get(tx.op), tx.value, tx.balance_deltas, tx.state_writes, tx.events
+            if tx.status not in ("success", "revert") or tx.caller not in accounts or type(value) is not int or value < 0 \
+                    or type(writes) is not int or writes < 0 or type(events) is not list:
+                raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for {tx.op!r} by {tx.caller!r} with value {value!r}, "
+                                  f"stateWrites {writes!r} or events {events!r}: not a record submit logs")
+            for e in events:  # a loop, not all(): a generator per record costs more than the checks
+                if type(e) is not dict or len(e) != 2 or type(e.get("name")) is not str or type(e.get("args")) is not dict:
+                    raise LedgerError(f"tx {tx.tx_id} logs event {e!r}, not the {{name, args}} emit writes")
+            if tx.status == "revert" or spec is not None and spec.fold is None:  # writes, moves, emits nothing
+                if (writes, deltas, events) != (0, {}, []) or tx.status == "revert" and (
+                        tx.payload is not None or type(tx.reason) is not str):
+                    raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a {'revert' if tx.status == 'revert' else 'view'} that "
+                                      "writes, moves or emits, or a revert with a payload or a reason not a str")
+                if tx.status == "revert" or not value:
+                    continue  # a revert's reason and a view's payload are taken as given
             moves = self._moves = {}
             try:
                 self._admit(spec, tx.caller, tx.args, value)

@@ -19,14 +19,16 @@ the account balances as a cross-check and the chain's head hash. Restore
 checks every hash and link and the head, then re-applies the chain
 (Ledger.apply_log): it must open with the genesis the scenario's world
 writes and have dense tx ids, and its timestamps must be ints that never
-run back and end at or before the header's clock; each success passes
-submit's entry checks and its op's own, then its fold writes through the
-op's writers. In both paths balances change only through transfer: logged
-balanceDeltas are checked against the transfers, never applied, and each
-payload against the fold's, by type too. Taken as given is what only re-computation could
-check: a plan's fee, congestion and deconfliction, a settled plan's route,
-a report's RID checks and verdict, a completion's ridVc, view payloads,
-stateWrites, events and reverts.
+run back and end at or before the header's clock, the time of the tick
+before its tick. A revert or view that writes, moves or emits is refused;
+each success passes submit's entry checks and its op's own, then its fold
+writes through the op's writers. In both paths balances change only
+through transfer: logged balanceDeltas are checked against the transfers,
+never applied, and each payload against the fold's, by type too. Taken as
+given is what only re-computation could check: a plan's fee, congestion
+and deconfliction, a settled plan's route, a report's RID checks and
+verdict, a completion's ridVc, view payloads, a success's stateWrites and
+events, and a revert's reason.
 Active plans are rebuilt from their requests (build_live_plans), and the
 agents learn the rest of their memory as a live world does (World.learn).
 The writer is the one definition of a header: restore accepts a state
@@ -225,8 +227,9 @@ def _rebuild(data: dict[str, Any], blocks: list[Block]) -> World:
     """The scenario's world with its chain folded in and learned and its reporters loaded; checks what no round trip sees."""
     scenario = Scenario.from_dict(data["scenario"])
     tick, clock = data["tick"], data["clock"]
-    if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int or clock < 0:
-        raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range")
+    if type(tick) is not int or not 0 <= tick <= scenario.duration_ticks or type(clock) is not int \
+            or clock != max(tick - 1, 0) * scenario.tick_seconds:  # a live world's clock reads its last tick's time
+        raise CorruptPayload(f"tick {tick!r} or clock {clock!r} out of range, or not the time of the tick before")
     world = World.deployed(scenario)
     world.ledger.apply_log(blocks)
     if clock < world.ledger.clock:  # apply_log leaves the clock at the last record's time

@@ -572,36 +572,21 @@ class World:
             if loss and self.rng.randrange(MICRO) < loss:
                 continue
             if rep.spec.honesty == "honest":
-                if drone.drone_id in rep.attempted:
-                    continue
-                self.ledger.submit(
-                    rep.account,
-                    "report_drone",
-                    {
-                        "droneId": drone.drone_id,
-                        "rid": wire.hex(),
-                        "sightingLocation": geo.format_dms_pair(*pos),
-                        "sightingTime": now,
-                    },
-                )
+                if drone.drone_id not in rep.attempted:
+                    self._report(rep, drone.drone_id, wire.hex(), pos, now)
             elif drone.drone_id not in rep.heard:
                 rep.heard[drone.drone_id] = (wire.hex(), self.tick)
         # replayers fire after a delay, from a false position and time
         for rep in self.replayers:
             for drone_id in sorted(rep.heard):
                 rid_hex, heard_tick = rep.heard[drone_id]
-                if drone_id in rep.attempted or self.tick - heard_tick < rep.spec.replay_delay_ticks:
-                    continue
-                self.ledger.submit(
-                    rep.account,
-                    "report_drone",
-                    {
-                        "droneId": drone_id,
-                        "rid": rid_hex,
-                        "sightingLocation": geo.format_dms_pair(*rep.position),
-                        "sightingTime": now,
-                    },
-                )
+                if drone_id not in rep.attempted and self.tick - heard_tick >= rep.spec.replay_delay_ticks:
+                    self._report(rep, drone_id, rid_hex, rep.position, now)
+
+    def _report(self, rep: _ReporterState, drone_id: int, rid_hex: str, pos: tuple[int, int], now: int) -> None:
+        """File one report_drone: the drone heard, its broadcast, and where and when the reporter says it was seen."""
+        args = {"droneId": drone_id, "rid": rid_hex, "sightingLocation": geo.format_dms_pair(*pos), "sightingTime": now}
+        self.ledger.submit(rep.account, "report_drone", args)
 
     def _completion_phase(self, now: int) -> None:
         for drone in self.drones:

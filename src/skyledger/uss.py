@@ -26,7 +26,6 @@ import operator
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any
@@ -169,7 +168,7 @@ class UssContract:
         self._longest = 0
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
         self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> request of a plan restore has yet to build
-        self._point = functools.cache(geo.parse_dms_pair)  # restore's DMS reader: each distinct string parsed once
+        self._point = functools.cache(geo.parse_dms_pair)  # the contract's DMS reader: each distinct string parsed once
         ledger.attach_storage("uss", self.storage)
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
@@ -298,10 +297,10 @@ class UssContract:
 
     # -- calculators, called by request_plan and by restore; each computes and writes nothing
 
-    def plan_points(self, args: dict[str, Any], point: Callable[[str], tuple[int, int]]) -> PlanPoints:
-        """A plan request's source and destination, read by `point`, and departure second; reverts on bad DMS, then date."""
+    def plan_points(self, args: dict[str, Any]) -> PlanPoints:
+        """A plan request's source and destination arcseconds and departure second; reverts on bad DMS, then date."""
         try:
-            src, dst = point(args["source"]), point(args["destination"])
+            src, dst = self._point(args["source"]), self._point(args["destination"])
         except geo.DmsError:
             raise ContractRevert(REASON_INVALID_DMS) from None
         try:
@@ -354,7 +353,7 @@ class UssContract:
     def op_request_plan(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         drone_id, value = args["droneId"], args["_value"]
         self._check_plan(drone_id, caller)
-        points = self.plan_points(args, geo.parse_dms_pair)
+        points = self.plan_points(args)
         fee, congestion = self.quote_fee(caller, points[2])
         if value < fee:
             raise ContractRevert(REVERT_PLAN_FEE)
@@ -414,11 +413,7 @@ class UssContract:
             message = decode_rid(bytes.fromhex(args["rid"]))
         except (MalformedRid, ValueError):
             raise ContractRevert(REASON_MALFORMED_RID) from None
-        try:
-            sighting_cell = self.grid.cell_of(*geo.parse_dms_pair(args["sightingLocation"]))
-        except geo.DmsError:
-            raise ContractRevert(REASON_INVALID_DMS) from None
-        sighting_time = args["sightingTime"]
+        sighting_cell, sighting_time = self._sighting_cell(args), args["sightingTime"]
 
         plan = None if mission is None else mission.plan
         if plan is None or not verify_rid_vc(message.rid_vc, mission.nonce, plan.owner_account, plan.source,
@@ -428,6 +423,13 @@ class UssContract:
         self.ledger.emit("DroneSighted", droneId=drone_id, sightingLocation=args["sightingLocation"], reporter=caller)
         verdict = VERDICT_REWARD if self._sighting_matches_plan(plan, sighting_cell, sighting_time) else VERDICT_PENALTY
         return self._record_sighting(SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict))
+
+    def _sighting_cell(self, args: dict[str, Any]) -> tuple[int, int]:
+        """The cell of a report's sightingLocation, which its op and its fold read alike; reverts on bad DMS."""
+        try:
+            return self.grid.cell_of(*self._point(args["sightingLocation"]))
+        except geo.DmsError:
+            raise ContractRevert(REASON_INVALID_DMS) from None
 
     def _sighting_matches_plan(self, plan: MissionPlan, cell: tuple[int, int], at_s: int) -> bool:
         """Same cell as the plan within the temporal tolerance window."""
@@ -474,10 +476,10 @@ class UssContract:
         return tx.payload
 
     def fold_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
-        """Record the report under its logged verdict, which is taken as given."""
+        """Record the report under its logged verdict, taken as given and read past the op's checks: a revert's is null."""
         args, drone_id = tx.args, tx.args["droneId"]
         self._check_report(drone_id, tx.caller)
-        verdict, cell = tx.payload["verdict"], self.grid.cell_of(*self._point(args["sightingLocation"]))
+        cell, verdict = self._sighting_cell(args), tx.payload["verdict"]
         return self._record_sighting(SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], verdict))
 
     def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
@@ -494,7 +496,7 @@ class UssContract:
         """
         for drone_id, tx in self._unbuilt.items():
             mission = self.missions[drone_id]
-            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args, self._point))
+            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args))
             quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
             if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}) or (
                     {*map(type, chain.from_iterable(map(dict.values, tx.payload["route"])))} - {int}):  # 60.0 or True

@@ -531,6 +531,48 @@ def test_forged_snapshot_is_corrupt(forge):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
+def _reverted(data):
+    return next(tx for tx in _records(data) if tx["status"] == "revert")
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # a revert is rolled back whole: it logs no payload, writes, moves or events, and its reason is a str
+        pytest.param(lambda d: _reverted(d).update(events=[{"name": "DroneSighted", "args": {"droneId": 0}}]),
+                     id="revert-with-events"),
+        pytest.param(lambda d: _reverted(d).update(balanceDeltas={_reverted(d)["caller"]: 5, _treasury(d): -5}),
+                     id="revert-with-balance-deltas"),
+        pytest.param(lambda d: _reverted(d).update(payload={"verdict": "reward", "reporterReward": 5}),
+                     id="revert-with-payload"),
+        pytest.param(lambda d: _reverted(d).update(stateWrites=9), id="revert-with-writes"),
+        pytest.param(lambda d: _reverted(d).update(reason=[_reverted(d)["reason"]]), id="revert-reason-as-list"),
+        # a view writes, moves and emits nothing
+        pytest.param(lambda d: _logged(d, "request_quote").update(stateWrites=9), id="view-with-writes"),
+        pytest.param(lambda d: _logged(d, "request_quote").update(events=[{"name": "Quoted", "args": {}}]),
+                     id="view-with-events"),
+        # a success meters an int >= 0 and logs each event as emit builds it
+        pytest.param(lambda d: _logged(d, "report_drone").update(stateWrites="x"), id="writes-as-text"),
+        pytest.param(lambda d: _logged(d, "report_drone").update(stateWrites=-3), id="writes-negative"),
+        pytest.param(lambda d: _logged(d, "report_drone").update(events=[5]), id="event-as-int"),
+        pytest.param(lambda d: _logged(d, "report_drone")["events"][0].pop("args"), id="event-without-args"),
+    ],
+)
+def test_a_record_submit_never_logs_is_corrupt(demo_scenario_path, forge):
+    """Restore refuses what submit cannot log, though neither the fold's payload nor its transfers read it."""
+    _, world = run(persistence.load_scenario(demo_scenario_path))
+    with pytest.raises(persistence.CorruptPayload, match="logs"):
+        persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
+
+
+def test_report_logged_at_an_unreadable_location_is_refused_as_its_op_reverts():
+    """A report's op and its fold read its sightingLocation alike, before the fold reads the logged verdict."""
+    _, world = run(compliant_scenario())
+    forged = oracles.forge_snapshot(persistence.snapshot_world(world), _arg("report_drone", "sightingLocation", "noon"))
+    with pytest.raises(persistence.CorruptPayload, match=r"\(report_drone\) logs a success that its op reverts: invalid-dms$"):
+        persistence.restore_world(forged)
+
+
 def test_forged_fine_is_corrupt():
     """A fine cut from 100 to 50, with the settlement and the header matched: the escrow move is recomputed."""
     _, world = run(deviating_scenario())
@@ -576,13 +618,16 @@ def test_replay_memory_whose_broadcast_is_not_lowercase_wire_hex_is_corrupt(demo
 @pytest.mark.parametrize(
     "key,value",
     [("tick", "3"), ("tick", -5), ("tick", 10**9), ("tick", True), ("tick", 2.0), ("tick", None),
-     ("clock", "x"), ("clock", -1), ("clock", 1.5), ("clock", False)],
+     ("clock", "x"), ("clock", -1), ("clock", 1.5), ("clock", False),
+     # past the last record's time, yet not the time of the tick before the header's tick
+     ("clock", 21), ("clock", 1_000_020), ("tick", 2)],
 )
 def test_tick_or_clock_out_of_range_is_corrupt(key, value):
-    """The header's tick is an int in [0, duration_ticks] and its clock a non-negative int."""
+    """The header's tick is an int in [0, duration_ticks] and its clock the int a live world writes: (tick - 1) ticks in."""
     world = World(compliant_scenario())
     for _ in range(3):
         world.step()
+    assert (world.tick, world.ledger.clock) == (3, 20)
     snap = oracles.edit_snapshot(persistence.snapshot_world(world), lambda header, blocks: header.update({key: value}))
     with pytest.raises(persistence.CorruptPayload, match="tick .* clock"):
         persistence.restore_world(snap)

@@ -560,7 +560,8 @@ class TestAirspaceIndex:
         minute = st.integers(0, 5)
         missions = [MissionSpec(dms(*draw(point)), dms(*draw(point)), DATE, f"00{draw(minute):02d}") for _ in range(4)]
         drones = tuple(DroneSpec(f"d{i}", f"SN-{i}", f"NID-{i}", m) for i, m in enumerate(missions))
-        world = World(Scenario(name="index", duration_ticks=1, deconfliction_cell_buffer=buf_cells,
+        # 1 s ticks, enough of them for any clock below, so a snapshot can name the tick its clock implies
+        world = World(Scenario(name="index", duration_ticks=1000, tick_seconds=1, deconfliction_cell_buffer=buf_cells,
                                deconfliction_time_buffer_s=buf_s, drones=drones))
         steps = draw(st.integers(1, 16))
         restore_at = draw(st.integers(0, steps - 1))
@@ -568,6 +569,7 @@ class TestAirspaceIndex:
             if step == restore_at:
                 if world.ledger.pending:
                     world.ledger.seal_block()
+                world.tick = world.ledger.clock + 1  # a live world's clock is the time of its last tick
                 restored = persistence.restore_world(persistence.snapshot_world(world))
                 assert self._index(restored.uss) == self._index(world.uss)
                 world = restored
