@@ -39,14 +39,14 @@ class DroneRecord:
     sign_tac: bool = True
 
     def to_public_dict(self) -> dict[str, Any]:
-        return {
+        return {  # keys in sorted order, as every logged dict is built: get_drone logs it as its payload
             "droneId": self.drone_id,
-            "serialHash": self.serial_hash,
-            "ownerNationalIdHash": self.owner_national_id_hash,
-            "ownerAccount": self.owner_account,
-            "rewards": self.rewards,
-            "penalties": self.penalties,
             "hasActivePlan": self.has_active_plan,
+            "ownerAccount": self.owner_account,
+            "ownerNationalIdHash": self.owner_national_id_hash,
+            "penalties": self.penalties,
+            "rewards": self.rewards,
+            "serialHash": self.serial_hash,
             "signTAC": self.sign_tac,
         }
 

@@ -7,13 +7,17 @@ transactions are batched into blocks whose SHA-256 hashes chain back to
 an all-zero genesis parent, so any byte of recorded history can be
 checked after the fact. A block's transactions are JSON-encoded once,
 at seal (Block.body); the hash covers those bytes, and files store them.
+Every dict a record logs is built in key order, for speed only: the
+encoder's per-dict sort then finds one run, and the format still comes
+from its sort_keys, whatever order a caller builds args in.
 
 State changes are tracked by an undo journal. Before a contract changes
 one slot of its storage (a registry record, one entry of a per-drone
 map, a root scalar, the next index of an append-only list) it calls
 Ledger.touch(container, key). The first touch in a transaction keeps the
 slot's object and its contents: a dict's or list's entries, or a
-dataclass's field values. A revert, or any other exception out of an
+dataclass's field values; a slot that does not exist yet keeps none,
+and the meter counts it whole. A revert, or any other exception out of an
 operation, puts each touched slot's own object back in reverse order,
 with those contents; a success meters `stateWrites` from the touched
 slots alone, so a transaction's cost does not grow with the state.
@@ -21,7 +25,7 @@ Balances change only through transfer(), which journals nothing: a
 transaction's net move per account is undone by subtraction, logged as
 its `balanceDeltas`, and metered as one write per account it moved. The
 meter counts a dataclass by its declared fields only; any other
-attribute on the instance (a cached_property value) is not state. The
+attribute on the instance (a cached_property, a plan's cells) is not state. The
 contents are one level deep, so an object nested below them must be
 replaced, never mutated, unless each entry it changes is touched as a
 slot of its own.
@@ -228,16 +232,14 @@ def _read_slot(container: dict | list, key: Any) -> Any:
 
 
 def _slot_writes(old: Any, contents: Any, new: Any) -> int:
-    """diff_count for one slot, from the contents it had when first touched; a slot that appeared or vanished counts whole."""
+    """diff_count for a slot that existed when first touched, from the contents it had then; a deleted slot counts whole."""
     if type(contents) is tuple:  # a dataclass's field values
         if new is old:
             return _pairs_diff(zip(contents, _field_values(type(old))(old)))
         old = type(old)(*contents)  # built only for a slot that was replaced or deleted
     elif contents is not None:
         old = contents  # a dict's or list's entries
-    if old is _ABSENT or new is _ABSENT:
-        return 0 if old is new else count_leaves(new if old is _ABSENT else old)
-    return diff_count(old, new)
+    return count_leaves(old) if new is _ABSENT else diff_count(old, new)
 
 
 @dataclass
@@ -264,21 +266,10 @@ class TransactionRecord:
     signature: str | None = None     # authenticated-channel hook, unused
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "txId": self.tx_id,
-            "caller": self.caller,
-            "op": self.op,
-            "args": self.args,
-            "value": self.value,
-            "timestamp": self.timestamp,
-            "status": self.status,
-            "payload": self.payload,
-            "reason": self.reason,
-            "stateWrites": self.state_writes,
-            "balanceDeltas": self.balance_deltas,
-            "events": self.events,
-            "signature": self.signature,
-        }
+        return {"args": self.args, "balanceDeltas": self.balance_deltas, "caller": self.caller, "events": self.events,
+                "op": self.op, "payload": self.payload, "reason": self.reason, "signature": self.signature,
+                "stateWrites": self.state_writes, "status": self.status, "timestamp": self.timestamp, "txId": self.tx_id,
+                "value": self.value}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TransactionRecord":
@@ -458,13 +449,13 @@ class Ledger:
         slot = (id(container), key)
         if slot not in journal:
             old = _read_slot(container, key)
-            journal[slot] = (container, key, old, _contents(old))
+            journal[slot] = (container, key, old, None if old is _ABSENT else _contents(old))
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing; a view may not emit."""
         if self._view_running:
             raise LedgerError("view operation tried to emit an event")
-        self._event_buffer.append({"name": name, "args": args})
+        self._event_buffer.append({"args": args, "name": name})
 
     # -- transactions -----------------------------------------------------
 
@@ -482,11 +473,11 @@ class Ledger:
             caller=GENESIS_CALLER,
             op="genesis",
             args={
-                "note": note,
                 "accounts": [
-                    {"id": a.id, "role": a.role, "balance": a.balance}
+                    {"balance": a.balance, "id": a.id, "role": a.role}
                     for a in sorted(self.accounts.values(), key=lambda a: a.id)
                 ],
+                "note": note,
             },
             value=0,
             timestamp=self.clock,
@@ -588,7 +579,9 @@ class Ledger:
                 new = container[key] if key < len(container) else _ABSENT
             else:
                 new = container.get(key, _ABSENT)
-            if type(old) is type(new) and type(old) in _SCALAR_TYPES:
+            if old is _ABSENT:  # a new slot counts whole; touch kept no contents for it
+                writes += 0 if new is _ABSENT else count_leaves(new)
+            elif type(old) is type(new) and type(old) in _SCALAR_TYPES:
                 writes += old != new
             else:
                 writes += _slot_writes(old, contents, new)
@@ -613,8 +606,9 @@ class Ledger:
         Each success runs at its logged time through submit()'s entry checks, then its op's fold; the clock is left at
         the last record's time. LedgerError refuses a record submit never logs (a timestamp not an int or running back,
         a status not "success" or "revert", an unknown caller, a value or stateWrites not an int >= 0, an event not as
-        emit builds it, a revert or view that writes, moves or emits, a revert with a payload or no str reason), and a
-        success a check reverts (naming its reason) or whose balanceDeltas or payload (by type too) are not its fold's.
+        emit builds it, a signature not null, a success with a reason, a revert or view that writes, moves or emits, a
+        revert with a payload or no str reason), and a success a check reverts (naming its reason) or whose
+        balanceDeltas or payload (by type too) are not its fold's.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -629,9 +623,11 @@ class Ledger:
             self.clock = tx.timestamp
             spec, value, deltas, writes, events = ops.get(tx.op), tx.value, tx.balance_deltas, tx.state_writes, tx.events
             if tx.status not in ("success", "revert") or tx.caller not in accounts or type(value) is not int or value < 0 \
-                    or type(writes) is not int or writes < 0 or type(events) is not list:
+                    or type(writes) is not int or writes < 0 or type(events) is not list or tx.signature is not None \
+                    or tx.status == "success" and tx.reason is not None:
                 raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for {tx.op!r} by {tx.caller!r} with value {value!r}, "
-                                  f"stateWrites {writes!r} or events {events!r}: not a record submit logs")
+                                  f"stateWrites {writes!r}, events {events!r}, reason {tx.reason!r} or signature "
+                                  f"{tx.signature!r}: not a record submit logs")
             for e in events:  # a loop, not all(): a generator per record costs more than the checks
                 if type(e) is not dict or len(e) != 2 or type(e.get("name")) is not str or type(e.get("args")) is not dict:
                     raise LedgerError(f"tx {tx.tx_id} logs event {e!r}, not the {{name, args}} emit writes")

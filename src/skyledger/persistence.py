@@ -124,7 +124,7 @@ def read_chain_jsonl(path: str | Path) -> list[Block]:
 
 
 def write_events_jsonl(path: str | Path, blocks: list[Block]) -> None:
-    events = (canonical_json({"txId": tx.tx_id, **event})
+    events = (canonical_json({**event, "txId": tx.tx_id})
               for block in blocks for tx in block.transactions for event in tx.events)
     # the empty last part ends the log with a newline inside the one join, as in _block_log
     Path(path).write_bytes(b"\n".join([canonical_json({"schema": SCHEMA, "kind": "events"}), *events, b""]))
@@ -179,9 +179,12 @@ def account_table(ledger: Ledger) -> list[dict[str, str]]:
 
 
 def snapshot_world(world: World) -> bytes:
-    """Canonical bytes for a sealed world, a header line then its block lines; requires no pending txs."""
+    """Canonical bytes for a sealed world, a header line then its block lines; requires no pending txs and, as restore does,
+    the clock World.step leaves: the time of the tick before its tick."""
     if world.ledger.pending:
         raise ValueError("seal pending transactions before snapshotting")
+    if world.ledger.clock != max(world.tick - 1, 0) * world.scenario.tick_seconds:
+        raise ValueError(f"clock {world.ledger.clock} is not the time of the tick before tick {world.tick}")
     return _block_log(_state_header(world), world.ledger.blocks)
 
 

@@ -4,6 +4,9 @@ A broadcast concatenates the mandated kinematic fields with a 32-byte
 verification code. The code is a SHA-256 commitment over the mission
 plan fields and a nonce held only by the service supplier, which is
 what lets a bystander's forwarded report be checked against the plan.
+The supplier hashes it once, when it accepts the plan; a report then
+compares the broadcast's code with the plan's stored code, in constant
+time (verify_rid_vc).
 
 Wire layout (big-endian, 64 bytes total):
 
@@ -72,19 +75,9 @@ def compute_rid_vc(
     return hashlib.sha256(_SEP.join(parts)).digest()
 
 
-def verify_rid_vc(
-    candidate: bytes,
-    nonce: bytes,
-    owner_account: str,
-    source: str,
-    destination: str,
-    departure_date: str,
-    departure_time: str,
-) -> bool:
-    if len(candidate) != 32:
-        return False
-    expected = compute_rid_vc(nonce, owner_account, source, destination, departure_date, departure_time)
-    return hmac.compare_digest(candidate, expected)
+def verify_rid_vc(candidate: bytes, expected: bytes) -> bool:
+    """Whether a broadcast's code is the plan's code (compute_rid_vc of its nonce and fields), in constant time."""
+    return len(candidate) == 32 and hmac.compare_digest(candidate, expected)
 
 
 def encode_rid(msg: RidMessage) -> bytes:

@@ -323,6 +323,7 @@ class _DroneState:
     operator_account: str
     drone_id: int | None = None
     plan: dict[str, Any] | None = None
+    broadcast_vc: bytes | None = None  # the verification code it broadcasts: its plan's, flipped by a forger
     flight_duration_s: int | None = None
     completed: bool = False
 
@@ -417,6 +418,8 @@ class World:
                     continue
                 elif tx.op == "request_plan":
                     drone.plan = plan = tx.payload
+                    vc = bytes.fromhex(plan["ridVc"])
+                    drone.broadcast_vc = bytes([vc[0] ^ 0x01]) + vc[1:] if drone.spec.behavior == "forger" else vc
                     if drone.spec.speed_mps is None:  # flies at the cruise speed the USS timed the plan with
                         drone.flight_duration_s = plan["arrivalEpoch"] - plan["departureEpoch"]
                     else:
@@ -442,7 +445,7 @@ class World:
             reg = self.ledger.submit(
                 drone.operator_account,
                 "register_drone",
-                {"serial": spec.serial, "ownerNationalId": spec.owner_national_id, "signTAC": True},
+                {"ownerNationalId": spec.owner_national_id, "serial": spec.serial, "signTAC": True},
             )
             if reg.status != "success":
                 continue
@@ -459,13 +462,8 @@ class World:
             self.ledger.submit(
                 drone.operator_account,
                 "request_plan",
-                {
-                    "droneId": drone_id,
-                    "source": spec.mission.source,
-                    "destination": spec.mission.destination,
-                    "departureDate": spec.mission.departure_date,
-                    "departureTime": spec.mission.departure_time,
-                },
+                {"departureDate": spec.mission.departure_date, "departureTime": spec.mission.departure_time,
+                 "destination": spec.mission.destination, "droneId": drone_id, "source": spec.mission.source},
                 value=quote.payload["fee"],
             )
         self.ledger.seal_block()
@@ -536,13 +534,11 @@ class World:
             pos = self._drone_position(drone, now)
             if pos is None:
                 continue
-            vc = bytes.fromhex(drone.plan["ridVc"])
-            if drone.spec.behavior == "forger":
-                vc = bytes([vc[0] ^ 0x01]) + vc[1:]
             src = drone.spec.mission.points[0]
-            speed = drone.spec.speed_mps or self.scenario.cruise_speed_mps
+            speed_cm_s = (drone.spec.speed_mps or self.scenario.cruise_speed_mps) * 100
             # timestamp, drone lat/lon, control station (the mission source) lat/lon, altitude, velocity
-            wire = encode_rid(RidMessage(RidFaa(now, pos[0], pos[1], src[0], src[1], altitude_cm, speed * 100), vc))
+            faa = RidFaa(now, pos[0], pos[1], src[0], src[1], altitude_cm, speed_cm_s)
+            wire = encode_rid(RidMessage(faa, drone.broadcast_vc))
             broadcasts.append((drone, pos, wire))
             self.trace.append((self.tick, drone.drone_id, *cell_of(*pos), wire.hex()))
         return broadcasts
@@ -564,6 +560,7 @@ class World:
                         add((i, j))
         # (reporter, broadcast) order is the all-pairs visiting order, so the
         # loss draws and the submits come out exactly as a full scan makes them
+        texts: dict[int, tuple[str, str]] = {}  # broadcast -> its wire hex and location, made by its first reporter
         for i, j in sorted(candidates):
             rep = self.reporters[i]
             drone, pos, wire = broadcasts[j]
@@ -573,7 +570,9 @@ class World:
                 continue
             if rep.spec.honesty == "honest":
                 if drone.drone_id not in rep.attempted:
-                    self._report(rep, drone.drone_id, wire.hex(), pos, now)
+                    if j not in texts:
+                        texts[j] = wire.hex(), geo.format_dms_pair(*pos)
+                    self._report(rep, drone.drone_id, *texts[j], now)
             elif drone.drone_id not in rep.heard:
                 rep.heard[drone.drone_id] = (wire.hex(), self.tick)
         # replayers fire after a delay, from a false position and time
@@ -581,11 +580,11 @@ class World:
             for drone_id in sorted(rep.heard):
                 rid_hex, heard_tick = rep.heard[drone_id]
                 if drone_id not in rep.attempted and self.tick - heard_tick >= rep.spec.replay_delay_ticks:
-                    self._report(rep, drone_id, rid_hex, rep.position, now)
+                    self._report(rep, drone_id, rid_hex, geo.format_dms_pair(*rep.position), now)
 
-    def _report(self, rep: _ReporterState, drone_id: int, rid_hex: str, pos: tuple[int, int], now: int) -> None:
-        """File one report_drone: the drone heard, its broadcast, and where and when the reporter says it was seen."""
-        args = {"droneId": drone_id, "rid": rid_hex, "sightingLocation": geo.format_dms_pair(*pos), "sightingTime": now}
+    def _report(self, rep: _ReporterState, drone_id: int, rid_hex: str, location: str, now: int) -> None:
+        """File one report_drone: the drone heard, its broadcast, and where (DMS) and when the reporter says it was seen."""
+        args = {"droneId": drone_id, "rid": rid_hex, "sightingLocation": location, "sightingTime": now}
         self.ledger.submit(rep.account, "report_drone", args)
 
     def _completion_phase(self, now: int) -> None:

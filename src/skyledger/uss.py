@@ -103,24 +103,29 @@ class MissionPlan:
     rid_vc: bytes
     active: bool = True
 
+    @functools.cached_property
+    def cells(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """(lat, lon) -> the route's (enter_s, exit_s) windows in that cell; not a field, so not state (see ledger)."""
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for lat, lon, _, enter_s, exit_s in self.route:
+            cells.setdefault((lat, lon), []).append((enter_s, exit_s))
+        return cells
+
     def to_public_dict(self) -> dict[str, Any]:
-        # nonce lives elsewhere and is never part of any export
+        # nonce lives elsewhere and is never part of any export; keys in sorted order, as every logged dict is built
         return {
-            "droneId": self.drone_id,
-            "source": self.source,
-            "destination": self.destination,
-            "departureDate": self.departure_date,
-            "departureTime": self.departure_time,
-            "departureEpoch": self.departure_epoch,
-            "arrivalEpoch": self.arrival_epoch,
-            "altitudeM": self.altitude_m,
-            "route": [
-                {"latIdx": w.lat_idx, "lonIdx": w.lon_idx, "altBand": w.alt_band,
-                 "enterS": w.enter_s, "exitS": w.exit_s}
-                for w in self.route
-            ],
-            "ridVc": self.rid_vc.hex(),
             "active": self.active,
+            "altitudeM": self.altitude_m,
+            "arrivalEpoch": self.arrival_epoch,
+            "departureDate": self.departure_date,
+            "departureEpoch": self.departure_epoch,
+            "departureTime": self.departure_time,
+            "destination": self.destination,
+            "droneId": self.drone_id,
+            "ridVc": self.rid_vc.hex(),
+            "route": [{"altBand": band, "enterS": enter_s, "exitS": exit_s, "latIdx": lat, "lonIdx": lon}
+                      for lat, lon, band, enter_s, exit_s in self.route],
+            "source": self.source,
         }
 
 
@@ -272,7 +277,7 @@ class UssContract:
         sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
         sightings.append(sighting)
-        return {"verdict": sighting.verdict, "reporterReward": params.reporter_reward}
+        return {"reporterReward": params.reporter_reward, "verdict": sighting.verdict}
 
     def _close_mission(self, drone_id: int, owner: AccountId) -> dict[str, Any]:
         """Settle: pay the owner the payout, store its new reputation; returns the payload. LedgerError if escrow differs."""
@@ -292,8 +297,8 @@ class UssContract:
         reputations[owner] = economics.ReputationState(rep_micro, k_micro)
         self.authority.reset_counters(drone_id)
         self.authority.set_active_plan(drone_id, False)
-        return {"droneId": drone_id, "payout": payout, "rewards": rewards, "penalties": penalties,
-                "reputationMicro": rep_micro, "kMicro": k_micro}
+        return {"droneId": drone_id, "kMicro": k_micro, "payout": payout, "penalties": penalties,
+                "reputationMicro": rep_micro, "rewards": rewards}
 
     # -- calculators, called by request_plan and by restore; each computes and writes nothing
 
@@ -341,7 +346,7 @@ class UssContract:
         if not self._subscription_valid(drone_id, caller):
             raise ContractRevert(REVERT_NOT_SUBSCRIBED_QUOTE)
         fee, congestion = self.quote_fee(caller, self.ledger.clock)
-        return {"fee": fee, "congestion": congestion}
+        return {"congestion": congestion, "fee": fee}
 
     def _check_plan(self, drone_id: int, caller: AccountId) -> None:
         """request_plan's leading checks, which its fold runs too: a valid subscription, then no active plan."""
@@ -362,7 +367,7 @@ class UssContract:
         plan = self.plan_for(caller, args, nonce, points)
         self._open_mission(drone_id, plan, nonce)
         self.index_plan(plan)  # last: nothing below can revert
-        return {**plan.to_public_dict(), "fee": fee, "congestion": congestion}
+        return dict(sorted({**plan.to_public_dict(), "congestion": congestion, "fee": fee}.items()))  # in key order
 
     def schedule_route(
         self, src: tuple[int, int], dst: tuple[int, int], depart_s: int
@@ -416,11 +421,10 @@ class UssContract:
         sighting_cell, sighting_time = self._sighting_cell(args), args["sightingTime"]
 
         plan = None if mission is None else mission.plan
-        if plan is None or not verify_rid_vc(message.rid_vc, mission.nonce, plan.owner_account, plan.source,
-                                             plan.destination, plan.departure_date, plan.departure_time):
+        if plan is None or not verify_rid_vc(message.rid_vc, plan.rid_vc):  # hashed once, when the plan was accepted
             raise ContractRevert(REVERT_INVALID_REPORT)
 
-        self.ledger.emit("DroneSighted", droneId=drone_id, sightingLocation=args["sightingLocation"], reporter=caller)
+        self.ledger.emit("DroneSighted", droneId=drone_id, reporter=caller, sightingLocation=args["sightingLocation"])
         verdict = VERDICT_REWARD if self._sighting_matches_plan(plan, sighting_cell, sighting_time) else VERDICT_PENALTY
         return self._record_sighting(SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict))
 
@@ -434,8 +438,8 @@ class UssContract:
     def _sighting_matches_plan(self, plan: MissionPlan, cell: tuple[int, int], at_s: int) -> bool:
         """Same cell as the plan within the temporal tolerance window."""
         window_s = self.params.match_window_s
-        for lat, lon, _, enter_s, exit_s in plan.route:  # unpacked: a tuple's field reads cost more than a dataclass's
-            if (lat, lon) == cell and enter_s - window_s <= at_s <= exit_s + window_s:
+        for enter_s, exit_s in plan.cells.get(cell, ()):  # a loop, not any(): a generator per report costs more
+            if enter_s - window_s <= at_s <= exit_s + window_s:
                 return True
         return False
 
@@ -459,7 +463,7 @@ class UssContract:
             raise ContractRevert(REASON_INVALID_RIDVC)
 
         payload = self._close_mission(drone_id, caller)
-        self.ledger.emit("missionComplete", ridVc=plan.rid_vc.hex(), droneId=drone_id)
+        self.ledger.emit("missionComplete", droneId=drone_id, ridVc=plan.rid_vc.hex())
         self._unindex_plan(plan)  # last: nothing below can revert, and its KeyError rolls the op back
         return payload
 

@@ -80,6 +80,31 @@ def test_block_lines_are_the_sealed_bytes(name, tmp_path):
     assert oracles.independent_chain_check([json.loads(line) for line in lines])
 
 
+def _unsorted_dicts(value, path="$"):
+    """Key paths of every dict in a JSON tree whose keys are not in sorted order."""
+    if isinstance(value, dict):
+        found = [] if list(value) == sorted(value) else [path]
+        return found + [p for k, v in value.items() for p in _unsorted_dicts(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _unsorted_dicts(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_logged_dicts_are_built_in_key_order(name):
+    """Every dict of every record, as the program built it, lists its keys sorted, so the encoder's sort finds one run.
+
+    The bytes come from canonical_json's sort_keys either way; this guards only the speed of that sort.
+    """
+    _, world = run(GOLDEN[name][0]())
+    for block in world.ledger.blocks:
+        for tx in block.transactions:
+            assert _unsorted_dicts(tx.to_dict()) == [], tx.op
+    reader = world.authority.account  # no simulated agent reads the registry; get_drone logs a record as its payload
+    for drone_id in range(len(world.authority.records)):
+        assert _unsorted_dicts(world.ledger.submit(reader, "get_drone", {"droneId": drone_id}).to_dict()) == []
+
+
 def _stepped_to(scenario, tick):
     world = World(scenario)
     while world.tick < tick:

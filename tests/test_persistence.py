@@ -565,6 +565,23 @@ def test_a_record_submit_never_logs_is_corrupt(demo_scenario_path, forge):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # a success logs a null reason, and every record a null signature
+        pytest.param(lambda d: _logged(d, "report_drone").update(reason="Invalid report"), id="success-with-reason"),
+        pytest.param(lambda d: _logged(d, "report_drone").update(signature="abc"), id="success-with-signature"),
+        pytest.param(lambda d: _logged(d, "report_drone").update(signature=5), id="signature-as-int"),
+        pytest.param(lambda d: _logged(d, "request_quote").update(signature="abc"), id="view-with-signature"),
+    ],
+)
+def test_a_reason_or_signature_submit_never_logs_is_corrupt(forge):
+    """No fold reads either field, so only the record check can refuse them."""
+    _, world = run(compliant_scenario())
+    with pytest.raises(persistence.CorruptPayload, match="not a record submit logs"):
+        persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
+
+
 def test_report_logged_at_an_unreadable_location_is_refused_as_its_op_reverts():
     """A report's op and its fold read its sightingLocation alike, before the fold reads the logged verdict."""
     _, world = run(compliant_scenario())
@@ -853,6 +870,18 @@ def test_snapshot_refuses_unsealed_state():
     world.ledger.clock = 0
     world.ledger.submit(world.drones[0].operator_account, "request_quote", {"droneId": 0})
     with pytest.raises(ValueError, match="seal pending"):
+        persistence.snapshot_world(world)
+
+
+@pytest.mark.parametrize("ticks", [0, 1, 3])
+def test_snapshot_refuses_a_clock_restore_would_refuse(ticks):
+    """A clock set outside World.step is not the time of the tick before: restore refuses it, so snapshot does too."""
+    world = World(compliant_scenario())
+    for _ in range(ticks):
+        world.step()
+    persistence.snapshot_world(world)  # the clock step() left
+    world.ledger.clock += 1
+    with pytest.raises(ValueError, match="not the time of the tick before"):
         persistence.snapshot_world(world)
 
 

@@ -133,24 +133,30 @@ class TestVerificationCode:
     def test_verify_accepts_genuine(self):
         nonce = b"\x07" * 16
         vc = compute_rid_vc(nonce, **PLAN_FIELDS)
-        assert verify_rid_vc(vc, nonce, **PLAN_FIELDS)
+        assert verify_rid_vc(bytes(vc), vc)  # equal by value: a decoded broadcast is another bytes object
 
     def test_verify_rejects_other_mission(self):
         vc_other = compute_rid_vc(b"\x01" * 16, **{**PLAN_FIELDS, "departure_time": "0900"})
-        assert not verify_rid_vc(vc_other, b"\x07" * 16, **PLAN_FIELDS)
+        assert not verify_rid_vc(vc_other, compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS))
 
     def test_verify_rejects_truncated(self):
-        nonce = b"\x07" * 16
-        vc = compute_rid_vc(nonce, **PLAN_FIELDS)
-        assert not verify_rid_vc(vc[:31], nonce, **PLAN_FIELDS)
-        assert not verify_rid_vc(b"", nonce, **PLAN_FIELDS)
+        vc = compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS)
+        assert not verify_rid_vc(vc[:31], vc)
+        assert not verify_rid_vc(b"", vc)
+        assert not verify_rid_vc(vc[:31], vc[:31])  # a short code never verifies, even against itself
 
     def test_random_candidates_never_verify(self):
-        nonce = b"\x07" * 16
-        genuine = compute_rid_vc(nonce, **PLAN_FIELDS)
+        genuine = compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS)
         rng = random.Random(2024)
         for _ in range(100_000):
             candidate = rng.randbytes(32)
             if candidate == genuine:  # pragma: no cover - 2^-256 territory
                 continue
-            assert not verify_rid_vc(candidate, nonce, **PLAN_FIELDS)
+            assert not verify_rid_vc(candidate, genuine)
+
+    def test_flipped_byte_never_verifies(self):
+        genuine = compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS)
+        for i in range(32):
+            flipped = bytearray(genuine)
+            flipped[i] ^= 0x01  # what a forger broadcasts, at every position
+            assert not verify_rid_vc(bytes(flipped), genuine)

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import dms, doas_scenario
-from skyledger import geo
+from conftest import REPO_ROOT, dms, doas_scenario
+from skyledger import geo, rid, uss
 from skyledger.fixedmath import MICRO
 from skyledger.ledger import canonical_json
 from skyledger.sim import BEHAVIOR_KINDS, DroneSpec, MissionSpec, ReporterSpec, Scenario, World
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402 -- the benchmark's scenario generators, used read-only
 
 
 class AllPairsWorld(World):
@@ -211,3 +215,45 @@ def test_placement_work_per_tick_is_bounded_by_walkers(monkeypatch):
         per_tick.append(calls[0] - before)
     assert per_tick[0] == 2 * len(reporters)  # the first tick places every reporter once
     assert 0 < max(per_tick[1:]) <= 2 * walkers  # later, only walkers whose cell changed
+
+
+def _counted(monkeypatch, owners, name):
+    """Wrap function `name` where each module in `owners` looks it up; returns the list whose length is its calls."""
+    calls = []
+    exact = getattr(owners[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _records(world):
+    return [tx for block in world.ledger.blocks for tx in block.transactions]
+
+
+def test_a_plan_is_hashed_once_however_often_it_is_reported(monkeypatch):
+    """The RID code is hashed when the plan is accepted; a report compares with the stored code and hashes nothing."""
+    hashed = _counted(monkeypatch, (rid, uss), "compute_rid_vc")
+    world = World(workloads.crowd_scenario(1, 20, 120))
+    world.run_to_end()
+    records = _records(world)
+    plans = sum(tx.op == "request_plan" and tx.status == "success" for tx in records)
+    reports = sum(tx.op == "report_drone" and tx.status == "success" for tx in records)
+    assert plans and reports > 5 * plans  # a crowd: several reports per plan
+    assert len(hashed) == plans
+
+
+def test_a_broadcast_location_is_formatted_once_per_tick(monkeypatch):
+    """Every honest reporter of one broadcast files the same text; only a replayer's own position is formatted anew."""
+    formatted = _counted(monkeypatch, (geo,), "format_dms_pair")
+    world = World(workloads.crowd_scenario(1, 20, 120))
+    world.run_to_end()
+    replayers = {rep.account for rep in world.replayers}
+    reports = [tx for tx in _records(world) if tx.op == "report_drone"]
+    replayed = sum(tx.caller in replayers for tx in reports)
+    assert replayed and len(reports) - replayed > len(world.trace)  # more honest reports than broadcasts
+    assert len(formatted) <= len(world.trace) + replayed
