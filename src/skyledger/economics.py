@@ -45,22 +45,14 @@ class FeeParams:
     k_min_micro: floor for k, in (0, 1].
 
     Each field's metadata names its key in the scenario file's
-    `economics` object.
+    `economics` object and its bounds, which the Scenario checks.
     """
 
-    base_cost: int = field(default=10, metadata={"key": "baseMissionCost"})
-    deposit: int = field(default=1000, metadata={"key": "rcd"})
-    surcharge_per_mission: int = field(default=2, metadata={"key": "surchargePerMission"})
-    alpha_micro: int = field(default=DEFAULT_ALPHA_MICRO, metadata={"key": "alphaMicro"})
-    k_min_micro: int = field(default=DEFAULT_K_MIN_MICRO, metadata={"key": "kMinMicro"})
-
-    def __post_init__(self) -> None:
-        if self.base_cost < 0 or self.deposit < 0 or self.surcharge_per_mission < 0:
-            raise ValueError("currency parameters must be non-negative")
-        if not 0 < self.alpha_micro < MICRO:
-            raise ValueError("alpha must be strictly between 0 and 1")
-        if not 0 < self.k_min_micro <= MICRO:
-            raise ValueError("k floor must be in (0, 1]")
+    base_cost: int = field(default=10, metadata={"key": "baseMissionCost", "min": 0, "max": None})
+    deposit: int = field(default=1000, metadata={"key": "rcd", "min": 0, "max": None})
+    surcharge_per_mission: int = field(default=2, metadata={"key": "surchargePerMission", "min": 0, "max": None})
+    alpha_micro: int = field(default=DEFAULT_ALPHA_MICRO, metadata={"key": "alphaMicro", "min": 1, "max": MICRO - 1})
+    k_min_micro: int = field(default=DEFAULT_K_MIN_MICRO, metadata={"key": "kMinMicro", "min": 1, "max": MICRO})
 
 
 @dataclass

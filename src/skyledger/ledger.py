@@ -25,7 +25,7 @@ Balances change only through transfer(), which journals nothing: a
 transaction's net move per account is undone by subtraction, logged as
 its `balanceDeltas`, and metered as one write per account it moved. The
 meter counts a dataclass by its declared fields only; any other
-attribute on the instance (a cached_property, a plan's cells) is not state. The
+attribute on the instance (a cached_property) is not state. The
 contents are one level deep, so an object nested below them must be
 replaced, never mutated, unless each entry it changes is touched as a
 slot of its own.

@@ -117,7 +117,7 @@ class Scenario:
     tick_seconds: int = _key("clock.tickSeconds", 10, lo=1)
     duration_ticks: int = _key("clock.durationTicks", 60, lo=1)
     epoch_date: str = _key("clock.epochDate", "01012025")
-    fee_params: FeeParams = field(default_factory=FeeParams, metadata={"key": "economics"})
+    fee_params: FeeParams = _key("economics", FeeParams())  # frozen, so one shared default is safe
     subscription_fee: int = _key("fees.subscriptionFee", 100, lo=0)
     reporter_reward: int = _key("fees.reporterReward", 20, lo=0)  # deposit / 50 with the default deposit
     fine_unit: int = _key("fees.fineUnit", 100, lo=0)  # deposit / 10
@@ -158,6 +158,7 @@ class Scenario:
     def __post_init__(self) -> None:
         """Each key's declared bounds, then the checks that span fields; from_dict has checked the types."""
         _codec(Scenario).check(self, "", "")
+        _codec(FeeParams).check(self.fee_params, "", "economics")
         check_drone, check_reporter = _codec(DroneSpec).check, _codec(ReporterSpec).check
         grid = self.grid()
         seen_names: set[str] = set()
@@ -230,8 +231,6 @@ def _codec(cls: type) -> _Codec:
             absent = f"{var} = {f.metadata['numbered']!r}.format(key)"
         elif f.default is not dataclasses.MISSING:
             env[f"d{i}"], absent = f.default, f"{var} = d{i}"
-        elif f.default_factory is not dataclasses.MISSING:
-            env[f"d{i}"], absent = f.default_factory, f"{var} = d{i}()"
         else:
             absent = f'raise ScenarioError(f"{{_path(here, {path!r})}} is missing")'
         if group:
@@ -251,13 +250,10 @@ def _codec(cls: type) -> _Codec:
         env[f"names{j}"] = frozenset(keys)
         opened += [f"g{j} = data.get({group!r}, {{}})", f"if not (isinstance(g{j}, dict) and names{j}.issuperset(g{j})):",
                    f"    _check_object(g{j}, names{j}, _path(here, {group!r}))"]
-    made = ["try:", f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})",
-            "except ScenarioError:  # a Scenario checks itself", "    raise",
-            "except ValueError as exc:  # FeeParams checks its own ranges",
-            '    raise ScenarioError(f"{here}: bad {here} block: {exc}") from None']
     literal = ", ".join([*(f"{g!r}: {{{', '.join(f'{k!r}: {v}' for k, v in keys.items())}}}" for g, keys in groups.items()),
                          *(f"{k!r}: {v}" for k, v in written.items())])
-    source = "\n".join(["def read(data, at, key):", *_indent(opened + reads + made),
+    source = "\n".join(["def read(data, at, key):", *_indent(opened + reads),
+                        f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})",
                         "def write(obj):", f"    return {{{literal}}}",
                         "def check(obj, at, key):", *_indent(checks or ["pass"])])
     exec(compile(source, f"<codec of {cls.__qualname__}>", "exec"), env)
@@ -525,8 +521,8 @@ class World:
             lat += -(-offset_m // self.scenario.meters_per_arcsec)
         return lat, lon
 
-    def _broadcast_phase(self, now: int) -> list[tuple[_DroneState, tuple[int, int], bytes]]:
-        broadcasts = []
+    def _broadcast_phase(self, now: int) -> list[tuple[_DroneState, tuple[int, int], str]]:
+        broadcasts = []  # (drone, position, wire hex): the hex made once for the trace and every report
         altitude_cm, cell_of = self.scenario.altitude_m * 100, self.grid.cell_of
         for drone in self.drones:
             if drone.spec.behavior == "silent":
@@ -538,9 +534,9 @@ class World:
             speed_cm_s = (drone.spec.speed_mps or self.scenario.cruise_speed_mps) * 100
             # timestamp, drone lat/lon, control station (the mission source) lat/lon, altitude, velocity
             faa = RidFaa(now, pos[0], pos[1], src[0], src[1], altitude_cm, speed_cm_s)
-            wire = encode_rid(RidMessage(faa, drone.broadcast_vc))
-            broadcasts.append((drone, pos, wire))
-            self.trace.append((self.tick, drone.drone_id, *cell_of(*pos), wire.hex()))
+            rid_hex = encode_rid(RidMessage(faa, drone.broadcast_vc)).hex()
+            broadcasts.append((drone, pos, rid_hex))
+            self.trace.append((self.tick, drone.drone_id, *cell_of(*pos), rid_hex))
         return broadcasts
 
     def _report_phase(self, broadcasts, now: int) -> None:
@@ -560,21 +556,21 @@ class World:
                         add((i, j))
         # (reporter, broadcast) order is the all-pairs visiting order, so the
         # loss draws and the submits come out exactly as a full scan makes them
-        texts: dict[int, tuple[str, str]] = {}  # broadcast -> its wire hex and location, made by its first reporter
+        locations: dict[int, str] = {}  # broadcast -> its location, formatted by its first reporter
         for i, j in sorted(candidates):
             rep = self.reporters[i]
-            drone, pos, wire = broadcasts[j]
+            drone, pos, rid_hex = broadcasts[j]
             if not geo.within_range(grid, rep.position, pos, rep.spec.sensing_range_m):
                 continue
             if loss and self.rng.randrange(MICRO) < loss:
                 continue
             if rep.spec.honesty == "honest":
                 if drone.drone_id not in rep.attempted:
-                    if j not in texts:
-                        texts[j] = wire.hex(), geo.format_dms_pair(*pos)
-                    self._report(rep, drone.drone_id, *texts[j], now)
+                    if j not in locations:
+                        locations[j] = geo.format_dms_pair(*pos)
+                    self._report(rep, drone.drone_id, rid_hex, locations[j], now)
             elif drone.drone_id not in rep.heard:
-                rep.heard[drone.drone_id] = (wire.hex(), self.tick)
+                rep.heard[drone.drone_id] = (rid_hex, self.tick)
         # replayers fire after a delay, from a false position and time
         for rep in self.replayers:
             for drone_id in sorted(rep.heard):

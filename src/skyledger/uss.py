@@ -103,14 +103,6 @@ class MissionPlan:
     rid_vc: bytes
     active: bool = True
 
-    @functools.cached_property
-    def cells(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """(lat, lon) -> the route's (enter_s, exit_s) windows in that cell; not a field, so not state (see ledger)."""
-        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for lat, lon, _, enter_s, exit_s in self.route:
-            cells.setdefault((lat, lon), []).append((enter_s, exit_s))
-        return cells
-
     def to_public_dict(self) -> dict[str, Any]:
         # nonce lives elsewhere and is never part of any export; keys in sorted order, as every logged dict is built
         return {
@@ -425,7 +417,7 @@ class UssContract:
             raise ContractRevert(REVERT_INVALID_REPORT)
 
         self.ledger.emit("DroneSighted", droneId=drone_id, reporter=caller, sightingLocation=args["sightingLocation"])
-        verdict = VERDICT_REWARD if self._sighting_matches_plan(plan, sighting_cell, sighting_time) else VERDICT_PENALTY
+        verdict = VERDICT_REWARD if self._sighting_matches_plan(drone_id, sighting_cell, sighting_time) else VERDICT_PENALTY
         return self._record_sighting(SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict))
 
     def _sighting_cell(self, args: dict[str, Any]) -> tuple[int, int]:
@@ -435,12 +427,16 @@ class UssContract:
         except geo.DmsError:
             raise ContractRevert(REASON_INVALID_DMS) from None
 
-    def _sighting_matches_plan(self, plan: MissionPlan, cell: tuple[int, int], at_s: int) -> bool:
-        """Same cell as the plan within the temporal tolerance window."""
-        window_s = self.params.match_window_s
-        for enter_s, exit_s in plan.cells.get(cell, ()):  # a loop, not any(): a generator per report costs more
-            if enter_s - window_s <= at_s <= exit_s + window_s:
+    def _sighting_matches_plan(self, drone_id: int, cell: tuple[int, int], at_s: int) -> bool:
+        """The drone's plan is in the cell within the match window of the instant: of the cell's airspace index entries,
+        only those entering in [at - window - longest, at + window] can be, so it bisects to them."""
+        window_s, row = self.params.match_window_s, self._cells.get(cell[0])
+        entries = row.get(cell[1], ()) if row else ()  # get, not [], so a miss adds no empty row or cell
+        i, latest = bisect_left(entries, at_s - window_s - self._longest, key=_ENTER), at_s + window_s
+        while i < len(entries) and entries[i][0] <= latest:
+            if entries[i][1] == drone_id and at_s <= entries[i][2].exit_s + window_s:
                 return True
+            i += 1
         return False
 
     def _check_completion(self, drone_id: int, caller: AccountId) -> None:

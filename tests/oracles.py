@@ -312,7 +312,7 @@ def all_pairs_report_phase(world, broadcasts, now):
     loss = world.scenario.loss_probability_micro
     for rep in world.reporters:
         rep_pos = reporter_arcsec(world, rep)
-        for drone, pos, wire in broadcasts:
+        for drone, pos, rid_hex in broadcasts:
             if not geo.within_range(world.grid, rep_pos, pos, rep.spec.sensing_range_m):
                 continue
             if loss and world.rng.randrange(MICRO) < loss:
@@ -326,13 +326,13 @@ def all_pairs_report_phase(world, broadcasts, now):
                     "report_drone",
                     {
                         "droneId": drone.drone_id,
-                        "rid": wire.hex(),
+                        "rid": rid_hex,
                         "sightingLocation": geo.format_dms_pair(*pos),
                         "sightingTime": now,
                     },
                 )
             elif drone.drone_id not in rep.heard:
-                rep.heard[drone.drone_id] = (wire.hex(), world.tick)
+                rep.heard[drone.drone_id] = (rid_hex, world.tick)
     for rep in world.reporters:
         if rep.spec.honesty != "replayer":
             continue
@@ -439,7 +439,7 @@ def _declared(cls: type) -> _Layout:
         origin = typing.get_origin(kind)
         members = (kind,) if origin is None else () if origin is tuple else typing.get_args(kind)
         nested = not any(t in _JSON_TYPES for t in members)
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and not numbered
+        required = f.default is dataclasses.MISSING and not numbered
         fields.append(_Field(f.name, f.metadata["key"], group, key, nested, f.metadata.get("min"), f.metadata.get("max"),
                              required, numbered, _reader(kind)))
     return _Layout(frozenset(f.group or f.key for f in fields), groups, tuple(fields))
@@ -499,12 +499,7 @@ def _load(cls, data, at, key):
             values[attr] = numbered.format(key)
         elif required:
             raise sim.ScenarioError(f"{_path(at, path)} is missing")
-    try:
-        return cls(**values)
-    except sim.ScenarioError:
-        raise
-    except ValueError as exc:
-        raise sim.ScenarioError(f"{at}: bad {at} block: {exc}") from None
+    return cls(**values)
 
 
 def _dump(obj):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from skyledger.economics import (
     update_k,
 )
 from skyledger.fixedmath import MICRO, div_round_half_up
+from skyledger.sim import Scenario, ScenarioError
 
 
 def test_div_round_half_up():
@@ -158,5 +160,8 @@ class TestFeeParams:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            FeeParams(**kwargs)
+        """A FeeParams holds any integers; the Scenario built with it refuses one out of range, naming its key."""
+        (name,) = kwargs
+        key = next(f.metadata["key"] for f in dataclasses.fields(FeeParams) if f.name == name)
+        with pytest.raises(ScenarioError, match=rf"^economics\.{key} must be at (least|most) "):
+            Scenario(fee_params=FeeParams(**kwargs))

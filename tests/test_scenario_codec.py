@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import REPO_ROOT, compliant_scenario, deviating_scenario
 from skyledger import sim
+from skyledger.economics import FeeParams
 from skyledger.ledger import canonical_json
 from skyledger.persistence import load_scenario
 from skyledger.sim import DroneSpec, ReporterSpec, Scenario, ScenarioError
@@ -33,7 +34,7 @@ SCENARIOS = {
         1, workloads.QUOTE_POLL_SIZES["plans"], workloads.QUOTE_POLL_SIZES["bystanders"]),
 }
 
-BOUNDED = [(cls, f) for cls in (Scenario, DroneSpec, ReporterSpec) for f in dataclasses.fields(cls)
+BOUNDED = [(cls, f) for cls in (Scenario, DroneSpec, ReporterSpec, FeeParams) for f in dataclasses.fields(cls)
            if f.metadata.get("min") is not None or f.metadata.get("max") is not None]
 
 _json_values = st.one_of(
@@ -91,9 +92,12 @@ def test_bound_check_refuses_as_the_walked_check_refuses(data):
     """A bounded field set at, past or short of either bound, or to None, on an object built past its own check."""
     cls, f = data.draw(st.sampled_from(BOUNDED))
     scenario = compliant_scenario()
-    obj = copy.copy({Scenario: scenario, DroneSpec: scenario.drones[0], ReporterSpec: scenario.reporters[0]}[cls])
+    obj = copy.copy({Scenario: scenario, DroneSpec: scenario.drones[0], ReporterSpec: scenario.reporters[0],
+                     FeeParams: scenario.fee_params}[cls])
     limits = [limit for limit in (f.metadata["min"], f.metadata["max"]) if limit is not None]
     object.__setattr__(obj, f.name, data.draw(st.one_of(st.none(), *(st.integers(x - 2, x + 2) for x in limits))))
-    at, key = ("", "") if cls is Scenario else ("drones" if cls is DroneSpec else "reporters", data.draw(st.integers(0, 12)))
+    index = data.draw(st.integers(0, 12))
+    at, key = {Scenario: ("", ""), DroneSpec: ("drones", index), ReporterSpec: ("reporters", index),
+               FeeParams: ("", "economics")}[cls]
     assert _outcome(lambda o: sim._codec(cls).check(o, at, key), obj) == \
         _outcome(lambda o: oracles.walked_check_bounds(o, oracles._path(at, key)), obj)

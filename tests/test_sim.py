@@ -297,7 +297,7 @@ class TestScenarioValidation:
             (lambda d: d["reporters"][0].update(cell=[9999, 0]), "outside grid"),
             (lambda d: d["reporters"][0].update(honesty="chaotic"), "unknown honesty"),
             (lambda d: d["clock"].update(tickSeconds=0), "at least 1"),
-            (lambda d: d["economics"].update(alphaMicro=0), "bad economics"),
+            (lambda d: d["economics"].update(alphaMicro=10**6), "economics.alphaMicro must be at most 999999"),
             (lambda d: d.update(lossProbabilityMicro=2 * 10**6), "lossProbabilityMicro"),
             # each key's declared type: JSON integers only, no coercion
             pytest.param(lambda d: d["reporters"][0].update(cell="ab"), "reporters[0].cell must be a JSON array",
@@ -325,8 +325,19 @@ class TestScenarioValidation:
             pytest.param(lambda d: d.update(seed=-1), "seed must be at least 0", id="seed-negative"),
             pytest.param(lambda d: d["uss"].update(deconflictionCellBuffer=-1),
                          "uss.deconflictionCellBuffer must be at least 0", id="negative-buffer"),
-            pytest.param(lambda d: d["economics"].update(alphaMicro=0), "economics: bad economics block",
+            # economics is declared like every other key: each bound names its key path
+            pytest.param(lambda d: d["economics"].update(alphaMicro=0), "economics.alphaMicro must be at least 1",
                          id="alpha-zero"),
+            pytest.param(lambda d: d["economics"].update(baseMissionCost=-1),
+                         "economics.baseMissionCost must be at least 0", id="negative-base-cost"),
+            pytest.param(lambda d: d["economics"].update(rcd=-1), "economics.rcd must be at least 0",
+                         id="negative-rcd"),
+            pytest.param(lambda d: d["economics"].update(surchargePerMission=-1),
+                         "economics.surchargePerMission must be at least 0", id="negative-surcharge"),
+            pytest.param(lambda d: d["economics"].update(kMinMicro=0), "economics.kMinMicro must be at least 1",
+                         id="k-floor-zero"),
+            pytest.param(lambda d: d["economics"].update(kMinMicro=10**6 + 1),
+                         "economics.kMinMicro must be at most 1000000", id="k-floor-past-one"),
             pytest.param(lambda d: d["reporters"][2].update(sensingRangeM=-1),
                          "reporters[2].sensingRangeM must be at least 0", id="negative-range"),
             pytest.param(lambda d: d["drones"][0]["mission"].update(source="+٠٠٠°٠٠′١٠″ +000°00′10″"),

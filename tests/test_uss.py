@@ -1,4 +1,6 @@
+import collections
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -22,11 +24,11 @@ from conftest import (
     report_args,
     subscribe,
 )
-from skyledger import geo, persistence
+from skyledger import geo, ledger, persistence, uss
 from skyledger.economics import FeeParams
-from skyledger.ledger import ContractRevert
+from skyledger.ledger import ContractRevert, Ledger
 from skyledger.rid import compute_rid_vc
-from skyledger.sim import DroneSpec, MissionSpec, Scenario, World
+from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario, World
 from skyledger.uss import Mission, MissionPlan, parse_departure_epoch, SUBSCRIPTION_PERIOD_S, UssContract
 
 
@@ -525,6 +527,54 @@ def test_conflict_checks_per_plan_stay_within_its_route(monkeypatch):
         assert all(checks <= windows for checks, windows in per_plan), max(per_plan)
 
 
+def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
+    """The counted form of "a transaction's cost does not grow with history", which host noise cannot move.
+
+    Corridor runs at n and 4n drones, flown to their settlements past one reporter per row, and each drone's twin
+    asking for the same plan, which reverts on its conflict: for each op and outcome, the most calls one submit
+    makes to the ledger's journal and meter, the conflict test and the airspace index's bisects stays the same.
+    """
+    counts = collections.Counter()
+
+    def count(owner, name):
+        exact = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return exact(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(Ledger, "touch"), (ledger, "count_leaves"), (geo, "windows_conflict"),
+                        (uss, "bisect_left"), (uss, "bisect_right"), (uss, "insort")]:
+        count(owner, name)
+    exact_submit, per_submit = Ledger.submit, collections.defaultdict(list)
+
+    def submit(self, caller, op, *args, **kwargs):
+        before = counts.copy()
+        rec = exact_submit(self, caller, op, *args, **kwargs)
+        per_submit[op, rec.status].append(counts - before)
+        return rec
+    monkeypatch.setattr(Ledger, "submit", submit)
+
+    most = []
+    for n in (20, 80):
+        per_submit.clear()
+        corridors = corridor_scenario(n)
+        twins = tuple(dataclasses.replace(d, name=f"twin{i}", serial=f"SN-T{i}", owner_national_id=f"NID-T{i}")
+                      for i, d in enumerate(corridors.drones))
+        reporters = tuple(ReporterSpec(f"r{row}", cell=(3 * row, 5 * row), sensing_range_m=200) for row in (1, 2, 3, 4))
+        world = World(dataclasses.replace(corridors, drones=corridors.drones + twins, reporters=reporters,
+                                          duration_ticks=6 * n + 40))  # the last plan departs at minute n
+        world.run_to_end()
+        assert not world.uss.missions  # every plan settled
+        most.append({key: {name: max(c[name] for c in calls) for name in set().union(*calls)}
+                     for key, calls in per_submit.items()})
+    assert most[0].keys() == most[1].keys() >= {("report_drone", "success"), ("report_completion", "success"),
+                                                 ("request_plan", "success"), ("request_plan", "revert")}
+    assert most[0][("request_plan", "revert")]["windows_conflict"] > 0  # the twins' conflicts are tested
+    assert most[1] == most[0]
+
+
 class TestAirspaceIndex:
     """The index applied at commit against full scans of the active plans, through reverts and a restore."""
 
@@ -743,6 +793,48 @@ class TestReportDrone:
             report(bench, drone_id, at_s=rng.randrange(60, 210), reporter=rng.choice(reporters))
         seen = [(s.reporter, s.drone_id) for s in bench.uss.storage["sightings"]]
         assert len(seen) == len(set(seen)) == len(reporters)
+
+    @staticmethod
+    def _walked_match(plan, cell, at_s, window_s):
+        """The sighting verdict by a walk of the plan's own route."""
+        return any((w.lat_idx, w.lon_idx) == cell and w.enter_s - window_s <= at_s <= w.exit_s + window_s
+                   for w in plan.route)
+
+    def test_another_drones_window_in_the_cell_is_no_match(self):
+        bench = make_bench()
+        flown = TestScheduleRoute._install_plan(bench, 0, (10, 10), (10, 40), 100)
+        TestScheduleRoute._install_plan(bench, 1, (50, 10), (50, 40), 100)  # another row, at the same times
+        first = flown.route[0]
+        cell = (first.lat_idx, first.lon_idx)
+        assert bench.uss._sighting_matches_plan(0, cell, first.enter_s)
+        assert not bench.uss._sighting_matches_plan(1, cell, first.enter_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sighting_match_equals_a_walk_of_the_plan_route(self, data):
+        """The airspace index mixes drones: a cell and time another plan covers match only that plan's drone."""
+        draw = data.draw
+        window_s = draw(st.sampled_from([0, 1, 120]))
+        bench = make_bench(match_window_s=window_s)
+        point = st.tuples(st.integers(0, 24), st.integers(0, 24))  # legs over ~8x8 cells
+        src, dst, depart = draw(point), draw(point), draw(st.integers(0, 400))
+        legs = [(src, dst, depart, 1)]
+        for _ in range(draw(st.integers(1, 3))):
+            # over the first leg's cells near its times (the index holds no deconfliction), or anywhere; some slow
+            shared = draw(st.booleans())
+            legs.append((src if shared else draw(point), dst if shared else draw(point),
+                         depart + draw(st.integers(-60, 60)) if shared else draw(st.integers(0, 400)),
+                         draw(st.sampled_from([1, 1, 3]))))
+        plans = [TestScheduleRoute._install_plan(bench, i, *leg) for i, leg in enumerate(legs)]
+        window = draw(st.sampled_from([w for p in plans for w in p.route]))
+        cell = draw(st.sampled_from([(window.lat_idx, window.lon_idx), (window.lat_idx + 1, window.lon_idx)]))
+        edge = draw(st.sampled_from([window.enter_s - window_s, window.exit_s + window_s]))
+        at_s = draw(st.one_of(st.integers(edge - 1, edge + 1), st.integers(0, 800)))
+        drone_id = draw(st.integers(0, len(plans) - 1))
+        expected = self._walked_match(plans[drone_id], cell, at_s, window_s)
+        others = any(self._walked_match(p, cell, at_s, window_s) for p in plans if p.drone_id != drone_id)
+        event(f"match={expected} another drone's window={others}")
+        assert bench.uss._sighting_matches_plan(drone_id, cell, at_s) == expected
 
 
 class TestCompletion:
