@@ -118,6 +118,8 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         return _fail(EXIT_CONFIG, f"cannot read scenario {scenario_path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         return _fail(EXIT_CONFIG, f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError as exc:  # json's decoder refuses deeper nesting than the interpreter's recursion limit
+        return _fail(EXIT_CONFIG, f"parse error: {exc}")
     except UnicodeDecodeError as exc:
         return _fail(EXIT_CONFIG, f"scenario is not UTF-8 text: {exc}")
     except ScenarioError as exc:

@@ -49,6 +49,7 @@ import hashlib
 import json
 import operator
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
@@ -311,8 +312,9 @@ def block_digest(index: int, prev_hash: bytes, body: bytes) -> bytes:
     return digest.digest()
 
 
-def verify_blocks(blocks: list[Block]) -> tuple[bool, int | None]:
-    """Hash every body and check every link; returns (ok, first bad index)."""
+def verify_blocks(blocks: Iterable[Block]) -> tuple[bool, int | None]:
+    """Hash every body and check every link of any iterable of blocks, a list or an iterator read once, keeping no
+    block but the one it checks; returns (ok, first bad index)."""
     prev = GENESIS_PREV_HASH
     for i, blk in enumerate(blocks):
         if blk.index != i or blk.prev_hash != prev:

@@ -9,7 +9,10 @@ File kinds and extensions:
     *.metrics.json    run metrics
 
 Both files store each block's hashed bytes as they are (Block.line) and
-read them back through one reader (Block.from_line).
+read them back through one reader (Block.from_line). The reader hands out
+blocks one line at a time: restore and read_chain_jsonl keep them all,
+while verify_chain_file decodes one block at a time, checks it and drops
+it, and still refuses any line that does not read as a block.
 
 Snapshots are canonical: the same state always produces the same bytes
 (sorted keys, currency as decimal strings, digests as hex). A state
@@ -40,8 +43,9 @@ exports (plan tables, registry) exclude them too.
 
 from __future__ import annotations
 
+import collections
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
@@ -85,8 +89,16 @@ def _block_log(header: dict[str, Any], blocks: list[Block]) -> bytes:
     return b"\n".join([canonical_json(header), *(b.line() for b in blocks), b""])
 
 
-def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[bytes, dict[str, Any], list[Block]]:
-    """The header line of a chain log or state snapshot, its value, and its blocks, each line read by Block.from_line.
+def _read_block(line: bytes) -> Block:
+    try:
+        return Block.from_line(line)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise CorruptPayload(f"bad block line: {exc}") from None
+
+
+def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[bytes, dict[str, Any], Iterator[Block]]:
+    """The header line of a chain log or state snapshot, its value, and an iterator of its blocks, each line read by
+    Block.from_line when it is reached, so a caller that keeps no block holds one decoded block at a time.
 
     Only the final newline may end an empty line; any other blank or whitespace-only line is refused.
     """
@@ -99,7 +111,7 @@ def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[byte
         raise CorruptPayload(f"blank line {blank} in {kind} file")
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise CorruptPayload(f"bad {kind} header: {exc}") from None
     if not isinstance(header, dict) or not isinstance(header.get("schema"), dict):
         raise CorruptPayload(f"missing schema header in {kind} payload")
@@ -107,10 +119,7 @@ def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[byte
         raise SchemaMismatch(f"unsupported major version {header['schema']!r}")
     if header.get("kind") != kind:
         raise CorruptPayload(f"expected kind {kind!r}, found {header.get('kind')!r}")
-    try:
-        return lines[0], header, [Block.from_line(ln) for ln in lines[1:]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptPayload(f"bad block line: {exc}") from None
+    return lines[0], header, map(_read_block, lines[1:])
 
 
 def write_chain_jsonl(path: str | Path, blocks: list[Block]) -> None:
@@ -119,6 +128,7 @@ def write_chain_jsonl(path: str | Path, blocks: list[Block]) -> None:
 
 def read_chain_jsonl(path: str | Path) -> list[Block]:
     line, header, blocks = _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)
+    blocks = list(blocks)
     _require_written("chain", line, header, _CHAIN_HEADER)
     return blocks
 
@@ -211,6 +221,7 @@ def _state_header(world: World) -> dict[str, Any]:
 def restore_world(payload: bytes) -> World:
     """Rebuild a world from snapshot bytes; refuses a broken chain and any header the world would not write back."""
     line, header, blocks = _read_block_log(payload, "state", STATE_SCHEMA)
+    blocks = list(blocks)
     ok, bad_index = verify_blocks(blocks)
     if not ok:
         raise CorruptPayload(f"snapshot chain broken at block {bad_index}")
@@ -263,4 +274,10 @@ def _rng_state(rng: Any) -> tuple[int, tuple[int, ...], None]:
 
 
 def verify_chain_file(path: str | Path) -> tuple[bool, int | None]:
-    return verify_blocks(read_chain_jsonl(path))
+    """Check a chain log's hashes and links, decoding one block at a time; refuses, as read_chain_jsonl does, a log
+    with any line that does not read as a block (also after a broken link) or a header this code does not write."""
+    line, header, blocks = _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)
+    verdict = verify_blocks(blocks)
+    collections.deque(blocks, maxlen=0)  # read the lines after a broken link too
+    _require_written("chain", line, header, _CHAIN_HEADER)
+    return verdict

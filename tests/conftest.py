@@ -11,6 +11,7 @@ import pytest
 from oracles import edit_snapshot
 from skyledger import geo
 from skyledger.authority import AuthorityContract
+from skyledger.economics import FeeParams
 from skyledger.ledger import Ledger
 from skyledger.rid import RidFaa, RidMessage, encode_rid
 from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario
@@ -287,6 +288,24 @@ def doas_scenario(n_drones: int = 100, seed: int = 9) -> Scenario:
         drones=tuple(drones),
         reporters=tuple(reporters),
     )
+
+
+# a corridor time buffer at which each plan's bisects reach windows that its row's previous plan, four minutes earlier,
+# left in the neighbouring cells, and clear them; at 60 s they reach none, and from 220 s those windows conflict
+CLEARING_TIME_BUFFER_S = 218
+
+
+def corridor_scenario(n_drones: int, time_buffer_s: int = 60) -> Scenario:
+    """Drones on four shared rows, 24 cells long, one departure a minute: each row's cells hold every earlier plan on it."""
+    rows = [10 + 10 * (i % 4) for i in range(n_drones)]  # arcseconds 300 m apart, outside each other's cell buffer
+    drones = tuple(
+        DroneSpec(f"d{i}", f"SN-{i}", f"NID-{i}",
+                  MissionSpec(dms(lat, 4), dms(lat, 84), DATE, f"{(i + 1) // 60:02d}{(i + 1) % 60:02d}"))
+        for i, lat in enumerate(rows)
+    )
+    # no congestion surcharge: the quote, taken at clock 0, then pays for a plan that departs into traffic
+    return Scenario(name="corridors", duration_ticks=1, deconfliction_time_buffer_s=time_buffer_s,
+                    fee_params=FeeParams(surcharge_per_mission=0), drones=drones)
 
 
 # -- snapshot edits that recompute no hash ------------------------------------

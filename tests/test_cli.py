@@ -12,8 +12,19 @@ from skyledger.ledger import canonical_json
 from skyledger.sim import World
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # deeper than json's decoder recurses
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _with_deep_block_body(raw: bytes) -> bytes:
+    """A chain log or snapshot whose block 1 keeps its prefix but has a deeply nested body."""
+    lines = raw.split(b"\n")
+    prefix, body_at, _ = lines[2].partition(b'"transactions":')
+    lines[2] = prefix + body_at + DEEP_JSON + b"}"
+    return b"\n".join(lines)
 
 
 class TestRun:
@@ -86,6 +97,13 @@ class TestRun:
         assert run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "out"), "--quiet", *extra) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
+
+    def test_deeply_nested_json_exits_2_with_one_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.scenario.json"
+        deep.write_bytes(DEEP_JSON)
+        assert run_cli("run", "--scenario", str(deep), "--out", str(tmp_path / "out"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and err.count("\n") == 1, err
 
     def test_negative_seed_override_names_its_bound(self, tmp_path, demo_scenario_path, capsys):
         assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--seed", "-1") == 2
@@ -187,6 +205,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "blank line 3" in err and err.count("\n") == 1
 
+    def test_broken_link_then_bad_line_exits_2_and_alone_exits_4(self, chain_path, capsys):
+        """verify reads every line even after the chain breaks, so a bad later line still refuses the file."""
+        lines = chain_path.read_bytes().split(b"\n")
+        hash_at = lines[2].index(b'"hash":"') + 8  # block 1's recorded hash
+        lines[2] = lines[2][:hash_at] + (b"1" if lines[2][hash_at:hash_at + 1] == b"0" else b"0") + lines[2][hash_at + 1:]
+        chain_path.write_bytes(b"\n".join(lines))
+        assert run_cli("verify", str(chain_path)) == 4
+        assert capsys.readouterr().err == "chain broken at block 1\n"
+        lines[4] = lines[4][:-1]  # block 3's line loses its closing brace
+        chain_path.write_bytes(b"\n".join(lines))
+        assert run_cli("verify", str(chain_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse chain log: bad block line") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("line", ["header", "block"])
+    def test_deeply_nested_json_exits_2_with_one_line(self, chain_path, capsys, line):
+        raw = chain_path.read_bytes()
+        chain_path.write_bytes(DEEP_JSON + raw[raw.index(b"\n"):] if line == "header" else _with_deep_block_body(raw))
+        assert run_cli("verify", str(chain_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot parse chain log") and "recursion" in err and err.count("\n") == 1, err
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         empty = tmp_path / "empty.chain.jsonl"
         empty.write_bytes(b"")
@@ -259,6 +299,13 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("malformed state snapshot")
         assert captured.err.count("\n") == 1
+
+    def test_deeply_nested_block_body_exits_2_with_one_line(self, state_path, capsys):
+        state_path.write_bytes(_with_deep_block_body(state_path.read_bytes()))
+        assert run_cli("inspect", str(state_path), "supply") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("malformed state snapshot: bad block line")
+        assert "recursion" in captured.err and captured.err.count("\n") == 1
 
     def test_reporter_off_the_grid_exits_2(self, state_path, capsys):
         forged = oracles.forge_snapshot(state_path.read_bytes(), lambda d: d["reporters"][0].update(cell=[9999, 9999]))

@@ -1051,6 +1051,32 @@ class TestChainFiles:
             assert verify_blocks(blocks[:index] + [block] + blocks[index + 1:])[0] is False
         assert 0 < refused < len(line) + 1
 
+    def test_verify_holds_at_most_two_decoded_blocks(self, tmp_path, demo_scenario_path, monkeypatch):
+        """verify_chain_file drops each block once it is checked, so the blocks alive never grow with the log."""
+        world = World(persistence.load_scenario(demo_scenario_path))
+        world.run_to_end()
+        path = tmp_path / "demo.chain.jsonl"
+        persistence.write_chain_jsonl(path, world.ledger.blocks)
+        read, refs, most = Block.from_line, [], [0]
+
+        def tracked(line):
+            block = read(line)
+            refs.append(weakref.ref(block))
+            most[0] = max(most[0], sum(ref() is not None for ref in refs))
+            return block
+
+        monkeypatch.setattr(Block, "from_line", tracked)
+        assert persistence.verify_chain_file(path) == (True, None)
+        assert len(refs) == len(world.ledger.blocks) > 2 and most[0] <= 2
+
+    def test_verify_blocks_reads_an_iterator_as_its_list(self):
+        blocks = run(compliant_scenario())[1].ledger.blocks
+        tampered = dataclasses.replace(blocks[2], hash=bytes(32))
+        cases = [blocks, blocks[:3], [], blocks[:2] + [tampered] + blocks[3:], blocks[:1] + blocks[2:], blocks[::-1]]
+        for case in cases:
+            assert verify_blocks(iter(case)) == verify_blocks(case)
+        assert [verify_blocks(c)[1] for c in cases] == [None, None, None, 2, 1, 0]
+
     def test_mangled_block_line(self, tmp_path):
         path = tmp_path / "mangled.chain.jsonl"
         path.write_bytes(

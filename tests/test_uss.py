@@ -8,12 +8,14 @@ from hypothesis import event, given, settings, strategies as st
 
 import oracles
 from conftest import (
+    CLEARING_TIME_BUFFER_S,
     DATE,
     DST,
     SRC,
     TIME,
     broadcast_hex,
     complete,
+    corridor_scenario,
     dms,
     make_bench,
     plan,
@@ -491,18 +493,6 @@ class TestScheduleRoute:
         assert self._conflicts(uss, src, dst, depart) == expected
 
 
-def corridor_scenario(n_drones):
-    """Drones on four shared rows, 24 cells long, one departure a minute: each row's cells hold every earlier plan on it."""
-    rows = [10 + 10 * (i % 4) for i in range(n_drones)]  # arcseconds 300 m apart, outside each other's cell buffer
-    drones = tuple(
-        DroneSpec(f"d{i}", f"SN-{i}", f"NID-{i}",
-                  MissionSpec(dms(lat, 4), dms(lat, 84), DATE, f"{(i + 1) // 60:02d}{(i + 1) % 60:02d}"))
-        for i, lat in enumerate(rows)
-    )
-    # no congestion surcharge: the quote, taken at clock 0, then pays for a plan that departs into traffic
-    return Scenario(name="corridors", duration_ticks=1, fee_params=FeeParams(surcharge_per_mission=0), drones=drones)
-
-
 def test_conflict_checks_per_plan_stay_within_its_route(monkeypatch):
     """Plans on shared corridors are checked against the windows near each of theirs in time, not every window near in space."""
     calls, per_plan = [0], []
@@ -520,11 +510,14 @@ def test_conflict_checks_per_plan_stay_within_its_route(monkeypatch):
 
     monkeypatch.setattr(geo, "windows_conflict", counted)
     monkeypatch.setattr(UssContract, "schedule_route", scheduled)
-    for n in (20, 80):
-        per_plan.clear()
-        world = World(corridor_scenario(n))
-        assert len(world.uss.missions) == len(per_plan) == n  # every plan is accepted
-        assert all(checks <= windows for checks, windows in per_plan), max(per_plan)
+    for buffer_s in (60, CLEARING_TIME_BUFFER_S):
+        for n in (20, 80):
+            per_plan.clear()
+            world = World(corridor_scenario(n, buffer_s))
+            assert len(world.uss.missions) == len(per_plan) == n  # every plan is accepted
+            assert all(checks <= windows for checks, windows in per_plan), max(per_plan)
+        if buffer_s == CLEARING_TIME_BUFFER_S:
+            assert sum(checks for checks, _ in per_plan) > 0  # the bisects reached windows, and every one cleared
 
 
 def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
