@@ -124,6 +124,8 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         return _fail(EXIT_CONFIG, f"scenario is not UTF-8 text: {exc}")
     except ScenarioError as exc:
         return _fail(EXIT_CONFIG, f"invalid scenario: {exc}")
+    except ValueError as exc:  # after its subclasses above: json's decoder refuses an int past the digit limit
+        return _fail(EXIT_CONFIG, f"parse error: {exc}")
 
     out = Path(out_dir)
     try:

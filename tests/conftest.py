@@ -1,4 +1,4 @@
-"""Shared builders: a wired-up contract bench, canned scenarios and unsealed snapshot edits."""
+"""Shared builders: a wired-up contract bench and canned scenarios."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from oracles import edit_snapshot
 from skyledger import geo
 from skyledger.authority import AuthorityContract
 from skyledger.economics import FeeParams
@@ -306,23 +305,6 @@ def corridor_scenario(n_drones: int, time_buffer_s: int = 60) -> Scenario:
     # no congestion surcharge: the quote, taken at clock 0, then pays for a plan that departs into traffic
     return Scenario(name="corridors", duration_ticks=1, deconfliction_time_buffer_s=time_buffer_s,
                     fee_params=FeeParams(surcharge_per_mission=0), drones=drones)
-
-
-# -- snapshot edits that recompute no hash ------------------------------------
-
-def _probe(header: dict, blocks: list[dict]) -> None:
-    """The first record with state writes gets 5 more, and the first event names the next drone."""
-    txs = [tx for block in blocks for tx in block["transactions"]]
-    next(tx for tx in txs if tx["stateWrites"])["stateWrites"] += 5
-    next(tx for tx in txs if tx["events"])["events"][0]["args"]["droneId"] += 1
-
-
-UNSEALED_SNAPSHOT_EDITS = {
-    "probe": lambda snap: edit_snapshot(snap, _probe),
-    "broken-link": lambda snap: edit_snapshot(snap, lambda header, blocks: blocks.pop(1)),
-    "line-truncation": lambda snap: snap[: snap.rindex(b"\n", 0, -1) + 1],
-    "head-mismatch": lambda snap: edit_snapshot(snap, lambda header, blocks: header.update(head=blocks[-2]["hash"])),
-}
 
 
 @pytest.fixture

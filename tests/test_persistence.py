@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from conftest import REPO_ROOT, SRC, UNSEALED_SNAPSHOT_EDITS, compliant_scenario, deviating_scenario, dms
+from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario, dms
 from skyledger import persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
@@ -900,7 +900,7 @@ def test_truncated_snapshot_is_corrupt():
 def test_restore_refuses_a_chain_edited_without_its_hashes(edit, error):
     snap = persistence.snapshot_world(run(compliant_scenario())[1])
     with pytest.raises(persistence.CorruptPayload, match=error):
-        persistence.restore_world(UNSEALED_SNAPSHOT_EDITS[edit](snap))
+        persistence.restore_world(oracles.UNSEALED_SNAPSHOT_EDITS[edit](snap))
 
 
 def test_snapshot_cut_at_any_line_boundary_is_corrupt():

@@ -526,6 +526,7 @@ def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
     Corridor runs at n and 4n drones, flown to their settlements past one reporter per row, and each drone's twin
     asking for the same plan, which reverts on its conflict: for each op and outcome, the most calls one submit
     makes to the ledger's journal and meter, the conflict test and the airspace index's bisects stays the same.
+    So does the most that one record makes when restore folds the finished world's snapshot in again.
     """
     counts = collections.Counter()
 
@@ -548,8 +549,26 @@ def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
         per_submit[op, rec.status].append(counts - before)
         return rec
     monkeypatch.setattr(Ledger, "submit", submit)
+    exact_apply_log, exact_admit, folded = Ledger.apply_log, Ledger._admit, []
 
-    most = []
+    def apply_log(self, blocks):
+        """Each folded record's counts open at its _admit call; the last one's close when the fold returns."""
+        logged = {id(tx.args): tx for block in blocks for tx in block.transactions}
+
+        def admit(self, spec, caller, args, value):
+            folded.append((logged[id(args)], counts.copy()))
+            return exact_admit(self, spec, caller, args, value)
+        monkeypatch.setattr(Ledger, "_admit", admit)
+        exact_apply_log(self, blocks)
+        monkeypatch.setattr(Ledger, "_admit", exact_admit)
+        folded.append((None, counts.copy()))
+    monkeypatch.setattr(Ledger, "apply_log", apply_log)
+
+    def most_calls(per_key):
+        return {key: {name: max(c[name] for c in calls) for name in set().union(*calls)}
+                for key, calls in per_key.items()}
+
+    most, most_folded = [], []
     for n in (20, 80):
         per_submit.clear()
         corridors = corridor_scenario(n)
@@ -560,12 +579,19 @@ def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
                                           duration_ticks=6 * n + 40))  # the last plan departs at minute n
         world.run_to_end()
         assert not world.uss.missions  # every plan settled
-        most.append({key: {name: max(c[name] for c in calls) for name in set().union(*calls)}
-                     for key, calls in per_submit.items()})
+        most.append(most_calls(per_submit))
+        folded.clear()
+        persistence.restore_world(persistence.snapshot_world(world))
+        per_fold = collections.defaultdict(list)
+        for (tx, before), (_, after) in zip(folded, folded[1:]):
+            per_fold[tx.op, tx.status].append(after - before)
+        most_folded.append(most_calls(per_fold))
     assert most[0].keys() == most[1].keys() >= {("report_drone", "success"), ("report_completion", "success"),
                                                  ("request_plan", "success"), ("request_plan", "revert")}
     assert most[0][("request_plan", "revert")]["windows_conflict"] > 0  # the twins' conflicts are tested
     assert most[1] == most[0]
+    assert most_folded[0][("report_drone", "success")]["touch"] > 0  # the folds write through the journal
+    assert most_folded[1] == most_folded[0]
 
 
 class TestAirspaceIndex:
