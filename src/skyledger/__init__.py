@@ -10,7 +10,7 @@ The package is organized around the contract state machine:
     geo          flat-grid DMS coordinates, cells, route interpolation
     sim          deterministic agent-based scenario runner
     persistence  canonical snapshots, chain logs, CSV emitters
-    cli          run / verify / inspect / demo front end
+    cli          run / verify / inspect front end
 """
 
 from .authority import AuthorityContract, DroneRecord

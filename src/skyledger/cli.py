@@ -3,7 +3,6 @@
     skyledger run --scenario demo.scenario.json --out outdir [--seed N] [--quiet]
     skyledger verify <chain.jsonl>
     skyledger inspect <state.json> <query>
-    skyledger demo <name>
 
 Exit codes: 0 success, 2 config/parse error, 3 runtime scenario
 failure, 4 broken chain.
@@ -23,27 +22,19 @@ from typing import Any, Callable
 
 from . import persistence
 from .ledger import canonical_json
-from .sim import DroneSpec, MissionSpec, ReporterSpec, Scenario, ScenarioError, World
+from .sim import ScenarioError, World
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_BROKEN_CHAIN = 4
 
-DEMO_NAMES = ("register", "subscribe", "quote", "plan", "report", "complete", "full")
-_DEMO_OPS = {
-    "register": "register_drone",
-    "subscribe": "subscribe",
-    "quote": "request_quote",
-    "plan": "request_plan",
-    "report": "report_drone",
-    "complete": "report_completion",
-}
-
-# query -> (restored world, the text after "account:") -> result; None is an unknown account
+# query -> (restored world, the text after its colon) -> result; None is no such account or tx
 INSPECT_QUERIES: dict[str, Callable[[World, str], Any]] = {
     "accounts": lambda world, _: persistence.account_table(world.ledger),
     "account:<id>": lambda world, wanted: {a["id"]: a for a in persistence.account_table(world.ledger)}.get(wanted),
+    "tx:<id>": lambda world, wanted: next((tx.to_dict() for block in world.ledger.blocks for tx in block.transactions
+                                          if str(tx.tx_id) == wanted), None),
     "drones": lambda world, _: world.authority.export_registry(),
     "plans": lambda world, _: world.uss.export_active_plans(),
     "supply": lambda world, _: {"total": str(world.ledger.total_supply())},
@@ -51,31 +42,17 @@ INSPECT_QUERIES: dict[str, Callable[[World, str], Any]] = {
 }
 
 
-def builtin_demo_scenario() -> Scenario:
-    """One compliant mission watched by a single bystander."""
-    return Scenario(
-        name="builtin-demo",
-        seed=7,
-        duration_ticks=40,
-        drones=(
-            DroneSpec(
-                name="demo-drone",
-                serial="SN-DEMO-1",
-                owner_national_id="NID-DEMO-1",
-                mission=MissionSpec(
-                    source="+000°00′10″ +000°00′10″",
-                    destination="+000°00′10″ +000°01′00″",
-                    departure_date="01012025",
-                    departure_time="0001",
-                ),
-            ),
-        ),
-        reporters=(ReporterSpec(name="demo-reporter", cell=(3, 8), sensing_range_m=200),),
-    )
+class _Refused(Exception):
+    """A command line that argparse refuses, as one line: the refusing (sub)command's prog, then argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage as well; every refusal here is one stderr line
+        raise _Refused(f"{self.prog}: {message}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="skyledger", description=__doc__)
+    parser = _Parser(prog="skyledger", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and write its artifacts")
@@ -91,17 +68,15 @@ def main(argv: list[str] | None = None) -> int:
     p_inspect.add_argument("state", help="path to *.state.json")
     p_inspect.add_argument("query", help="one of: " + ", ".join(INSPECT_QUERIES))
 
-    p_demo = sub.add_parser("demo", help="print a canned protocol transaction")
-    p_demo.add_argument("name", help="one of: " + ", ".join(DEMO_NAMES))
-
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _Refused as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     if args.command == "run":
         return _cmd_run(args.scenario, args.out, args.seed, args.quiet)
     if args.command == "verify":
         return _cmd_verify(args.chain)
-    if args.command == "inspect":
-        return _cmd_inspect(args.state, args.query)
-    return _cmd_demo(args.name)
+    return _cmd_inspect(args.state, args.query)
 
 
 def _fail(code: int, message: str) -> int:
@@ -209,42 +184,9 @@ def _cmd_inspect(state_path: str, query: str) -> int:
         return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
     result = answer(world, wanted)
     if result is None:
-        return _fail(EXIT_CONFIG, f"no such account: {wanted}")
+        return _fail(EXIT_CONFIG, f"no such {name}: {wanted}")
     print(canonical_json(result).decode())
     return EXIT_OK
-
-
-def _cmd_demo(name: str) -> int:
-    if name not in DEMO_NAMES:
-        return _fail(EXIT_CONFIG, f"unknown demo {name!r}; expected one of: " + ", ".join(DEMO_NAMES))
-    world = World(builtin_demo_scenario())
-    world.run_to_end()
-    wanted = list(_DEMO_OPS.values()) if name == "full" else [_DEMO_OPS[name]]
-    shown = set()
-    for block in world.ledger.blocks:
-        for tx in block.transactions:
-            if tx.op in wanted and tx.op not in shown and tx.status == "success":
-                shown.add(tx.op)
-                _print_tx(world, tx)
-    missing = [op for op in wanted if op not in shown]
-    if missing:
-        return _fail(EXIT_RUNTIME, f"demo did not execute: {', '.join(missing)}")
-    return EXIT_OK
-
-
-def _print_tx(world: World, tx) -> None:
-    to = world.authority.account if tx.op in ("register_drone", "get_drone") else world.uss.treasury
-    print(f"transaction #{tx.tx_id} [{tx.op}]")
-    print(f"  status          {tx.status}")
-    print(f"  from            {tx.caller}")
-    print(f"  to              {to}")
-    print(f"  function        {tx.op}")
-    print(f"  value           {tx.value}")
-    print(f"  decoded input   {canonical_json(tx.args).decode()}")
-    print(f"  decoded output  {canonical_json(tx.payload).decode()}")
-    if tx.events:
-        print(f"  logs            {canonical_json(tx.events).decode()}")
-    print()
 
 
 if __name__ == "__main__":

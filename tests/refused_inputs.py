@@ -148,6 +148,7 @@ REFUSED = [
     run("run-unknown-key", sub(b'"sensingRangeM"', b'"sensingRange": 150, "sensingRangeM"'),
         r"invalid scenario: reporters\[0\]\.sensingRange is not a known key$"),
     run("run-negative-seed-option", None, r"invalid scenario: seed must be at least 0$", "--seed", "-1"),
+    run("run-seed-not-an-int", None, r"skyledger run: argument --seed: invalid int value: 'x'$", "--seed", "x"),
     run("run-schema-violation", whole(b'{"schema": {"major": 1}, "kind": "scenario", "seed": -4}'),
         r"invalid scenario: seed must be at least 0$"),
     run("run-malformed", whole(b'{\n  "name": "x",,\n}'), r"parse error at line 2, column 15: "),
@@ -226,12 +227,18 @@ REFUSED = [
     inspect("inspect-version-2", forged(lambda d: d.update(schema={"major": 2, "minor": 0})),
             r"not a readable state snapshot: unsupported major version ", "drones"),
     inspect("inspect-unknown-query", None, r"unknown query 'vibes'; ", "vibes"),
+    Case("inspect-no-query", "state", None, ("inspect", "{file}"), 2,
+         r"skyledger inspect: the following arguments are required: query$"),
+    inspect("inspect-no-such-tx", None, r"no such tx: 26$", "tx:26"),  # one past the demo run's last record
+    inspect("inspect-tx-not-an-id", None, r"no such tx: x$", "tx:x"),
     inspect("inspect-not-a-snapshot", whole(b"{}"), SNAPSHOT + r"missing schema header ", "accounts"),
     inspect("inspect-schema-list", whole(b'{"schema":[1],"kind":"state"}'), SNAPSHOT + r"missing schema header "),
     inspect("inspect-not-utf8", whole(b"\xb0{}"), SNAPSHOT + r"bad state header: 'utf-8' codec "),
     inspect("inspect-directory", whole(DIRECTORY), r"cannot read state snapshot "),
     *(inspect(f"inspect-header-alone-{query.replace(':', '-')}",
               whole(b'{"schema":{"major":4,"minor":0},"kind":"state"}'), HEAD, query) for query in QUERIES),
+    Case("cli-demo-removed", "scenario", None, ("demo", "full"), 2,
+         r"skyledger: argument command: invalid choice: 'demo'"),  # gone: inspect's tx:<id> shows a record
 ]
 
 CASES = CONTROLS + REFUSED

@@ -5,7 +5,7 @@ import pytest
 
 import refused_inputs
 from skyledger import persistence
-from skyledger.cli import builtin_demo_scenario, main
+from skyledger.cli import main
 from skyledger.ledger import canonical_json
 from skyledger.sim import World
 
@@ -163,16 +163,14 @@ class TestInspect:
         supply = json.loads(capsys.readouterr().out)
         assert supply == {"total": "1400000"}  # treasury + 4 operators funded at genesis
 
-    def test_plans_are_the_public_plan_list(self, tmp_path, capsys):
-        world = World(builtin_demo_scenario())
+    def test_plans_are_the_public_plan_list(self, demo_bases, demo_scenario_path, capsys):
+        world = World(persistence.load_scenario(demo_scenario_path))
         while world.tick < 5:
             world.step()
-        path = tmp_path / "mid.state.json"
-        path.write_bytes(persistence.snapshot_world(world))
-        assert run_cli("inspect", str(path), "plans") == 0
+        assert run_cli("inspect", str(demo_bases / "live.state.json"), "plans") == 0
         plans = json.loads(capsys.readouterr().out)
         assert plans == json.loads(canonical_json(world.uss.export_active_plans()))
-        assert [p["droneId"] for p in plans] == [0] and "nonce" not in json.dumps(plans)
+        assert [p["droneId"] for p in plans] == [0, 1, 2, 3] and "nonce" not in json.dumps(plans)
 
     def test_single_account_lookup(self, state_path, capsys):
         run_cli("inspect", str(state_path), "accounts")
@@ -181,33 +179,57 @@ class TestInspect:
         assert run_cli("inspect", str(state_path), f"account:{wanted}") == 0
         assert json.loads(capsys.readouterr().out)["id"] == wanted
 
+
+@pytest.fixture(scope="session")
+def demo_records(demo_bases):
+    """Each record of the demo run's chain log, with its bytes in the log, in tx order."""
+    records, decoder = [], json.JSONDecoder()
+    for block in (demo_bases / "demo.chain.jsonl").read_text().splitlines()[1:]:
+        at = block.index('"transactions":[') + 15
+        while block[at] != "]":  # at the "[" or the "," before a record
+            record, end = decoder.raw_decode(block, at + 1)
+            records.append((record, block[at + 1:end]))
+            at = end
+    return records
+
+
 class TestDemo:
+    """The demo scenario's run, one transaction at a time: `inspect <state> tx:<id>` prints record id's bytes."""
+
+    STEPS = {"register": "register_drone", "subscribe": "subscribe", "quote": "request_quote",
+             "plan": "request_plan", "report": "report_drone", "complete": "report_completion"}
+
+    @staticmethod
+    def show(demo_bases, capsys, record, state="demo.state.json"):
+        assert run_cli("inspect", str(demo_bases / state), f"tx:{record['txId']}") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        return out
+
     @pytest.mark.parametrize("name", ["register", "subscribe", "quote", "plan", "report", "complete"])
-    def test_each_step_prints_one_transaction(self, capsys, name):
-        assert run_cli("demo", name) == 0
-        out = capsys.readouterr().out
-        assert out.count("transaction #") == 1
-        assert "decoded input" in out and "decoded output" in out
+    def test_each_step_prints_one_transaction(self, demo_bases, demo_records, capsys, name):
+        record, _ = next(pair for pair in demo_records if pair[0]["op"] == self.STEPS[name])
+        shown = json.loads(self.show(demo_bases, capsys, record))
+        assert shown == record and {"args", "payload", "events", "status"} <= shown.keys()  # decoded input and output
 
-    def test_register_demo_shows_new_drone_id(self, capsys):
-        run_cli("demo", "register")
-        out = capsys.readouterr().out
-        assert '"droneId":0' in out
+    def test_register_demo_shows_new_drone_id(self, demo_bases, demo_records, capsys):
+        record = next(record for record, _ in demo_records if record["op"] == "register_drone")
+        assert '"payload":{"droneId":0}' in self.show(demo_bases, capsys, record)
 
-    def test_report_demo_shows_rewarded_flow(self, capsys):
-        run_cli("demo", "report")
-        out = capsys.readouterr().out
-        assert '"verdict":"reward"' in out
-        assert "DroneSighted" in out
+    def test_report_demo_shows_rewarded_flow(self, demo_bases, demo_records, capsys):
+        out = "".join(self.show(demo_bases, capsys, record) for record, _ in demo_records
+                      if record["op"] == "report_drone")
+        assert out.count('"verdict":"reward"') == out.count('"verdict":"penalty"') == 2
+        assert "DroneSighted" in out and '"reason":"Invalid report"' in out
 
-    def test_full_demo_walks_all_six_calls(self, capsys):
-        assert run_cli("demo", "full") == 0
-        out = capsys.readouterr().out
-        for op in ("register_drone", "subscribe", "request_quote", "request_plan",
-                   "report_drone", "report_completion"):
-            assert f"[{op}]" in out
-        assert out.count("status          success") == 6
-
-    def test_unknown_demo(self, capsys):
-        assert run_cli("demo", "teleport") == 2
-        assert "unknown demo" in capsys.readouterr().err
+    def test_full_demo_walks_all_six_calls(self, demo_bases, demo_records, capsys):
+        """Every record of the demo run, and each of the tick-5 live snapshot's, prints as its bytes in the log."""
+        assert [record["txId"] for record, _ in demo_records] == list(range(26))
+        for state, shown in (("demo.state.json", demo_records), ("live.state.json", demo_records[:17])):
+            for record, raw in shown:
+                assert self.show(demo_bases, capsys, record, state) == raw + "\n"
+        assert {record["op"] for record, _ in demo_records} == {"genesis", *self.STEPS.values()}
+        assert all(record["status"] == "success" for record, _ in demo_records if record["op"] != "report_drone")
+        assert [record["reason"] for record, _ in demo_records if record["status"] == "revert"] == ["Invalid report"]
+        assert {event["name"] for record, _ in demo_records for event in record["events"]} == {
+            "DroneSighted", "missionComplete"}
