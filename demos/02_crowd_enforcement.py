@@ -10,11 +10,13 @@ Run: python3 demos/02_crowd_enforcement.py
 
 from pathlib import Path
 
-from skyledger import run
+from skyledger import World
 from skyledger.persistence import load_scenario
 
 scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "demo.scenario.json")
-metrics, world = run(scenario)
+world = World(scenario)
+world.run_to_end()
+metrics = world.metrics()
 
 names = {i: d.spec.name for i, d in enumerate(world.drones)}
 print(f"{'drone':<10} {'behavior':<10} {'r':>2} {'p':>2} {'payout':>7} {'R (1e-6)':>9}")

@@ -9,7 +9,7 @@ Run: python3 demos/05_airspace_pressure.py
 
 import time
 
-from skyledger import DroneSpec, MissionSpec, ReporterSpec, Scenario, run
+from skyledger import DroneSpec, MissionSpec, ReporterSpec, Scenario, World
 from skyledger.geo import format_dms_pair
 
 
@@ -32,7 +32,9 @@ scenario = Scenario(name="pressure", seed=9, grid_extent_cells=256, duration_tic
                     drones=tuple(drones), reporters=tuple(reporters))
 
 start = time.perf_counter()
-metrics, world = run(scenario)
+world = World(scenario)
+world.run_to_end()
+metrics = world.metrics()
 elapsed = time.perf_counter() - start
 
 print(f"{N} drones, {N} watchers, {metrics.transactions} transactions, "

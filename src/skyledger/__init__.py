@@ -26,7 +26,7 @@ from .ledger import (
     verify_blocks,
 )
 from .rid import MalformedRid, RidFaa, RidMessage, compute_rid_vc, decode_rid, encode_rid, verify_rid_vc
-from .sim import DroneSpec, MissionSpec, ReporterSpec, RunMetrics, Scenario, ScenarioError, World, emit_metrics, run
+from .sim import DroneSpec, MissionSpec, ReporterSpec, RunMetrics, Scenario, ScenarioError, World, emit_metrics
 from .uss import MissionPlan, UssContract
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "parse_dms",
     "parse_dms_pair",
     "reputation",
-    "run",
     "update_k",
     "verify_blocks",
     "verify_rid_vc",

@@ -169,6 +169,10 @@ def _cmd_verify(chain_path: str) -> int:
 
 
 def _cmd_inspect(state_path: str, query: str) -> int:
+    name, colon, wanted = query.partition(":")
+    answer = INSPECT_QUERIES.get(name + (colon and ":<id>"))
+    if answer is None:  # before the restore, so a mistyped query reads no file
+        return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
     try:
         world = persistence.restore_world(Path(state_path).read_bytes())
     except OSError as exc:
@@ -177,11 +181,6 @@ def _cmd_inspect(state_path: str, query: str) -> int:
         return _fail(EXIT_CONFIG, f"not a readable state snapshot: {exc}")
     except persistence.CorruptPayload as exc:
         return _fail(EXIT_CONFIG, f"malformed state snapshot: {exc}")
-
-    name, colon, wanted = query.partition(":")
-    answer = INSPECT_QUERIES.get(name + (colon and ":<id>"))
-    if answer is None:
-        return _fail(EXIT_CONFIG, f"unknown query {query!r}; expected one of: " + ", ".join(INSPECT_QUERIES))
     result = answer(world, wanted)
     if result is None:
         return _fail(EXIT_CONFIG, f"no such {name}: {wanted}")

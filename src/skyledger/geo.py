@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .fixedmath import div_round_half_up
@@ -72,11 +73,8 @@ class GridConfig:
     def cell_of(self, lat_arcsec: int, lon_arcsec: int) -> tuple[int, int]:
         return self.cell_index(lat_arcsec), self.cell_index(lon_arcsec)
 
-    def cell_center_m(self, cell_index: int) -> int:
-        return cell_index * self.cell_size_m + self.cell_size_m // 2
-
     def cell_center_arcsec(self, cell_index: int) -> int:
-        return div_round_half_up(self.cell_center_m(cell_index), self.meters_per_arcsec)
+        return div_round_half_up(cell_index * self.cell_size_m + self.cell_size_m // 2, self.meters_per_arcsec)
 
     def meters(self, arcsec: int) -> int:
         return arcsec * self.meters_per_arcsec
@@ -162,9 +160,9 @@ def route_occupancy(
     mpa, cs, d2 = grid.meters_per_arcsec, grid.cell_size_m, 2 * d
     # the position u s after departure is (base + step * u) // d2, rounded half up as in interpolate_arcsec
     lat_base, lat_step, lon_base, lon_step = 2 * lat * d + d, 2 * (dst[0] - lat), 2 * lon * d + d, 2 * (dst[1] - lon)
-    return [CellWindow((lat_base + lat_step * start) // d2 * mpa // cs, (lon_base + lon_step * start) // d2 * mpa // cs,
-                       alt_band, depart_s + start, depart_s + end)
-            for start, end in zip([0, *changes], [*(u - 1 for u in changes), duration_s])]
+    windows = [((lat_base + lat_step * start) // d2 * mpa // cs, (lon_base + lon_step * start) // d2 * mpa // cs, alt_band,
+                depart_s + start, depart_s + end) for start, end in zip([0, *changes], [*(u - 1 for u in changes), duration_s])]
+    return list(map(partial(tuple.__new__, CellWindow), windows))  # retyped in C: no Python-level __new__ per window
 
 
 def windows_conflict(

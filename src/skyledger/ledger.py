@@ -25,10 +25,11 @@ Balances change only through transfer(), which journals nothing: a
 transaction's net move per account is undone by subtraction, logged as
 its `balanceDeltas`, and metered as one write per account it moved. The
 meter counts a dataclass by its declared fields only; any other
-attribute on the instance (a cached_property) is not state. The
-contents are one level deep, so an object nested below them must be
-replaced, never mutated, unless each entry it changes is touched as a
-slot of its own.
+attribute on the instance (a cached_property) is not state. A type may
+declare its own count, a leaf_count() method that the meter calls in
+place of a walk (uss.Mission and uss.MissionPlan do). The contents are
+one level deep, so an object nested below them must be replaced, never
+mutated, unless each entry it changes is touched as a slot of its own.
 An operation registered without a fold is a view: it opens no journal
 and may not touch anything. Restore re-applies a sealed log (apply_log):
 each success passes submit's entry checks, then its op's fold, and its
@@ -145,6 +146,8 @@ _STATE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circ
 def count_leaves(obj: Any) -> int:
     if type(obj) in _SCALAR_TYPES:
         return 1
+    if (own := getattr(obj, "leaf_count", None)) is not None:
+        return own()  # the walk's count, declared by the type
     fields_of = _field_values(type(obj))
     if fields_of is not None:
         values = fields_of(obj)
@@ -224,12 +227,6 @@ _ABSENT = object()  # journal value of a slot that does not exist
 
 # (id(container), key) -> (container, key, object in the slot before the transaction, its contents then)
 _Journal = dict[tuple[int, Any], tuple[Any, Any, Any, Any]]
-
-
-def _read_slot(container: dict | list, key: Any) -> Any:
-    if isinstance(container, list):
-        return container[key] if key < len(container) else _ABSENT
-    return container.get(key, _ABSENT)
 
 
 def _slot_writes(old: Any, contents: Any, new: Any) -> int:
@@ -450,7 +447,8 @@ class Ledger:
             return
         slot = (id(container), key)
         if slot not in journal:
-            old = _read_slot(container, key)
+            old = (container[key] if key < len(container) else _ABSENT) if isinstance(container, list) \
+                else container.get(key, _ABSENT)
             journal[slot] = (container, key, old, None if old is _ABSENT else _contents(old))
 
     def emit(self, name: str, **args: Any) -> None:
@@ -577,7 +575,7 @@ class Ledger:
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
         writes = 0
         for container, key, old, contents in journal.values():
-            if isinstance(container, list):  # _read_slot and, for two scalars, diff_count inlined
+            if isinstance(container, list):  # the slot read as touch reads it, and for two scalars diff_count inlined
                 new = container[key] if key < len(container) else _ABSENT
             else:
                 new = container.get(key, _ABSENT)

@@ -490,10 +490,7 @@ class World:
             rep = self.reporters[i]
             dlat = self.rng.choice((-1, 0, 1))
             dlon = self.rng.choice((-1, 0, 1))
-            rep.cell = (
-                min(max(rep.cell[0] + dlat, 0), extent - 1),
-                min(max(rep.cell[1] + dlon, 0), extent - 1),
-            )
+            rep.cell = (min(max(rep.cell[0] + dlat, 0), extent - 1), min(max(rep.cell[1] + dlon, 0), extent - 1))
 
     def _place(self, i: int) -> None:
         """Bring reporter i's position, sensing bucket and bucket-map entry up to date with its cell."""
@@ -701,10 +698,3 @@ def emit_metrics(blocks: list[Block]) -> RunMetrics:
         op_counts=op_counts,
         quotes=quotes,
     )
-
-
-def run(scenario: Scenario) -> tuple[RunMetrics, World]:
-    """Drive a whole scenario and hand back metrics plus the live world."""
-    world = World(scenario)
-    world.run_to_end()
-    return world.metrics(), world

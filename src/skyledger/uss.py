@@ -20,7 +20,6 @@ the eventual payout, and drains to zero once every mission settles.
 from __future__ import annotations
 
 import datetime
-import functools
 import hashlib
 import operator
 import weakref
@@ -103,6 +102,10 @@ class MissionPlan:
     rid_vc: bytes
     active: bool = True
 
+    def leaf_count(self) -> int:
+        """ledger.count_leaves with no walk: 12 scalar fields, 2 per point, 5 per route window (an empty route is 1)."""
+        return 16 + (5 * len(self.route) or 1)
+
     def to_public_dict(self) -> dict[str, Any]:
         # nonce lives elsewhere and is never part of any export; keys in sorted order, as every logged dict is built
         return {
@@ -131,6 +134,10 @@ class Mission:
     escrow: int                        # currency held for the mission
     forfeited: int                     # fines taken so far, capped at the deposit
 
+    def leaf_count(self) -> int:
+        """ledger.count_leaves with no walk: the plan's (1 while it is None), 3 scalars, 1 per report count (1 if none)."""
+        return (1 if self.plan is None else self.plan.leaf_count()) + 3 + (len(self.report_counts) or 1)
+
 
 @dataclass
 class SightingRecord:
@@ -140,6 +147,13 @@ class SightingRecord:
     cell: tuple[int, int]
     sighting_time: int
     verdict: str
+
+
+class _DmsReader(dict):
+    """The contract's DMS reader, text -> (lat, lon) arcseconds, seeded with the points its scenario parsed; a string it
+    does not hold yet is parsed once and kept (a DmsError is not). Bound as __getitem__, a hit is a C-level lookup."""
+    def __missing__(self, text: str) -> tuple[int, int]:
+        return self.setdefault(text, geo.parse_dms_pair(text))
 
 
 class UssContract:
@@ -165,7 +179,8 @@ class UssContract:
         self._longest = 0
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
         self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> request of a plan restore has yet to build
-        self._point = functools.cache(geo.parse_dms_pair)  # the contract's DMS reader: each distinct string parsed once
+        missions = [d.mission for d in params.drones]
+        self._point = _DmsReader(chain.from_iterable(zip((m.source, m.destination), m.points) for m in missions)).__getitem__
         ledger.attach_storage("uss", self.storage)
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}

@@ -13,7 +13,7 @@ from skyledger.authority import AuthorityContract
 from skyledger.economics import FeeParams
 from skyledger.ledger import Ledger
 from skyledger.rid import RidFaa, RidMessage, encode_rid
-from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario
+from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario, World
 from skyledger.uss import UssContract
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +193,13 @@ def complete(bench: Bench, drone_id: int, caller: str | None = None, vc_hex: str
         "report_completion",
         {"droneId": drone_id, "ridVc": vc_hex},
     )
+
+
+def finished_world(scenario: Scenario) -> World:
+    """The scenario's world, run to its last tick."""
+    world = World(scenario)
+    world.run_to_end()
+    return world
 
 
 # -- canned scenarios ---------------------------------------------------------

@@ -227,6 +227,7 @@ REFUSED = [
     inspect("inspect-version-2", forged(lambda d: d.update(schema={"major": 2, "minor": 0})),
             r"not a readable state snapshot: unsupported major version ", "drones"),
     inspect("inspect-unknown-query", None, r"unknown query 'vibes'; ", "vibes"),
+    inspect("inspect-unknown-query-no-file", whole(MISSING), r"unknown query 'vibes'; ", "vibes"),  # looked up first
     Case("inspect-no-query", "state", None, ("inspect", "{file}"), 2,
          r"skyledger inspect: the following arguments are required: query$"),
     inspect("inspect-no-such-tx", None, r"no such tx: 26$", "tx:26"),  # one past the demo run's last record

@@ -16,6 +16,7 @@ from conftest import (
     compliant_scenario,
     deviating_scenario,
     doas_scenario,
+    finished_world,
     lonely_scenario,
     make_bench,
     plan,
@@ -29,7 +30,6 @@ from skyledger.economics import dynamic_fee, reputation, update_k
 from skyledger.fixedmath import MICRO
 from skyledger.ledger import Block, canonical_json, verify_blocks
 from skyledger.persistence import load_scenario, write_reputation_surface_csv
-from skyledger.sim import run
 
 
 @contextlib.contextmanager
@@ -244,7 +244,7 @@ def test_criterion_4_security_invariants(demo_scenario_path):
 
         # (d) any single-byte mutation of a sealed block line is refused by the
         # reader or breaks the chain; some are read, so the hash check runs
-        _, world = run(load_scenario(demo_scenario_path))
+        world = finished_world(load_scenario(demo_scenario_path))
         blocks = world.ledger.blocks
         assert verify_blocks(blocks) == (True, None)
         tamper_rng = random.Random(42)
@@ -263,7 +263,8 @@ def test_criterion_4_security_invariants(demo_scenario_path):
         # (e) balance conservation across every scenario
         for scenario in (compliant_scenario(), deviating_scenario(), lonely_scenario(),
                          load_scenario(demo_scenario_path)):
-            metrics, world = run(scenario)
+            world = finished_world(scenario)
+            metrics = world.metrics()
             assert metrics.genesis_supply == metrics.final_supply
             assert world.ledger.total_supply() == metrics.genesis_supply
 
@@ -272,24 +273,25 @@ def test_criterion_4_security_invariants(demo_scenario_path):
 
 def test_criterion_5_end_to_end_scenarios():
     with criterion(5, "end-to-end-scenarios", budget_s=60.0):
-        metrics, _ = run(compliant_scenario())
+        metrics = finished_world(compliant_scenario()).metrics()
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"], m["payout"]) == (5, 0, 1500)
         assert m["payout"] >= 1000
         assert m["reputationMicro"] == 714_286 and m["reputationMicro"] > 0
 
-        metrics, _ = run(deviating_scenario())
+        metrics = finished_world(deviating_scenario()).metrics()
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"], m["payout"]) == (0, 5, 1000 - 5 * 100)
         assert m["reputationMicro"] == -714_286  # -5/7
 
-        metrics, _ = run(lonely_scenario())
+        metrics = finished_world(lonely_scenario()).metrics()
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"], m["payout"]) == (0, 0, 1000)
         assert m["reputationMicro"] == 0
 
         # denial-of-airspace pressure: the quoted fee climbs with congestion
-        metrics, world = run(doas_scenario(n_drones=100))
+        world = finished_world(doas_scenario(n_drones=100))
+        metrics = world.metrics()
         assert len(metrics.missions) == 100
         assert world.ledger.verify_chain()
         pairs = [(q["congestion"], q["fee"]) for q in metrics.quotes]
@@ -304,8 +306,10 @@ def test_criterion_5_end_to_end_scenarios():
 def test_criterion_6_determinism(demo_scenario_path):
     with criterion(6, "determinism"):
         scenario = load_scenario(demo_scenario_path)
-        m1, w1 = run(scenario)
-        m2, w2 = run(scenario)
+        w1 = finished_world(scenario)
+        m1 = w1.metrics()
+        w2 = finished_world(scenario)
+        m2 = w2.metrics()
         assert canonical_json(m1.to_dict()) == canonical_json(m2.to_dict())
         assert w1.ledger.chain_head_hex() == w2.ledger.chain_head_hex()
 
@@ -314,7 +318,7 @@ def test_criterion_6_determinism(demo_scenario_path):
 
 def test_criterion_7_operation_count_report(demo_scenario_path):
     with criterion(7, "operation-count-report"):
-        metrics, _ = run(load_scenario(demo_scenario_path))
+        metrics = finished_world(load_scenario(demo_scenario_path)).metrics()
         ops = metrics.op_counts
         print(f"\n{'function':<20} {'calls':>6} {'reverts':>8} {'stateWrites':>12}")
         for name in sorted(ops):

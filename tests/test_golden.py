@@ -11,7 +11,7 @@ import json
 import pytest
 
 import oracles
-from conftest import REPO_ROOT, compliant_scenario, deviating_scenario, doas_scenario, lonely_scenario
+from conftest import REPO_ROOT, compliant_scenario, deviating_scenario, doas_scenario, finished_world, lonely_scenario
 from skyledger.ledger import Block, canonical_json
 from skyledger.persistence import (
     load_scenario,
@@ -23,7 +23,7 @@ from skyledger.persistence import (
     write_reputation_surface_csv,
     write_trace_csv,
 )
-from skyledger.sim import World, run
+from skyledger.sim import World
 
 GOLDEN = {
     "demo": (
@@ -57,7 +57,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_chain_head_and_metrics_bytes_are_pinned(name, tmp_path):
     make_scenario, head, metrics_sha = GOLDEN[name]
-    metrics, world = run(make_scenario())
+    world = finished_world(make_scenario())
+    metrics = world.metrics()
     path = tmp_path / "metrics.json"
     write_metrics(path, metrics)
     assert world.ledger.chain_head_hex() == head
@@ -67,7 +68,7 @@ def test_chain_head_and_metrics_bytes_are_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_block_lines_are_the_sealed_bytes(name, tmp_path):
     """Each written line is canonical JSON around the body the block was sealed with, and reads back as the block."""
-    _, world = run(GOLDEN[name][0]())
+    world = finished_world(GOLDEN[name][0]())
     blocks = world.ledger.blocks
     path = tmp_path / "chain.jsonl"
     write_chain_jsonl(path, blocks)
@@ -96,7 +97,7 @@ def test_logged_dicts_are_built_in_key_order(name):
 
     The bytes come from canonical_json's sort_keys either way; this guards only the speed of that sort.
     """
-    _, world = run(GOLDEN[name][0]())
+    world = finished_world(GOLDEN[name][0]())
     for block in world.ledger.blocks:
         for tx in block.transactions:
             assert _unsorted_dicts(tx.to_dict()) == [], tx.op
@@ -115,11 +116,11 @@ def _stepped_to(scenario, tick):
 # sha256 of snapshot_world bytes (state schema 4.0: a header line, then the chain.jsonl block lines)
 SNAPSHOT_GOLDEN = {
     "compliant-end": (
-        lambda: run(compliant_scenario())[1],
+        lambda: finished_world(compliant_scenario()),
         "901deff8f82dc25adb0ac96b751a59e9df02025d589cc64db929214feb72371b",
     ),
     "deviating-end": (
-        lambda: run(deviating_scenario())[1],
+        lambda: finished_world(deviating_scenario()),
         "379d4430c956e58dd93dd3ff7fba1c6598c95cd89c93814a5495deab3706126c",
     ),
     "compliant-tick15": (
@@ -166,7 +167,7 @@ CONGESTION_FEE_SHA = "0ceb2847693e52a01e6997b347b4b5ba74330ad094ce59578193396787
 @pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
 def test_export_bytes_are_pinned(name, tmp_path):
     scenario = GOLDEN[name][0]()
-    _, world = run(scenario)
+    world = finished_world(scenario)
     write_trace_csv(tmp_path / "trace.csv", world)
     write_events_jsonl(tmp_path / "events.jsonl", world.ledger.blocks)
     write_reputation_surface_csv(tmp_path / "reputation_surface.csv")

@@ -1,14 +1,16 @@
 """The ledger's undo journal: exact write metering, atomic rollback, read-only views."""
 
 import collections
+import contextlib
 import copy
 import dataclasses
 import functools
 import re
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, seed, settings, strategies as st
+from hypothesis import assume, event, example, given, seed, settings, strategies as st
 
 import oracles
 from conftest import (
@@ -20,6 +22,8 @@ from conftest import (
     complete,
     compliant_scenario,
     deviating_scenario,
+    dms,
+    finished_world,
     make_bench,
     plan,
     planned_drone,
@@ -32,8 +36,9 @@ from skyledger import ledger as ledger_module, uss as uss_module
 from skyledger.authority import REVERT_ALREADY_REGISTERED, REVERT_TAC_NOT_SIGNED
 from skyledger.ledger import Ledger, LedgerError, diff_count
 from skyledger.persistence import load_scenario
-from skyledger.sim import ReporterSpec, Scenario, run
-from skyledger.uss import parse_departure_epoch
+from skyledger.sim import ReporterSpec, Scenario, World
+from skyledger.uss import Mission, UssContract, parse_departure_epoch
+from test_golden import GOLDEN
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import workloads  # noqa: E402 -- the benchmark's scenario generators, used read-only
@@ -67,7 +72,7 @@ def assert_matches_oracle(checked):
     ids=["compliant", "deviating", "demo", "bench-doas", "bench-crowd"],
 )
 def test_scenario_metering_matches_whole_tree_oracle(make_scenario, whole_tree):
-    run(make_scenario())
+    finished_world(make_scenario())
     assert_matches_oracle(whole_tree.checked)
 
 
@@ -570,6 +575,76 @@ def test_meter_counts_a_bool_int_swap_on_both_sides(old, new):
     assert_matches_oracle(oracle.checked)
 
 
+
+# -- a type's declared leaf count is the walk's -------------------------------------------------------------
+
+def _walked(obj):
+    """The leaves the meter counts for a new slot that holds obj, by the whole-tree walk against an absent slot."""
+    return oracles.whole_tree_leaf_diff({}, {"slot": oracles._plain(obj)})
+
+
+class _Unwalked(list):
+    """A route that cannot be iterated: counting the plan that holds it visits none of its windows."""
+    __iter__ = None
+
+
+@contextlib.contextmanager
+def built_plans():
+    """A list of every plan UssContract.plan_for builds inside the block."""
+    plans, exact = [], UssContract.plan_for
+
+    def plan_for(self, *args):
+        plans.append(exact(self, *args))
+        return plans[-1]
+    with mock.patch.object(UssContract, "plan_for", plan_for):
+        yield plans
+
+
+def assert_declared_counts_are_walked(plans):
+    """MissionPlan's and Mission's own counts, read through count_leaves, are the walk's; neither visits a window."""
+    assert plans
+    for p in plans:
+        for mission in (Mission(p, b"n" * 16, {}, 5, 0), Mission(p, b"n" * 16, {"r1": 1, "r2": 3}, 5, 2)):
+            assert ledger_module.count_leaves(mission) == _walked(mission)
+        assert ledger_module.count_leaves(p) == _walked(p)
+        assert ledger_module.count_leaves(dataclasses.replace(p, route=_Unwalked(p.route))) == _walked(p)
+    for edge in (dataclasses.replace(plans[0], route=[]), Mission(None, b"", {}, 0, 0)):
+        assert ledger_module.count_leaves(edge) == _walked(edge)
+
+
+_point = st.tuples(st.integers(0, 90), st.integers(0, 90))  # arcseconds: legs of up to ~30 cells
+_legs = st.lists(st.tuples(_point, st.sampled_from(["point", "row", "column", "diagonal", "any"]), _point),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(legs=_legs)
+@example(legs=[((10, 10), "row", (0, 80)), ((40, 10), "row", (0, 13))])  # legs of unequal length
+@example(legs=[((10, 10), "point", (0, 0))])  # a one-window route
+@example(legs=[((0, 0), "diagonal", (60, 0)), ((5, 70), "any", (70, 5))])  # diagonals
+def test_declared_leaf_counts_equal_the_walk_on_corridors(legs):
+    bench = make_bench()
+    with built_plans() as plans:
+        for i, (src, kind, other) in enumerate(legs):
+            dst = {"point": src, "row": (src[0], other[1]), "column": (other[0], src[1]),
+                   "diagonal": (src[0] + other[0], src[1] + other[0]), "any": other}[kind]
+            drone_id = register(bench, serial=f"SN-{i}")
+            assert subscribe(bench, drone_id).status == "success"
+            rec = plan(bench, drone_id, source=dms(*src), destination=dms(*dst), time=f"{i + 1:02d}00")  # an hour apart
+            assert rec.status == "success", rec.reason
+    assert len(plans) == len(legs)
+    lengths = {len(p.route) for p in plans}
+    event("one-window route" if 1 in lengths else "no one-window route")
+    event("legs of unequal length" if len(lengths) > 1 else "legs of one length")
+    assert_declared_counts_are_walked(plans)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_declared_leaf_counts_equal_the_walk_on_golden_plans(name):
+    with built_plans() as plans:
+        World(GOLDEN[name][0]())
+    assert_declared_counts_are_walked(plans)
+
 # -- per-transaction bookkeeping does not grow with the crowd ---------------------
 
 def _crowd_scenario(bystanders):
@@ -606,7 +681,7 @@ def test_report_bookkeeping_does_not_grow_with_the_crowd(monkeypatch):
     counts = {}
     for bystanders in (30, 120):
         per_report.clear()
-        run(_crowd_scenario(bystanders))
+        finished_world(_crowd_scenario(bystanders))
         counts[bystanders] = list(per_report)
     assert len(counts[120]) > 3 * len(counts[30]) > 0
     assert set(counts[30]) == set(counts[120])
@@ -617,7 +692,8 @@ def test_journal_never_deep_copies(monkeypatch):
         raise AssertionError("copy.deepcopy called")
 
     monkeypatch.setattr(copy, "deepcopy", refuse)
-    metrics, world = run(compliant_scenario())
+    world = finished_world(compliant_scenario())
+    metrics = world.metrics()
     assert metrics.transactions > 1 and world.ledger.verify_chain()
 
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
-from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario, dms
+from conftest import REPO_ROOT, SRC, compliant_scenario, deviating_scenario, dms, finished_world
 from skyledger import persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
-from skyledger.sim import BEHAVIOR_KINDS, HONESTY_KINDS, Scenario, ScenarioError, World, run
+from skyledger.sim import BEHAVIOR_KINDS, HONESTY_KINDS, Scenario, ScenarioError, World
 from test_golden import SNAPSHOT_GOLDEN
 from test_sensing import sensing_scenarios
 
@@ -32,7 +32,7 @@ def test_snapshot_restore_round_trip_bytes():
 
 
 def test_snapshot_restore_after_full_run():
-    _, world = run(deviating_scenario())
+    world = finished_world(deviating_scenario())
     snap = persistence.snapshot_world(world)
     restored = persistence.restore_world(snap)
     assert restored.ledger.state_digest() == world.ledger.state_digest()
@@ -526,7 +526,7 @@ def _flip_verdict(data):
     ],
 )
 def test_forged_snapshot_is_corrupt(forge):
-    _, world = run(compliant_scenario())
+    world = finished_world(compliant_scenario())
     with pytest.raises(persistence.CorruptPayload):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
@@ -560,7 +560,7 @@ def _reverted(data):
 )
 def test_a_record_submit_never_logs_is_corrupt(demo_scenario_path, forge):
     """Restore refuses what submit cannot log, though neither the fold's payload nor its transfers read it."""
-    _, world = run(persistence.load_scenario(demo_scenario_path))
+    world = finished_world(persistence.load_scenario(demo_scenario_path))
     with pytest.raises(persistence.CorruptPayload, match="logs"):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
@@ -577,14 +577,14 @@ def test_a_record_submit_never_logs_is_corrupt(demo_scenario_path, forge):
 )
 def test_a_reason_or_signature_submit_never_logs_is_corrupt(forge):
     """No fold reads either field, so only the record check can refuse them."""
-    _, world = run(compliant_scenario())
+    world = finished_world(compliant_scenario())
     with pytest.raises(persistence.CorruptPayload, match="not a record submit logs"):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), forge))
 
 
 def test_report_logged_at_an_unreadable_location_is_refused_as_its_op_reverts():
     """A report's op and its fold read its sightingLocation alike, before the fold reads the logged verdict."""
-    _, world = run(compliant_scenario())
+    world = finished_world(compliant_scenario())
     forged = oracles.forge_snapshot(persistence.snapshot_world(world), _arg("report_drone", "sightingLocation", "noon"))
     with pytest.raises(persistence.CorruptPayload, match=r"\(report_drone\) logs a success that its op reverts: invalid-dms$"):
         persistence.restore_world(forged)
@@ -592,7 +592,7 @@ def test_report_logged_at_an_unreadable_location_is_refused_as_its_op_reverts():
 
 def test_forged_fine_is_corrupt():
     """A fine cut from 100 to 50, with the settlement and the header matched: the escrow move is recomputed."""
-    _, world = run(deviating_scenario())
+    world = finished_world(deviating_scenario())
     with pytest.raises(persistence.CorruptPayload, match="report_drone"):
         persistence.restore_world(oracles.forge_snapshot(persistence.snapshot_world(world), _escrow_raised("penalty")))
 
@@ -751,7 +751,7 @@ def test_scenario_schema_other_than_the_one_written_is_corrupt(edit):
 )
 def test_account_table_other_than_the_one_written_is_corrupt(edit):
     snap = oracles.edit_snapshot(
-        persistence.snapshot_world(run(compliant_scenario())[1]), lambda header, blocks: edit(header["accounts"])
+        persistence.snapshot_world(finished_world(compliant_scenario())), lambda header, blocks: edit(header["accounts"])
     )
     with pytest.raises(persistence.CorruptPayload, match="\\['accounts'\\] differs"):
         persistence.restore_world(snap)
@@ -898,13 +898,13 @@ def test_truncated_snapshot_is_corrupt():
      ("line-truncation", "header's head"), ("head-mismatch", "header's head")],
 )
 def test_restore_refuses_a_chain_edited_without_its_hashes(edit, error):
-    snap = persistence.snapshot_world(run(compliant_scenario())[1])
+    snap = persistence.snapshot_world(finished_world(compliant_scenario()))
     with pytest.raises(persistence.CorruptPayload, match=error):
         persistence.restore_world(oracles.UNSEALED_SNAPSHOT_EDITS[edit](snap))
 
 
 def test_snapshot_cut_at_any_line_boundary_is_corrupt():
-    lines = persistence.snapshot_world(run(compliant_scenario())[1]).splitlines(keepends=True)
+    lines = persistence.snapshot_world(finished_world(compliant_scenario())).splitlines(keepends=True)
     for end in range(1, len(lines)):
         with pytest.raises(persistence.CorruptPayload, match="header's head"):
             persistence.restore_world(b"".join(lines[:end]))
@@ -914,7 +914,7 @@ def test_snapshot_cut_at_any_line_boundary_is_corrupt():
 @pytest.mark.parametrize("at", [1, 2, -1], ids=["after-header", "after-block-0", "at-the-end"])
 def test_snapshot_with_a_blank_line_is_corrupt(blank, at):
     """Only the final newline may end an empty line; a blank line anywhere else is refused, not skipped."""
-    lines = persistence.snapshot_world(run(compliant_scenario())[1]).split(b"\n")
+    lines = persistence.snapshot_world(finished_world(compliant_scenario())).split(b"\n")
     lines.insert(at, blank)
     with pytest.raises(persistence.CorruptPayload, match="blank line"):
         persistence.restore_world(b"\n".join(lines))
@@ -954,14 +954,14 @@ def test_schema_3_snapshot_is_refused():
 
 
 def test_snapshot_holds_no_contract_storage():
-    header = json.loads(persistence.snapshot_world(run(compliant_scenario())[1]).splitlines()[0])
+    header = json.loads(persistence.snapshot_world(finished_world(compliant_scenario())).splitlines()[0])
     assert header["schema"] == {"major": 4, "minor": 0}
     assert sorted(header) == ["accounts", "clock", "head", "kind", "reporters", "rng", "scenario", "schema", "tick"]
     assert all(sorted(r) == ["cell", "heard", "name"] for r in header["reporters"])
 
 
 def test_nonces_survive_a_round_trip_but_never_in_the_clear():
-    _, world = run(compliant_scenario(n_reporters=0, seed=31))
+    world = finished_world(compliant_scenario(n_reporters=0, seed=31))
     mid = World(compliant_scenario(n_reporters=0, seed=31))
     while mid.tick < 10:
         mid.step()
@@ -984,7 +984,7 @@ def test_plan_exports_never_contain_nonces():
 
 class TestChainFiles:
     def test_round_trip_and_verify(self, tmp_path):
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         path = tmp_path / "x.chain.jsonl"
         persistence.write_chain_jsonl(path, world.ledger.blocks)
         blocks = persistence.read_chain_jsonl(path)
@@ -1006,7 +1006,7 @@ class TestChainFiles:
             persistence.read_chain_jsonl(path)
 
     def test_final_newline_is_optional(self, tmp_path):
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         path = tmp_path / "x.chain.jsonl"
         persistence.write_chain_jsonl(path, world.ledger.blocks)
         path.write_bytes(path.read_bytes().removesuffix(b"\n"))
@@ -1028,7 +1028,7 @@ class TestChainFiles:
     )
     def test_header_other_than_the_one_written_is_refused(self, tmp_path, header, differ):
         """A chain log reads back only under the header line write_chain_jsonl writes; the refusal names what differs."""
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         path = tmp_path / "x.chain.jsonl"
         persistence.write_chain_jsonl(path, world.ledger.blocks)
         written, rest = path.read_bytes().split(b"\n", 1)
@@ -1038,7 +1038,7 @@ class TestChainFiles:
             persistence.read_chain_jsonl(path)
 
     def test_a_space_anywhere_in_a_line_is_refused_or_breaks_the_chain(self):
-        blocks = run(compliant_scenario())[1].ledger.blocks
+        blocks = finished_world(compliant_scenario()).ledger.blocks
         index = min(range(len(blocks)), key=lambda i: len(blocks[i].line()))
         line = blocks[index].line()
         refused = 0
@@ -1070,7 +1070,7 @@ class TestChainFiles:
         assert len(refs) == len(world.ledger.blocks) > 2 and most[0] <= 2
 
     def test_verify_blocks_reads_an_iterator_as_its_list(self):
-        blocks = run(compliant_scenario())[1].ledger.blocks
+        blocks = finished_world(compliant_scenario()).ledger.blocks
         tampered = dataclasses.replace(blocks[2], hash=bytes(32))
         cases = [blocks, blocks[:3], [], blocks[:2] + [tampered] + blocks[3:], blocks[:1] + blocks[2:], blocks[::-1]]
         for case in cases:
@@ -1103,7 +1103,7 @@ class TestScenarioFiles:
 
 class TestCsvOutputs:
     def test_trace_columns(self, tmp_path):
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         path = tmp_path / "trace.csv"
         persistence.write_trace_csv(path, world)
         lines = path.read_text().strip().splitlines()
@@ -1154,7 +1154,7 @@ class TestCsvOutputs:
         assert (path / "fee.csv").read_bytes() == (path / "fee.old.csv").read_bytes()
 
     def test_events_stream(self, tmp_path):
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         path = tmp_path / "events.jsonl"
         persistence.write_events_jsonl(path, world.ledger.blocks)
         lines = [json.loads(l) for l in path.read_text().strip().splitlines()]

@@ -15,6 +15,7 @@ from conftest import (
     deviating_scenario,
     dms,
     doas_scenario,
+    finished_world,
     lonely_scenario,
 )
 from skyledger.ledger import canonical_json
@@ -27,13 +28,13 @@ from skyledger.sim import (
     ScenarioError,
     World,
     emit_metrics,
-    run,
 )
 
 
 class TestByTheBookMission:
     def test_five_honest_watchers(self):
-        metrics, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
+        metrics = world.metrics()
         assert len(metrics.missions) == 1
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"]) == (5, 0)
@@ -48,7 +49,7 @@ class TestByTheBookMission:
         assert sorted(metrics.reporter_earnings.values()) == [20] * 5
 
     def test_deviating_flight_collects_five_penalties(self):
-        metrics, _ = run(deviating_scenario())
+        metrics = finished_world(deviating_scenario()).metrics()
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"]) == (0, 5)
         assert m["payout"] == 1000 - 5 * 100
@@ -58,7 +59,7 @@ class TestByTheBookMission:
         assert m["kMicro"] == oracles.rational_update_k(-714_286, 10**6, 300_000, 50_000)
 
     def test_unwatched_flight_gets_its_deposit_back(self):
-        metrics, _ = run(lonely_scenario())
+        metrics = finished_world(lonely_scenario()).metrics()
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"]) == (0, 0)
         assert m["payout"] == 1000
@@ -89,7 +90,8 @@ class TestThreatBehaviors:
         )
 
     def test_silent_drone_is_invisible(self):
-        metrics, world = run(self._one_drone("silent"))
+        world = finished_world(self._one_drone("silent"))
+        metrics = world.metrics()
         assert world.uss.storage["sightings"] == []
         assert "report_drone" not in metrics.op_counts
         m = metrics.missions[0]
@@ -98,7 +100,8 @@ class TestThreatBehaviors:
         assert world.trace == []
 
     def test_forger_only_produces_invalid_report_reverts(self):
-        metrics, world = run(self._one_drone("forger"))
+        world = finished_world(self._one_drone("forger"))
+        metrics = world.metrics()
         assert metrics.revert_counts == {"Invalid report": 3}
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"]) == (0, 0)
@@ -122,14 +125,15 @@ class TestThreatBehaviors:
                              honesty="replayer", replay_delay_ticks=3),
             ),
         )
-        metrics, world = run(scenario)
+        world = finished_world(scenario)
+        metrics = world.metrics()
         m = metrics.missions[0]
         assert m["penalties"] == 1 and m["rewards"] == 0
         assert m["payout"] == 900
 
     def test_compliant_drone_with_watcher_never_penalized(self):
         for n in (1, 2, 3):
-            metrics, _ = run(self._one_drone("compliant", n_reporters=n))
+            metrics = finished_world(self._one_drone("compliant", n_reporters=n)).metrics()
             m = metrics.missions[0]
             assert m["penalties"] == 0
             assert m["rewards"] >= 1
@@ -137,8 +141,10 @@ class TestThreatBehaviors:
 
 class TestDeterminism:
     def test_same_seed_same_chain_and_metrics(self):
-        m1, w1 = run(compliant_scenario())
-        m2, w2 = run(compliant_scenario())
+        w1 = finished_world(compliant_scenario())
+        m1 = w1.metrics()
+        w2 = finished_world(compliant_scenario())
+        m2 = w2.metrics()
         assert w1.ledger.chain_head_hex() == w2.ledger.chain_head_hex()
         assert canonical_json(m1.to_dict()) == canonical_json(m2.to_dict())
         assert w1.ledger.state_digest() == w2.ledger.state_digest()
@@ -150,14 +156,16 @@ class TestDeterminism:
                 dataclasses.replace(r, random_walk=True) for r in compliant_scenario().reporters
             ),
         )
-        m1, w1 = run(scenario)
-        m2, w2 = run(scenario)
+        w1 = finished_world(scenario)
+        m1 = w1.metrics()
+        w2 = finished_world(scenario)
+        m2 = w2.metrics()
         assert w1.ledger.chain_head_hex() == w2.ledger.chain_head_hex()
         assert canonical_json(m1.to_dict()) == canonical_json(m2.to_dict())
 
     def test_total_loss_means_no_reports(self):
         scenario = dataclasses.replace(compliant_scenario(), loss_probability_micro=10**6)
-        metrics, _ = run(scenario)
+        metrics = finished_world(scenario).metrics()
         assert "report_drone" not in metrics.op_counts
         assert metrics.missions[0]["rewards"] == 0
 
@@ -183,17 +191,20 @@ class TestWorldMechanics:
 
     def test_conservation_all_scenarios(self):
         for scenario in (compliant_scenario(), deviating_scenario(), lonely_scenario()):
-            metrics, world = run(scenario)
+            world = finished_world(scenario)
+            metrics = world.metrics()
             assert metrics.genesis_supply == metrics.final_supply
             assert world.ledger.total_supply() == metrics.genesis_supply
 
     def test_metrics_recompute_from_log_alone(self):
-        metrics, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
+        metrics = world.metrics()
         replayed = emit_metrics(world.ledger.blocks)
         assert canonical_json(replayed.to_dict()) == canonical_json(metrics.to_dict())
 
     def test_reporter_earnings_identity(self):
-        metrics, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
+        metrics = world.metrics()
         valid_reports = sum(
             1
             for block in world.ledger.blocks
@@ -216,12 +227,12 @@ class TestWorldMechanics:
             ),
             reporters=(ReporterSpec(name="r0", cell=(3, 11), sensing_range_m=200),),
         )
-        metrics, _ = run(scenario)
+        metrics = finished_world(scenario).metrics()
         assert metrics.revert_counts == {"Invalid report": 1}
         assert metrics.op_counts["report_drone"] == {"calls": 1, "reverts": 1, "stateWrites": 0}
 
     def test_escrow_empty_after_everything_settles(self):
-        _, world = run(compliant_scenario())
+        world = finished_world(compliant_scenario())
         assert world.ledger.balance(world.uss.escrow) == 0
         assert world.uss.missions == {}
 
@@ -254,7 +265,8 @@ class TestSharedOperator:
             ),
             reporters=(ReporterSpec(name="r0", cell=(3, 11), sensing_range_m=200),),
         )
-        metrics, world = run(scenario)
+        world = finished_world(scenario)
+        metrics = world.metrics()
         assert len(metrics.missions) == 2
         assert len({d.operator_account for d in world.drones}) == 1
         first, second = metrics.missions
@@ -270,7 +282,8 @@ class TestSharedOperator:
 class TestDoasPressure:
     def test_fee_rises_with_concurrent_missions(self):
         scenario = doas_scenario(n_drones=25)
-        metrics, world = run(scenario)
+        world = finished_world(scenario)
+        metrics = world.metrics()
         assert len(metrics.missions) == 25
         congestion = [q["congestion"] for q in metrics.quotes]
         fees = [q["fee"] for q in metrics.quotes]

@@ -15,7 +15,9 @@ from conftest import (
     TIME,
     broadcast_hex,
     complete,
+    compliant_scenario,
     corridor_scenario,
+    deviating_scenario,
     dms,
     make_bench,
     plan,
@@ -32,6 +34,7 @@ from skyledger.ledger import ContractRevert, Ledger
 from skyledger.rid import compute_rid_vc
 from skyledger.sim import DroneSpec, MissionSpec, ReporterSpec, Scenario, World
 from skyledger.uss import Mission, MissionPlan, parse_departure_epoch, SUBSCRIPTION_PERIOD_S, UssContract
+from test_golden import GOLDEN, _stepped_to
 
 
 def _plans(uss):
@@ -593,6 +596,37 @@ def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
     assert most_folded[0][("report_drone", "success")]["touch"] > 0  # the folds write through the journal
     assert most_folded[1] == most_folded[0]
 
+
+
+def _parses(monkeypatch):
+    """A Counter of the texts geo.parse_dms_pair parses from here on."""
+    parsed, exact = collections.Counter(), geo.parse_dms_pair
+
+    def counted(text):
+        parsed[text] += 1
+        return exact(text)
+    monkeypatch.setattr(geo, "parse_dms_pair", counted)
+    return parsed
+
+
+@pytest.mark.parametrize("name", ["corridors", *sorted(GOLDEN)])
+def test_setup_parses_no_point_its_scenario_parsed(monkeypatch, name):
+    """The contract's DMS reader starts from the scenario's parsed points, so no plan of a world's setup parses again."""
+    scenario = corridor_scenario(20) if name == "corridors" else GOLDEN[name][0]()
+    parsed = _parses(monkeypatch)
+    assert World(scenario).uss.missions  # plans were made
+    assert not parsed
+
+
+@pytest.mark.parametrize("make_scenario", [compliant_scenario, deviating_scenario])
+def test_restore_parses_each_dms_text_at_most_once(monkeypatch, make_scenario):
+    """Restoring live plans and sightings: the scenario parses each mission point, the contract only what it lacks."""
+    world = _stepped_to(make_scenario(), 15)
+    assert world.uss.missions and world.uss.storage["sightings"]
+    snapshot = persistence.snapshot_world(world)
+    parsed = _parses(monkeypatch)
+    persistence.restore_world(snapshot)
+    assert parsed and max(parsed.values()) == 1, parsed.most_common(3)
 
 class TestAirspaceIndex:
     """The index applied at commit against full scans of the active plans, through reverts and a restore."""
