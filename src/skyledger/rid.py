@@ -30,7 +30,6 @@ from typing import NamedTuple
 _WIRE = struct.Struct(">QiiiiII32s")
 RID_WIRE_LEN = _WIRE.size  # 64
 _SEP = b"\x1f"
-_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 
 
 class MalformedRid(ValueError):
@@ -77,24 +76,17 @@ def compute_rid_vc(
 
 def verify_rid_vc(candidate: bytes, expected: bytes) -> bool:
     """Whether a broadcast's code is the plan's code (compute_rid_vc of its nonce and fields), in constant time."""
-    return len(candidate) == 32 and hmac.compare_digest(candidate, expected)
+    return hmac.compare_digest(candidate, expected)  # False when the lengths differ
 
 
 def encode_rid(msg: RidMessage) -> bytes:
     faa, vc = msg
-    ts, dlat, dlon, clat, clon, alt, vel = faa
-    if not 0 <= ts < 2**64:
-        raise ValueError("timestamp out of range")
-    for name, v in (("drone_lat_arcsec", dlat), ("drone_lon_arcsec", dlon), ("cs_lat_arcsec", clat), ("cs_lon_arcsec", clon)):
-        if not _I32_MIN <= v <= _I32_MAX:
-            raise ValueError(f"{name} out of range")
-    if not 0 <= alt < 2**32:
-        raise ValueError("altitude must be a non-negative u32")
-    if not 0 <= vel < 2**32:
-        raise ValueError("velocity must be a non-negative u32")
-    if len(vc) != 32:
+    if len(vc) != 32:  # "32s" would pad a short code and cut a long one
         raise ValueError("verification code must be 32 bytes")
-    return _WIRE.pack(ts, dlat, dlon, clat, clon, alt, vel, vc)
+    try:
+        return _WIRE.pack(*faa, vc)
+    except struct.error as e:  # a field out of its range, or not an int
+        raise ValueError(f"RID field: {e}") from None
 
 
 def decode_rid(data: bytes) -> RidMessage:

@@ -427,8 +427,7 @@ class UssContract:
             raise ContractRevert(REASON_MALFORMED_RID) from None
         sighting_cell, sighting_time = self._sighting_cell(args), args["sightingTime"]
 
-        plan = None if mission is None else mission.plan
-        if plan is None or not verify_rid_vc(message.rid_vc, plan.rid_vc):  # hashed once, when the plan was accepted
+        if mission is None or not verify_rid_vc(message.rid_vc, mission.plan.rid_vc):  # hashed once, at acceptance
             raise ContractRevert(REVERT_INVALID_REPORT)
 
         self.ledger.emit("DroneSighted", droneId=drone_id, reporter=caller, sightingLocation=args["sightingLocation"])
@@ -467,7 +466,7 @@ class UssContract:
         self._check_completion(drone_id, caller)
         plan = self.missions[drone_id].plan
         try:
-            matches = bytes.fromhex(args["ridVc"]) == plan.rid_vc
+            matches = verify_rid_vc(bytes.fromhex(args["ridVc"]), plan.rid_vc)
         except ValueError:  # not hex
             matches = False
         if not matches:

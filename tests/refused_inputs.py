@@ -8,7 +8,7 @@ exit code, the stderr pattern and the argv, tab-separated. `--check CODE PATTERN
 naming what is wrong, unless a run that exited EXIT and printed those files is what the case expects.
 
 A case edits one base: a file of the demo run ("scenario", "state", "chain"), the demo scenario's snapshot at tick 5,
-while plans are live ("live"), or the --out layout of a demo run ("out"). Its edit must change the base. The four
+while plans are live ("live"), or the --out layout of a demo run ("out"). Its edit must change the base. The five
 controls run their base as it is and exit 0, so no row is refused only because its base already is.
 """
 
@@ -126,6 +126,7 @@ CONTROLS = [
     Case("control-inspect", "state", None, ("inspect", "{file}", "supply"), 0, r"\Z"),
     Case("control-verify", "chain", None, ("verify", "{file}"), 0, r"\Z"),
     Case("control-live", "live", None, ("inspect", "{file}", "supply"), 0, r"\Z"),
+    Case("control-tx", "state", None, ("inspect", "{file}", "tx:1"), 0, r"\Z"),
 ]
 
 DEEP = r"maximum recursion depth"

