@@ -76,6 +76,10 @@ class TestRun:
         assert refused_inputs.fault(2, pattern, code, out, err) is None
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_override_names_its_bound(self, tmp_path, demo_scenario_path, capsys):
+        assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--seed", "-1") == 2
+        assert capsys.readouterr().err == "invalid scenario: seed must be at least 0\n"
+
     @pytest.mark.parametrize("under", ["", "sub"], ids=["is-a-file", "under-a-file"])
     def test_output_path_through_a_file_exits_2_with_one_line(self, tmp_path, demo_scenario_path, capsys, under):
         taken = tmp_path / "taken"

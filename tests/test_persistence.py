@@ -991,6 +991,12 @@ class TestChainFiles:
         assert blocks == world.ledger.blocks
         assert persistence.verify_chain_file(path) == (True, None)
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.chain.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(persistence.CorruptPayload):
+            persistence.read_chain_jsonl(path)
+
     @pytest.mark.parametrize("raw", [b"\n", b"H\n\nB\n", b"H\nB\n\n", b"H\n \t \nB", b"\r\nH\n"],
                              ids=["only-newline", "empty-line", "two-final-newlines", "whitespace-line", "cr-line"])
     def test_blank_line_is_refused(self, tmp_path, raw):
@@ -1014,10 +1020,11 @@ class TestChainFiles:
 
     @pytest.mark.parametrize(
         "header,differ",
-        [(b'{"kind":"chain","schema":{"major":1,"minor":0.0}}', "\\['schema'\\]"),
+        [(b'{"kind":"chain","schema":{"major":1.0,"minor":0}}', "\\['schema'\\]"),
+         (b'{"kind":"chain","schema":{"major":1,"minor":0.0}}', "\\['schema'\\]"),
          (b'{"kind":"chain","note":0,"schema":{"major":1,"minor":0}}', "\\['note'\\]"),
          (b'{"kind":"chain", "schema":{"major":1,"minor":0}}', "its layout")],
-        ids=["minor-float", "extra-key", "spaced"],
+        ids=["major-float", "minor-float", "extra-key", "spaced"],
     )
     def test_header_other_than_the_one_written_is_refused(self, tmp_path, header, differ):
         """A chain log reads back only under the header line write_chain_jsonl writes; the refusal names what differs."""
