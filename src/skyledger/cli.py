@@ -101,6 +101,9 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         return _fail(EXIT_CONFIG, f"invalid scenario: {exc}")
     except ValueError as exc:  # after its subclasses above: json's decoder refuses an int past the digit limit
         return _fail(EXIT_CONFIG, f"parse error: {exc}")
+    name = scenario.name  # the prefix of every file the run writes into out
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        return _fail(EXIT_CONFIG, f"invalid scenario: name {name!r} is not a plain file name")
 
     out = Path(out_dir)
     try:
@@ -112,7 +115,7 @@ def _cmd_run(scenario_path: str, out_dir: str, seed: int | None, quiet: bool) ->
         world = World(scenario)
         world.run_to_end()
         metrics = world.metrics()
-        name, blocks = scenario.name, world.ledger.blocks
+        blocks = world.ledger.blocks
         artifacts: dict[str, Callable[[Path], Any]] = {  # file name -> its writer, in writing order
             f"{name}.metrics.json": lambda path: persistence.write_metrics(path, metrics),
             f"{name}.chain.jsonl": lambda path: persistence.write_chain_jsonl(path, blocks),

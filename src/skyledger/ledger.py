@@ -14,22 +14,20 @@ from its sort_keys, whatever order a caller builds args in.
 State changes are tracked by an undo journal. Before a contract changes
 one slot of its storage (a registry record, one entry of a per-drone
 map, a root scalar, the next index of an append-only list) it calls
-Ledger.touch(container, key). The first touch in a transaction keeps the
-slot's object and its contents: a dict's or list's entries, or a
-dataclass's field values; a slot that does not exist yet keeps none,
-and the meter counts it whole. A revert, or any other exception out of an
-operation, puts each touched slot's own object back in reverse order,
-with those contents; a success meters `stateWrites` from the touched
-slots alone, so a transaction's cost does not grow with the state.
-Balances change only through transfer(), which journals nothing: a
-transaction's net move per account is undone by subtraction, logged as
-its `balanceDeltas`, and metered as one write per account it moved. The
-meter counts a dataclass by its declared fields only; any other
-attribute on the instance (a cached_property) is not state. A type may
-declare its own count, a leaf_count() method that the meter calls in
-place of a walk (uss.Mission and uss.MissionPlan do). The contents are
-one level deep, so an object nested below them must be replaced, never
-mutated, unless each entry it changes is touched as a slot of its own.
+Ledger.touch(container, key). A slot holds a scalar or a dataclass
+record; the first touch in a transaction keeps its value and a record's
+field values, and touching any other value raises TypeError. A revert,
+or any other exception out of an operation, puts each touched slot's
+own object back in reverse order, with those field values; a success
+meters `stateWrites` from the touched slots alone, so a transaction's
+cost does not grow with the state. A new or deleted slot counts whole,
+a changed one by its fields that differ. A record counts its declared
+fields only (a cached_property is not state), 1 per scalar and 1 per
+item of a tuple, unless its type declares a leaf_count() (uss.Mission
+and uss.MissionPlan do). Balances change only through transfer(), which
+journals nothing: a transaction's net move per account is undone by
+subtraction, logged as its `balanceDeltas`, and metered as one write
+per account it moved.
 An operation registered without a fold is a view: it opens no journal
 and may not touch anything. Restore re-applies a sealed log (apply_log):
 each success passes submit's entry checks, then its op's fold, and its
@@ -143,101 +141,53 @@ def _state_value(obj: Any) -> Any:
 _STATE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False, default=_state_value)
 
 
+def _fields(obj: Any) -> tuple:
+    """A record's declared field values; TypeError for a value that is neither a scalar nor a dataclass record."""
+    fields_of = _field_values(type(obj))
+    if fields_of is None:
+        raise TypeError(f"a storage slot holds a scalar or a dataclass record, not {type(obj).__name__}")
+    return fields_of(obj)
+
+
 def count_leaves(obj: Any) -> int:
+    """A slot value's leaves: 1 for a scalar; a record's leaf_count() if it declares one, else 1 per scalar field and 1
+    per item of a tuple field (1 if empty)."""
     if type(obj) in _SCALAR_TYPES:
         return 1
     if (own := getattr(obj, "leaf_count", None)) is not None:
-        return own()  # the walk's count, declared by the type
-    fields_of = _field_values(type(obj))
-    if fields_of is not None:
-        values = fields_of(obj)
-    elif isinstance(obj, (dict, list, tuple)):
-        if not obj:
-            return 1  # an empty container is one leaf
-        values = obj.values() if isinstance(obj, dict) else obj
-    else:
-        return 1
+        return own()
+    values = _fields(obj)
     if _SCALAR_TYPES.issuperset(map(type, values)):  # all scalars: one C-level test
         return len(values)
+    return sum(map(_field_leaves, values))
+
+
+def _field_leaves(value: Any) -> int:
+    if type(value) in _SCALAR_TYPES:
+        return 1
+    return len(value) or 1 if type(value) is tuple else count_leaves(value)
+
+
+def _fields_diff(before: tuple, after: tuple) -> int:
+    """Leaves that differ between two records' field values. A field that is the same object is skipped, a tuple is
+    compared item by item, and a field whose type changed, or that holds a record, counts whole on both sides."""
     total = 0
-    for v in values:
-        if type(v) in _SCALAR_TYPES:
-            total += 1
-        elif isinstance(v, tuple) and v and _SCALAR_TYPES.issuperset(map(type, v)):  # a route's CellWindow
-            total += len(v)
-        else:
-            total += count_leaves(v)
-    return total
-
-
-def diff_count(before: Any, after: Any) -> int:
-    """Number of leaf values that changed, appeared, or disappeared.
-
-    Fields and entries that are the same object are skipped, so the walk
-    only descends into the parts of a slot a transaction replaced. Only
-    scalars are compared with `!=`: an equal container may still hold a
-    leaf of another type (`False` where `0` was).
-    """
-    if type(before) is not type(after):
-        return count_leaves(before) + count_leaves(after)
-    if type(before) in _SCALAR_TYPES:
-        return 0 if before == after else 1
-    fields_of = _field_values(type(before))
-    if fields_of is not None:
-        total = 0
-        pairs = zip(fields_of(before), fields_of(after))
-    elif isinstance(before, dict):
-        # an entry on one side only counts whole
-        one_sided = before.keys() ^ after.keys()
-        total = sum(count_leaves(before[k] if k in before else after[k]) for k in one_sided)
-        pairs = [(before[k], after[k]) for k in before.keys() & after.keys()]
-    elif isinstance(before, (list, tuple)):
-        longer, shorter = (before, after) if len(before) > len(after) else (after, before)
-        total = sum(count_leaves(v) for v in longer[len(shorter):])
-        pairs = zip(before, after)
-    else:
-        return 0 if before == after else 1
-    return total + _pairs_diff(pairs)
-
-
-def _pairs_diff(pairs: Any) -> int:
-    """diff_count summed over (old, new) pairs of fields or entries."""
-    total = 0
-    for old, new in pairs:
+    for old, new in zip(before, after):
         if old is new:
             continue
-        if type(old) is not type(new):
-            total += count_leaves(old) + count_leaves(new)
-        elif type(old) in _SCALAR_TYPES:
+        if type(old) is type(new) and type(old) in _SCALAR_TYPES:
             total += old != new
+        elif type(old) is type(new) is tuple:  # items are scalars: one whose type changed counts on both sides
+            total += abs(len(old) - len(new)) + sum(2 if type(a) is not type(b) else a != b for a, b in zip(old, new))
         else:
-            total += diff_count(old, new)
+            total += _field_leaves(old) + _field_leaves(new)
     return total
-
-
-def _contents(value: Any) -> Any:
-    """What touch keeps besides the object: a copy of a dict's or list's entries, a dataclass's field values, else None."""
-    if isinstance(value, (dict, list)):
-        return value.copy()
-    fields_of = _field_values(type(value))
-    return None if fields_of is None else fields_of(value)
 
 
 _ABSENT = object()  # journal value of a slot that does not exist
 
-# (id(container), key) -> (container, key, object in the slot before the transaction, its contents then)
-_Journal = dict[tuple[int, Any], tuple[Any, Any, Any, Any]]
-
-
-def _slot_writes(old: Any, contents: Any, new: Any) -> int:
-    """diff_count for a slot that existed when first touched, from the contents it had then; a deleted slot counts whole."""
-    if type(contents) is tuple:  # a dataclass's field values
-        if new is old:
-            return _pairs_diff(zip(contents, _field_values(type(old))(old)))
-        old = type(old)(*contents)  # built only for a slot that was replaced or deleted
-    elif contents is not None:
-        old = contents  # a dict's or list's entries
-    return count_leaves(old) if new is _ABSENT else diff_count(old, new)
+# (id(container), key) -> (container, key, value in the slot before the transaction, a record's field values then)
+_Journal = dict[tuple[int, Any], tuple[Any, Any, Any, tuple | None]]
 
 
 @dataclass
@@ -430,15 +380,18 @@ class Ledger:
         """Declare that the running transaction is about to change container[key].
 
         Call before every write: assignment, deletion, in-place change of
-        the value, or append (key = len(list)). A revert puts the slot's
-        own object back, with the fields or entries it had then.
+        the value, or append (key = len(list)). The slot holds a scalar or
+        a dataclass record, and a revert puts its own object back, with
+        the field values it had then; any other value raises TypeError.
 
-        A write may change the value's own fields or keys in place or
-        replace or delete it; a nested object (a plan's route) is
-        replaced, never mutated, unless its entries are touched as slots
-        of their own (a mission's report_counts). A replaced or deleted
-        dataclass slot is metered against an instance built from its kept
-        field values, so its class has init fields only, no __post_init__.
+        A write may change a record's own fields in place, or replace or
+        delete the value. A field that holds another record (a mission's
+        plan) is replaced, never changed in place, and then counts whole on
+        both sides; one that holds a container (a mission's report_counts)
+        keeps it, and its entries are touched as slots of their own. A
+        replaced or deleted record is metered against an instance built
+        from its kept field values, so its class has init fields only, no
+        __post_init__.
         """
         if self._view_running:
             raise LedgerError("view operation tried to change storage")
@@ -449,7 +402,7 @@ class Ledger:
         if slot not in journal:
             old = (container[key] if key < len(container) else _ABSENT) if isinstance(container, list) \
                 else container.get(key, _ABSENT)
-            journal[slot] = (container, key, old, None if old is _ABSENT else _contents(old))
+            journal[slot] = (container, key, old, None if old is _ABSENT or type(old) in _SCALAR_TYPES else _fields(old))
 
     def emit(self, name: str, **args: Any) -> None:
         """Record an event against the transaction currently executing; a view may not emit."""
@@ -514,6 +467,8 @@ class Ledger:
             self._admit(spec, caller, args, value)
             # ops see the attached value without it entering the logged args
             rec.payload = spec.fn(caller, {**args, "_value": value})
+            if journal:  # a slot value the meter cannot count raises TypeError, and rolls back as any error does
+                self._meter(rec, journal)
         except (ContractRevert, InsufficientBalance) as exc:
             self._undo(journal, moves)
             rec.status, rec.reason, rec.payload = "revert", exc.reason, None
@@ -522,8 +477,6 @@ class Ledger:
             self._tx_counter -= 1
             raise
         else:
-            if journal:
-                self._meter(rec, journal)
             if moves:  # an account's one changing field is its balance, written where the net move is not 0
                 rec.balance_deltas = _deltas(moves)
                 rec.state_writes += len(rec.balance_deltas)
@@ -551,10 +504,10 @@ class Ledger:
         return tx_id
 
     def _undo(self, journal: _Journal | None, moves: dict[AccountId, int]) -> None:
-        """Subtract each net move, then put each touched slot's own object back with the contents it had when first touched."""
+        """Subtract each net move, then put each touched slot's own object back, a record with its field values then."""
         for account, move in moves.items():
             self.accounts[account].balance -= move
-        for container, key, old, contents in reversed(journal.values() if journal else ()):
+        for container, key, old, fields in reversed(journal.values() if journal else ()):
             if old is _ABSENT:
                 if isinstance(container, list):
                     del container[key:]
@@ -562,29 +515,25 @@ class Ledger:
                     container.pop(key, None)
                 continue
             container[key] = old
-            if type(contents) is tuple:  # a dataclass's field values
-                for name, value in zip(_field_names(type(old)), contents):
+            if fields is not None:
+                for name, value in zip(_field_names(type(old)), fields):
                     if getattr(old, name) is not value:  # a frozen instance never differs
                         setattr(old, name, value)
-            elif isinstance(old, list):
-                old[:] = contents
-            elif contents is not None:
-                old.clear()
-                old.update(contents)
 
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
         writes = 0
-        for container, key, old, contents in journal.values():
-            if isinstance(container, list):  # the slot read as touch reads it, and for two scalars diff_count inlined
+        for container, key, old, fields in journal.values():
+            if isinstance(container, list):  # the slot read as touch reads it
                 new = container[key] if key < len(container) else _ABSENT
             else:
                 new = container.get(key, _ABSENT)
-            if old is _ABSENT:  # a new slot counts whole; touch kept no contents for it
-                writes += 0 if new is _ABSENT else count_leaves(new)
-            elif type(old) is type(new) and type(old) in _SCALAR_TYPES:
-                writes += old != new
-            else:
-                writes += _slot_writes(old, contents, new)
+            if type(new) is type(old):  # changed or not: a scalar compared (two _ABSENTs are equal), a record by fields
+                writes += (old != new) if fields is None else _fields_diff(fields, _fields(new))
+                continue
+            if old is not _ABSENT:  # deleted, or its type changed: the old value counts whole, a record from its fields
+                writes += 1 if fields is None else count_leaves(type(old)(*fields))
+            if new is not _ABSENT:  # new, or its type changed: the new value counts whole
+                writes += count_leaves(new)
         rec.state_writes += writes
 
     # -- blocks -----------------------------------------------------------

@@ -115,6 +115,11 @@ def moved(*deltas: int):
     return forge
 
 
+def named(name: bytes):
+    """Give the scenario `name`, a JSON string, as its name."""
+    return lambda raw: raw.replace(b'"name": "demo"', b'"name": ' + name, 1)
+
+
 # block 1 keeps its prefix, but its body nests deeper than json's decoder recurses
 DEEP_BODY = line(2, lambda block: block[:block.index(b'"transactions":') + 15] + DEEP_JSON + b"}")
 
@@ -136,6 +141,7 @@ SNAPSHOT = r"malformed state snapshot: "
 FOLD = SNAPSHOT + r"snapshot structure invalid: "
 HEAD = SNAPSHOT + r"snapshot chain does not end at the header's head$"
 HEADER = SNAPSHOT + r"state header is not the one this code writes: "
+NAME = r"invalid scenario: name %s is not a plain file name$"
 UNSEALED = oracles.UNSEALED_SNAPSHOT_EDITS
 REFUSED = [
     run("run-bad-date", sub(rb'"departureDate": "[0-9]*"', b'"departureDate": "32132025"'),
@@ -158,6 +164,12 @@ REFUSED = [
     run("run-not-utf8", lambda raw: raw.decode().encode("latin-1", "replace"), r"scenario is not UTF-8 text: "),
     run("run-missing", whole(MISSING), r"cannot read scenario "),
     run("run-directory", whole(DIRECTORY), r"cannot read scenario "),
+    run("run-name-parent", named(b'"../escaped"'), NAME % r"'\.\./escaped'"),  # its files would land beside --out
+    run("run-name-empty", named(b'""'), NAME % "''"),
+    run("run-name-dot", named(b'"."'), NAME % r"'\.'"),
+    run("run-name-dotdot", named(b'".."'), NAME % r"'\.\.'"),
+    run("run-name-slash", named(b'"a/b"'), NAME % "'a/b'"),
+    run("run-name-nul", named(rb'"a\u0000b"'), NAME % r"'a\\x00b'"),
     Case("run-unwritable-state", "out", whole(DIRECTORY), ("run", "--scenario", str(DEMO_SCENARIO), "--out", "{dir}",
                                                              "--quiet"), 2, r"cannot write {dir}/demo\.state\.json: "),
 

@@ -76,6 +76,14 @@ class TestRun:
         assert refused_inputs.fault(2, pattern, code, out, err) is None
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", [case.id for case in refused_inputs.CASES if case.id.startswith("run-name-")])
+    def test_a_name_that_is_not_a_plain_file_name_writes_no_file(self, demo_bases, tmp_path, capsys, case):
+        """The name prefixes each output file; a refused one leaves --out's parent with the input alone, and no --out."""
+        argv, pattern = refused_inputs.write_case(ROWS[case], demo_bases, tmp_path)
+        code = run_cli(*argv)
+        assert refused_inputs.fault(2, pattern, code, *capsys.readouterr()) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["demo.scenario.json"]
+
     def test_negative_seed_override_names_its_bound(self, tmp_path, demo_scenario_path, capsys):
         assert run_cli("run", "--scenario", str(demo_scenario_path), "--out", str(tmp_path), "--seed", "-1") == 2
         assert capsys.readouterr().err == "invalid scenario: seed must be at least 0\n"

@@ -34,7 +34,7 @@ from conftest import (
 )
 from skyledger import ledger as ledger_module, uss as uss_module
 from skyledger.authority import REVERT_ALREADY_REGISTERED, REVERT_TAC_NOT_SIGNED
-from skyledger.ledger import Ledger, LedgerError, diff_count
+from skyledger.ledger import Ledger, LedgerError
 from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, Scenario, World
 from skyledger.uss import Mission, UssContract, parse_departure_epoch
@@ -273,9 +273,10 @@ def _generated_calls(bench, steps):
 def test_random_op_sequences_match_whole_tree_oracle(steps):
     """Valid, duplicate and malformed calls of all seven ops, each logged, metered and rolled back exactly.
 
-    The journal copies a slot one level deep, so a write that mutates an
-    object nested below a slot would leave a revert or an escaping error
-    with a changed digest here, or meter differently from the oracle.
+    The journal keeps a record's field values only, so a write that
+    mutates an object nested below a record's fields would leave a revert
+    or an escaping error with a changed digest here, or meter differently
+    from the oracle.
     """
     bench = make_bench()
     ledger = bench.ledger
@@ -508,29 +509,53 @@ def _cached(left, right, read):
 
 
 _leaf = st.one_of(st.integers(-2, 2), st.booleans(), st.sampled_from(["", "a", "b"]), st.none())
-_trees = st.recursive(
+_field = st.one_of(_leaf, st.lists(_leaf, max_size=3).map(tuple))  # a scalar, or a tuple of scalars (a cell)
+_slot_value = st.one_of(
     _leaf,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=3),
-        st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(st.sampled_from("xyz"), inner, max_size=3),
-        st.builds(_Pair, inner, inner),
-        st.builds(_FrozenPair, inner, inner),
-        st.builds(_One, inner),
-        st.builds(_cached, inner, inner, st.booleans()),
-    ),
-    max_leaves=8,
+    st.builds(_Pair, _field, _field),
+    st.builds(_FrozenPair, _field, _field),
+    st.builds(_One, _field),
+    st.builds(_cached, _field, _field, st.booleans()),
 )
+_NO_SLOT = object()  # the slot does not exist
+
+
+@st.composite
+def _slot_write(draw):
+    """(value before or _NO_SLOT, how, what): a record's fields set in place, or the slot replaced by a value or deleted."""
+    before = draw(st.one_of(_slot_value, st.just(_NO_SLOT)))
+    if dataclasses.is_dataclass(before) and not type(before).__dataclass_params__.frozen and draw(st.booleans()):
+        return before, "in place", {f.name: draw(_field) for f in dataclasses.fields(before)}
+    return before, "replace", draw(st.one_of(_slot_value, st.just(_NO_SLOT)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(before=_trees, after=_trees)
-@example(before=_Pair(_Pair(0, 0), None), after=_Pair(_Pair(0, False), []))
-@example(before=[0, (1,)], after=[0, [1]])
-@example(before=_cached(0, "a", True), after=_cached(0, "a", False))
-def test_diff_count_equals_whole_tree_leaf_diff(before, after):
-    expected = oracles.whole_tree_leaf_diff(oracles._plain(before), oracles._plain(after))
-    assert diff_count(before, after) == expected
+@given(write=_slot_write())
+@example(write=(_Pair(0, (1, 2)), "in place", {"left": False, "right": (1, True, 3)}))
+@example(write=(_Pair((), "a"), "replace", _FrozenPair((), "a")))
+@example(write=(_One((0,)), "replace", _One((0,))))
+@example(write=(_cached(0, "a", True), "replace", _cached(0, "a", False)))
+@example(write=(0, "replace", _Pair(0, ())))
+@example(write=(_Pair(None, (1,)), "replace", _NO_SLOT))
+def test_slot_writes_equal_whole_tree_leaf_diff(write):
+    """A scalar or record slot created, changed in place, replaced by one of its type or another, or deleted."""
+    before, how, after = write
+    storage = {} if before is _NO_SLOT else {"slot": before}
+
+    def body(ledger):
+        ledger.touch(storage, "slot")
+        if how == "in place":
+            for name, value in after.items():
+                setattr(storage["slot"], name, value)
+        elif after is _NO_SLOT:
+            storage.pop("slot", None)
+        else:
+            storage["slot"] = after
+
+    ledger, caller = _one_op_ledger(storage, body)
+    oracle = oracles.WholeTreeSubmit(Ledger.submit)
+    assert oracle(ledger, caller, "write").status == "success"
+    assert_matches_oracle(oracle.checked)
 
 
 def _one_op_ledger(storage, body):
@@ -561,19 +586,71 @@ def test_meter_counts_a_dataclass_by_its_declared_fields_only(when):
 
 @pytest.mark.parametrize("old,new", [(0, False), (False, 0), (1, True), (True, 1)])
 def test_meter_counts_a_bool_int_swap_on_both_sides(old, new):
-    storage = {"root": old, "pair": _Pair(old, "a"), "list": [old]}
+    storage = {"root": old, "pair": _Pair(old, "a")}
 
     def body(ledger):
         for key in storage:
             ledger.touch(storage, key)
-        storage["root"], storage["pair"], storage["list"] = new, _Pair(new, "a"), [new]
+        storage["root"], storage["pair"] = new, _Pair(new, "a")
 
     ledger, caller = _one_op_ledger(storage, body)
     oracle = oracles.WholeTreeSubmit(Ledger.submit)
     rec = oracle(ledger, caller, "write")
-    assert rec.status == "success" and rec.state_writes == 3 * 2
+    assert rec.status == "success" and rec.state_writes == 2 * 2
     assert_matches_oracle(oracle.checked)
 
+
+@pytest.mark.parametrize("kept", [True, False], ids=["touched", "written-new"])
+@pytest.mark.parametrize("value", [{"n": 1}, [1]], ids=["dict", "list"])
+def test_a_slot_value_that_is_a_container_raises_and_rolls_back(value, kept):
+    """A dict or list in a slot is refused when touched, or when metered in a slot the transaction created."""
+    storage = {"count": 0, **({"slot": value} if kept else {})}
+
+    def body(ledger):
+        ledger.touch(storage, "count")
+        storage["count"] += 1
+        ledger.touch(storage, "slot")
+        storage["slot"] = value
+
+    ledger, caller = _one_op_ledger(storage, body)
+    ledger.genesis()
+    digest, logged = ledger.state_digest(), list(ledger.pending)
+    with pytest.raises(TypeError, match=f"holds a scalar or a dataclass record, not {type(value).__name__}$"):
+        ledger.submit(caller, "write")
+    assert ledger.state_digest() == digest and storage["count"] == 0 and ("slot" in storage) == kept
+    assert ledger.pending == logged
+    assert ledger.submit(caller, "next").tx_id == logged[-1].tx_id + 1  # no tx id went missing
+
+
+def _slot_values(container):
+    """Every slot value in a storage container: its entries, the entries of the containers it holds, and the entries
+    of a container that a record holds (a mission's report_counts)."""
+    for value in container.values() if isinstance(container, dict) else container:
+        if isinstance(value, (dict, list)):
+            yield from _slot_values(value)
+            continue
+        yield value
+        for held in (getattr(value, f.name) for f in dataclasses.fields(value)) if dataclasses.is_dataclass(value) else ():
+            if isinstance(held, (dict, list)):
+                yield from _slot_values(held)
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "demo-tick5"])
+def test_every_slot_holds_a_scalar_or_a_record_the_meter_counts(name):
+    """What the meter relies on: contract storage holds no other slot value, and each counts as the walk does."""
+    if name == "demo-tick5":  # plans live, so missions and their report counts are in storage
+        world = World(load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json"))
+        while world.tick < 5:
+            world.step()
+        assert world.uss.missions
+    else:
+        world = finished_world(GOLDEN[name][0]())
+    kinds = collections.Counter()
+    for value in _slot_values(world.ledger._storages):
+        assert type(value) in (int, str, bytes, bool, type(None)) or dataclasses.is_dataclass(value), type(value)
+        assert ledger_module.count_leaves(value) == _walked(value), value
+        kinds[type(value).__name__] += 1
+    assert {"Account", "DroneRecord", "int"} <= kinds.keys(), kinds
 
 
 # -- a type's declared leaf count is the walk's -------------------------------------------------------------
@@ -662,7 +739,7 @@ def _crowd_scenario(bystanders):
 
 def test_report_bookkeeping_does_not_grow_with_the_crowd(monkeypatch):
     calls = [0]
-    for name in ("diff_count", "count_leaves"):
+    for name in ("count_leaves", "_fields", "_field_leaves", "_fields_diff"):
         def counted(*args, _inner=getattr(ledger_module, name)):
             calls[0] += 1
             return _inner(*args)
@@ -705,6 +782,12 @@ class _Tally:
     note: str
 
 
+@dataclasses.dataclass
+class _Tag:
+    n: int
+    cell: tuple
+
+
 # a step: ("transfer", src, dst, amount) between accounts 0-2, or a write to storage
 _transfer = st.tuples(st.just("transfer"), st.integers(0, 2), st.integers(0, 2), st.integers(0, 12))
 _write = st.sampled_from([("bump",), ("tag",), ("replace",), ("append",), ("drop",)])
@@ -714,7 +797,7 @@ _ENDINGS = ("success", "revert", "raise")
 def _transfer_chain_ledger(steps, ending):
     """A ledger whose op "chain" runs `steps`, then succeeds, reverts or raises RuntimeError; and its three accounts."""
     ledger = Ledger()
-    storage = {"tallies": [_Tally(0, "a")], "tags": {"x": {"n": 1}, "y": {"n": 2}}}
+    storage = {"tallies": [_Tally(0, "a")], "tags": {"x": _Tag(1, (1,)), "y": _Tag(2, (2,))}}
     ledger.attach_storage("chain", storage)
     accounts = [ledger.create_account("operator", balance) for balance in (10, 5, 0)]
 
@@ -726,9 +809,11 @@ def _transfer_chain_ledger(steps, ending):
             elif step[0] == "bump":  # a dataclass changed in place
                 ledger.touch(tallies, 0)
                 tallies[0].count += 1
-            elif step[0] == "tag":  # a dict entry's own keys changed in place
+            elif step[0] == "tag":  # a dict entry's scalar and tuple fields changed in place
                 ledger.touch(tags, "x")
-                tags["x"]["n"] += 1
+                tag = tags["x"]
+                tag.n += 1
+                tag.cell = (*tag.cell, tag.n)
             elif step[0] == "replace":
                 ledger.touch(tallies, 0)
                 tallies[0] = _Tally(tallies[0].count, "b")
@@ -756,7 +841,7 @@ def _transfer_chain_ledger(steps, ending):
 @example(steps=[("transfer", 0, 1, 3), ("replace",), ("tag",), ("drop",)], ending="revert")
 @example(steps=[("transfer", 1, 2, 2), ("bump",), ("append",), ("tag",)], ending="raise")
 def test_transfer_chains_match_whole_tree_oracle_and_undo_in_place(steps, ending):
-    """A revert or an escaping error puts back each touched slot's own object, with its old field values and entries."""
+    """A revert or an escaping error puts back each touched slot's own object, with its old field values."""
     ledger, storage, accounts = _transfer_chain_ledger(steps, ending)
     tally, tags, tag_x, tag_y = storage["tallies"][0], storage["tags"], storage["tags"]["x"], storage["tags"]["y"]
     balances, digest, logged = [ledger.balance(a) for a in accounts], ledger.state_digest(), list(ledger.pending)
@@ -778,5 +863,5 @@ def test_transfer_chains_match_whole_tree_oracle_and_undo_in_place(steps, ending
     assert [ledger.balance(a) for a in accounts] == balances
     assert storage["tallies"] == [tally] and storage["tallies"][0] is tally and (tally.count, tally.note) == (0, "a")
     assert storage["tags"] is tags and tags["x"] is tag_x and tags["y"] is tag_y
-    assert tags == {"x": {"n": 1}, "y": {"n": 2}}
+    assert (tag_x.n, tag_x.cell, tag_y.n, tag_y.cell) == (1, (1,), 2, (2,))
     assert ledger.submit(accounts[1], "next").tx_id == logged[-1].tx_id + 1 + (rec is not None)  # dense tx ids
