@@ -57,16 +57,13 @@ class AuthorityContract:
     def __init__(self, ledger: Ledger):
         self.ledger = weakref.proxy(ledger)  # the ledger holds our ops; a strong reference back would be a cycle
         self.account = ledger.create_account("authority")
-        self.storage: dict[str, Any] = {"records": [], "serial_index": {}}
+        self.records: dict[int, DroneRecord] = {}  # drone id -> record; an id is len(records) at its registration
+        self.storage: dict[str, Any] = {"records": self.records, "serial_index": {}}  # serial hash -> drone id
         ledger.attach_storage("authority", self.storage)
         ledger.register_op("register_drone", self.op_register_drone,
                            args={"serial": str, "ownerNationalId": str, "signTAC": bool},
                            fold=lambda tx: self.op_register_drone(tx.caller, tx.args))
         ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int})
-
-    @property
-    def records(self) -> list[DroneRecord]:
-        return self.storage["records"]
 
     def op_register_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
         serial_hash = _hashed(args["serial"])
@@ -77,7 +74,7 @@ class AuthorityContract:
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
         self.ledger.touch(self.storage["serial_index"], serial_hash)
-        self.records.append(DroneRecord(drone_id, serial_hash, _hashed(args["ownerNationalId"]), caller))
+        self.records[drone_id] = DroneRecord(drone_id, serial_hash, _hashed(args["ownerNationalId"]), caller)
         self.storage["serial_index"][serial_hash] = drone_id
         return {"droneId": drone_id}
 
@@ -89,9 +86,10 @@ class AuthorityContract:
     # -- shared-registry API for certified service suppliers ---------------
 
     def record(self, drone_id: int) -> DroneRecord:
-        if not 0 <= drone_id < len(self.records):
-            raise ContractRevert(REASON_UNKNOWN_DRONE)
-        return self.records[drone_id]
+        try:
+            return self.records[drone_id]
+        except KeyError:
+            raise ContractRevert(REASON_UNKNOWN_DRONE) from None
 
     def _writable(self, drone_id: int) -> DroneRecord:
         rec = self.record(drone_id)
@@ -113,4 +111,4 @@ class AuthorityContract:
         rec.penalties = 0
 
     def export_registry(self) -> list[dict[str, Any]]:
-        return [r.to_public_dict() for r in self.records]
+        return [r.to_public_dict() for r in self.records.values()]  # in drone id order, the order of registration

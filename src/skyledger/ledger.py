@@ -11,9 +11,9 @@ Every dict a record logs is built in key order, for speed only: the
 encoder's per-dict sort then finds one run, and the format still comes
 from its sort_keys, whatever order a caller builds args in.
 
-State changes are tracked by an undo journal. Before a contract changes
-one slot of its storage (a registry record, one entry of a per-drone
-map, a root scalar, the next index of an append-only list) it calls
+State changes are tracked by an undo journal. Contract storage is dicts,
+each a key -> slot map, as Ethereum's is. Before a contract changes a
+slot (a registry record, a root scalar, the next sighting) it calls
 Ledger.touch(container, key). A slot holds a scalar or a dataclass
 record; the first touch in a transaction keeps its value and a record's
 field values, and touching any other value raises TypeError. A revert,
@@ -288,7 +288,7 @@ def _deltas(moves: dict[AccountId, int]) -> dict[AccountId, int]:
 class Ledger:
     """Transaction application over accounts and contract state.
 
-    Contracts keep their storage in plain dicts and lists attached with
+    Contracts keep their storage in plain dicts attached with
     attach_storage(), and call touch() before each write so that
     submit() can undo or meter it. Outside submit() (setup, restore,
     tests) touch() is a no-op.
@@ -376,13 +376,13 @@ class Ledger:
             raise ValueError(f"operation {name!r} already registered")
         self._ops[name] = _OpSpec(fn, args or {}, fold, receiver)
 
-    def touch(self, container: dict | list, key: Any) -> None:
+    def touch(self, container: dict, key: Any) -> None:
         """Declare that the running transaction is about to change container[key].
 
-        Call before every write: assignment, deletion, in-place change of
-        the value, or append (key = len(list)). The slot holds a scalar or
-        a dataclass record, and a revert puts its own object back, with
-        the field values it had then; any other value raises TypeError.
+        Call before every write to the entry: assignment (of a new key
+        too), deletion, or in-place change of the value. The slot holds a
+        scalar or a dataclass record, and a revert puts its own object back,
+        with the field values it had then; any other value raises TypeError.
 
         A write may change a record's own fields in place, or replace or
         delete the value. A field that holds another record (a mission's
@@ -400,8 +400,7 @@ class Ledger:
             return
         slot = (id(container), key)
         if slot not in journal:
-            old = (container[key] if key < len(container) else _ABSENT) if isinstance(container, list) \
-                else container.get(key, _ABSENT)
+            old = container.get(key, _ABSENT)
             journal[slot] = (container, key, old, None if old is _ABSENT or type(old) in _SCALAR_TYPES else _fields(old))
 
     def emit(self, name: str, **args: Any) -> None:
@@ -509,10 +508,7 @@ class Ledger:
             self.accounts[account].balance -= move
         for container, key, old, fields in reversed(journal.values() if journal else ()):
             if old is _ABSENT:
-                if isinstance(container, list):
-                    del container[key:]
-                else:
-                    container.pop(key, None)
+                container.pop(key, None)
                 continue
             container[key] = old
             if fields is not None:
@@ -523,10 +519,7 @@ class Ledger:
     def _meter(self, rec: TransactionRecord, journal: _Journal) -> None:
         writes = 0
         for container, key, old, fields in journal.values():
-            if isinstance(container, list):  # the slot read as touch reads it
-                new = container[key] if key < len(container) else _ABSENT
-            else:
-                new = container.get(key, _ABSENT)
+            new = container.get(key, _ABSENT)  # the slot read as touch reads it
             if type(new) is type(old):  # changed or not: a scalar compared (two _ABSENTs are equal), a record by fields
                 writes += (old != new) if fields is None else _fields_diff(fields, _fields(new))
                 continue

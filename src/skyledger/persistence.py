@@ -119,6 +119,8 @@ def _read_block_log(raw: bytes, kind: str, schema: dict[str, int]) -> tuple[byte
         raise SchemaMismatch(f"unsupported major version {header['schema']!r}")
     if header.get("kind") != kind:
         raise CorruptPayload(f"expected kind {kind!r}, found {header.get('kind')!r}")
+    if kind == "chain" and len(lines) == 1:  # every chain a run writes opens with its genesis block
+        raise CorruptPayload("no block in chain file")
     return lines[0], header, map(_read_block, lines[1:])
 
 
@@ -274,8 +276,8 @@ def _rng_state(rng: Any) -> tuple[int, tuple[int, ...], None]:
 
 
 def verify_chain_file(path: str | Path) -> tuple[bool, int | None]:
-    """Check a chain log's hashes and links, decoding one block at a time; refuses, as read_chain_jsonl does, a log
-    with any line that does not read as a block (also after a broken link) or a header this code does not write."""
+    """Check a chain log's hashes and links, decoding one block at a time; refuses, as read_chain_jsonl does, a log with
+    no block, any line that does not read as a block (also after a broken link) or a header this code does not write."""
     line, header, blocks = _read_block_log(Path(path).read_bytes(), "chain", SCHEMA)
     verdict = verify_blocks(blocks)
     collections.deque(blocks, maxlen=0)  # read the lines after a broken link too

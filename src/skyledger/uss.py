@@ -169,7 +169,7 @@ class UssContract:
         self.storage: dict[str, Any] = {
             "subscriptions": {},      # drone_id -> Subscription
             "missions": self.missions,
-            "sightings": [],          # SightingRecord, append-only audit trail
+            "sightings": {},          # index -> SightingRecord, append-only audit trail
             "reputation": {},         # owner account -> ReputationState
             "nonce_counter": 0,       # missions planned so far; the next nonce's counter
         }
@@ -283,7 +283,7 @@ class UssContract:
             raise ValueError(f"unknown verdict {sighting.verdict!r}")
         sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
-        sightings.append(sighting)
+        sightings[len(sightings)] = sighting
         return {"reporterReward": params.reporter_reward, "verdict": sighting.verdict}
 
     def _close_mission(self, drone_id: int, owner: AccountId) -> dict[str, Any]:

@@ -184,6 +184,7 @@ REFUSED = [
     verify("verify-deep-header", lambda raw: DEEP_JSON + raw[raw.index(b"\n"):], CHAIN + r"bad chain header: " + DEEP),
     verify("verify-deep-block", DEEP_BODY, CHAIN + r"bad block line: " + DEEP),
     verify("verify-empty", whole(b""), CHAIN + r"empty chain file$"),
+    verify("verify-header-only", lambda raw: raw[:raw.index(b"\n") + 1], CHAIN + r"no block in chain file$"),
     verify("verify-schema-list", whole(b'{"schema":[1],"kind":"chain"}\n'), CHAIN + r"missing schema header "),
     verify("verify-block-list", whole(b'{"schema":{"major":1},"kind":"chain"}\n[1]\n'), LAYOUT),
     verify("verify-hash-int", whole(b'{"schema":{"major":1},"kind":"chain"}\n'

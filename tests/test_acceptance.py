@@ -233,7 +233,7 @@ def test_criterion_4_security_invariants(demo_scenario_path):
         for trial in range(200):
             rec = report(bench, target, at_s=100 + trial % 60, reporter=rng.choice(observers))
         by_reporter = {}
-        for s in bench.uss.storage["sightings"]:
+        for s in bench.uss.storage["sightings"].values():
             by_reporter[s.reporter] = by_reporter.get(s.reporter, 0) + 1
         assert all(count == 1 for count in by_reporter.values())
 

@@ -28,7 +28,7 @@ class TestRegistration:
             {"serial": "SN-Y", "ownerNationalId": "NID-1", "signTAC": False},
         )
         assert (rec.status, rec.reason) == ("revert", "Please accept terms and conditions")
-        assert bench.authority.records == []
+        assert bench.authority.records == {}
 
     def test_fresh_record_is_clean(self, bench):
         drone_id = register(bench)
@@ -41,7 +41,7 @@ class TestRegistration:
     def test_one_operator_many_drones(self, bench):
         for i in range(3):
             register(bench, serial=f"SN-multi-{i}")
-        owners = {r.owner_account for r in bench.authority.records}
+        owners = {r.owner_account for r in bench.authority.records.values()}
         assert owners == {bench.operator}
 
     def test_interleaved_duplicates_leave_one_record_per_serial(self, bench):
@@ -55,8 +55,9 @@ class TestRegistration:
                 "register_drone",
                 {"serial": serial, "ownerNationalId": "NID", "signTAC": True},
             )
-        seen = [r.serial_hash for r in bench.authority.records]
+        seen = [r.serial_hash for r in bench.authority.records.values()]
         assert len(seen) == len(set(seen)) == len(serials)
+        assert list(bench.authority.records) == list(range(len(serials)))  # dense ids: a reverted registration takes none
 
 
 class TestRegistryReads:

@@ -622,6 +622,26 @@ def test_a_slot_value_that_is_a_container_raises_and_rolls_back(value, kept):
     assert ledger.submit(caller, "next").tx_id == logged[-1].tx_id + 1  # no tx id went missing
 
 
+def test_touching_a_list_container_raises_and_rolls_back():
+    """Storage is dicts: a list has no .get, so its first touch raises AttributeError and the transaction rolls back."""
+    storage = {"count": 0, "trail": []}
+
+    def body(ledger):
+        ledger.touch(storage, "count")
+        storage["count"] += 1
+        ledger.touch(storage["trail"], 0)
+        storage["trail"].append(1)
+
+    ledger, caller = _one_op_ledger(storage, body)
+    ledger.genesis()
+    digest, logged = ledger.state_digest(), list(ledger.pending)
+    with pytest.raises(AttributeError, match="'list' object has no attribute 'get'$"):
+        ledger.submit(caller, "write")
+    assert ledger.state_digest() == digest and storage == {"count": 0, "trail": []}
+    assert ledger.pending == logged
+    assert ledger.submit(caller, "next").tx_id == logged[-1].tx_id + 1  # no tx id went missing
+
+
 def _slot_values(container):
     """Every slot value in a storage container: its entries, the entries of the containers it holds, and the entries
     of a container that a record holds (a mission's report_counts)."""
@@ -635,16 +655,39 @@ def _slot_values(container):
                 yield from _slot_values(held)
 
 
+def _golden_world(name):
+    """A golden scenario's finished world, or ("demo-tick5") the demo's at tick 5, while its plans are live."""
+    if name != "demo-tick5":
+        return finished_world(GOLDEN[name][0]())
+    world = World(load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json"))
+    while world.tick < 5:
+        world.step()
+    assert world.uss.missions  # so missions and their report counts are in storage
+    return world
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "demo-tick5"])
+def test_every_container_a_run_attaches_or_touches_is_a_dict(name):
+    """Every slot is a dict entry, as touch, the meter and undo read it: each attached storage, each container one
+    holds, and each container a contract touches."""
+    touched, touch = collections.Counter(), Ledger.touch
+
+    def counted(self, container, key):
+        touched[type(container)] += 1
+        touch(self, container, key)
+
+    with mock.patch.object(Ledger, "touch", counted):
+        world = _golden_world(name)
+    attached = list(world.ledger._storages.values())
+    held = [value for storage in attached for value in storage.values() if isinstance(value, (dict, list, set, tuple))]
+    assert {type(container) for container in attached + held} == {dict}
+    assert touched.keys() == {dict}, touched
+
+
 @pytest.mark.parametrize("name", [*sorted(GOLDEN), "demo-tick5"])
 def test_every_slot_holds_a_scalar_or_a_record_the_meter_counts(name):
     """What the meter relies on: contract storage holds no other slot value, and each counts as the walk does."""
-    if name == "demo-tick5":  # plans live, so missions and their report counts are in storage
-        world = World(load_scenario(REPO_ROOT / "scenarios" / "demo.scenario.json"))
-        while world.tick < 5:
-            world.step()
-        assert world.uss.missions
-    else:
-        world = finished_world(GOLDEN[name][0]())
+    world = _golden_world(name)
     kinds = collections.Counter()
     for value in _slot_values(world.ledger._storages):
         assert type(value) in (int, str, bytes, bool, type(None)) or dataclasses.is_dataclass(value), type(value)
@@ -797,7 +840,7 @@ _ENDINGS = ("success", "revert", "raise")
 def _transfer_chain_ledger(steps, ending):
     """A ledger whose op "chain" runs `steps`, then succeeds, reverts or raises RuntimeError; and its three accounts."""
     ledger = Ledger()
-    storage = {"tallies": [_Tally(0, "a")], "tags": {"x": _Tag(1, (1,)), "y": _Tag(2, (2,))}}
+    storage = {"tallies": {0: _Tally(0, "a")}, "tags": {"x": _Tag(1, (1,)), "y": _Tag(2, (2,))}}
     ledger.attach_storage("chain", storage)
     accounts = [ledger.create_account("operator", balance) for balance in (10, 5, 0)]
 
@@ -817,9 +860,9 @@ def _transfer_chain_ledger(steps, ending):
             elif step[0] == "replace":
                 ledger.touch(tallies, 0)
                 tallies[0] = _Tally(tallies[0].count, "b")
-            elif step[0] == "append":
+            elif step[0] == "append":  # a new entry at the next index
                 ledger.touch(tallies, len(tallies))
-                tallies.append(_Tally(0, "c"))
+                tallies[len(tallies)] = _Tally(0, "c")
             else:  # "drop"
                 ledger.touch(tags, "y")
                 tags.pop("y", None)
@@ -861,7 +904,7 @@ def test_transfer_chains_match_whole_tree_oracle_and_undo_in_place(steps, ending
         assert rec.reason == "insufficient-balance" or (ending, rec.reason) == ("revert", "after-the-moves")
     assert ledger.state_digest() == digest
     assert [ledger.balance(a) for a in accounts] == balances
-    assert storage["tallies"] == [tally] and storage["tallies"][0] is tally and (tally.count, tally.note) == (0, "a")
+    assert storage["tallies"] == {0: tally} and storage["tallies"][0] is tally and (tally.count, tally.note) == (0, "a")
     assert storage["tags"] is tags and tags["x"] is tag_x and tags["y"] is tag_y
     assert (tag_x.n, tag_x.cell, tag_y.n, tag_y.cell) == (1, (1,), 2, (2,))
     assert ledger.submit(accounts[1], "next").tx_id == logged[-1].tx_id + 1 + (rec is not None)  # dense tx ids

@@ -92,7 +92,7 @@ class TestThreatBehaviors:
     def test_silent_drone_is_invisible(self):
         world = finished_world(self._one_drone("silent"))
         metrics = world.metrics()
-        assert world.uss.storage["sightings"] == []
+        assert world.uss.storage["sightings"] == {}
         assert "report_drone" not in metrics.op_counts
         m = metrics.missions[0]
         assert (m["rewards"], m["penalties"]) == (0, 0)

@@ -844,7 +844,7 @@ class TestReportDrone:
         ]
         for _ in range(40):
             report(bench, drone_id, at_s=rng.randrange(60, 210), reporter=rng.choice(reporters))
-        seen = [(s.reporter, s.drone_id) for s in bench.uss.storage["sightings"]]
+        seen = [(s.reporter, s.drone_id) for s in bench.uss.storage["sightings"].values()]
         assert len(seen) == len(set(seen)) == len(reporters)
 
     @staticmethod
