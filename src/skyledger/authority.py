@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any
 
-from .ledger import AccountId, ContractRevert, Ledger
+from .ledger import AccountId, ContractRevert, Ledger, TransactionRecord
 
 REVERT_ALREADY_REGISTERED = "Drone already registered"
 REVERT_TAC_NOT_SIGNED = "Please accept terms and conditions"
@@ -61,27 +61,26 @@ class AuthorityContract:
         self.storage: dict[str, Any] = {"records": self.records, "serial_index": {}}  # serial hash -> drone id
         ledger.attach_storage("authority", self.storage)
         ledger.register_op("register_drone", self.op_register_drone,
-                           args={"serial": str, "ownerNationalId": str, "signTAC": bool},
-                           fold=lambda tx: self.op_register_drone(tx.caller, tx.args))
+                           args={"serial": str, "ownerNationalId": str, "signTAC": bool}, fold=self.op_register_drone)
         ledger.register_op("get_drone", self.op_get_drone, args={"droneId": int})
 
-    def op_register_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        serial_hash = _hashed(args["serial"])
+    def op_register_drone(self, tx: TransactionRecord) -> dict[str, Any]:
+        serial_hash = _hashed(tx.args["serial"])
         if serial_hash in self.storage["serial_index"]:
             raise ContractRevert(REVERT_ALREADY_REGISTERED)
-        if not args["signTAC"]:
+        if not tx.args["signTAC"]:
             raise ContractRevert(REVERT_TAC_NOT_SIGNED)
         drone_id = len(self.records)
         self.ledger.touch(self.records, drone_id)
         self.ledger.touch(self.storage["serial_index"], serial_hash)
-        self.records[drone_id] = DroneRecord(drone_id, serial_hash, _hashed(args["ownerNationalId"]), caller)
+        self.records[drone_id] = DroneRecord(drone_id, serial_hash, _hashed(tx.args["ownerNationalId"]), tx.caller)
         self.storage["serial_index"][serial_hash] = drone_id
         return {"droneId": drone_id}
 
-    def op_get_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        if self.ledger.account(caller).role not in _REGISTRY_READER_ROLES:
+    def op_get_drone(self, tx: TransactionRecord) -> dict[str, Any]:
+        if self.ledger.account(tx.caller).role not in _REGISTRY_READER_ROLES:
             raise ContractRevert(REASON_ACCESS_DENIED)
-        return self.record(args["droneId"]).to_public_dict()
+        return self.record(tx.args["droneId"]).to_public_dict()
 
     # -- shared-registry API for certified service suppliers ---------------
 

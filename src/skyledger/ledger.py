@@ -28,10 +28,11 @@ and uss.MissionPlan do). Balances change only through transfer(), which
 journals nothing: a transaction's net move per account is undone by
 subtraction, logged as its `balanceDeltas`, and metered as one write
 per account it moved.
-An operation registered without a fold is a view: it opens no journal
-and may not touch anything. Restore re-applies a sealed log (apply_log):
-each success passes submit's entry checks, then its op's fold, and its
-logged `balanceDeltas` are checked, never added.
+An operation and its fold take the logged transaction record and never
+change it; writers emit its events. An operation without a fold is a
+view: it opens no journal and may not touch anything. Restore (apply_log)
+runs each success through submit's entry checks, then its fold, and
+checks its logged `balanceDeltas` and events, never adds them.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -274,7 +275,7 @@ def verify_blocks(blocks: Iterable[Block]) -> tuple[bool, int | None]:
 
 @dataclass
 class _OpSpec:
-    fn: Callable[[AccountId, dict[str, Any]], Any]
+    fn: Callable[[TransactionRecord], Any]
     args: dict[str, type]
     fold: Callable[[TransactionRecord], Any] | None  # None: the op is a view
     receiver: AccountId | None  # the account that an attached value goes to; None: the op is not payable
@@ -358,7 +359,7 @@ class Ledger:
     def register_op(
         self,
         name: str,
-        fn: Callable[[AccountId, dict[str, Any]], Any],
+        fn: Callable[[TransactionRecord], Any],
         *,
         args: dict[str, type] | None = None,
         fold: Callable[[TransactionRecord], Any] | None = None,
@@ -368,9 +369,10 @@ class Ledger:
 
         submit() reverts a call whose declared argument is missing or not exactly
         of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
-        An op with a `receiver` is payable: submit() moves an attached value to that account. apply_log runs these
-        checks on a logged success, then `fold(tx)`: fn's own checks and writers (fn itself, if it reads no payload),
-        returning fn's payload or the logged one it takes as given. An op without a fold is a view.
+        An op with a `receiver` is payable: submit() moves an attached value to that account. submit() calls `fn(tx)`
+        on the record it logs; apply_log runs the entry checks on a logged success, then `fold(tx)`: fn's own checks
+        and writers (fn itself, if it needs nothing from the log), returning fn's payload or the logged one it takes
+        as given. Both read the record (caller, args, value) and never change it. An op without a fold is a view.
         """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
@@ -463,9 +465,8 @@ class Ledger:
         moves = self._moves = {}
         self._event_buffer = []
         try:
-            self._admit(spec, caller, args, value)
-            # ops see the attached value without it entering the logged args
-            rec.payload = spec.fn(caller, {**args, "_value": value})
+            self._admit(spec, rec)
+            rec.payload = spec.fn(rec)
             if journal:  # a slot value the meter cannot count raises TypeError, and rolls back as any error does
                 self._meter(rec, journal)
         except (ContractRevert, InsufficientBalance) as exc:
@@ -485,17 +486,17 @@ class Ledger:
         self.pending.append(rec)
         return rec
 
-    def _admit(self, spec: _OpSpec | None, caller: AccountId, args: dict[str, Any], value: int) -> None:
+    def _admit(self, spec: _OpSpec | None, tx: TransactionRecord) -> None:
         """Entry checks of submit and apply_log: a registered op, each arg of its declared type, a value only if payable."""
         if spec is None:
             raise ContractRevert(REASON_UNKNOWN_OPERATION)
         for name, kind in spec.args.items():
-            if type(args.get(name)) is not kind:
+            if type(tx.args.get(name)) is not kind:
                 raise ContractRevert(f"{REASON_INVALID_ARG}:{name}")
-        if value > 0:
+        if tx.value > 0:
             if spec.receiver is None:
                 raise ContractRevert(REASON_NOT_PAYABLE)
-            self.transfer(caller, spec.receiver, value)
+            self.transfer(tx.caller, spec.receiver, tx.value)
 
     def _next_tx_id(self) -> int:
         tx_id = self._tx_counter
@@ -547,10 +548,10 @@ class Ledger:
 
         Each success runs at its logged time through submit()'s entry checks, then its op's fold; the clock is left at
         the last record's time. LedgerError refuses a record submit never logs (a timestamp not an int or running back,
-        a status not "success" or "revert", an unknown caller, a value or stateWrites not an int >= 0, an event not as
-        emit builds it, a signature not null, a success with a reason, a revert or view that writes, moves or emits, a
-        revert with a payload or no str reason), and a success a check reverts (naming its reason) or whose
-        balanceDeltas or payload (by type too) are not its fold's.
+        a status not "success" or "revert", an unknown caller, a value or stateWrites not an int >= 0, a signature not
+        null, a success with a reason, a revert or view that writes, moves or emits, a revert with a payload or no str
+        reason), and a success a check reverts (naming its reason) or whose balanceDeltas, payload (by type too) or
+        events (by value) are not its fold's.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -565,14 +566,11 @@ class Ledger:
             self.clock = tx.timestamp
             spec, value, deltas, writes, events = ops.get(tx.op), tx.value, tx.balance_deltas, tx.state_writes, tx.events
             if tx.status not in ("success", "revert") or tx.caller not in accounts or type(value) is not int or value < 0 \
-                    or type(writes) is not int or writes < 0 or type(events) is not list or tx.signature is not None \
+                    or type(writes) is not int or writes < 0 or tx.signature is not None \
                     or tx.status == "success" and tx.reason is not None:
                 raise LedgerError(f"tx {tx.tx_id} logs {tx.status!r} for {tx.op!r} by {tx.caller!r} with value {value!r}, "
-                                  f"stateWrites {writes!r}, events {events!r}, reason {tx.reason!r} or signature "
-                                  f"{tx.signature!r}: not a record submit logs")
-            for e in events:  # a loop, not all(): a generator per record costs more than the checks
-                if type(e) is not dict or len(e) != 2 or type(e.get("name")) is not str or type(e.get("args")) is not dict:
-                    raise LedgerError(f"tx {tx.tx_id} logs event {e!r}, not the {{name, args}} emit writes")
+                                  f"stateWrites {writes!r}, reason {tx.reason!r} or signature {tx.signature!r}: "
+                                  "not a record submit logs")
             if tx.status == "revert" or spec is not None and spec.fold is None:  # writes, moves, emits nothing
                 if (writes, deltas, events) != (0, {}, []) or tx.status == "revert" and (
                         tx.payload is not None or type(tx.reason) is not str):
@@ -580,16 +578,18 @@ class Ledger:
                                       "writes, moves or emits, or a revert with a payload or a reason not a str")
                 if tx.status == "revert" or not value:
                     continue  # a revert's reason and a view's payload are taken as given
-            moves = self._moves = {}
+            moves, emitted = self._moves, self._event_buffer = {}, []
             try:
-                self._admit(spec, tx.caller, tx.args, value)
+                self._admit(spec, tx)
                 payload = tx.payload if spec.fold is None else spec.fold(tx)
             except (ContractRevert, InsufficientBalance) as exc:
                 raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a success that its op reverts: {exc.reason}") from None
             if not (same_fields(deltas, moves) or same_fields(deltas, _deltas(moves))) \
                     or payload is not tx.payload and not same_fields(tx.payload, payload):
                 raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")
-        self._moves = None
+            if events != emitted:
+                raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs events that its writers do not emit")
+        self._moves, self._event_buffer = None, []
 
     def verify_chain(self) -> bool:
         ok, _ = verify_blocks(self.blocks)

@@ -27,11 +27,11 @@ before its tick. A revert or view that writes, moves or emits is refused;
 each success passes submit's entry checks and its op's own, then its fold
 writes through the op's writers. In both paths balances change only
 through transfer: logged balanceDeltas are checked against the transfers,
-never applied, and each payload against the fold's, by type too. Taken as
-given is what only re-computation could check: a plan's fee, congestion
-and deconfliction, a settled plan's route, a report's RID checks and
-verdict, a completion's ridVc, view payloads, a success's stateWrites and
-events, and a revert's reason.
+never applied, each payload against the fold's, by type too, and events
+against those the writers emit. Taken as given is what only re-computation
+could check: a plan's fee, congestion and deconfliction, a settled plan's
+route, a report's RID verification and verdict, a completion's ridVc match,
+view payloads, a success's stateWrites, and a revert's reason.
 Active plans are rebuilt from their requests (build_live_plans), and the
 agents learn the rest of their memory as a live world does (World.learn).
 The writer is the one definition of a header: restore accepts a state

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 from . import economics, geo
 from .authority import AuthorityContract
 from .ledger import AccountId, ContractRevert, Ledger, LedgerError, TransactionRecord, same_fields
-from .rid import compute_rid_vc, decode_rid, MalformedRid, verify_rid_vc
+from .rid import compute_rid_vc, decode_rid, MalformedRid, RidMessage, verify_rid_vc
 
 if TYPE_CHECKING:
     from .sim import Scenario
@@ -185,8 +185,7 @@ class UssContract:
         drone = {"droneId": int}
         plan = {**drone, "source": str, "destination": str, "departureDate": str, "departureTime": str}
         sighting = {**drone, "rid": str, "sightingLocation": str, "sightingTime": int}
-        ledger.register_op("subscribe", self.op_subscribe, args=drone, receiver=self.treasury,
-                           fold=lambda tx: self.op_subscribe(tx.caller, {**tx.args, "_value": tx.value}))
+        ledger.register_op("subscribe", self.op_subscribe, args=drone, fold=self.op_subscribe, receiver=self.treasury)
         ledger.register_op("request_quote", self.op_request_quote, args=drone)
         ledger.register_op("request_plan", self.op_request_plan, args=plan, fold=self.fold_request_plan,
                            receiver=self.treasury)
@@ -243,7 +242,7 @@ class UssContract:
         fee = economics.dynamic_fee(self.reputation_of(owner).k_micro, fee_params.base_cost, fee_params.deposit, surcharge)
         return fee, congestion
 
-    # -- storage writers, called by the ops and by their folds; only they move money
+    # -- storage writers, called by the ops and by their folds; only they move money and emit events
 
     def _next_nonce(self) -> bytes:
         """The next mission nonce: counter-mode SHA-256 over the contract's seed."""
@@ -260,34 +259,36 @@ class UssContract:
         self.missions[drone_id] = Mission(plan, nonce, {}, deposit, 0)
         self.authority.set_active_plan(drone_id, True)
 
-    def _record_sighting(self, sighting: SightingRecord) -> dict[str, Any]:
-        """Pay the reporter, count a valid report, and move the bonus into escrow or the fine the deposit still covers out."""
-        drone_id, reporter, params = sighting.drone_id, sighting.reporter, self.params
+    def _record_sighting(self, tx: TransactionRecord, cell: tuple[int, int], verdict: str) -> dict[str, Any]:
+        """Pay the reporter, count the report, move the bonus into escrow or the fine the deposit covers out; DroneSighted."""
+        args, drone_id, reporter, params = tx.args, tx.args["droneId"], tx.caller, self.params
         mission = self.missions[drone_id]
         self.ledger.touch(self.missions, drone_id)  # the journaled copy shares report_counts with the live mission
         counts = mission.report_counts
         self.ledger.touch(counts, reporter)  # this reporter's entry alone, so the cost does not grow with the crowd
         counts[reporter] = counts.get(reporter, 0) + 1
         self.ledger.transfer(self.treasury, reporter, params.reporter_reward)
-        if sighting.verdict == VERDICT_REWARD:
+        if verdict == VERDICT_REWARD:
             self.ledger.transfer(self.treasury, self.escrow, params.bonus_unit)
             mission.escrow += params.bonus_unit
             self.authority.add_reward(drone_id)
-        elif sighting.verdict == VERDICT_PENALTY:
+        elif verdict == VERDICT_PENALTY:
             fine = min(params.fine_unit, params.fee_params.deposit - mission.forfeited)
             self.ledger.transfer(self.escrow, self.treasury, fine)
             mission.escrow -= fine
             mission.forfeited += fine
             self.authority.add_penalty(drone_id)
         else:
-            raise ValueError(f"unknown verdict {sighting.verdict!r}")
+            raise ValueError(f"unknown verdict {verdict!r}")
         sightings = self.storage["sightings"]
         self.ledger.touch(sightings, len(sightings))
-        sightings[len(sightings)] = sighting
-        return {"reporterReward": params.reporter_reward, "verdict": sighting.verdict}
+        sightings[len(sightings)] = SightingRecord(reporter, drone_id, args["rid"], cell, args["sightingTime"], verdict)
+        self.ledger.emit("DroneSighted", droneId=drone_id, reporter=reporter, sightingLocation=args["sightingLocation"])
+        return {"reporterReward": params.reporter_reward, "verdict": verdict}
 
-    def _close_mission(self, drone_id: int, owner: AccountId) -> dict[str, Any]:
-        """Settle: pay the owner the payout, store its new reputation; returns the payload. LedgerError if escrow differs."""
+    def _close_mission(self, tx: TransactionRecord) -> dict[str, Any]:
+        """Settle: pay the owner, store its reputation, emit missionComplete; the payload. LedgerError if escrow differs."""
+        drone_id, owner = tx.args["droneId"], tx.caller
         record, fee_params = self.authority.record(drone_id), self.params.fee_params
         rewards, penalties = record.rewards, record.penalties
         payout = max(0, fee_params.deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
@@ -304,6 +305,7 @@ class UssContract:
         reputations[owner] = economics.ReputationState(rep_micro, k_micro)
         self.authority.reset_counters(drone_id)
         self.authority.set_active_plan(drone_id, False)
+        self.ledger.emit("missionComplete", droneId=drone_id, ridVc=bytes.fromhex(tx.args["ridVc"]).hex())
         return {"droneId": drone_id, "kMicro": k_micro, "payout": payout, "penalties": penalties,
                 "reputationMicro": rep_micro, "rewards": rewards}
 
@@ -321,9 +323,9 @@ class UssContract:
             raise ContractRevert(REASON_INVALID_DATETIME) from None
         return src, dst, depart_s
 
-    def plan_for(self, caller: AccountId, args: dict[str, Any], nonce: bytes, points: PlanPoints) -> MissionPlan:
-        """The plan request_plan stores for the caller, its args, their plan_points and the nonce; reverts on a conflict."""
-        src, dst, depart_s = points
+    def plan_for(self, tx: TransactionRecord, nonce: bytes, points: PlanPoints) -> MissionPlan:
+        """The plan request_plan stores for the request, its args' plan_points and the nonce; reverts on a conflict."""
+        (src, dst, depart_s), args, caller = points, tx.args, tx.caller
         texts = args["source"], args["destination"], args["departureDate"], args["departureTime"]
         route, arrival_s = self.schedule_route(src, dst, depart_s)
         return MissionPlan(args["droneId"], caller, *texts, depart_s, arrival_s, src, dst, self.params.altitude_m,
@@ -331,8 +333,8 @@ class UssContract:
 
     # -- operations ---------------------------------------------------------
 
-    def op_subscribe(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id, value = args["droneId"], args["_value"]
+    def op_subscribe(self, tx: TransactionRecord) -> dict[str, Any]:
+        drone_id, caller, value = tx.args["droneId"], tx.caller, tx.value
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_SUBSCRIBE)
@@ -345,8 +347,8 @@ class UssContract:
         self.storage["subscriptions"][drone_id] = Subscription(drone_id, caller, value, expiry)
         return {"droneId": drone_id, "expiry": expiry}
 
-    def op_request_quote(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = args["droneId"]
+    def op_request_quote(self, tx: TransactionRecord) -> dict[str, Any]:
+        drone_id, caller = tx.args["droneId"], tx.caller
         record = self.authority.record(drone_id)
         if caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_QUOTE)
@@ -355,24 +357,24 @@ class UssContract:
         fee, congestion = self.quote_fee(caller, self.ledger.clock)
         return {"congestion": congestion, "fee": fee}
 
-    def _check_plan(self, drone_id: int, caller: AccountId) -> None:
+    def _check_plan(self, tx: TransactionRecord) -> None:
         """request_plan's leading checks, which its fold runs too: a valid subscription, then no active plan."""
-        if not self._subscription_valid(drone_id, caller):
+        drone_id = tx.args["droneId"]
+        if not self._subscription_valid(drone_id, tx.caller):
             raise ContractRevert(REVERT_NOT_SUBSCRIBED_PLAN)
         if self.authority.record(drone_id).has_active_plan:
             raise ContractRevert(REVERT_ACTIVE_PLAN_EXISTS)
 
-    def op_request_plan(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id, value = args["droneId"], args["_value"]
-        self._check_plan(drone_id, caller)
-        points = self.plan_points(args)
-        fee, congestion = self.quote_fee(caller, points[2])
-        if value < fee:
+    def op_request_plan(self, tx: TransactionRecord) -> dict[str, Any]:
+        self._check_plan(tx)
+        points = self.plan_points(tx.args)
+        fee, congestion = self.quote_fee(tx.caller, points[2])
+        if tx.value < fee:
             raise ContractRevert(REVERT_PLAN_FEE)
 
         nonce = self._next_nonce()
-        plan = self.plan_for(caller, args, nonce, points)
-        self._open_mission(drone_id, plan, nonce)
+        plan = self.plan_for(tx, nonce, points)
+        self._open_mission(plan.drone_id, plan, nonce)
         self.index_plan(plan)  # last: nothing below can revert
         return dict(sorted({**plan.to_public_dict(), "congestion": congestion, "fee": fee}.items()))  # in key order
 
@@ -409,30 +411,28 @@ class UssContract:
                             i += 1
         return route, depart_s + duration
 
-    def _check_report(self, drone_id: int, caller: AccountId) -> Mission | None:
-        """report_drone's leading checks, which its fold runs too: not the drone's owner, then not a second report."""
+    def _check_report(self, tx: TransactionRecord) -> tuple[Mission | None, RidMessage]:
+        """report_drone's leading checks, which its fold runs too: not the owner, not a second report, a RID that decodes."""
+        drone_id, caller = tx.args["droneId"], tx.caller
         if caller == self.authority.record(drone_id).owner_account:
             raise ContractRevert(REVERT_OWNER_REPORT)
         mission = self.missions.get(drone_id)
         if mission is not None and caller in mission.report_counts:  # a count is stored only once it is 1
             raise ContractRevert(REVERT_DUPLICATE_REPORT)
-        return mission
-
-    def op_report_drone(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = args["droneId"]
-        mission = self._check_report(drone_id, caller)
         try:
-            message = decode_rid(bytes.fromhex(args["rid"]))
+            return mission, decode_rid(bytes.fromhex(tx.args["rid"]))
         except (MalformedRid, ValueError):
             raise ContractRevert(REASON_MALFORMED_RID) from None
-        sighting_cell, sighting_time = self._sighting_cell(args), args["sightingTime"]
+
+    def op_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
+        mission, message = self._check_report(tx)
+        sighting_cell = self._sighting_cell(tx.args)
 
         if mission is None or not verify_rid_vc(message.rid_vc, mission.plan.rid_vc):  # hashed once, at acceptance
             raise ContractRevert(REVERT_INVALID_REPORT)
 
-        self.ledger.emit("DroneSighted", droneId=drone_id, reporter=caller, sightingLocation=args["sightingLocation"])
-        verdict = VERDICT_REWARD if self._sighting_matches_plan(drone_id, sighting_cell, sighting_time) else VERDICT_PENALTY
-        return self._record_sighting(SightingRecord(caller, drone_id, args["rid"], sighting_cell, sighting_time, verdict))
+        matches = self._sighting_matches_plan(tx.args["droneId"], sighting_cell, tx.args["sightingTime"])
+        return self._record_sighting(tx, sighting_cell, VERDICT_REWARD if matches else VERDICT_PENALTY)
 
     def _sighting_cell(self, args: dict[str, Any]) -> tuple[int, int]:
         """The cell of a report's sightingLocation, which its op and its fold read alike; reverts on bad DMS."""
@@ -453,27 +453,25 @@ class UssContract:
             i += 1
         return False
 
-    def _check_completion(self, drone_id: int, caller: AccountId) -> None:
-        """report_completion's leading checks, which its fold runs too: the drone's owner, then an active plan."""
-        record = self.authority.record(drone_id)
-        if caller != record.owner_account:
+    def _check_completion(self, tx: TransactionRecord) -> bytes:
+        """report_completion's leading checks, which its fold runs too: the owner, an active plan, a ridVc that is hex."""
+        record = self.authority.record(tx.args["droneId"])
+        if tx.caller != record.owner_account:
             raise ContractRevert(REVERT_NOT_OWNER_COMPLETE)
         if not record.has_active_plan:
             raise ContractRevert(REVERT_NO_ACTIVE_PLAN)
-
-    def op_report_completion(self, caller: AccountId, args: dict[str, Any]) -> dict[str, Any]:
-        drone_id = args["droneId"]
-        self._check_completion(drone_id, caller)
-        plan = self.missions[drone_id].plan
         try:
-            matches = verify_rid_vc(bytes.fromhex(args["ridVc"]), plan.rid_vc)
+            return bytes.fromhex(tx.args["ridVc"])
         except ValueError:  # not hex
-            matches = False
-        if not matches:
+            raise ContractRevert(REASON_INVALID_RIDVC) from None
+
+    def op_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
+        rid_vc = self._check_completion(tx)
+        plan = self.missions[tx.args["droneId"]].plan
+        if not verify_rid_vc(rid_vc, plan.rid_vc):
             raise ContractRevert(REASON_INVALID_RIDVC)
 
-        payload = self._close_mission(drone_id, caller)
-        self.ledger.emit("missionComplete", droneId=drone_id, ridVc=plan.rid_vc.hex())
+        payload = self._close_mission(tx)
         self._unindex_plan(plan)  # last: nothing below can revert, and its KeyError rolls the op back
         return payload
 
@@ -482,7 +480,7 @@ class UssContract:
     def fold_request_plan(self, tx: TransactionRecord) -> dict[str, Any]:
         """Open the mission; its plan is built and its payload checked at the end only if still active (build_live_plans)."""
         drone_id = tx.args["droneId"]
-        self._check_plan(drone_id, tx.caller)
+        self._check_plan(tx)
         if not tx.payload["route"] or tx.payload["arrivalEpoch"] < tx.payload["departureEpoch"]:  # settled plans too
             raise ValueError(f"plan for drone {drone_id} has no route or lands before it departs")
         self._open_mission(drone_id, None, self._next_nonce())
@@ -491,16 +489,13 @@ class UssContract:
 
     def fold_report_drone(self, tx: TransactionRecord) -> dict[str, Any]:
         """Record the report under its logged verdict, taken as given and read past the op's checks: a revert's is null."""
-        args, drone_id = tx.args, tx.args["droneId"]
-        self._check_report(drone_id, tx.caller)
-        cell, verdict = self._sighting_cell(args), tx.payload["verdict"]
-        return self._record_sighting(SightingRecord(tx.caller, drone_id, args["rid"], cell, args["sightingTime"], verdict))
+        self._check_report(tx)
+        return self._record_sighting(tx, self._sighting_cell(tx.args), tx.payload["verdict"])
 
     def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
-        drone_id = tx.args["droneId"]
-        self._check_completion(drone_id, tx.caller)
-        self._unbuilt.pop(drone_id, None)
-        return self._close_mission(drone_id, tx.caller)
+        self._check_completion(tx)
+        self._unbuilt.pop(tx.args["droneId"], None)
+        return self._close_mission(tx)
 
     def build_live_plans(self) -> None:
         """After restore's walk, build each plan still active from its request's args and nonce, then index them all.
@@ -510,7 +505,7 @@ class UssContract:
         """
         for drone_id, tx in self._unbuilt.items():
             mission = self.missions[drone_id]
-            mission.plan = self.plan_for(tx.caller, tx.args, mission.nonce, self.plan_points(tx.args))
+            mission.plan = self.plan_for(tx, mission.nonce, self.plan_points(tx.args))
             quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
             if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}) or (
                     {*map(type, chain.from_iterable(map(dict.values, tx.payload["route"])))} - {int}):  # 60.0 or True

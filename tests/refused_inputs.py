@@ -95,6 +95,17 @@ def first(data: dict, op: str | None = None, status: str = "success") -> dict:
                 if tx["status"] == status and op in (None, tx["op"]))
 
 
+def event_of(data: dict, op: str) -> dict:
+    """The one event of the first logged success of `op`."""
+    (event,) = first(data, op)["events"]
+    return event
+
+
+def ridvc_not_hex(data: dict) -> None:
+    """The first settlement's ridVc arg and its missionComplete event's ridVc, both set to "zz"."""
+    first(data, "report_completion")["args"]["ridVc"] = event_of(data, "report_completion")["args"]["ridVc"] = "zz"
+
+
 def flipped_hash(block_line: bytes) -> bytes:
     """The block line with the first hex digit of its recorded hash changed."""
     at = block_line.index(b'"hash":"') + 8
@@ -139,6 +150,7 @@ CHAIN = r"cannot parse chain log: "
 LAYOUT = CHAIN + r"bad block line: block line is not in the sealed layout$"
 SNAPSHOT = r"malformed state snapshot: "
 FOLD = SNAPSHOT + r"snapshot structure invalid: "
+DROPPED = FOLD + r"tx \d+ \(report_drone\) logs events that its writers do not emit$"
 HEAD = SNAPSHOT + r"snapshot chain does not end at the header's head$"
 HEADER = SNAPSHOT + r"state header is not the one this code writes: "
 NAME = r"invalid scenario: name %s is not a plain file name$"
@@ -213,6 +225,17 @@ REFUSED = [
             FOLD + r"tx \d+ \(report_drone\) logs a success that its op reverts: Owner of drone cannot report it!$"),
     inspect("inspect-noon", forged(lambda d: first(d, "report_drone")["args"].update(sightingTime="noon")),
             FOLD + r"tx \d+ \(report_drone\) logs a success that its op reverts: invalid-arg:sightingTime$"),
+    inspect("inspect-report-rid-not-hex", forged(lambda d: first(d, "report_drone")["args"].update(rid="zz")),
+            FOLD + r"tx \d+ \(report_drone\) logs a success that its op reverts: malformed-rid$"),
+    inspect("inspect-report-rid-short", forged(lambda d: (args := first(d, "report_drone")["args"]).update(
+                rid=args["rid"][:40])), FOLD + r"tx \d+ \(report_drone\) logs a success that its op reverts: malformed-rid$"),
+    inspect("inspect-dropped-event", forged(lambda d: first(d, "report_drone").update(events=[])), DROPPED),
+    inspect("inspect-edited-event", forged(lambda d: event_of(d, "report_drone")["args"].update(
+                sightingLocation=first(d, "request_plan")["args"]["source"])), DROPPED),
+    inspect("inspect-duplicated-event", forged(lambda d: first(d, "report_drone")["events"].append(
+                event_of(d, "report_drone"))), DROPPED),
+    inspect("inspect-completion-ridvc-not-hex", forged(ridvc_not_hex),
+            FOLD + r"tx \d+ \(report_completion\) logs a success that its op reverts: invalid-ridvc$"),
     inspect("inspect-success-reason", forged(lambda d: first(d, "report_drone").update(reason="Invalid report")),
             FOLD + r"tx \d+ logs 'success' for 'report_drone' by .* reason 'Invalid report' "),
     inspect("inspect-declined-terms", forged(lambda d: first(d, "register_drone")["args"].update(signTAC=False)),

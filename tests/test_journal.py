@@ -145,8 +145,8 @@ def test_exception_after_a_sighting_is_recorded_undoes_the_mission_and_its_count
     kept = (ledger.state_digest(), mission.escrow, mission.forfeited, dict(mission.report_counts))
     record = uss._record_sighting
 
-    def record_then_fail(sighting):
-        record(sighting)
+    def record_then_fail(tx, cell, verdict):
+        record(tx, cell, verdict)
         written = uss.missions[drone_id]
         assert written.escrow != kept[1] and written.report_counts[bench.reporter] == 1
         raise RuntimeError("after the write")
@@ -167,14 +167,14 @@ def test_view_that_writes_is_refused(write):
     alice = ledger.create_account("operator", 10)
     vault = ledger.create_account("uss")
 
-    def sneaky(caller, args):
+    def sneaky(tx):
         if write == "slot":
             ledger.touch(storage["slots"], "k")
             storage["slots"]["k"] = 1
         elif write == "emit":
-            ledger.emit("Sneaked", by=caller)
+            ledger.emit("Sneaked", by=tx.caller)
         else:
-            ledger.transfer(caller, vault, 1)
+            ledger.transfer(tx.caller, vault, 1)
 
     ledger.register_op("sneaky", sneaky)  # no fold: a view
     ledger.genesis()
@@ -563,7 +563,10 @@ def _one_op_ledger(storage, body):
     ledger = Ledger()
     caller = ledger.create_account("operator")
     ledger.attach_storage("test", storage)
-    ledger.register_op("write", lambda _caller, _args: body(ledger), fold=lambda _tx: body(ledger))
+
+    def write(_tx):
+        return body(ledger)
+    ledger.register_op("write", write, fold=write)  # it needs nothing from the log, so it is its own fold
     return ledger, caller
 
 
@@ -844,7 +847,7 @@ def _transfer_chain_ledger(steps, ending):
     ledger.attach_storage("chain", storage)
     accounts = [ledger.create_account("operator", balance) for balance in (10, 5, 0)]
 
-    def chain(_caller, _args):
+    def chain(_tx):
         tallies, tags = storage["tallies"], storage["tags"]
         for step in steps:
             if step[0] == "transfer":

@@ -20,40 +20,36 @@ from skyledger.ledger import (
 )
 
 
-def rerun(op):
-    """A toy op's fold: its body run again on the logged caller and args."""
-    return lambda tx: op(tx.caller, tx.args)
-
-
 class ToyContract:
-    """Minimal op set to exercise submit/revert semantics in isolation."""
+    """Minimal op set to exercise submit/revert semantics in isolation; each op that writes is its own fold."""
 
     def __init__(self, ledger: Ledger):
         self.ledger = ledger
         self.vault = ledger.create_account("uss")
         self.storage = {"slots": {}}
         ledger.attach_storage("toy", self.storage)
-        ledger.register_op("set_slot", self.op_set, fold=rerun(self.op_set), receiver=self.vault)
+        ledger.register_op("set_slot", self.op_set, fold=self.op_set, receiver=self.vault)
         ledger.register_op("peek", self.op_peek)
-        ledger.register_op("set_then_fail", self.op_set_then_fail, fold=rerun(self.op_set_then_fail))
-        ledger.register_op("pay_out", self.op_pay_out, args={"amount": int}, fold=rerun(self.op_pay_out))
+        ledger.register_op("set_then_fail", self.op_set_then_fail, fold=self.op_set_then_fail)
+        ledger.register_op("pay_out", self.op_pay_out, args={"amount": int}, fold=self.op_pay_out)
 
-    def op_set(self, caller, args):
-        self.ledger.touch(self.storage["slots"], args["key"])
-        self.storage["slots"][args["key"]] = args["value"]
-        self.ledger.emit("SlotSet", key=args["key"])
-        return {"key": args["key"]}
+    def op_set(self, tx):
+        key = tx.args["key"]
+        self.ledger.touch(self.storage["slots"], key)
+        self.storage["slots"][key] = tx.args["value"]
+        self.ledger.emit("SlotSet", key=key)
+        return {"key": key}
 
-    def op_peek(self, caller, args):
-        return {"value": self.storage["slots"].get(args["key"])}
+    def op_peek(self, tx):
+        return {"value": self.storage["slots"].get(tx.args["key"])}
 
-    def op_set_then_fail(self, caller, args):
+    def op_set_then_fail(self, tx):
         self.ledger.touch(self.storage["slots"], "poisoned")
         self.storage["slots"]["poisoned"] = True
         raise ContractRevert("toy-failure")
 
-    def op_pay_out(self, caller, args):
-        self.ledger.transfer(self.vault, caller, args["amount"])
+    def op_pay_out(self, tx):
+        self.ledger.transfer(self.vault, tx.caller, tx.args["amount"])
         return {}
 
 

@@ -15,7 +15,7 @@ from skyledger import persistence
 from skyledger.economics import FeeParams
 from skyledger.ledger import Block, canonical_json, verify_blocks
 from skyledger.sim import BEHAVIOR_KINDS, HONESTY_KINDS, Scenario, ScenarioError, World
-from test_golden import SNAPSHOT_GOLDEN
+from test_golden import GOLDEN, SNAPSHOT_GOLDEN
 from test_sensing import sensing_scenarios
 
 
@@ -816,6 +816,42 @@ def test_a_key_or_number_type_edited_in_a_golden_header_is_refused_or_round_trip
     except (persistence.CorruptPayload, persistence.SchemaMismatch):
         return
     assert persistence.snapshot_world(restored) == edited, path
+
+
+@functools.cache
+def _finished_snapshot(name):
+    return persistence.snapshot_world(finished_world(GOLDEN[name][0]()))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_golden_finished_snapshot_restores_to_its_own_bytes(name):
+    snap = _finished_snapshot(name)
+    assert persistence.snapshot_world(persistence.restore_world(snap)) == snap
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+@settings(max_examples=20, deadline=None)
+@given(edit=st.sampled_from(["drop", "duplicate", "change"]), data=st.data())
+def test_an_event_dropped_duplicated_or_changed_in_a_golden_run_is_refused(name, edit, data):
+    """Restore compares each success's logged events with those its fold's writers emit, so one edit to one event of
+    any success is refused, with every hash resealed to match."""
+    def forge(logged):
+        events = [tx["events"] for tx in _records(logged) if tx["status"] == "success" and tx["events"]]
+        at = data.draw(st.integers(0, len(events) - 1), label="success")
+        i = data.draw(st.integers(0, len(events[at]) - 1), label="event")
+        if edit == "drop":
+            del events[at][i]
+        elif edit == "duplicate":
+            events[at].insert(i, copy.deepcopy(events[at][i]))
+        else:
+            args = events[at][i]["args"]
+            key = data.draw(st.sampled_from(sorted(args)), label="arg")
+            other = st.integers() if type(args[key]) is int else st.text(max_size=8)
+            args[key] = data.draw(other.filter(lambda value: value != args[key]), label="value")
+
+    forged = oracles.forge_snapshot(_finished_snapshot(name), forge)
+    with pytest.raises(persistence.CorruptPayload, match=r"tx \d+ \(\w+\) logs events that its writers do not emit$"):
+        persistence.restore_world(forged)
 
 
 @pytest.mark.parametrize(

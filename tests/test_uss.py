@@ -556,11 +556,9 @@ def test_no_op_makes_more_calls_per_submit_as_history_grows(monkeypatch):
 
     def apply_log(self, blocks):
         """Each folded record's counts open at its _admit call; the last one's close when the fold returns."""
-        logged = {id(tx.args): tx for block in blocks for tx in block.transactions}
-
-        def admit(self, spec, caller, args, value):
-            folded.append((logged[id(args)], counts.copy()))
-            return exact_admit(self, spec, caller, args, value)
+        def admit(self, spec, tx):
+            folded.append((tx, counts.copy()))
+            return exact_admit(self, spec, tx)
         monkeypatch.setattr(Ledger, "_admit", admit)
         exact_apply_log(self, blocks)
         monkeypatch.setattr(Ledger, "_admit", exact_admit)
