@@ -30,9 +30,9 @@ subtraction, logged as its `balanceDeltas`, and metered as one write
 per account it moved.
 An operation and its fold take the logged transaction record and never
 change it; writers emit its events. An operation without a fold is a
-view: it opens no journal and may not touch anything. Restore (apply_log)
-runs each success through submit's entry checks, then its fold, and
-checks its logged `balanceDeltas` and events, never adds them.
+view, and submit refuses a view that touched, moved or emitted. Restore
+(apply_log) runs each success through submit's entry checks, then its
+fold, and checks its logged `balanceDeltas` and events, never adds them.
 
 Caller authenticity is modeled by trusted attribution (the `signature`
 field on each record is a hook, not a scheme). Timestamps come from the
@@ -302,11 +302,9 @@ class Ledger:
         self.pending: list[TransactionRecord] = []
         self._storages: dict[str, dict[str, Any]] = {"accounts": self.accounts}
         self._ops: dict[str, _OpSpec] = {}
-        self._account_counter = 0
         self._tx_counter = 0
         self._event_buffer: list[dict[str, Any]] = []
-        self._journal: _Journal | None = None  # open only while a state-changing op runs
-        self._view_running = False
+        self._journal: _Journal | None = None  # open only while submit runs an op
         self._moves: dict[AccountId, int] | None = None  # account -> net transfer of the running transaction
 
     # -- accounts ---------------------------------------------------------
@@ -316,8 +314,7 @@ class Ledger:
             raise ValueError(f"unknown role {role!r}")
         if balance < 0:
             raise ValueError("opening balance must be non-negative")
-        digest = hashlib.sha256(f"account-{self._account_counter}".encode()).digest()
-        self._account_counter += 1
+        digest = hashlib.sha256(f"account-{len(self.accounts)}".encode()).digest()  # accounts are never removed
         account_id = "0x" + digest[:20].hex()
         self.accounts[account_id] = Account(account_id, role, balance)
         return account_id
@@ -338,8 +335,6 @@ class Ledger:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         src_acc, dst_acc = self.account(src), self.account(dst)
-        if self._view_running:
-            raise LedgerError("view operation tried to move money")
         if src_acc.balance < amount:
             raise InsufficientBalance(f"{src} holds {src_acc.balance}, needs {amount}")
         src_acc.balance -= amount
@@ -367,12 +362,12 @@ class Ledger:
     ) -> None:
         """Register `fn` as operation `name`; `args` declares its arguments, name -> int, str or bool.
 
-        submit() reverts a call whose declared argument is missing or not exactly
-        of its type (a bool is not an int) with "invalid-arg:<name>" before `fn` runs.
-        An op with a `receiver` is payable: submit() moves an attached value to that account. submit() calls `fn(tx)`
-        on the record it logs; apply_log runs the entry checks on a logged success, then `fold(tx)`: fn's own checks
-        and writers (fn itself, if it needs nothing from the log), returning fn's payload or the logged one it takes
-        as given. Both read the record (caller, args, value) and never change it. An op without a fold is a view.
+        submit() reverts a call whose declared argument is missing or not exactly of its type (a bool is not an int)
+        with "invalid-arg:<name>" before `fn` runs. An op with a `receiver` is payable: submit() moves an attached value
+        to that account. submit() calls `fn(tx)` on the record it logs; apply_log runs the entry checks on a logged
+        success, then `fold(tx)`: fn's own checks and writers (fn itself, if it needs nothing from the log), returning
+        fn's payload or the logged one it takes as given. Both read the record (caller, args, value) and never change
+        it. An op without a fold is a view: submit() raises LedgerError if it touched, transferred or emitted.
         """
         if name in self._ops:
             raise ValueError(f"operation {name!r} already registered")
@@ -395,8 +390,6 @@ class Ledger:
         from its kept field values, so its class has init fields only, no
         __post_init__.
         """
-        if self._view_running:
-            raise LedgerError("view operation tried to change storage")
         journal = self._journal
         if journal is None:
             return
@@ -406,9 +399,7 @@ class Ledger:
             journal[slot] = (container, key, old, None if old is _ABSENT or type(old) in _SCALAR_TYPES else _fields(old))
 
     def emit(self, name: str, **args: Any) -> None:
-        """Record an event against the transaction currently executing; a view may not emit."""
-        if self._view_running:
-            raise LedgerError("view operation tried to emit an event")
+        """Record an event against the transaction currently executing."""
         self._event_buffer.append({"args": args, "name": name})
 
     # -- transactions -----------------------------------------------------
@@ -460,13 +451,16 @@ class Ledger:
             timestamp=self.clock,
         )
         spec = self._ops.get(op)
-        self._view_running = spec is not None and spec.fold is None
-        journal = self._journal = None if self._view_running else {}
+        journal = self._journal = {}
         moves = self._moves = {}
-        self._event_buffer = []
+        events = self._event_buffer = []
         try:
-            self._admit(spec, rec)
-            rec.payload = spec.fn(rec)
+            try:
+                self._admit(spec, rec)
+                rec.payload = spec.fn(rec)
+            finally:  # a view is refused by its effects, whether it returned or reverted
+                if spec is not None and spec.fold is None and (journal or moves or events):
+                    raise LedgerError(f"view {op!r} touched storage, moved money or emitted an event")
             if journal:  # a slot value the meter cannot count raises TypeError, and rolls back as any error does
                 self._meter(rec, journal)
         except (ContractRevert, InsufficientBalance) as exc:
@@ -480,9 +474,9 @@ class Ledger:
             if moves:  # an account's one changing field is its balance, written where the net move is not 0
                 rec.balance_deltas = _deltas(moves)
                 rec.state_writes += len(rec.balance_deltas)
-            rec.events = self._event_buffer
+            rec.events = events
         finally:
-            self._journal, self._view_running, self._moves, self._event_buffer = None, False, None, []
+            self._journal, self._moves, self._event_buffer = None, None, []
         self.pending.append(rec)
         return rec
 
@@ -503,11 +497,11 @@ class Ledger:
         self._tx_counter += 1
         return tx_id
 
-    def _undo(self, journal: _Journal | None, moves: dict[AccountId, int]) -> None:
+    def _undo(self, journal: _Journal, moves: dict[AccountId, int]) -> None:
         """Subtract each net move, then put each touched slot's own object back, a record with its field values then."""
         for account, move in moves.items():
             self.accounts[account].balance -= move
-        for container, key, old, fields in reversed(journal.values() if journal else ()):
+        for container, key, old, fields in reversed(journal.values()):
             if old is _ABSENT:
                 container.pop(key, None)
                 continue
@@ -550,8 +544,8 @@ class Ledger:
         the last record's time. LedgerError refuses a record submit never logs (a timestamp not an int or running back,
         a status not "success" or "revert", an unknown caller, a value or stateWrites not an int >= 0, a signature not
         null, a success with a reason, a revert or view that writes, moves or emits, a revert with a payload or no str
-        reason), and a success a check reverts (naming its reason) or whose balanceDeltas, payload (by type too) or
-        events (by value) are not its fold's.
+        reason), and a success a check reverts (naming its reason) or whose balanceDeltas, payload or events' args
+        (each by type too) are not its fold's.
         """
         records = [tx for block in blocks for tx in block.transactions]
         if [tx.to_dict() for tx in records[:1]] != [tx.to_dict() for tx in self.pending]:
@@ -587,7 +581,7 @@ class Ledger:
             if not (same_fields(deltas, moves) or same_fields(deltas, _deltas(moves))) \
                     or payload is not tx.payload and not same_fields(tx.payload, payload):
                 raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs a payload or balanceDeltas that its op does not give")
-            if events != emitted:
+            if events != emitted or emitted and not all(same_fields(x["args"], y["args"]) for x, y in zip(events, emitted)):
                 raise LedgerError(f"tx {tx.tx_id} ({tx.op}) logs events that its writers do not emit")
         self._moves, self._event_buffer = None, []
 

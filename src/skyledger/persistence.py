@@ -55,6 +55,7 @@ from .sim import RunMetrics, Scenario, World
 
 SCHEMA = {"major": 1, "minor": 0}        # chain and events logs
 STATE_SCHEMA = {"major": 4, "minor": 0}  # 4.0: a header line, then the chain's block lines
+MAX_REWARDS = MAX_PENALTIES = MAX_MISSIONS = 50  # the reputation surface's [0, 50]^2 grid, the fee curve's 0..50 missions
 _CHAIN_HEADER = {"schema": SCHEMA, "kind": "chain"}
 
 
@@ -163,19 +164,19 @@ def write_trace_csv(path: str | Path, world: World) -> None:
     _write_csv(path, "tick,droneId,cellLat,cellLon,broadcast", rows)
 
 
-def write_reputation_surface_csv(path: str | Path, max_rewards: int = 50, max_penalties: int = 50) -> None:
-    """The surface in one pass and one write: its 2,601 default rows are 40 KB, so holding them costs nothing."""
+def write_reputation_surface_csv(path: str | Path) -> None:
+    """The surface in one pass and one write: its 2,601 rows are 40 KB, so holding them costs nothing."""
     from .economics import reputation
 
-    rows = [f"{r},{p},{reputation(r, p)}\r\n" for r in range(max_rewards + 1) for p in range(max_penalties + 1)]
+    rows = [f"{r},{p},{reputation(r, p)}\r\n" for r in range(MAX_REWARDS + 1) for p in range(MAX_PENALTIES + 1)]
     Path(path).write_bytes("".join(["rewards,penalties,reputationMicro\r\n", *rows]).encode())
 
 
-def write_congestion_fee_csv(path: str | Path, scenario: Scenario, max_missions: int = 50) -> None:
+def write_congestion_fee_csv(path: str | Path, scenario: Scenario) -> None:
     from .economics import congestion_surcharge, dynamic_fee, INITIAL_K_MICRO
 
     fp = scenario.fee_params
-    surcharges = (congestion_surcharge(n, fp.surcharge_per_mission) for n in range(max_missions + 1))
+    surcharges = (congestion_surcharge(n, fp.surcharge_per_mission) for n in range(MAX_MISSIONS + 1))
     rows = (f"{n},{dynamic_fee(INITIAL_K_MICRO, fp.base_cost, fp.deposit, s)}" for n, s in enumerate(surcharges))
     _write_csv(path, "activeMissions,fee", rows)
 

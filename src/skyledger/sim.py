@@ -665,20 +665,10 @@ def emit_metrics(blocks: list[Block]) -> RunMetrics:
                 delta_total += delta
                 if roles.get(account) == "reporter" and delta > 0:
                     reporter_earnings[account] = reporter_earnings.get(account, 0) + delta
-            if tx.op == "request_quote":
-                quotes.append({"congestion": tx.payload["congestion"], "fee": tx.payload["fee"]})
+            if tx.op == "request_quote":  # a row is its logged payload: op_request_quote and _close_mission name the keys
+                quotes.append(dict(tx.payload))
             elif tx.op == "report_completion":
-                missions.append(
-                    {
-                        "droneId": tx.payload["droneId"],
-                        "operator": tx.caller,
-                        "payout": tx.payload["payout"],
-                        "rewards": tx.payload["rewards"],
-                        "penalties": tx.payload["penalties"],
-                        "reputationMicro": tx.payload["reputationMicro"],
-                        "kMicro": tx.payload["kMicro"],
-                    }
-                )
+                missions.append({**tx.payload, "operator": tx.caller})
                 operators[tx.caller] = {
                     "reputationMicro": tx.payload["reputationMicro"],
                     "kMicro": tx.payload["kMicro"],

@@ -234,6 +234,8 @@ REFUSED = [
                 sightingLocation=first(d, "request_plan")["args"]["source"])), DROPPED),
     inspect("inspect-duplicated-event", forged(lambda d: first(d, "report_drone")["events"].append(
                 event_of(d, "report_drone"))), DROPPED),
+    inspect("inspect-float-event-arg", forged(lambda d: (args := event_of(d, "report_drone")["args"]).update(
+                droneId=float(args["droneId"]))), DROPPED),
     inspect("inspect-completion-ridvc-not-hex", forged(ridvc_not_hex),
             FOLD + r"tx \d+ \(report_completion\) logs a success that its op reverts: invalid-ridvc$"),
     inspect("inspect-success-reason", forged(lambda d: first(d, "report_drone").update(reason="Invalid report")),

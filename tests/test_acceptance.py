@@ -171,7 +171,7 @@ def test_criterion_3_reputation_surface(tmp_path):
             for p in range(50):
                 assert surface[(r, p + 1)] < surface[(r, p)]
         path = tmp_path / "reputation_surface.csv"
-        write_reputation_surface_csv(path, 50, 50)
+        write_reputation_surface_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 51 * 51

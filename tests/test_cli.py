@@ -1,10 +1,12 @@
 import errno
 import json
+import re
 import shutil
 
 import pytest
 
 import refused_inputs
+from conftest import REPO_ROOT
 from skyledger import persistence
 from skyledger.cli import main
 from skyledger.ledger import canonical_json
@@ -32,6 +34,12 @@ def test_refused_inputs_table(demo_bases, tmp_path, capsys, case):
     code = main(argv)
     out, err = capsys.readouterr()
     assert refused_inputs.fault(case.code, pattern, code, out, err) is None
+
+
+def test_readme_states_how_many_refused_inputs_the_table_holds():
+    """README's "holds N refused inputs" is the number of rows of the table whose exit code is not 0."""
+    stated = re.findall(r"holds (\d+) refused inputs", " ".join((REPO_ROOT / "README.md").read_text().split()))
+    assert stated == [str(sum(case.code != 0 for case in refused_inputs.CASES))]
 
 
 class TestRun:

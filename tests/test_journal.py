@@ -34,7 +34,7 @@ from conftest import (
 )
 from skyledger import ledger as ledger_module, uss as uss_module
 from skyledger.authority import REVERT_ALREADY_REGISTERED, REVERT_TAC_NOT_SIGNED
-from skyledger.ledger import Ledger, LedgerError
+from skyledger.ledger import ContractRevert, Ledger, LedgerError
 from skyledger.persistence import load_scenario
 from skyledger.sim import ReporterSpec, Scenario, World
 from skyledger.uss import Mission, UssContract, parse_departure_epoch
@@ -159,8 +159,9 @@ def test_exception_after_a_sighting_is_recorded_undoes_the_mission_and_its_count
     assert bench.reporter not in mission.report_counts
 
 
-@pytest.mark.parametrize("write", ["slot", "transfer", "emit"])
+@pytest.mark.parametrize("write", ["slot", "transfer", "emit", "slot-then-revert"])
 def test_view_that_writes_is_refused(write):
+    """submit refuses a view by its effects, so one that writes and then reverts is refused too, not logged as a revert."""
     ledger = Ledger()
     storage = {"slots": {}}
     ledger.attach_storage("toy", storage)
@@ -168,9 +169,11 @@ def test_view_that_writes_is_refused(write):
     vault = ledger.create_account("uss")
 
     def sneaky(tx):
-        if write == "slot":
+        if write.startswith("slot"):
             ledger.touch(storage["slots"], "k")
             storage["slots"]["k"] = 1
+            if write == "slot-then-revert":
+                raise ContractRevert("after the write")
         elif write == "emit":
             ledger.emit("Sneaked", by=tx.caller)
         else:

@@ -831,10 +831,11 @@ def test_a_golden_finished_snapshot_restores_to_its_own_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 @settings(max_examples=20, deadline=None)
-@given(edit=st.sampled_from(["drop", "duplicate", "change"]), data=st.data())
+@given(edit=st.sampled_from(["drop", "duplicate", "change", "retype"]), data=st.data())
 def test_an_event_dropped_duplicated_or_changed_in_a_golden_run_is_refused(name, edit, data):
-    """Restore compares each success's logged events with those its fold's writers emit, so one edit to one event of
-    any success is refused, with every hash resealed to match."""
+    """Restore compares each success's logged events with those its fold's writers emit, each arg by type too, so one
+    edit to one event of any success is refused, with every hash resealed to match; "retype" logs an int arg as the
+    float of equal value."""
     def forge(logged):
         events = [tx["events"] for tx in _records(logged) if tx["status"] == "success" and tx["events"]]
         at = data.draw(st.integers(0, len(events) - 1), label="success")
@@ -843,6 +844,10 @@ def test_an_event_dropped_duplicated_or_changed_in_a_golden_run_is_refused(name,
             del events[at][i]
         elif edit == "duplicate":
             events[at].insert(i, copy.deepcopy(events[at][i]))
+        elif edit == "retype":
+            args = events[at][i]["args"]
+            key = data.draw(st.sampled_from(sorted(key for key in args if type(args[key]) is int)), label="arg")
+            args[key] = float(args[key])
         else:
             args = events[at][i]["args"]
             key = data.draw(st.sampled_from(sorted(args)), label="arg")
@@ -1151,19 +1156,19 @@ class TestCsvOutputs:
 
     def test_reputation_surface(self, tmp_path):
         path = tmp_path / "surface.csv"
-        persistence.write_reputation_surface_csv(path, 5, 5)
+        persistence.write_reputation_surface_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "rewards,penalties,reputationMicro"
-        assert len(lines) == 1 + 6 * 6
+        assert len(lines) == 1 + 51 * 51
         assert lines[1] == "0,0,0"
 
     def test_congestion_fee_curve(self, tmp_path):
         path = tmp_path / "fees.csv"
-        persistence.write_congestion_fee_csv(path, compliant_scenario(), max_missions=10)
+        persistence.write_congestion_fee_csv(path, compliant_scenario())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "activeMissions,fee"
         fees = [int(line.split(",")[1]) for line in lines[1:]]
-        assert fees == sorted(fees) and len(fees) == 11
+        assert fees == sorted(fees) and len(fees) == 51
 
     @settings(max_examples=30, deadline=None)
     @given(sensing_scenarios())
@@ -1177,15 +1182,14 @@ class TestCsvOutputs:
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 300),
-           st.builds(FeeParams, st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**6)))
-    def test_surface_and_fee_bytes_equal_csv_writer(self, tmp_path_factory, rewards, penalties, missions, fee_params):
+    @given(st.builds(FeeParams, st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**6)))
+    def test_surface_and_fee_bytes_equal_csv_writer(self, tmp_path_factory, fee_params):
         scenario = dataclasses.replace(compliant_scenario(), fee_params=fee_params)
         path = tmp_path_factory.mktemp("plots")
-        persistence.write_reputation_surface_csv(path / "surface.csv", rewards, penalties)
-        oracles.csv_writer_reputation_surface(path / "surface.old.csv", rewards, penalties)
-        persistence.write_congestion_fee_csv(path / "fee.csv", scenario, missions)
-        oracles.csv_writer_congestion_fee(path / "fee.old.csv", scenario, missions)
+        persistence.write_reputation_surface_csv(path / "surface.csv")
+        oracles.csv_writer_reputation_surface(path / "surface.old.csv", persistence.MAX_REWARDS, persistence.MAX_PENALTIES)
+        persistence.write_congestion_fee_csv(path / "fee.csv", scenario)
+        oracles.csv_writer_congestion_fee(path / "fee.old.csv", scenario, persistence.MAX_MISSIONS)
         assert (path / "surface.csv").read_bytes() == (path / "surface.old.csv").read_bytes()
         assert (path / "fee.csv").read_bytes() == (path / "fee.old.csv").read_bytes()
 
