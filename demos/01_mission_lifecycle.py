@@ -5,8 +5,6 @@ register -> subscribe -> quote -> plan -> fly & get reported -> settle
 Run: python3 demos/01_mission_lifecycle.py
 """
 
-import hashlib
-
 from skyledger import AuthorityContract, FeeParams, Ledger, Scenario, UssContract
 from skyledger.rid import RidFaa, RidMessage, encode_rid
 from skyledger import geo
@@ -26,9 +24,7 @@ uss = UssContract(
     ledger,
     authority,
     Scenario(fee_params=FeeParams(base_cost=10, deposit=1000, surcharge_per_mission=2)),
-    nonce_seed=hashlib.sha256(b"demo-01").digest(),
 )
-ledger.accounts[uss.treasury].balance = 1_000_000
 
 operator = ledger.create_account("operator", 100_000)
 bystander = ledger.create_account("reporter")

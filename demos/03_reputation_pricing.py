@@ -9,8 +9,6 @@ pricing.
 Run: python3 demos/03_reputation_pricing.py
 """
 
-import hashlib
-
 from skyledger import AuthorityContract, FeeParams, Ledger, Scenario, UssContract
 from skyledger import geo
 from skyledger.rid import RidFaa, RidMessage, encode_rid
@@ -21,10 +19,8 @@ authority = AuthorityContract(ledger)
 uss = UssContract(
     ledger,
     authority,
-    Scenario(fee_params=FeeParams(base_cost=200, deposit=1000, surcharge_per_mission=2)),
-    nonce_seed=hashlib.sha256(b"demo-03").digest(),
+    Scenario(treasury_funding=10_000_000, fee_params=FeeParams(base_cost=200, deposit=1000, surcharge_per_mission=2)),
 )
-ledger.accounts[uss.treasury].balance = 10_000_000
 operator = ledger.create_account("operator", 1_000_000)
 watcher = ledger.create_account("reporter")
 ledger.genesis(note="pricing demo")

@@ -1,7 +1,8 @@
 """Aviation-authority contract: the drone registry.
 
-The registry is shared with certified service suppliers, which read and
-update the per-drone compliance counters through the internal API here.
+The registry is shared with certified service suppliers: a supplier reads
+a drone's record with record() and, to update its compliance counters or
+plan flag, takes it from writable() and sets the fields itself.
 Identifying strings (manufacturer serial, owner national id) are stored
 as SHA-256 hashes at rest; exports never contain the plaintext.
 """
@@ -90,24 +91,11 @@ class AuthorityContract:
         except KeyError:
             raise ContractRevert(REASON_UNKNOWN_DRONE) from None
 
-    def _writable(self, drone_id: int) -> DroneRecord:
+    def writable(self, drone_id: int) -> DroneRecord:
+        """The record, touched for the running transaction: a supplier writes its counters and plan flag in place."""
         rec = self.record(drone_id)
         self.ledger.touch(self.records, drone_id)
         return rec
-
-    def set_active_plan(self, drone_id: int, flag: bool) -> None:
-        self._writable(drone_id).has_active_plan = flag
-
-    def add_reward(self, drone_id: int) -> None:
-        self._writable(drone_id).rewards += 1
-
-    def add_penalty(self, drone_id: int) -> None:
-        self._writable(drone_id).penalties += 1
-
-    def reset_counters(self, drone_id: int) -> None:
-        rec = self._writable(drone_id)
-        rec.rewards = 0
-        rec.penalties = 0
 
     def export_registry(self) -> list[dict[str, Any]]:
         return [r.to_public_dict() for r in self.records.values()]  # in drone id order, the order of registration

@@ -222,6 +222,8 @@ class TransactionRecord:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TransactionRecord":
+        if len(d) != 13:  # a missing key raises KeyError below: one count refuses an extra key
+            raise ValueError(f"a transaction record holds 13 keys, not {len(d)}")
         return cls(d["txId"], d["caller"], d["op"], d["args"], d["value"], d["timestamp"], d["status"], d["payload"],
                    d["reason"], d["stateWrites"], d["balanceDeltas"], d["events"], d["signature"])
 
@@ -251,6 +253,8 @@ class Block:
             raise ValueError("block line is not in the sealed layout")
         body = line[m.end():-1]
         transactions = [TransactionRecord.from_dict(t) for t in json.loads(body)]
+        if not transactions:  # seal_block never writes an empty block
+            raise ValueError("block holds no transactions")
         return cls(int(m[2]), bytes.fromhex(m[3].decode()), transactions, bytes.fromhex(m[1].decode()), body)
 
 
@@ -414,7 +418,7 @@ class Ledger:
         if self._tx_counter != 0:
             raise LedgerError("genesis must be the first transaction")
         rec = TransactionRecord(
-            tx_id=self._next_tx_id(),
+            tx_id=self._tx_counter,
             caller=GENESIS_CALLER,
             op="genesis",
             args={
@@ -429,21 +433,22 @@ class Ledger:
             payload={"totalSupply": self.total_supply()},
         )
         self.pending.append(rec)
+        self._tx_counter += 1
         return rec
 
     def submit(self, caller: AccountId, op: str, args: dict[str, Any] | None = None, value: int = 0) -> TransactionRecord:
         """Apply one operation atomically and log it as a success or a revert.
 
-        An exception other than a revert rolls the operation back too,
-        hands its tx id back and propagates: it is a harness or invariant
-        error, so nothing is logged.
+        An exception other than a revert rolls the operation back too and
+        propagates: it is a harness or invariant error, so nothing is
+        logged. A tx id is the count of records logged before it.
         """
         args = dict(args or {})
         self.account(caller)  # unknown callers are a harness bug, not a revert
         if value < 0:
             raise ValueError("value must be non-negative")
         rec = TransactionRecord(
-            tx_id=self._next_tx_id(),
+            tx_id=self._tx_counter,
             caller=caller,
             op=op,
             args=args,
@@ -468,7 +473,6 @@ class Ledger:
             rec.status, rec.reason, rec.payload = "revert", exc.reason, None
         except BaseException:
             self._undo(journal, moves)
-            self._tx_counter -= 1
             raise
         else:
             if moves:  # an account's one changing field is its balance, written where the net move is not 0
@@ -478,6 +482,7 @@ class Ledger:
         finally:
             self._journal, self._moves, self._event_buffer = None, None, []
         self.pending.append(rec)
+        self._tx_counter += 1
         return rec
 
     def _admit(self, spec: _OpSpec | None, tx: TransactionRecord) -> None:
@@ -491,11 +496,6 @@ class Ledger:
             if spec.receiver is None:
                 raise ContractRevert(REASON_NOT_PAYABLE)
             self.transfer(tx.caller, spec.receiver, tx.value)
-
-    def _next_tx_id(self) -> int:
-        tx_id = self._tx_counter
-        self._tx_counter += 1
-        return tx_id
 
     def _undo(self, journal: _Journal, moves: dict[AccountId, int]) -> None:
         """Subtract each net move, then put each touched slot's own object back, a record with its field values then."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import random
 import typing
 from dataclasses import dataclass, field
@@ -357,9 +356,7 @@ class World:
         self.trace: list[tuple[int, int, int, int, str]] = []  # (tick, drone id, cell lat, cell lon, broadcast hex)
         self.ledger = Ledger()
         self.authority = AuthorityContract(self.ledger)
-        nonce_seed = hashlib.sha256(b"nonce-seed:" + str(scenario.seed).encode()).digest()
-        self.uss = UssContract(self.ledger, self.authority, scenario, nonce_seed)
-        self.ledger.accounts[self.uss.treasury].balance = scenario.treasury_funding
+        self.uss = UssContract(self.ledger, self.authority, scenario)
 
         self.drones: list[_DroneState] = []
         operators: dict[str, str] = {}

@@ -157,13 +157,13 @@ class _DmsReader(dict):
 
 
 class UssContract:
-    def __init__(self, ledger: Ledger, authority: AuthorityContract, params: Scenario, nonce_seed: bytes):
+    def __init__(self, ledger: Ledger, authority: AuthorityContract, params: Scenario):
         self.ledger = weakref.proxy(ledger)  # the ledger holds our ops; a strong reference back would be a cycle
         self.authority = authority
         self.params = params  # the contract reads its fees, buffers and flight settings from the scenario
         self.grid = params.grid()
         self.alt_band = params.altitude_m // params.altitude_band_m
-        self.treasury = ledger.create_account("uss")
+        self.treasury = ledger.create_account("uss", params.treasury_funding)
         self.escrow = ledger.create_account("uss")
         self.missions: dict[int, Mission] = {}  # drone_id -> Mission, opened by a plan, closed by its settlement
         self.storage: dict[str, Any] = {
@@ -173,12 +173,12 @@ class UssContract:
             "reputation": {},         # owner account -> ReputationState
             "nonce_counter": 0,       # missions planned so far; the next nonce's counter
         }
-        self._nonce_seed = nonce_seed
+        self._nonce_key = hashlib.sha256(b"nonce-seed:" + str(params.seed).encode()).digest()  # the system's one secret
         # lat -> lon -> the cell's (enter_s, drone id, window) in time order; _longest bounds every exit_s - enter_s
         self._cells: dict[int, dict[int, list[tuple[int, int, geo.CellWindow]]]] = defaultdict(lambda: defaultdict(list))
         self._longest = 0
         self._opens, self._closes = [], []  # sorted departures - time buffer, sorted arrivals + time buffer
-        self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> request of a plan restore has yet to build
+        self._unbuilt: dict[int, TransactionRecord] = {}  # drone id -> its last request_plan restore folded
         missions = [d.mission for d in params.drones]
         self._point = _DmsReader(chain.from_iterable(zip((m.source, m.destination), m.points) for m in missions)).__getitem__
         ledger.attach_storage("uss", self.storage)
@@ -245,11 +245,11 @@ class UssContract:
     # -- storage writers, called by the ops and by their folds; only they move money and emit events
 
     def _next_nonce(self) -> bytes:
-        """The next mission nonce: counter-mode SHA-256 over the contract's seed."""
+        """The next mission nonce: counter-mode SHA-256 over the key the contract derives from its scenario's seed."""
         counter = self.storage["nonce_counter"]
         self.ledger.touch(self.storage, "nonce_counter")
         self.storage["nonce_counter"] = counter + 1
-        return hashlib.sha256(self._nonce_seed + counter.to_bytes(8, "big")).digest()[:16]
+        return hashlib.sha256(self._nonce_key + counter.to_bytes(8, "big")).digest()[:16]
 
     def _open_mission(self, drone_id: int, plan: MissionPlan | None, nonce: bytes) -> None:
         """Open a mission with the deposit moved from the treasury into escrow."""
@@ -257,7 +257,7 @@ class UssContract:
         self.ledger.transfer(self.treasury, self.escrow, deposit)
         self.ledger.touch(self.missions, drone_id)
         self.missions[drone_id] = Mission(plan, nonce, {}, deposit, 0)
-        self.authority.set_active_plan(drone_id, True)
+        self.authority.writable(drone_id).has_active_plan = True
 
     def _record_sighting(self, tx: TransactionRecord, cell: tuple[int, int], verdict: str) -> dict[str, Any]:
         """Pay the reporter, count the report, move the bonus into escrow or the fine the deposit covers out; DroneSighted."""
@@ -271,13 +271,13 @@ class UssContract:
         if verdict == VERDICT_REWARD:
             self.ledger.transfer(self.treasury, self.escrow, params.bonus_unit)
             mission.escrow += params.bonus_unit
-            self.authority.add_reward(drone_id)
+            self.authority.writable(drone_id).rewards += 1
         elif verdict == VERDICT_PENALTY:
             fine = min(params.fine_unit, params.fee_params.deposit - mission.forfeited)
             self.ledger.transfer(self.escrow, self.treasury, fine)
             mission.escrow -= fine
             mission.forfeited += fine
-            self.authority.add_penalty(drone_id)
+            self.authority.writable(drone_id).penalties += 1
         else:
             raise ValueError(f"unknown verdict {verdict!r}")
         sightings = self.storage["sightings"]
@@ -289,7 +289,7 @@ class UssContract:
     def _close_mission(self, tx: TransactionRecord) -> dict[str, Any]:
         """Settle: pay the owner, store its reputation, emit missionComplete; the payload. LedgerError if escrow differs."""
         drone_id, owner = tx.args["droneId"], tx.caller
-        record, fee_params = self.authority.record(drone_id), self.params.fee_params
+        record, fee_params = self.authority.writable(drone_id), self.params.fee_params
         rewards, penalties = record.rewards, record.penalties
         payout = max(0, fee_params.deposit - penalties * self.params.fine_unit) + rewards * self.params.bonus_unit
         if (escrow := self.missions[drone_id].escrow) != payout:
@@ -303,8 +303,7 @@ class UssContract:
         reputations = self.storage["reputation"]
         self.ledger.touch(reputations, owner)
         reputations[owner] = economics.ReputationState(rep_micro, k_micro)
-        self.authority.reset_counters(drone_id)
-        self.authority.set_active_plan(drone_id, False)
+        record.rewards, record.penalties, record.has_active_plan = 0, 0, False
         self.ledger.emit("missionComplete", droneId=drone_id, ridVc=bytes.fromhex(tx.args["ridVc"]).hex())
         return {"droneId": drone_id, "kMicro": k_micro, "payout": payout, "penalties": penalties,
                 "reputationMicro": rep_micro, "rewards": rewards}
@@ -494,24 +493,23 @@ class UssContract:
 
     def fold_report_completion(self, tx: TransactionRecord) -> dict[str, Any]:
         self._check_completion(tx)
-        self._unbuilt.pop(tx.args["droneId"], None)
         return self._close_mission(tx)
 
     def build_live_plans(self) -> None:
-        """After restore's walk, build each plan still active from its request's args and nonce, then index them all.
+        """After restore's walk, build each open mission's plan from its request's args and nonce, then index them all.
 
         A plan other than its logged payload (all but `fee` and `congestion`, taken as given), by type too for the
         route windows' values, raises ValueError. Built before any is indexed, so building scans no other plan for conflicts.
         """
-        for drone_id, tx in self._unbuilt.items():
-            mission = self.missions[drone_id]
+        for drone_id, mission in self.missions.items():
+            tx = self._unbuilt[drone_id]
             mission.plan = self.plan_for(tx, mission.nonce, self.plan_points(tx.args))
             quoted = {"fee": tx.payload["fee"], "congestion": tx.payload["congestion"]}
             if not same_fields(tx.payload, {**mission.plan.to_public_dict(), **quoted}) or (
                     {*map(type, chain.from_iterable(map(dict.values, tx.payload["route"])))} - {int}):  # 60.0 or True
                 raise ValueError(f"plan for drone {drone_id} is not the one its request_plan args give")
-        for drone_id in self._unbuilt:
-            self.index_plan(self.missions[drone_id].plan)
+        for mission in self.missions.values():
+            self.index_plan(mission.plan)
         self._unbuilt.clear()
 
     def export_active_plans(self) -> list[dict[str, Any]]:

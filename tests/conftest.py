@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +47,7 @@ def make_bench(**overrides) -> Bench:
     scenario = Scenario(**overrides)
     ledger = Ledger()
     authority = AuthorityContract(ledger)
-    uss = UssContract(ledger, authority, scenario, nonce_seed=hashlib.sha256(b"bench").digest())
-    ledger.accounts[uss.treasury].balance = scenario.treasury_funding
+    uss = UssContract(ledger, authority, scenario)
     bench = Bench(
         ledger=ledger,
         authority=authority,

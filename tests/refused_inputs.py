@@ -252,6 +252,11 @@ REFUSED = [
     inspect("inspect-inflated-balance", forged(moved(10**9)), HEADER + r"\['accounts'\] differs$"),
     inspect("inspect-empty-chain", forged(lambda d: d.update(chain=[])),
             FOLD + r"chain does not open with this ledger's genesis$"),
+    inspect("inspect-record-extra-key", forged(lambda d: d["chain"][1]["transactions"][0].update(extra=1)),
+            SNAPSHOT + r"bad block line: a transaction record holds 13 keys, not 14$", "tx:1"),
+    inspect("inspect-empty-block", forged(lambda d: d["chain"].append(
+                {"hash": "", "index": len(d["chain"]), "prevHash": "", "transactions": []})),
+            SNAPSHOT + r"bad block line: block holds no transactions$"),
     *(inspect(f"inspect-moved-balance-{query.replace(':', '-')}", forged(moved(-500, 500)),
               HEADER + r"\['accounts'\] differs$", query) for query in QUERIES),
     inspect("inspect-unsealed-probe", UNSEALED["probe"], SNAPSHOT + r"snapshot chain broken at block 0$"),

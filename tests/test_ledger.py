@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
+from conftest import REPO_ROOT
 from skyledger.ledger import (
     Block,
     ContractRevert,
@@ -87,6 +89,24 @@ class TestAccounts:
     def test_unknown_account_raises(self):
         with pytest.raises(UnknownAccount):
             Ledger().balance("0x" + "00" * 20)
+
+    def test_only_the_ledger_assigns_a_balance(self):
+        """An opening balance is create_account's, every later one transfer's: no other module, demo or the test bench
+        assigns an account's `balance` (an attribute in the target of =, an augmented or an annotated assignment)."""
+        paths = [*(REPO_ROOT / "src" / "skyledger").glob("*.py"), *(REPO_ROOT / "demos").glob("*.py"),
+                 REPO_ROOT / "tests" / "conftest.py"]
+        writers = set()
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(t, ast.Attribute) and t.attr == "balance" for target in targets for t in ast.walk(target)):
+                    writers.add(path.relative_to(REPO_ROOT).as_posix())
+        assert writers == {"src/skyledger/ledger.py"}
 
 
 class TestTransfer:

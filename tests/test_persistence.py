@@ -1092,6 +1092,26 @@ class TestChainFiles:
             assert verify_blocks(blocks[:index] + [block] + blocks[index + 1:])[0] is False
         assert 0 < refused < len(line) + 1
 
+    @pytest.mark.parametrize("forge,refusal", [
+        (lambda blocks: blocks[1]["transactions"][0].update(extra=1), "a transaction record holds 13 keys, not 14"),
+        (lambda blocks: blocks.append({"index": len(blocks), "transactions": []}), "block holds no transactions"),
+    ], ids=["record-extra-key", "empty-block"])
+    def test_a_resealed_block_line_seal_block_never_writes_is_refused(self, tmp_path, forge, refusal):
+        """A record with a key to_dict does not write, or a block with no record, is refused though every hash holds."""
+        path = tmp_path / "x.chain.jsonl"
+        persistence.write_chain_jsonl(path, finished_world(compliant_scenario()).ledger.blocks)
+
+        def reseal(header, blocks):
+            forge(blocks)
+            prev = "00" * 32
+            for block in blocks:
+                block["prevHash"] = prev
+                block["hash"] = prev = oracles.independent_block_digest(block)
+
+        path.write_bytes(oracles.edit_snapshot(path.read_bytes(), reseal))
+        with pytest.raises(persistence.CorruptPayload, match=f"bad block line: {refusal}$"):
+            persistence.verify_chain_file(path)
+
     def test_verify_holds_at_most_two_decoded_blocks(self, tmp_path, demo_scenario_path, monkeypatch):
         """verify_chain_file drops each block once it is checked, so the blocks alive never grow with the log."""
         world = World(persistence.load_scenario(demo_scenario_path))

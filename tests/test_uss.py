@@ -53,6 +53,24 @@ def small_fee_bench(**kwargs):
     )
 
 
+def test_the_contract_is_built_from_its_scenario_alone():
+    """A bench contract and a World on one scenario seed give the first plan one ridVc (the nonce key follows the seed),
+    two seeds give two, and genesis logs the treasury's opening balance as the scenario's treasury funding."""
+    def opening_treasury(genesis, contract):
+        return next(a["balance"] for a in genesis.args["accounts"] if a["id"] == contract.treasury)
+
+    rid_vcs = {}
+    for seed in (11, 12):
+        bench = make_bench(seed=seed, treasury_funding=123_456)
+        assert opening_treasury(bench.ledger.pending[0], bench.uss) == 123_456
+        world = World(compliant_scenario(seed=seed))
+        assert opening_treasury(world.ledger.blocks[0].transactions[0], world.uss) == world.scenario.treasury_funding
+        assert bench.operator == world.drones[0].operator_account  # the caller is the fourth account in both
+        rid_vcs[seed] = bench.uss.missions[planned_drone(bench)].plan.rid_vc
+        assert rid_vcs[seed] == world.uss.missions[0].plan.rid_vc
+    assert rid_vcs[11] != rid_vcs[12]
+
+
 class TestSubscribe:
     def test_owner_exact_fee(self, bench):
         drone_id = register(bench)
